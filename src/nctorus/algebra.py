@@ -276,18 +276,24 @@ def cocycle_phase(geometry, p, q):
     return complex(np.exp(1j * np.pi * float(q @ (geometry.theta @ p))))
 
 
+def _resize_table(table, radius, n):
+    """Pad with zeros or clip the last n (box) axes of a coefficient array to radius."""
+    old = (table.shape[-1] - 1) // 2
+    m = min(radius, old)
+    out = np.zeros(table.shape[: table.ndim - n] + (2 * radius + 1,) * n, dtype=complex)
+    src = (Ellipsis,) + (slice(old - m, old + m + 1),) * n
+    dst = (Ellipsis,) + (slice(radius - m, radius + m + 1),) * n
+    out[dst] = table[src]
+    return out
+
+
 def resize(u, radius):
     """Pad with zeros or clip the coefficient table to the given box radius."""
     radius = int(radius)
     if radius == u.box.radius:
         return u
     box = LatticeBox(u.geometry.n, radius)
-    table = np.zeros(box.shape, dtype=complex)
-    m = min(radius, u.box.radius)
-    src = tuple(slice(u.box.radius - m, u.box.radius + m + 1) for _ in range(u.geometry.n))
-    dst = tuple(slice(radius - m, radius + m + 1) for _ in range(u.geometry.n))
-    table[dst] = u.table[src]
-    return AlgebraElement(u.geometry, box, table)
+    return AlgebraElement(u.geometry, box, _resize_table(u.table, radius, u.geometry.n))
 
 
 def trim(u, cutoff):

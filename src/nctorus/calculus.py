@@ -19,6 +19,7 @@ only under the commutation hypotheses checked by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -29,14 +30,12 @@ from .algebra import (
     AlgebraElement,
     LatticeBox,
     TorusGeometry,
+    _resize_table,
     add,
-    adjoint,
     commutator,
     multiply,
     resize,
     scale,
-    selfadjoint_residual,
-    trace,
 )
 from .errors import (
     GeometryMismatch,
@@ -47,146 +46,135 @@ from .errors import (
 
 DEFAULT_SPECTRAL_FLOOR = 1e-8
 
-# phase tables exp(i pi q.theta r) reused across compressions; keyed by
-# (theta digest, n, radius), small LRU
-_PHASE_CACHE = {}
-_PHASE_CACHE_MAX = 8
 
-
+@functools.lru_cache(maxsize=8)
 def _phase_matrix(geometry, box):
-    key = (geometry.digest, geometry.n, box.radius)
-    hit = _PHASE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Read-only table [r, q] = exp(i pi q.theta r) over pairs of box modes."""
     modes = box.modes().astype(float)
     w = modes @ geometry.theta @ modes.T  # w[a, b] = a . theta b
     w = 0.5 * (w - w.T)  # enforce the exact antisymmetry (zero diagonal) of q.theta r
-    phase = np.exp(1j * np.pi * w.T)  # [r, q] = exp(i pi q.theta r)
-    if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
-        _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
-    _PHASE_CACHE[key] = phase
+    phase = np.exp(1j * np.pi * w.T)
+    phase.setflags(write=False)
     return phase
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TorusMatrix:
-    """m x m matrix with entries in the torus algebra."""
+    """m x m matrix with entries in the torus algebra.
+
+    Stored as one read-only coefficient array ``coeffs`` of shape
+    (m, m, *box.shape): ``coeffs[i, j]`` is the table of entry (i, j) on the
+    box of the widest entry, narrower entries zero-padded.
+    """
 
     geometry: TorusGeometry
-    m: int
-    entries: tuple
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
+    def __init__(self, geometry, m, entries):
+        rows = [list(row) for row in entries]
+        if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError("entries must form an m x m grid")
-        for row in rows:
-            for e in row:
-                if e.geometry != self.geometry:
-                    raise GeometryMismatch("matrix entry on a different torus")
-        object.__setattr__(self, "entries", rows)
+        if any(e.geometry != geometry for row in rows for e in row):
+            raise GeometryMismatch("matrix entry on a different torus")
+        radius = max(e.box.radius for row in rows for e in row)
+        self._init(geometry, [[resize(e, radius).table for e in row] for row in rows])
+
+    def _init(self, geometry, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        m, width = c.shape[0], c.shape[-1]
+        if m == 0 or width % 2 == 0 or c.shape != (m, m) + (width,) * geometry.n:
+            raise ValueError(f"coefficient array shape {c.shape} is not (m, m, *box.shape)")
+        c.setflags(write=False)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def from_entries(cls, entries):
-        entries = [list(row) for row in entries]
-        return cls(entries[0][0].geometry, len(entries), entries)
+    def from_coeffs(cls, geometry, coeffs):
+        """Matrix whose entry (i, j) has the coefficient table coeffs[i, j]."""
+        out = cls.__new__(cls)
+        out._init(geometry, coeffs)
+        return out
 
     @classmethod
     def identity(cls, geometry, m, radius=0):
-        one = AlgebraElement.identity(geometry, radius)
-        zero = AlgebraElement.zeros(geometry, radius)
-        return cls(geometry, m, [[one if i == j else zero for j in range(m)] for i in range(m)])
+        return cls.from_scalar_matrix(geometry, np.eye(m), radius)
 
     @classmethod
     def from_scalar_matrix(cls, geometry, mat, radius=0):
         """Constant-coefficient matrix: each entry is a scalar multiple of 1."""
-        mat = np.asarray(mat)
-        m = mat.shape[0]
-        return cls(
-            geometry,
-            m,
-            [
-                [
-                    scale(AlgebraElement.identity(geometry, radius), complex(mat[i, j]))
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ],
-        )
+        one = AlgebraElement.identity(geometry, radius).table
+        return cls.from_coeffs(geometry, np.multiply.outer(np.asarray(mat, dtype=complex), one))
 
     @classmethod
     def block_diag(cls, blocks):
         geometry = blocks[0].geometry
+        if any(b.geometry != geometry for b in blocks):
+            raise GeometryMismatch("blocks on different tori")
+        radius = max(b.box.radius for b in blocks)
         m = sum(b.m for b in blocks)
-        zero = AlgebraElement.zeros(geometry, 0)
-        rows = [[zero] * m for _ in range(m)]
+        coeffs = np.zeros((m, m) + LatticeBox(geometry.n, radius).shape, dtype=complex)
         at = 0
         for b in blocks:
-            for i in range(b.m):
-                for j in range(b.m):
-                    rows[at + i][at + j] = b.entries[i][j]
+            coeffs[at : at + b.m, at : at + b.m] = b.resize(radius).coeffs
             at += b.m
-        return cls(geometry, m, rows)
+        return cls.from_coeffs(geometry, coeffs)
 
-    def entry(self, i, j):
-        return self.entries[i][j]
+    @property
+    def m(self):
+        return self.coeffs.shape[0]
 
-    def max_radius(self):
-        return max(e.box.radius for row in self.entries for e in row)
+    @property
+    def box(self):
+        return LatticeBox(self.geometry.n, (self.coeffs.shape[-1] - 1) // 2)
+
+    @functools.cached_property
+    def entries(self):
+        """The entries as a nested tuple of elements on the common box."""
+        box = self.box
+        return tuple(
+            tuple(AlgebraElement(self.geometry, box, table) for table in row)
+            for row in self.coeffs
+        )
 
     def max_abs(self):
-        return max(e.max_abs() for row in self.entries for e in row)
+        return float(np.max(np.abs(self.coeffs)))
 
     def resize(self, radius):
-        return TorusMatrix(
-            self.geometry,
-            self.m,
-            [[resize(e, radius) for e in row] for row in self.entries],
+        return TorusMatrix.from_coeffs(
+            self.geometry, _resize_table(self.coeffs, radius, self.geometry.n)
         )
 
     def adjoint(self):
-        return TorusMatrix(
-            self.geometry,
-            self.m,
-            [[adjoint(self.entries[j][i]) for j in range(self.m)] for i in range(self.m)],
+        flip = (slice(None, None, -1),) * self.geometry.n
+        return TorusMatrix.from_coeffs(
+            self.geometry, np.conj(self.coeffs.swapaxes(0, 1)[(Ellipsis,) + flip])
         )
+
+    def transpose(self):
+        return TorusMatrix.from_coeffs(self.geometry, self.coeffs.swapaxes(0, 1))
 
     def selfadjoint_residual(self):
-        adj = self.adjoint()
-        return max(
-            add(self.entries[i][j], scale(adj.entries[i][j], -1.0)).max_abs()
-            for i in range(self.m)
-            for j in range(self.m)
-        )
+        return (self - self.adjoint()).max_abs()
 
-    def __add__(self, other):
+    def _aligned(self, other):
+        """Both coefficient arrays on the common box."""
         if self.m != other.m:
             raise ValueError("matrix size mismatch")
-        return TorusMatrix(
-            self.geometry,
-            self.m,
-            [
-                [add(self.entries[i][j], other.entries[i][j]) for j in range(self.m)]
-                for i in range(self.m)
-            ],
-        )
+        if self.geometry != other.geometry:
+            raise GeometryMismatch("operands live on different tori")
+        r = max(self.box.radius, other.box.radius)
+        return self.resize(r).coeffs, other.resize(r).coeffs
+
+    def __add__(self, other):
+        a, b = self._aligned(other)
+        return TorusMatrix.from_coeffs(self.geometry, a + b)
 
     def __sub__(self, other):
-        return self + other.scale(-1.0)
+        a, b = self._aligned(other)
+        return TorusMatrix.from_coeffs(self.geometry, a - b)
 
     def scale(self, c):
-        return TorusMatrix(
-            self.geometry,
-            self.m,
-            [[scale(e, c) for e in row] for row in self.entries],
-        )
-
-    def scale_element(self, k, side="left"):
-        """Multiply every entry by an algebra element (entrywise k.g or g.k)."""
-        op = (lambda e: multiply(k, e, mode="exact")) if side == "left" else (
-            lambda e: multiply(e, k, mode="exact")
-        )
-        return TorusMatrix(self.geometry, self.m, [[op(e) for e in row] for row in self.entries])
+        return TorusMatrix.from_coeffs(self.geometry, self.coeffs * complex(c))
 
     def matmul(self, other, mode="exact"):
         if self.m != other.m:
@@ -204,12 +192,15 @@ class TorusMatrix:
             rows.append(row)
         return TorusMatrix(self.geometry, m, rows)
 
-    def transpose(self):
-        return TorusMatrix(
-            self.geometry,
-            self.m,
-            [[self.entries[j][i] for j in range(self.m)] for i in range(self.m)],
-        )
+
+def _as_matrix(x):
+    """A matrix as itself and an element as the 1 x 1 matrix over it."""
+    return x if isinstance(x, TorusMatrix) else TorusMatrix(x.geometry, 1, [[x]])
+
+
+def _like(x, h):
+    """h in the form of x: the matrix itself, or its sole entry for an element."""
+    return h if isinstance(x, TorusMatrix) else h.entries[0][0]
 
 
 def compatibility_residual(a, b):
@@ -244,7 +235,6 @@ class CompressedOperator:
     box: LatticeBox
     m: int
     matrix: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -262,22 +252,6 @@ class CompressedOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale_
 
 
-def _compress_element_matrix(x, box):
-    """Dense matrix of left multiplication by x on span{V_k : k in box}."""
-    modes = box.modes()
-    n = x.geometry.n
-    r = x.box.radius
-    diff = modes[:, None, :] - modes[None, :, :]  # [row, col, axis] = r - q
-    inside = np.all(np.abs(diff) <= r, axis=2)
-    offsets = np.clip(diff + r, 0, 2 * r)
-    flat = np.ravel_multi_index(
-        tuple(offsets[..., j] for j in range(n)), x.box.shape
-    )
-    vals = x.table.ravel()[flat]
-    vals[~inside] = 0.0
-    return vals * _phase_matrix(x.geometry, box)
-
-
 def compress(x, box):
     """Compressed left-multiplication operator of an element or matrix.
 
@@ -285,44 +259,39 @@ def compress(x, box):
     near the box boundary the product leaves the box, so only matrix
     elements with row index in the interior are those of the full operator.
     """
-    if isinstance(x, AlgebraElement):
-        return CompressedOperator(
-            x.geometry, box, 1, _compress_element_matrix(x, box), provenance="element"
-        )
-    m = x.m
-    s = box.size
-    mat = np.zeros((m * s, m * s), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            entry = x.entries[i][j]
-            if entry.max_abs() == 0.0:
+    h = _as_matrix(x)
+    r, width, s = h.box.radius, h.box.width, box.size
+    modes = box.modes()
+    # block [row, col] is an entry's coefficient at mode(row) - mode(col):
+    # `flat` indexes that mode in the raveled table (clipped into range),
+    # `outside` marks modes beyond the table's box, which read as zero
+    flat = np.zeros((s, s), dtype=np.intp)
+    outside = np.zeros((s, s), dtype=bool)
+    for axis in range(box.n):
+        diff = modes[:, None, axis] - modes[None, :, axis]
+        outside |= np.abs(diff) > r
+        flat = flat * width + np.clip(diff + r, 0, 2 * r)
+    phase = _phase_matrix(h.geometry, box)
+    mat = np.zeros((h.m * s, h.m * s), dtype=complex)
+    for i in range(h.m):
+        for j in range(h.m):
+            table = h.coeffs[i, j]
+            if not table.any():
                 continue
-            mat[i * s : (i + 1) * s, j * s : (j + 1) * s] = _compress_element_matrix(
-                entry, box
-            )
-    return CompressedOperator(x.geometry, box, m, mat, provenance="matrix")
+            block = mat[i * s : (i + 1) * s, j * s : (j + 1) * s]
+            np.take(table.ravel(), flat, out=block, mode="clip")
+            block[outside] = 0.0
+            block *= phase
+    return CompressedOperator(h.geometry, box, h.m, mat)
 
 
 def coefficient_vector(x, box):
-    """Flatten coefficients into the enumeration of a (possibly larger) box."""
-    if isinstance(x, AlgebraElement):
-        return resize(x, box.radius).vector()
-    return np.concatenate([resize(e, box.radius).vector() for e in x.entries])
+    """Flatten an element's coefficients into the enumeration of a (possibly larger) box."""
+    return resize(x, box.radius).vector()
 
 
 def element_from_vector(geometry, box, vec):
     return AlgebraElement(geometry, box, np.asarray(vec, dtype=complex).reshape(box.shape))
-
-
-def apply_operator(op, x):
-    """Apply a compressed operator to an element (or m-component column)."""
-    if isinstance(x, AlgebraElement):
-        if op.m != 1:
-            raise ValueError("operator acts on matrix columns, not elements")
-        return element_from_vector(op.geometry, op.box, op.matrix @ coefficient_vector(x, op.box))
-    vec = op.matrix @ coefficient_vector(x, op.box)
-    s = op.box.size
-    return [element_from_vector(op.geometry, op.box, vec[i * s : (i + 1) * s]) for i in range(op.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,71 +320,42 @@ def _resolve_function(fn):
     return fn, table[fn], fn in _SINGULAR_AT_ZERO
 
 
-def _require_selfadjoint(x):
-    if isinstance(x, AlgebraElement):
-        resid = selfadjoint_residual(x)
-        scale_ = 1.0 + x.max_abs()
-    else:
-        resid = x.selfadjoint_residual()
-        scale_ = 1.0 + x.max_abs()
-    if resid > 1e-11 * scale_:
+def _require_selfadjoint(h):
+    resid = h.selfadjoint_residual()
+    if resid > 1e-11 * (1.0 + h.max_abs()):
         raise NonSelfadjointInput(f"selfadjointness residual {resid:.3e}")
-
-
-def _eigendecomposition(x, box):
-    op = compress(x, box)
-    lam, vecs = np.linalg.eigh(op.matrix)
-    return op, lam, vecs
 
 
 def functional_calculus(x, fn, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     """f(x) for selfadjoint x via the Hermitian compression on the box.
 
-    fn is one of "sqrt", "inv_sqrt", "log", "exp", "inv", ("pow", s), or a
-    vectorized callable on eigenvalues.  Functions singular at 0 refuse
-    inputs whose compressed spectrum dips below the floor.  The result lives
-    on the compression box; callers clip as needed.
+    x is an element or a matrix over the algebra (an element is the 1 x 1
+    case, and the result has the form of x).  fn is one of "sqrt",
+    "inv_sqrt", "log", "exp", "inv", ("pow", s), or a vectorized callable on
+    eigenvalues.  Functions singular at 0 refuse inputs whose compressed
+    spectrum dips below the floor.  The result lives on the compression box;
+    callers clip as needed.
     """
     name, f, needs_floor = _resolve_function(fn)
-    _require_selfadjoint(x)
-    op, lam, vecs = _eigendecomposition(x, box)
-    if needs_floor and lam.min() < spectral_floor:
+    h = _as_matrix(x)
+    _require_selfadjoint(h)
+    lam, vecs = np.linalg.eigh(compress(h, box).matrix)
+    if needs_floor and lam[0] < spectral_floor:
         raise SpectralFloorViolation(
-            f"{name}: compressed spectrum reaches {lam.min():.3e} < floor {spectral_floor:.1e}"
+            f"{name}: compressed spectrum reaches {lam[0]:.3e} < floor {spectral_floor:.1e}"
         )
     fvals = np.asarray(f(lam), dtype=complex)
+    # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
+    m, s = h.m, box.size
+    i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
+    coeffs = np.empty((m, m) + box.shape, dtype=complex)
+    for j in range(m):
+        col = vecs @ (fvals * vecs[j * s + i0].conj())
+        coeffs[:, j] = col.reshape((m,) + box.shape)
+    out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     # f real on the spectrum of a selfadjoint input makes f(x) selfadjoint;
     # averaging with the adjoint clears readout roundoff off the real subspace
-    if isinstance(x, AlgebraElement):
-        i0 = box.index_of(np.zeros(x.geometry.n, dtype=int))
-        col = vecs @ (fvals * vecs[i0].conj())
-        out = element_from_vector(x.geometry, box, col)
-        return scale(add(out, adjoint(out)), 0.5)
-    s = box.size
-    i0 = box.index_of(np.zeros(x.geometry.n, dtype=int))
-    cols = []
-    for j in range(x.m):
-        col = vecs @ (fvals * vecs[j * s + i0].conj())
-        cols.append(col)
-    entries = [
-        [
-            element_from_vector(x.geometry, box, cols[j][i * s : (i + 1) * s])
-            for j in range(x.m)
-        ]
-        for i in range(x.m)
-    ]
-    out = TorusMatrix(x.geometry, x.m, entries)
-    return TorusMatrix(
-        x.geometry,
-        x.m,
-        [
-            [
-                scale(add(out.entries[i][j], adjoint(out.entries[j][i])), 0.5)
-                for j in range(x.m)
-            ]
-            for i in range(x.m)
-        ],
-    )
+    return _like(x, (out + out.adjoint()).scale(0.5))
 
 
 def spectral_bounds(x, box):
@@ -425,9 +365,10 @@ def spectral_bounds(x, box):
     to a subspace raises the bottom of the spectrum), so a positive value
     is a diagnostic, not a proof of positivity.
     """
-    _require_selfadjoint(x)
-    _, lam, _ = _eigendecomposition(x, box)
-    return float(lam.min()), float(lam.max())
+    h = _as_matrix(x)
+    _require_selfadjoint(h)
+    lam = np.linalg.eigvalsh(compress(h, box).matrix)
+    return float(lam[0]), float(lam[-1])
 
 
 def matrix_inverse(h, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
@@ -451,26 +392,15 @@ def make_positive(y, c):
     """Return (y* y + c, certificate); positive with compressed spectrum >= c."""
     if c <= 0:
         raise ValueError("constant must be positive")
-    if isinstance(y, AlgebraElement):
-        x = add(
-            multiply(adjoint(y), y, mode="exact"),
-            scale(AlgebraElement.identity(y.geometry), c),
-        )
-    else:
-        x = y.adjoint().matmul(y, mode="exact") + TorusMatrix.identity(
-            y.geometry, y.m
-        ).scale(c)
-    return x, PositivityCertificate(y, float(c))
+    w = _as_matrix(y)
+    x = w.adjoint().matmul(w, mode="exact") + TorusMatrix.identity(w.geometry, w.m).scale(c)
+    return _like(y, x), PositivityCertificate(y, float(c))
 
 
 def certificate_residual(certificate, x):
     """Max coefficient error of the reconstruction y* y + c against x."""
     rebuilt, _ = make_positive(certificate.witness, certificate.constant)
-    if isinstance(x, AlgebraElement):
-        r = max(x.box.radius, rebuilt.box.radius)
-        return add(resize(x, r), scale(resize(rebuilt, r), -1.0)).max_abs()
-    r = max(x.max_radius(), rebuilt.max_radius())
-    return (x.resize(r) - rebuilt.resize(r)).max_abs()
+    return (x - rebuilt).max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +466,7 @@ def matrix_trace(h):
     Not tracial on matrices over a noncommutative algebra: Tr(hk) and
     Tr(kh) differ in general.
     """
-    acc = h.entries[0][0]
-    for i in range(1, h.m):
-        acc = add(acc, h.entries[i][i])
-    return acc
+    return AlgebraElement(h.geometry, h.box, np.trace(h.coeffs))
 
 
 def determinant(h, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
@@ -577,11 +504,6 @@ def leibniz_determinant(h, mode="exact"):
     return acc
 
 
-def _difference(a, b):
-    r = max(a.box.radius, b.box.radius)
-    return add(resize(a, r), scale(resize(b, r), -1.0)).max_abs()
-
-
 def determinant_identities_check(
     h,
     other=None,
@@ -613,9 +535,9 @@ def determinant_identities_check(
         det_o = determinant(other, box, spectral_floor)
         report["det_commutator"] = commutator(det_h, det_o).max_abs()
         det_prod = determinant(h.matmul(other, "exact"), box, spectral_floor)
-        report["product_multiplicativity"] = _difference(
-            det_prod, multiply(det_h, det_o, mode="exact")
-        )
+        report["product_multiplicativity"] = (
+            det_prod - multiply(det_h, det_o, mode="exact")
+        ).max_abs()
     if conjugator is not None:
         u = conjugator
         hyp = {
@@ -629,9 +551,7 @@ def determinant_identities_check(
         uhu = u.adjoint().matmul(h, "exact").matmul(u, "exact")
         det_uhu = determinant(uhu, box, spectral_floor)
         det_uu = determinant(u.adjoint().matmul(u, "exact"), box, spectral_floor)
-        report["conjugation"] = _difference(
-            det_uhu, multiply(det_uu, det_h, mode="exact")
-        )
+        report["conjugation"] = (det_uhu - multiply(det_uu, det_h, mode="exact")).max_abs()
     return report
 
 
@@ -650,7 +570,7 @@ def block_determinant_residual(blocks, box, compat_tol=1e-9, spectral_floor=DEFA
     for b in blocks:
         d = determinant(b, box, spectral_floor)
         prod = d if prod is None else multiply(prod, d, mode="exact")
-    return _difference(full, prod)
+    return (full - prod).max_abs()
 
 
 def unit_ball_volume(n):

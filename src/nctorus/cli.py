@@ -43,11 +43,6 @@ from .sampling import (
 )
 
 
-def _difference(a, b):
-    r = max(a.box.radius, b.box.radius)
-    return add(resize(a, r), scale(resize(b, r), -1.0)).max_abs()
-
-
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, default=float)
     if out_path:
@@ -202,13 +197,13 @@ def cmd_det_check(cfg, args):
     d = determinant(g, box, spectral_floor=cfg.tolerances.spectral_floor)
     report = {}
     t = 2.0
-    report["scaling det(t g) = t^m det(g)"] = _difference(
-        determinant(g.scale(t), box), scale(d, t**m)
-    )
+    report["scaling det(t g) = t^m det(g)"] = (
+        determinant(g.scale(t), box) - scale(d, t**m)
+    ).max_abs()
     gs = functional_calculus(g, ("pow", 0.5), box)
-    report["power det(g^s) = det(g)^s"] = _difference(
-        determinant(gs, box), functional_calculus(d, ("pow", 0.5), box)
-    )
+    report["power det(g^s) = det(g)^s"] = (
+        determinant(gs, box) - functional_calculus(d, ("pow", 0.5), box)
+    ).max_abs()
     k = cfg.build_density()
     k_elem = k.nu if k is not None else AlgebraElement.identity(cfg.geometry) * 2.0
     km = TorusMatrix(
@@ -217,11 +212,9 @@ def cmd_det_check(cfg, args):
     kpow = AlgebraElement.identity(cfg.geometry)
     for _ in range(m):
         kpow = multiply(kpow, k_elem, "exact")
-    report["scalar matrix det(k I_m) = k^m"] = _difference(determinant(km, box), kpow)
+    report["scalar matrix det(k I_m) = k^m"] = (determinant(km, box) - kpow).max_abs()
     if metric.is_self_compatible(tol=1e-10):
-        report["self-compatible Leibniz expansion"] = _difference(
-            d, leibniz_determinant(g)
-        )
+        report["self-compatible Leibniz expansion"] = (d - leibniz_determinant(g)).max_abs()
     _emit(report, args.out)
     gates = {name: (val, cfg.tolerances.determinant) for name, val in report.items()}
     return _gate_lines(gates)
@@ -256,7 +249,7 @@ def cmd_volume(cfg, args):
         "volume": vol,
         "flat_reference": (2.0 * np.pi) ** cfg.geometry.n,
         "density_consistency": dens.consistency_residual,
-        "density_squared_vs_det": _difference(sq, detg),
+        "density_squared_vs_det": (sq - detg).max_abs(),
     }
     _emit(report, args.out)
     gates = {
@@ -281,10 +274,8 @@ def cmd_oracle_compare(cfg, args):
 
     u = random_element(geometry, 3, rng)
     v = random_element(geometry, 2, rng)
-    algebraic["multiply"] = _difference(
-        multiply(u, v, "exact"), orc.oracle_multiply(u, v)
-    )
-    algebraic["adjoint"] = _difference(adjoint(u), orc.oracle_adjoint(u))
+    algebraic["multiply"] = (multiply(u, v, "exact") - orc.oracle_multiply(u, v)).max_abs()
+    algebraic["adjoint"] = (adjoint(u) - orc.oracle_adjoint(u)).max_abs()
     from .algebra import derivation, inner_product, trace
 
     gu = orc.to_grid(u, orc.grid_for(u))
@@ -294,7 +285,7 @@ def cmd_oracle_compare(cfg, args):
         inner_product(u, v) - complex((gu * np.conj(gv)).mean())
     )
     du_grid = orc.from_grid(geometry, orc._grid_derivative(gu, 0), u.support_radius())
-    algebraic["derivation"] = _difference(derivation(u, 0), du_grid)
+    algebraic["derivation"] = (derivation(u, 0) - du_grid).max_abs()
 
     metric = cfg.build_metric()
     x = add(
@@ -306,17 +297,17 @@ def cmd_oracle_compare(cfg, args):
         arg = scale(x, 0.5) if fn == "exp" else x  # keep exp growth resolvable
         a = functional_calculus(arg, fn, box, spectral_floor=cfg.tolerances.spectral_floor)
         b = orc.oracle_funcalc(arg, fn, radius=box.radius)
-        spectral[f"funcalc_{fn}"] = _difference(resize(a, inner), resize(b, inner))
+        spectral[f"funcalc_{fn}"] = (resize(a, inner) - resize(b, inner)).max_abs()
     d_main = determinant(metric.matrix, box)
     d_orc = orc.oracle_det(metric.matrix, radius=box.radius)
-    spectral["determinant"] = _difference(
-        resize(d_main, box.radius // 2), resize(d_orc, box.radius // 2)
-    )
+    spectral["determinant"] = (
+        resize(d_main, box.radius // 2) - resize(d_orc, box.radius // 2)
+    ).max_abs()
     dens = met.riemannian_density(metric, box=box)
     nu_orc = orc.oracle_density(metric.matrix, radius=box.radius)
-    spectral["riemannian_density"] = _difference(
-        resize(dens.nu, box.radius // 2), resize(nu_orc, box.radius // 2)
-    )
+    spectral["riemannian_density"] = (
+        resize(dens.nu, box.radius // 2) - resize(nu_orc, box.radius // 2)
+    ).max_abs()
     mult_radius = cfg.multiplier_radius or max(1, cfg.box_radius // 4)
     op = lap.assemble_riemannian(
         metric, cfg.box, mult_radius=mult_radius, calc_box=box
@@ -367,8 +358,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = nio.load_config(args.config)
     try:
+        cfg = nio.load_config(args.config)
         ok = _COMMANDS[args.command](cfg, args)
     except NCTorusError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,12 @@ class NonSelfadjointInput(NCTorusError):
     """A selfadjoint element or matrix was required."""
 
 
-class SpectralFloorViolation(NCTorusError):
-    """Compressed spectrum dips below the floor for a function singular at 0."""
-
-
 class PositivityViolation(NCTorusError):
     """An element required to be positive invertible is not."""
+
+
+class SpectralFloorViolation(PositivityViolation):
+    """Compressed spectrum dips below the floor for a function singular at 0."""
 
 
 class HypothesisViolated(NCTorusError):

@@ -29,7 +29,7 @@ from .algebra import (
     multiply,
     scale,
 )
-from .calculus import TorusMatrix, matrix_inverse
+from .calculus import matrix_inverse
 from .errors import GeometryMismatch
 from .metrics import Density, RiemannianMetric, as_density
 
@@ -96,15 +96,24 @@ def modular_automorphism(density, x):
     )
 
 
-def _dual_entries(h, box=None, h_inv=None):
-    """Entries h^{ij} of the inverse, however the metric was handed in."""
+def _dual(h, box=None, h_inv=None):
+    """The inverse (h^{ij}), however the metric was handed in."""
     if h_inv is not None:
-        return h_inv.entries
+        return h_inv
     if isinstance(h, RiemannianMetric):
-        return h.inverse.entries
+        return h.inverse
     if box is None:
         raise ValueError("box required to invert a raw matrix")
-    return matrix_inverse(h, box).entries
+    return matrix_inverse(h, box)
+
+
+def _multipliers(dens, h_inv):
+    """Nested tuple of the multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}."""
+    s = dens.sqrt_nu
+    return tuple(
+        tuple(multiply(multiply(s, e, "exact"), s, "exact") for e in row)
+        for row in h_inv.entries
+    )
 
 
 def form_inner_product(omega, zeta, h, nu, box=None, h_inv=None):
@@ -114,17 +123,13 @@ def form_inner_product(omega, zeta, h, nu, box=None, h_inv=None):
     TorusMatrix (inverted on the box), or the inverse may be passed
     directly; nu is a Density (or an element, converted on the box).
     """
-    dens = as_density(nu, box)
-    hij = _dual_entries(h, box, h_inv)
+    a = _multipliers(as_density(nu, box), _dual(h, box, h_inv))
     n = omega.geometry.n
     total = 0.0 + 0.0j
     for i in range(n):
         for j in range(n):
-            mid = multiply(
-                multiply(dens.sqrt_nu, hij[i][j], "exact"), dens.sqrt_nu, "exact"
-            )
             total += inner_product(
-                multiply(mid, omega.components[j], "exact"), zeta.components[i]
+                multiply(a[i][j], omega.components[j], "exact"), zeta.components[i]
             )
     return complex(total)
 
@@ -142,22 +147,19 @@ def divergence_vector_field(X, nu, box=None):
 def divergence_one_form(omega, h, nu, box=None, h_inv=None):
     """delta(omega) = nu^{-1} sum_ij d_i(nu^{1/2} h^{ij} nu^{1/2} omega_j)."""
     dens = as_density(nu, box)
-    hij = _dual_entries(h, box, h_inv)
+    a = _multipliers(dens, _dual(h, box, h_inv))
     n = omega.geometry.n
     acc = None
     for i in range(n):
         for j in range(n):
-            mid = multiply(
-                multiply(dens.sqrt_nu, hij[i][j], "exact"), dens.sqrt_nu, "exact"
-            )
-            t = derivation(multiply(mid, omega.components[j], "exact"), i)
+            t = derivation(multiply(a[i][j], omega.components[j], "exact"), i)
             acc = t if acc is None else add(acc, t)
     return multiply(dens.inv_nu, acc, "exact")
 
 
 def dual_vector_field(omega, h, box=None, h_inv=None):
     """X_omega^h = sum_ij omega_j* h^{ji} d_i, the metric dual of a form."""
-    hij = _dual_entries(h, box, h_inv)
+    hij = _dual(h, box, h_inv).entries
     n = omega.geometry.n
     comps = []
     for i in range(n):
@@ -177,7 +179,7 @@ def twisted_dual_vector_field(omega, h, nu, box=None, h_inv=None):
     the plain metric dual.
     """
     dens = as_density(nu, box)
-    hij = _dual_entries(h, box, h_inv)
+    hij = _dual(h, box, h_inv).entries
     n = omega.geometry.n
     comps = []
     for i in range(n):

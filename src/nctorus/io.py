@@ -1,4 +1,4 @@
-"""File formats: JSON literals, run configuration, spectra CSV, operator cache.
+"""File formats: JSON literals, run configuration, spectra CSV.
 
 Element literal: a list of {"k": [k1, ..., kn], "re": float, "im": float}
 entries; geometry literal: {"n": int, "theta": [[...]]} or {"n": int,
@@ -11,28 +11,18 @@ Positive elements in metric/density specs may be given three ways:
 a bare literal (positivity checked by compressed spectral bounds),
 {"exp_of": literal} for exp of a selfadjoint element, or
 {"witness": literal, "constant": c} for w* w + c.
-
-The operator cache is little-endian: magic "NCOP", u32 version, u32 n,
-u32 m, u32 box radius, 20-byte SHA-1 of (n, theta), then the row-major
-complex128 payload.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
-from .calculus import (
-    CompressedOperator,
-    TorusMatrix,
-    make_positive,
-    spectral_bounds,
-)
+from .calculus import TorusMatrix, make_positive, spectral_bounds
 from .errors import NCTorusError, PositivityViolation
 from .metrics import (
     Density,
@@ -46,9 +36,7 @@ from .metrics import (
     validate_metric,
 )
 
-_MAGIC = b"NCOP"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIII20s")
+_METRIC_TYPES = ("flat", "constant", "conformal", "product", "functional", "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +166,6 @@ def metric_from_spec(geometry, spec, box, spectral_floor=1e-8):
 @dataclass
 class Tolerances:
     spectral_floor: float = 1e-8
-    selfadjoint: float = 1e-10
-    inverse: float = 1e-9
     stability_rel: float = 1e-3
     multiplicity: float = 1e-6
     asymmetry_threshold: float = 0.1
@@ -246,10 +232,35 @@ def parse_window(text):
     return int(lo), int(hi)
 
 
+def _check_metric_spec(spec):
+    if not isinstance(spec, dict):
+        raise ValueError(f"metric spec must be an object, got {spec!r}")
+    kind = spec.get("type", "flat")
+    if kind not in _METRIC_TYPES:
+        raise ValueError(f"unknown metric spec type {kind!r}")
+    if kind == "conformal":
+        _check_metric_spec(spec.get("base", {"type": "flat"}))
+    if kind == "product":
+        for block in spec["blocks"]:
+            _check_metric_spec(block)
+
+
 def load_config(path):
-    with open(path, encoding="utf8") as f:
-        raw = json.load(f)
+    """Read a run configuration; a missing file or a bad entry raises NCTorusError."""
+    try:
+        with open(path, encoding="utf8") as f:
+            raw = json.load(f)
+        return _parse_config(raw)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise NCTorusError(f"config {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_config(raw):
     geometry = geometry_from_literal(raw["geometry"])
+    for key in ("box_radius", "multiplier_radius", "calc_radius", "stability_radius"):
+        if raw.get(key) is not None and int(raw[key]) < 0:
+            raise ValueError(f"{key} must be >= 0, got {raw[key]}")
+    _check_metric_spec(raw.get("metric", {"type": "flat"}))
     window = raw.get("window")
     if isinstance(window, str):
         window = parse_window(window)
@@ -300,32 +311,3 @@ def read_spectrum_csv(path):
                 )
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# operator cache
-# ---------------------------------------------------------------------------
-
-
-def save_operator(path, op):
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, op.geometry.n, op.m, op.box.radius, op.geometry.digest
-    )
-    payload = np.ascontiguousarray(op.matrix, dtype="<c16")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload.tobytes())
-
-
-def load_operator(path, geometry):
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        magic, version, n, m, radius, digest = _HEADER.unpack(head)
-        if magic != _MAGIC or version != _VERSION:
-            raise NCTorusError(f"bad operator cache header in {path}")
-        if n != geometry.n or digest != geometry.digest:
-            raise NCTorusError("operator cache does not match the geometry")
-        box = LatticeBox(n, radius)
-        dim = m * box.size
-        payload = np.frombuffer(f.read(dim * dim * 16), dtype="<c16").reshape(dim, dim)
-    return CompressedOperator(geometry, box, m, payload.astype(complex), provenance=f"cache:{path}")

@@ -58,6 +58,7 @@ from .errors import (
     UnstableSpectrum,
     WindowOutOfRange,
 )
+from .forms import _multipliers
 from .metrics import (
     Density,
     RiemannianMetric,
@@ -170,22 +171,10 @@ def assemble(
     if h_inv is None:
         h_inv = calc.matrix_inverse(h, calc_box, spectral_floor=spectral_floor)
     dens = as_density(nu, calc_box, spectral_floor=spectral_floor)
-    n = h.geometry.n
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = tuple(
-        tuple(
-            _clip(
-                multiply(
-                    multiply(dens.sqrt_nu, h_inv.entries[i][j], "exact"),
-                    dens.sqrt_nu,
-                    "exact",
-                ),
-                mult_radius,
-            )
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(_clip(a, mult_radius) for a in row) for row in _multipliers(dens, h_inv)
     )
     mat, t, s_mat, asym = _build_matrices(pref, sqrt_f, mult, box)
     return LaplaceBeltramiOperator(
@@ -400,6 +389,13 @@ def green_identity_residual(op, u, v):
     return abs(lhs - rhs)
 
 
+def _symbol(h_inv, xi):
+    """Selfadjoint part of sum_ij xi_i xi_j h^{ij}, the symbol (xi, xi)_{h^{-1}}."""
+    table = np.einsum("i,j,ij...->...", xi, xi, h_inv.coeffs)
+    s = AlgebraElement(h_inv.geometry, h_inv.box, table)
+    return scale(add(s, adjoint(s)), 0.5)
+
+
 def principal_symbol_bounds(op, samples=16, calc_box=None):
     """Min/max compressed eigenvalues of (xi, xi)_{h^{-1}} over unit xi.
 
@@ -409,13 +405,7 @@ def principal_symbol_bounds(op, samples=16, calc_box=None):
     calc_box = calc_box or LatticeBox(op.geometry.n, max(4, op.box.radius // 2))
     lo_worst, hi_worst = np.inf, -np.inf
     for xi in _sphere_nodes(op.geometry.n, samples)[0]:
-        s = None
-        for i in range(op.geometry.n):
-            for j in range(op.geometry.n):
-                t = scale(op.h_inv.entries[i][j], xi[i] * xi[j])
-                s = t if s is None else add(s, t)
-        s = scale(add(s, adjoint(s)), 0.5)
-        lo, hi = spectral_bounds(s, calc_box)
+        lo, hi = spectral_bounds(_symbol(op.h_inv, xi), calc_box)
         lo_worst, hi_worst = min(lo_worst, lo), max(hi_worst, hi)
     return lo_worst, hi_worst
 
@@ -595,13 +585,9 @@ def weyl_constant(
     nodes, weights = _sphere_nodes(n, quadrature_points)
     total = 0.0
     for xi, w in zip(nodes, weights):
-        s = None
-        for i in range(n):
-            for j in range(n):
-                t = scale(h_inv.entries[i][j], xi[i] * xi[j])
-                s = t if s is None else add(s, t)
-        s = scale(add(s, adjoint(s)), 0.5)
-        val = functional_calculus(s, ("pow", -n / 2.0), box, spectral_floor=spectral_floor)
+        val = functional_calculus(
+            _symbol(h_inv, xi), ("pow", -n / 2.0), box, spectral_floor=spectral_floor
+        )
         total += w * float(trace(val).real)
     quad = total / n
     closed = np.nan

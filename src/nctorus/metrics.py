@@ -29,7 +29,6 @@ from .algebra import (
     exp_series,
     is_selfadjoint,
     multiply,
-    resize,
     scale,
     selfadjoint_residual,
     trace,
@@ -110,19 +109,15 @@ def density_from_element(
 ):
     """Density from an explicit positive invertible element.
 
-    Validates selfadjointness and the compressed spectral floor, takes the
-    inverse square root by spectral calculus, and Newton-polishes it so the
-    power family is mutually consistent to near refine_tol (limited by the
-    coefficient decay of nu^{-1/2} at the refinement radius).
+    Validates selfadjointness, takes the inverse square root by spectral
+    calculus (which refuses a compressed spectrum below the floor with a
+    SpectralFloorViolation, a PositivityViolation), and Newton-polishes it
+    so the power family is mutually consistent to near refine_tol (limited
+    by the coefficient decay of nu^{-1/2} at the refinement radius).
     """
     resid = selfadjoint_residual(nu)
     if resid > 1e-10 * (1.0 + nu.max_abs()):
         raise PositivityViolation(f"density not selfadjoint (residual {resid:.3e})")
-    lo, hi = spectral_bounds(nu, box)
-    if lo < spectral_floor:
-        raise PositivityViolation(
-            f"density spectral bound {lo:.3e} below floor {spectral_floor:.1e}"
-        )
     if refine_radius is None:
         refine_radius = 2 * box.radius
     guess = functional_calculus(nu, "inv_sqrt", box, spectral_floor=spectral_floor)
@@ -182,26 +177,27 @@ class RiemannianMetric:
         return self.report.self_compatibility <= tol * (1.0 + self.matrix.max_abs())
 
 
+# validation tolerances: entry selfadjointness (relative to 1 + max coefficient)
+# and the interior residual of g g^{-1} = 1
+_SELFADJOINT_TOL = 1e-10
+_INVERSE_TOL = 1e-9
+
+
 def _interior_identity_residual(g, g_inv):
     """Max coefficient of g g_inv - 1 on modes the truncation leaves exact."""
     prod = g.matmul(g_inv, mode="exact")
-    margin = g_inv.max_radius() - g.max_radius()
-    if margin < 0:
-        margin = 0
-    eye = TorusMatrix.identity(g.geometry, g.m)
-    worst = 0.0
-    for i in range(g.m):
-        for j in range(g.m):
-            d = add(prod.entries[i][j], scale(eye.entries[i][j], -1.0))
-            worst = max(worst, resize(d, margin).max_abs())
-    return worst
+    margin = max(0, g_inv.box.radius - g.box.radius)
+    return (prod - TorusMatrix.identity(g.geometry, g.m)).resize(margin).max_abs()
+
+
+def _entry_selfadjoint_residual(h):
+    """Max coefficient deviation of the entries from h_ij = h_ij*."""
+    return (h - h.adjoint().transpose()).max_abs()
 
 
 def validate_metric(
     g,
     box,
-    selfadjoint_tol=1e-10,
-    inverse_tol=1e-9,
     spectral_floor=DEFAULT_SPECTRAL_FLOOR,
     provenance="explicit",
     inverse=None,
@@ -216,16 +212,14 @@ def validate_metric(
     leaves the real subspace.  Size m < n is allowed (product-metric
     blocks); a full metric for the Laplacian must be n x n.
     """
-    sa = max(
-        selfadjoint_residual(g.entries[i][j]) for i in range(g.m) for j in range(g.m)
-    )
+    sa = _entry_selfadjoint_residual(g)
     amp = 1.0 + g.max_abs()
-    lo, hi = spectral_bounds(g, box) if sa <= selfadjoint_tol * amp else (np.nan, np.nan)
+    lo, hi = spectral_bounds(g, box) if sa <= _SELFADJOINT_TOL * amp else (np.nan, np.nan)
 
     def _report(inv_sa=np.nan, inv_res=np.nan, self_comp=np.nan):
         return MetricValidationReport(sa, inv_sa, inv_res, lo, hi, self_comp)
 
-    if sa > selfadjoint_tol * amp:
+    if sa > _SELFADJOINT_TOL * amp:
         raise MetricValidationError(
             f"metric entries not selfadjoint (residual {sa:.3e})", _report()
         )
@@ -235,19 +229,15 @@ def validate_metric(
         )
     if inverse is None:
         inverse = calc.matrix_inverse(g, box, spectral_floor=spectral_floor)
-    inv_sa = max(
-        selfadjoint_residual(inverse.entries[i][j])
-        for i in range(g.m)
-        for j in range(g.m)
-    )
+    inv_sa = _entry_selfadjoint_residual(inverse)
     inv_amp = 1.0 + inverse.max_abs()
-    if inv_sa > selfadjoint_tol * inv_amp:
+    if inv_sa > _SELFADJOINT_TOL * inv_amp:
         raise MetricValidationError(
             f"inverse entries not selfadjoint (residual {inv_sa:.3e})",
             _report(inv_sa=inv_sa),
         )
     inv_res = _interior_identity_residual(g, inverse)
-    if inv_res > inverse_tol:
+    if inv_res > _INVERSE_TOL:
         raise MetricValidationError(
             f"g g^-1 = 1 fails on interior modes (residual {inv_res:.3e})",
             _report(inv_sa=inv_sa, inv_res=inv_res),
@@ -320,7 +310,7 @@ def metric_functional(h, profile, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     """
     geometry = h.geometry
     n = geometry.n
-    op, lam, vecs = calc._eigendecomposition(h, box)
+    lam, vecs = np.linalg.eigh(calc.compress(h, box).matrix)
     samples = []
     for t in lam:
         try:
@@ -332,18 +322,13 @@ def metric_functional(h, profile, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
         if np.linalg.eigvalsh(mat).min() <= 0:
             raise SpectrumOutsideDomain(f"profile not positive-definite at t={t:.6g}")
         samples.append(mat)
-    samples = np.array(samples)  # (dim, n, n)
+    samples = np.array(samples, dtype=complex)  # (dim, n, n)
     i0 = box.index_of(np.zeros(n, dtype=int))
-    w0 = vecs[i0].conj()
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            col = vecs @ (samples[:, i, j].astype(complex) * w0)
-            row.append(calc.element_from_vector(geometry, box, col))
-        entries.append(row)
+    # entry (i, j) is g_ij(C) applied to the cyclic vector V_0
+    cols = vecs @ (samples * vecs[i0].conj()[:, None, None]).reshape(-1, n * n)
+    coeffs = cols.T.reshape((n, n) + box.shape)
     return validate_metric(
-        TorusMatrix(geometry, n, entries),
+        TorusMatrix.from_coeffs(geometry, coeffs),
         box,
         spectral_floor=spectral_floor,
         provenance="functional",
@@ -422,28 +407,20 @@ def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
     """
     mat = g.matrix if isinstance(g, RiemannianMetric) else g
     hyp = {
-        "u_selfadjoint_entries": max(
-            selfadjoint_residual(e) for row in u.entries for e in row
-        ),
+        "u_selfadjoint_entries": _entry_selfadjoint_residual(u),
         "self_compatible(u)": self_compatibility_residual(u),
         "compatible(u,g)": compatibility_residual(u, mat),
     }
     ut = u.transpose()
     utu = ut.matmul(u, "exact")
-    eye = TorusMatrix.identity(u.geometry, u.m)
-    hyp["orthogonality"] = max(
-        add(utu.entries[i][j], scale(eye.entries[i][j], -1.0)).max_abs()
-        for i in range(u.m)
-        for j in range(u.m)
-    )
+    hyp["orthogonality"] = (utu - TorusMatrix.identity(u.geometry, u.m)).max_abs()
     bad = {k: v for k, v in hyp.items() if v > max(compat_tol, ortho_tol)}
     if bad:
         raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {bad}", hyp)
     conj = ut.matmul(mat, "exact").matmul(u, "exact")
     nu_g = riemannian_density(mat, box=box)
     nu_c = riemannian_density(conj, box=box)
-    r = max(nu_g.nu.box.radius, nu_c.nu.box.radius)
-    dens_resid = add(resize(nu_c.nu, r), scale(resize(nu_g.nu, r), -1.0)).max_abs()
+    dens_resid = (nu_c.nu - nu_g.nu).max_abs()
     vol_resid = abs(volume(nu_c) - volume(nu_g))
     return {"density_residual": dens_resid, "volume_residual": vol_resid, **hyp}
 
@@ -466,6 +443,4 @@ def conformal_density_residual(g, k, box):
     kn = AlgebraElement.identity(mat.geometry)
     for _ in range(n):
         kn = multiply(kn, k, "exact")
-    expect = multiply(kn, nu_g.nu, "exact")
-    r = max(nu_scaled.nu.box.radius, expect.box.radius)
-    return add(resize(nu_scaled.nu, r), scale(resize(expect, r), -1.0)).max_abs()
+    return (nu_scaled.nu - multiply(kn, nu_g.nu, "exact")).max_abs()

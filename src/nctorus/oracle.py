@@ -113,7 +113,7 @@ def oracle_matrix_funcalc(h, fn, radius, grid_size=None, spectral_floor=DEFAULT_
 
     _require_commutative(h.geometry)
     _, f, needs_floor = _resolve_function(fn)
-    grid = grid_size or max(4 * max(1, h.max_radius()) + 1, 2 * radius + 1)
+    grid = grid_size or max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
     fields = _matrix_samples(h, grid)
     fields = 0.5 * (fields + np.conj(np.swapaxes(fields, -1, -2)))
     lam, vecs = np.linalg.eigh(fields)
@@ -134,7 +134,7 @@ def oracle_det(h, radius, grid_size=None):
     """Pointwise classical determinant of the sampled matrix field."""
     _require_commutative(h.geometry)
     grid = grid_size or max(
-        4 * max(1, h.max_radius()) + 1, 2 * radius + 1, 2 * h.m * h.max_radius() + 1
+        4 * max(1, h.box.radius) + 1, 2 * radius + 1, 2 * h.m * h.box.radius + 1
     )
     fields = _matrix_samples(h, grid)
     return from_grid(h.geometry, np.linalg.det(fields), radius)
@@ -143,7 +143,7 @@ def oracle_det(h, radius, grid_size=None):
 def oracle_density(h, radius, grid_size=None):
     """Pointwise sqrt(det) of a positive matrix field."""
     _require_commutative(h.geometry)
-    grid = grid_size or max(4 * max(1, h.max_radius()) + 1, 2 * radius + 1)
+    grid = grid_size or max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
     fields = _matrix_samples(h, grid)
     dets = np.linalg.det(fields).real
     if dets.min() <= 0:

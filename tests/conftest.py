@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nctorus.algebra import AlgebraElement, TorusGeometry, add, resize, scale
+from nctorus.algebra import AlgebraElement, TorusGeometry, add, scale
 
 
 IRRATIONAL = 1.0 / np.sqrt(2.0)
@@ -30,14 +30,11 @@ def rng():
 
 
 def coeff_diff(a, b):
-    """Max coefficient difference of two elements on the common box."""
-    r = max(a.box.radius, b.box.radius)
-    return add(resize(a, r), scale(resize(b, r), -1.0)).max_abs()
+    """Max coefficient difference of two elements or matrices on the common box."""
+    return (a - b).max_abs()
 
 
-def matrix_diff(a, b):
-    r = max(a.max_radius(), b.max_radius())
-    return (a.resize(r) - b.resize(r)).max_abs()
+matrix_diff = coeff_diff
 
 
 def trig_pair(geometry, axis, amplitude=1.0):

@@ -266,3 +266,41 @@ def test_refinement_residuals(geom):
     guess2 = calc.functional_calculus(nu, "inv_sqrt", box)
     _, res2 = calc.refine_inverse_sqrt(nu, guess2, radius=20)
     assert res2 < 1e-13
+
+
+def test_matrix_array_ops_match_entrywise(geom, rng):
+    """Array operations of TorusMatrix against their per-entry definitions."""
+    m = 3
+    ea = [[random_element(geom, (i + 2 * j) % 4, rng) for j in range(m)] for i in range(m)]
+    eb = [[random_element(geom, (2 * i + j) % 3, rng) for j in range(m)] for i in range(m)]
+    a, b = TorusMatrix(geom, m, ea), TorusMatrix(geom, m, eb)
+    assert a.box.radius == 3 and b.box.radius == 2
+
+    def check(h, expect):
+        assert h.m == len(expect)
+        for i in range(h.m):
+            for j in range(h.m):
+                assert coeff_diff(h.entries[i][j], expect[i][j]) == 0.0
+
+    check(a, ea)
+    check(a.adjoint(), [[alg.adjoint(ea[j][i]) for j in range(m)] for i in range(m)])
+    check(a.transpose(), [[ea[j][i] for j in range(m)] for i in range(m)])
+    check(a + b, [[alg.add(ea[i][j], eb[i][j]) for j in range(m)] for i in range(m)])
+    check(
+        a - b,
+        [[alg.add(ea[i][j], alg.scale(eb[i][j], -1.0)) for j in range(m)] for i in range(m)],
+    )
+    for radius in (1, 5):
+        r = a.resize(radius)
+        assert r.box.radius == radius
+        check(r, [[alg.resize(e, radius) for e in row] for row in ea])
+    c = random_element(geom, 1, rng)
+    zero = AlgebraElement.zeros(geom, 0)
+    blocks = [row + [zero] for row in ea] + [[zero] * m + [c]]
+    check(TorusMatrix.block_diag([a, TorusMatrix(geom, 1, [[c]])]), blocks)
+    expect = max(
+        alg.add(ea[i][j], alg.scale(alg.adjoint(ea[j][i]), -1.0)).max_abs()
+        for i in range(m)
+        for j in range(m)
+    )
+    assert a.selfadjoint_residual() == expect > 0.0

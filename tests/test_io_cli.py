@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from nctorus import algebra as alg, calculus as calc, cli, io as nio, metrics as met
-from nctorus.algebra import LatticeBox, TorusGeometry
+from nctorus.algebra import LatticeBox
 from nctorus.errors import NCTorusError, PositivityViolation
 from nctorus.forms import OneForm
 from nctorus.sampling import random_element
@@ -133,19 +132,6 @@ def test_spectrum_csv_roundtrip(tmp_path, geom):
     assert rows[1][2] in (True, False)
 
 
-def test_operator_cache_roundtrip(tmp_path, geom, rng):
-    box = LatticeBox(2, 3)
-    op = calc.compress(random_element(geom, 2, rng), box)
-    path = tmp_path / "op.nco"
-    nio.save_operator(path, op)
-    back = nio.load_operator(path, geom)
-    assert np.array_equal(back.matrix, op.matrix)
-    assert back.box == box and back.m == 1
-    other = TorusGeometry.two_torus(0.25)
-    with pytest.raises(NCTorusError):
-        nio.load_operator(path, other)
-
-
 def _write_cfg(tmp_path, **overrides):
     cfg = {
         "geometry": {"n": 2, "theta_upper": [0.7071067811865476]},
@@ -215,3 +201,32 @@ def test_cli_failure_paths(tmp_path):
     # an impossible tolerance flips the exit code, not the report
     cfg_strict = _write_cfg(tmp_path, tolerances={"adjointness": 1e-18})
     assert cli.main(["adjoint-check", "--config", cfg_strict, "--count", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        None,  # no config file at all
+        {"tolerances": {"kernal": 1e-8}},
+        {"tolerances": {"selfadjoint": 1e-30, "inverse": 1e-30}},  # removed keys
+        {"metric": {"type": "conformall"}},
+        {"metric": {"type": "conformal", "base": {"type": "flatt"}, "k": []}},
+        {"box_radius": -3},
+    ],
+    ids=["missing-file", "tolerance-typo", "removed-tolerances", "metric-type",
+         "base-metric-type", "negative-radius"],
+)
+def test_cli_config_errors(tmp_path, capsys, overrides):
+    # invalid input exits 2 with one error line, never 1 (a failed gate)
+    if overrides is None:
+        cfg = str(tmp_path / "absent.json")
+    else:
+        cfg = _write_cfg(tmp_path, **overrides)
+    with pytest.raises(NCTorusError):
+        nio.load_config(cfg)
+    capsys.readouterr()
+    assert cli.main(["volume", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
