@@ -12,6 +12,10 @@ with theta a real antisymmetric n x n matrix.  The phase sigma is a group
 exp(2i*pi * q.theta p) reproduces the usual commutation phases of the
 generating unitaries.  The ordered-monomial convention (U_1^{k_1} ...
 U_n^{k_n}) differs from V_k by a per-mode phase; converters are provided.
+
+One kernel computes every product, of elements and of matrices over the
+algebra alike: it loops over the nonzero modes of the sparser operand, so
+a product costs that count times the box size of the other operand.
 """
 
 from __future__ import annotations
@@ -299,9 +303,10 @@ def resize(u, radius):
 def trim(u, cutoff):
     """Drop coefficients at or below cutoff and shrink the box to the rest.
 
-    Multiplication cost scales with the nonzero count, so clearing
-    numerically void modes (series tails, readout dust) keeps exact-mode
-    chains affordable; cutoff 0 only tightens the box.
+    A product costs the nonzero modes of its sparser operand times the box
+    size of the other, so clearing numerically void modes (series tails,
+    readout dust) keeps exact-mode chains affordable; cutoff 0 only
+    tightens the box.
     """
     table = u.table
     if cutoff > 0.0:
@@ -322,43 +327,67 @@ def scale(u, c):
     return AlgebraElement(u.geometry, u.box, u.table * complex(c))
 
 
-def _phase_block(theta_p, radius, n):
-    """sigma(p, q) over the q-grid of given radius, as an n-dim array."""
-    q = np.arange(-radius, radius + 1, dtype=float)
-    block = np.exp(1j * np.pi * theta_p[0] * q)
-    for j in range(1, n):
-        block = np.multiply.outer(block, np.exp(1j * np.pi * theta_p[j] * q))
-    return block
+# the product kernel takes its modes in batches whose temporary arrays hold
+# about this many complex entries (512 kB); 2 MB batches ran slower
+_BATCH_ENTRIES = 2**15
+
+
+def _adjoint_coeffs(coeffs, n):
+    """Coefficient array of the matrix adjoint: (h*)_ij = (h_ji)*."""
+    flip = (Ellipsis,) + (slice(None, None, -1),) * n
+    return np.conj(coeffs.swapaxes(0, 1)[flip])
+
+
+def _twisted_matmul(theta, a, b):
+    """Twisted matrix product (m, l, *box_a) x (l, k, *box_b) -> (m, k, *box_{a+b}).
+
+    c_ik = sum_l a_il b_lk, each entry product kept on the grown box.  The
+    loop runs over the nonzero modes p of the sparser operand (the left one
+    on ties): per mode the matrix index is contracted, sigma(p, .) applied
+    and the block added at p + box_b.  A sparser right operand goes through
+    the exact identity (ab)* = b* a*.
+    """
+    n = theta.shape[0]
+    nz = np.argwhere(a.any(axis=(0, 1)))
+    if np.count_nonzero(b.any(axis=(0, 1))) < len(nz):
+        return _adjoint_coeffs(
+            _twisted_matmul(theta, _adjoint_coeffs(b, n), _adjoint_coeffs(a, n)), n
+        )
+    na, nb = (a.shape[-1] - 1) // 2, (b.shape[-1] - 1) // 2
+    width = 2 * nb + 1
+    out = np.zeros(a.shape[:1] + b.shape[1:2] + (2 * (na + nb) + 1,) * n, dtype=complex)
+    # sigma(p, q) = prod_j exp(i*pi * q_j (theta p)_j): one row per mode and axis
+    q = np.arange(-nb, nb + 1, dtype=float)
+    rows = np.exp(1j * np.pi * ((nz - na) @ theta.T)[:, :, None] * q)
+    coeffs = a[(slice(None), slice(None)) + tuple(nz.T)].transpose(2, 0, 1)
+    expand = (Ellipsis,) + (None,) * (b.ndim - 1)
+    batch = max(1, _BATCH_ENTRIES // max(1, a.shape[0] * b.size))
+    for start in range(0, len(nz), batch):
+        part = slice(start, start + batch)
+        phase = rows[part, 0]
+        for j in range(1, n):
+            phase = phase[..., None] * rows[part, j].reshape((-1,) + (1,) * j + (width,))
+        blocks = (coeffs[part][expand] * b).sum(axis=2)
+        blocks *= phase[:, None, None]
+        for off, block in zip(nz[part], blocks):
+            out[(slice(None), slice(None)) + tuple(slice(o, o + width) for o in off)] += block
+    return out
 
 
 def multiply(u, v, mode="truncate"):
     """Twisted convolution (u v)_k = sum_{p+q=k} u_p v_q sigma(p, q).
 
-    mode="exact" returns the product on the grown box of radius N_u + N_v;
-    mode="truncate" clips the result back to max(N_u, N_v).
+    The 1 x 1 case of the product kernel.  mode="exact" returns the product
+    on the grown box of radius N_u + N_v; mode="truncate" clips the result
+    back to max(N_u, N_v).
     """
     _check_same_geometry(u, v)
     if mode not in ("exact", "truncate"):
         raise ValueError(f"unknown multiply mode {mode!r}")
-    n = u.geometry.n
+    table = _twisted_matmul(u.geometry.theta, u.table[None, None], v.table[None, None])[0, 0]
     nu, nv = u.box.radius, v.box.radius
-    nr = nu + nv
-    out = np.zeros((2 * nr + 1,) * n, dtype=complex)
-    theta = u.geometry.theta
-    commutative = u.geometry.is_commutative
-    for off in np.argwhere(u.table):
-        p = off - nu
-        up = u.table[tuple(off)]
-        if commutative:
-            block = up * v.table
-        else:
-            block = up * v.table * _phase_block(theta @ p, nv, n)
-        dst = tuple(slice(pj + nr - nv, pj + nr + nv + 1) for pj in p)
-        out[dst] += block
-    result = AlgebraElement(u.geometry, LatticeBox(n, nr), out)
-    if mode == "truncate":
-        result = resize(result, max(nu, nv))
-    return result
+    result = AlgebraElement(u.geometry, LatticeBox(u.geometry.n, nu + nv), table)
+    return resize(result, max(nu, nv)) if mode == "truncate" else result
 
 
 def adjoint(u):
@@ -418,6 +447,14 @@ def sobolev_norm(u, s):
 
 def commutator(u, v, mode="exact"):
     return add(multiply(u, v, mode=mode), scale(multiply(v, u, mode=mode), -1.0))
+
+
+def _integer_power(x, p):
+    """x^p for an integer p >= 0, by p exact products."""
+    out = AlgebraElement.identity(x.geometry)
+    for _ in range(p):
+        out = multiply(out, x, "exact")
+    return out
 
 
 def exp_series(w, tol=1e-18, max_terms=90, radius=None):

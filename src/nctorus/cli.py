@@ -20,6 +20,7 @@ from . import metrics as met
 from . import oracle as orc
 from .algebra import (
     AlgebraElement,
+    _integer_power,
     add,
     adjoint,
     multiply,
@@ -161,15 +162,13 @@ def cmd_conformal_check(cfg, args):
     k = nio.positive_element_from_spec(
         cfg.geometry, spec["k"], cfg.calc_box, cfg.tolerances.spectral_floor
     )
-    report = lap.conformal_covariance_check(
+    report, op = lap.conformal_covariance_check(
         base, k, cfg.box, calc_box=cfg.calc_box,
         spectral_floor=cfg.tolerances.spectral_floor,
     )
     key = "two_dim_residual" if cfg.geometry.n == 2 else "full_law_residual"
     gates = {key: (report[key], cfg.tolerances.conformal)}
     if cfg.geometry.n == 2 and base.provenance == "flat":
-        ct = met.metric_conformal(base, k, cfg.calc_box)
-        op = lap.assemble_riemannian(ct, cfg.box, calc_box=cfg.calc_box)
         res = lap.spectrum(
             op,
             stability_radius=cfg.stability_radius,
@@ -206,13 +205,10 @@ def cmd_det_check(cfg, args):
     ).max_abs()
     k = cfg.build_density()
     k_elem = k.nu if k is not None else AlgebraElement.identity(cfg.geometry) * 2.0
-    km = TorusMatrix(
-        cfg.geometry, m, [[k_elem if i == j else AlgebraElement.zeros(cfg.geometry, 0) for j in range(m)] for i in range(m)]
-    )
-    kpow = AlgebraElement.identity(cfg.geometry)
-    for _ in range(m):
-        kpow = multiply(kpow, k_elem, "exact")
-    report["scalar matrix det(k I_m) = k^m"] = (determinant(km, box) - kpow).max_abs()
+    km = TorusMatrix.scalar(k_elem, m)
+    report["scalar matrix det(k I_m) = k^m"] = (
+        determinant(km, box) - _integer_power(k_elem, m)
+    ).max_abs()
     if metric.is_self_compatible(tol=1e-10):
         report["self-compatible Leibniz expansion"] = (d - leibniz_determinant(g)).max_abs()
     _emit(report, args.out)

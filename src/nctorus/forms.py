@@ -16,22 +16,26 @@ so that every product stays exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    LatticeBox,
+    _twisted_matmul,
     add,
     adjoint,
     derivation,
     inner_product,
     multiply,
+    resize,
     scale,
 )
-from .calculus import matrix_inverse
+from .calculus import TorusMatrix, matrix_inverse
 from .errors import GeometryMismatch
-from .metrics import Density, RiemannianMetric, as_density
+from .metrics import RiemannianMetric, as_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +112,23 @@ def _dual(h, box=None, h_inv=None):
 
 
 def _multipliers(dens, h_inv):
-    """Nested tuple of the multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}."""
-    s = dens.sqrt_nu
-    return tuple(
-        tuple(multiply(multiply(s, e, "exact"), s, "exact") for e in row)
-        for row in h_inv.entries
-    )
+    """The matrix of multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}."""
+    s = TorusMatrix.scalar(dens.sqrt_nu, h_inv.m)
+    return s.matmul(h_inv).matmul(s)
+
+
+def _stack(comps):
+    """Coefficient tables of elements on their common box, stacked."""
+    r = max(c.box.radius for c in comps)
+    return np.stack([resize(c, r).table for c in comps])
+
+
+def _product(geometry, *factors):
+    """Entries, row by row, of a product of matrix coefficient arrays; a
+    column of components is the factor stack[:, None], a row stack[None]."""
+    out = functools.reduce(functools.partial(_twisted_matmul, geometry.theta), factors)
+    box = LatticeBox(geometry.n, (out.shape[-1] - 1) // 2)
+    return [AlgebraElement(geometry, box, t) for t in out.reshape((-1,) + out.shape[2:])]
 
 
 def form_inner_product(omega, zeta, h, nu, box=None, h_inv=None):
@@ -124,50 +139,34 @@ def form_inner_product(omega, zeta, h, nu, box=None, h_inv=None):
     directly; nu is a Density (or an element, converted on the box).
     """
     a = _multipliers(as_density(nu, box), _dual(h, box, h_inv))
-    n = omega.geometry.n
-    total = 0.0 + 0.0j
-    for i in range(n):
-        for j in range(n):
-            total += inner_product(
-                multiply(a[i][j], omega.components[j], "exact"), zeta.components[i]
-            )
-    return complex(total)
+    a_omega = _product(omega.geometry, a.coeffs, _stack(omega.components)[:, None])
+    return complex(sum(inner_product(x, z) for x, z in zip(a_omega, zeta.components)))
+
+
+def _divergence(comps):
+    """sum_i d_i(c_i) over the components of a column."""
+    return functools.reduce(add, (derivation(c, i) for i, c in enumerate(comps)))
 
 
 def divergence_vector_field(X, nu, box=None):
     """div_nu(X) = sum_i d_i(X^i nu) nu^{-1}; its weight vanishes."""
     dens = as_density(nu, box)
-    acc = None
-    for i, xi in enumerate(X.components):
-        t = derivation(multiply(xi, dens.nu, "exact"), i)
-        acc = t if acc is None else add(acc, t)
-    return multiply(acc, dens.inv_nu, "exact")
+    x_nu = [multiply(x, dens.nu, "exact") for x in X.components]
+    return multiply(_divergence(x_nu), dens.inv_nu, "exact")
 
 
 def divergence_one_form(omega, h, nu, box=None, h_inv=None):
     """delta(omega) = nu^{-1} sum_ij d_i(nu^{1/2} h^{ij} nu^{1/2} omega_j)."""
     dens = as_density(nu, box)
     a = _multipliers(dens, _dual(h, box, h_inv))
-    n = omega.geometry.n
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            t = derivation(multiply(a[i][j], omega.components[j], "exact"), i)
-            acc = t if acc is None else add(acc, t)
-    return multiply(dens.inv_nu, acc, "exact")
+    a_omega = _product(omega.geometry, a.coeffs, _stack(omega.components)[:, None])
+    return multiply(dens.inv_nu, _divergence(a_omega), "exact")
 
 
 def dual_vector_field(omega, h, box=None, h_inv=None):
     """X_omega^h = sum_ij omega_j* h^{ji} d_i, the metric dual of a form."""
-    hij = _dual(h, box, h_inv).entries
-    n = omega.geometry.n
-    comps = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            t = multiply(adjoint(omega.components[j]), hij[j][i], "exact")
-            acc = t if acc is None else add(acc, t)
-        comps.append(acc)
+    stars = _stack([adjoint(c) for c in omega.components])[None]
+    comps = _product(omega.geometry, stars, _dual(h, box, h_inv).coeffs)
     return VectorField(omega.geometry, tuple(comps))
 
 
@@ -179,23 +178,14 @@ def twisted_dual_vector_field(omega, h, nu, box=None, h_inv=None):
     the plain metric dual.
     """
     dens = as_density(nu, box)
-    hij = _dual(h, box, h_inv).entries
     n = omega.geometry.n
-    comps = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            t = multiply(
-                multiply(
-                    multiply(adjoint(omega.components[j]), dens.sqrt_nu, "exact"),
-                    hij[j][i],
-                    "exact",
-                ),
-                dens.inv_sqrt_nu,
-                "exact",
-            )
-            acc = t if acc is None else add(acc, t)
-        comps.append(acc)
+    comps = _product(
+        omega.geometry,
+        _stack([adjoint(c) for c in omega.components])[None],
+        TorusMatrix.scalar(dens.sqrt_nu, n).coeffs,
+        _dual(h, box, h_inv).coeffs,
+        TorusMatrix.scalar(dens.inv_sqrt_nu, n).coeffs,
+    )
     return VectorField(omega.geometry, tuple(comps))
 
 

@@ -25,7 +25,6 @@ from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, sc
 from .calculus import TorusMatrix, make_positive, spectral_bounds
 from .errors import NCTorusError, PositivityViolation
 from .metrics import (
-    Density,
     density_exp,
     density_from_element,
     metric_conformal,
@@ -37,6 +36,12 @@ from .metrics import (
 )
 
 _METRIC_TYPES = ("flat", "constant", "conformal", "product", "functional", "explicit")
+_CONFIG_KEYS = (
+    "geometry", "box_radius", "multiplier_radius", "calc_radius", "stability_radius",
+    "metric", "nu", "tolerances", "seed", "count", "quadrature_points", "window",
+)
+# key sets of the object forms of a positive element spec (a bare literal is a list)
+_POSITIVE_SPEC_KEYS = ({"exp_of"}, {"witness"}, {"witness", "constant"})
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +237,11 @@ def parse_window(text):
     return int(lo), int(hi)
 
 
+def _check_positive_spec(spec):
+    if isinstance(spec, dict) and set(spec) not in _POSITIVE_SPEC_KEYS:
+        raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
+
+
 def _check_metric_spec(spec):
     if not isinstance(spec, dict):
         raise ValueError(f"metric spec must be an object, got {spec!r}")
@@ -240,6 +250,7 @@ def _check_metric_spec(spec):
         raise ValueError(f"unknown metric spec type {kind!r}")
     if kind == "conformal":
         _check_metric_spec(spec.get("base", {"type": "flat"}))
+        _check_positive_spec(spec["k"])
     if kind == "product":
         for block in spec["blocks"]:
             _check_metric_spec(block)
@@ -256,11 +267,18 @@ def load_config(path):
 
 
 def _parse_config(raw):
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     geometry = geometry_from_literal(raw["geometry"])
     for key in ("box_radius", "multiplier_radius", "calc_radius", "stability_radius"):
         if raw.get(key) is not None and int(raw[key]) < 0:
             raise ValueError(f"{key} must be >= 0, got {raw[key]}")
+    mult = raw.get("multiplier_radius")
+    if mult is not None and 4 * int(mult) > int(raw["box_radius"]):
+        raise ValueError(f"multiplier_radius {mult} breaks 4 M <= box_radius {raw['box_radius']}")
     _check_metric_spec(raw.get("metric", {"type": "flat"}))
+    _check_positive_spec(raw.get("nu"))
     window = raw.get("window")
     if isinstance(window, str):
         window = parse_window(window)

@@ -32,10 +32,9 @@ from . import calculus as calc
 from .algebra import (
     AlgebraElement,
     LatticeBox,
+    _integer_power,
     add,
     adjoint,
-    commutator,
-    derivation,
     inner_product,
     multiply,
     resize,
@@ -58,7 +57,7 @@ from .errors import (
     UnstableSpectrum,
     WindowOutOfRange,
 )
-from .forms import _multipliers
+from .forms import _divergence, _multipliers, _product, _stack, differential
 from .metrics import (
     Density,
     RiemannianMetric,
@@ -70,9 +69,10 @@ from .metrics import (
 
 
 def _clip(x, radius):
+    """An element or matrix clipped to the radius, if it reaches beyond it."""
     if radius is None or x.box.radius <= radius:
         return x
-    return resize(x, radius)
+    return x.resize(radius) if isinstance(x, TorusMatrix) else resize(x, radius)
 
 
 def interior_indices(box, inner_radius):
@@ -100,6 +100,10 @@ class LaplaceBeltramiOperator:
     asymmetry: float
     self_compatible_residual: float = np.nan
 
+    def __post_init__(self):
+        for a in (self.matrix, self.conjugated, self.conjugator):
+            a.setflags(write=False)
+
     @property
     def symmetrized(self):
         return 0.5 * (self.conjugated + self.conjugated.conj().T)
@@ -110,15 +114,10 @@ class LaplaceBeltramiOperator:
 
     def apply_exact(self, u):
         """Element-level application via exact products of the multipliers."""
-        acc = None
-        n = self.geometry.n
-        for i in range(n):
-            for j in range(n):
-                t = derivation(
-                    multiply(self.multipliers[i][j], derivation(u, j), "exact"), i
-                )
-                acc = t if acc is None else add(acc, t)
-        return scale(multiply(self.prefactor, acc, "exact"), -1.0)
+        a = TorusMatrix(self.geometry, self.geometry.n, self.multipliers).coeffs
+        du = _stack(differential(u).components)[:, None]
+        div = _divergence(_product(self.geometry, a, du))
+        return scale(multiply(self.prefactor, div, "exact"), -1.0)
 
 
 def _build_matrices(prefactor, sqrt_factor, multipliers, box):
@@ -173,9 +172,7 @@ def assemble(
     dens = as_density(nu, calc_box, spectral_floor=spectral_floor)
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
-    mult = tuple(
-        tuple(_clip(a, mult_radius) for a in row) for row in _multipliers(dens, h_inv)
-    )
+    mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
     mat, t, s_mat, asym = _build_matrices(pref, sqrt_f, mult, box)
     return LaplaceBeltramiOperator(
         h.geometry, box, mult_radius, h, h_inv, dens, pref, sqrt_f, mult,
@@ -212,15 +209,8 @@ def assemble_riemannian(
     )
     resid = np.nan
     if g.is_self_compatible(tol=self_compat_tol):
-        n = g.geometry.n
-        b = tuple(
-            tuple(
-                _clip(multiply(dens.nu, g.inverse.entries[i][j], "exact"), mult_radius)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        mat2, _, _, _ = _build_matrices(op.prefactor, op.sqrt_factor, b, box)
+        b = _clip(TorusMatrix.scalar(dens.nu, g.n).matmul(g.inverse), mult_radius)
+        mat2, _, _, _ = _build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
         margin = box.radius // 2
         rows = interior_indices(box, margin)
         resid = float(np.max(np.abs((op.matrix - mat2)[rows])))
@@ -245,6 +235,10 @@ class SpectrumResult:
     eigenvectors: np.ndarray  # columns, coefficient tables on box
     asymmetry: float
     stability_asymmetry: float
+
+    def __post_init__(self):
+        for a in (self.eigenvalues, self.stable, self.multiplicity_group, self.eigenvectors):
+            a.setflags(write=False)
 
     @property
     def stable_eigenvalues(self):
@@ -379,13 +373,9 @@ def green_identity_residual(op, u, v):
     """|<L u, v>_nu^o - sum_ij tau((d_i v)* a_ij d_j u)| via the matrix path."""
     lu = op.apply(u)
     lhs = weighted_inner_product_opp(lu, v, op.nu.nu)
-    rhs = 0.0 + 0.0j
-    n = op.geometry.n
-    du = [derivation(u, j) for j in range(n)]
-    dv = [derivation(v, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs += inner_product(multiply(op.multipliers[i][j], du[j], "exact"), dv[i])
+    a = TorusMatrix(op.geometry, op.geometry.n, op.multipliers).coeffs
+    a_du = _product(op.geometry, a, _stack(differential(u).components)[:, None])
+    rhs = sum(inner_product(x, dv) for x, dv in zip(a_du, differential(v).components))
     return abs(lhs - rhs)
 
 
@@ -429,13 +419,6 @@ def conformally_deformed_flat_matrix(k, box, calc_box=None, spectral_floor=DEFAU
     return k_inv_mat @ (k2[:, None] * k_inv_mat)
 
 
-def _integer_power(x, p):
-    out = AlgebraElement.identity(x.geometry)
-    for _ in range(p):
-        out = multiply(out, x, "exact")
-    return out
-
-
 def conformal_covariance_check(
     g,
     k,
@@ -462,14 +445,13 @@ def conformal_covariance_check(
 
     Closed-form ingredients (the deformed metric with its inverse, either
     volume element, the power family of k) may be passed in when available;
-    anything omitted is computed from the spectral calculus.
+    anything omitted is computed from the spectral calculus.  Returns the
+    residual report and the assembled operator of ghat.
     """
     calc_box = calc_box or (g.box if isinstance(g, RiemannianMetric) else box)
     g_mat = g.matrix if isinstance(g, RiemannianMetric) else g
     n = g_mat.geometry.n
-    comm = max(
-        commutator(k, e, "exact").max_abs() for row in g_mat.entries for e in row
-    )
+    comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g_mat)
     if comm > commute_tol * (1.0 + k.max_abs() * (1.0 + g_mat.max_abs())):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
 
@@ -499,26 +481,22 @@ def conformal_covariance_check(
         report["two_dim_residual"] = float(
             np.max(np.abs((op_hat.matrix - rhs)[rows]))
         )
-        return report
+        return report, op_hat
 
     # gradient correction: sum_j M(c_j) D_j with
     # c_j = nu^{-1} k^{-n} sum_i d_i(k^{n-2}) a_ij
-    k_inv_n = _integer_power(k_density.inv_nu, n)
-    k_pow = _integer_power(k, n - 2)
+    pref = multiply(op_g.nu.inv_nu, _integer_power(k_density.inv_nu, n), "exact")
+    grad = _stack(differential(_integer_power(k, n - 2)).components)[None]
+    a = TorusMatrix(op_g.geometry, n, op_g.multipliers).coeffs
     modes = box.modes()
     corr = np.zeros((box.size, box.size), dtype=complex)
-    for j in range(n):
-        c = None
-        for i in range(n):
-            t = multiply(derivation(k_pow, i), op_g.multipliers[i][j], "exact")
-            c = t if c is None else add(c, t)
-        c = multiply(multiply(op_g.nu.inv_nu, k_inv_n, "exact"), c, "exact")
+    for j, c in enumerate(_product(op_g.geometry, grad, a)):
         dj = 1j * modes[:, j].astype(float)
-        corr += compress(c, box).matrix * dj[None, :]
+        corr += compress(multiply(pref, c, "exact"), box).matrix * dj[None, :]
     report["full_law_residual"] = float(
         np.max(np.abs((op_hat.matrix - (rhs - corr))[rows]))
     )
-    return report
+    return report, op_hat
 
 
 # ---------------------------------------------------------------------------

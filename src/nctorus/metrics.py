@@ -23,9 +23,9 @@ from . import calculus as calc
 from .algebra import (
     AlgebraElement,
     LatticeBox,
+    _integer_power,
     add,
     adjoint,
-    commutator,
     exp_series,
     is_selfadjoint,
     multiply,
@@ -37,7 +37,6 @@ from .calculus import (
     DEFAULT_SPECTRAL_FLOOR,
     TorusMatrix,
     compatibility_residual,
-    determinant,
     functional_calculus,
     matrix_trace,
     self_compatibility_residual,
@@ -185,7 +184,7 @@ _INVERSE_TOL = 1e-9
 
 def _interior_identity_residual(g, g_inv):
     """Max coefficient of g g_inv - 1 on modes the truncation leaves exact."""
-    prod = g.matmul(g_inv, mode="exact")
+    prod = g.matmul(g_inv)
     margin = max(0, g_inv.box.radius - g.box.radius)
     return (prod - TorusMatrix.identity(g.geometry, g.m)).resize(margin).max_abs()
 
@@ -280,13 +279,8 @@ def metric_conformal(base, k, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     if lo < spectral_floor:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
     g = base.matrix if isinstance(base, RiemannianMetric) else base
-    entries = [
-        [multiply(multiply(k, g.entries[i][j], "exact"), k, "exact") for j in range(g.m)]
-        for i in range(g.m)
-    ]
-    return validate_metric(
-        TorusMatrix(g.geometry, g.m, entries), box, provenance="conformal"
-    )
+    k_eye = TorusMatrix.scalar(k, g.m)
+    return validate_metric(k_eye.matmul(g).matmul(k_eye), box, provenance="conformal")
 
 
 def metric_product(blocks, box):
@@ -412,12 +406,12 @@ def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
         "compatible(u,g)": compatibility_residual(u, mat),
     }
     ut = u.transpose()
-    utu = ut.matmul(u, "exact")
+    utu = ut.matmul(u)
     hyp["orthogonality"] = (utu - TorusMatrix.identity(u.geometry, u.m)).max_abs()
     bad = {k: v for k, v in hyp.items() if v > max(compat_tol, ortho_tol)}
     if bad:
         raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {bad}", hyp)
-    conj = ut.matmul(mat, "exact").matmul(u, "exact")
+    conj = ut.matmul(mat).matmul(u)
     nu_g = riemannian_density(mat, box=box)
     nu_c = riemannian_density(conj, box=box)
     dens_resid = (nu_c.nu - nu_g.nu).max_abs()
@@ -429,18 +423,10 @@ def conformal_density_residual(g, k, box):
     """Residual of nu(k^2 g) = k^n nu(g) for commuting k and g."""
     mat = g.matrix if isinstance(g, RiemannianMetric) else g
     n = mat.geometry.n
-    comm = max(commutator(k, e, "exact").max_abs() for row in mat.entries for e in row)
+    comm = compatibility_residual(TorusMatrix.scalar(k, 1), mat)
     if comm > 1e-9 * (1.0 + k.max_abs() * mat.max_abs()):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-    k2 = multiply(k, k, "exact")
-    scaled = TorusMatrix(
-        mat.geometry,
-        mat.m,
-        [[multiply(k2, e, "exact") for e in row] for row in mat.entries],
-    )
+    scaled = TorusMatrix.scalar(multiply(k, k, "exact"), mat.m).matmul(mat)
     nu_scaled = riemannian_density(scaled, box=box)
     nu_g = riemannian_density(mat, box=box)
-    kn = AlgebraElement.identity(mat.geometry)
-    for _ in range(n):
-        kn = multiply(kn, k, "exact")
-    return (nu_scaled.nu - multiply(kn, nu_g.nu, "exact")).max_abs()
+    return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu, "exact")).max_abs()

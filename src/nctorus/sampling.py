@@ -19,11 +19,6 @@ def random_selfadjoint(geometry, radius, rng, amplitude=1.0):
     return scale(add(u, adjoint(u)), 0.5)
 
 
-def random_positive(geometry, radius, rng, amplitude=0.3, constant=1.0):
-    """Positive invertible element w* w + c with a random witness."""
-    return make_positive(random_element(geometry, radius, rng, amplitude), constant)
-
-
 def random_density(geometry, rng, radius=1, amplitude=0.15):
     """Density exp(w) for a random selfadjoint w; powers are series-consistent."""
     return density_exp(random_selfadjoint(geometry, radius, rng, amplitude))

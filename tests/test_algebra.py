@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg
 from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry
@@ -71,6 +72,37 @@ def test_multiply_unit_and_modes(geom, rng):
     clipped = alg.multiply(u, v, "truncate")
     assert clipped.box.radius == 3
     assert coeff_diff(clipped, alg.resize(exact, 3)) == 0.0
+
+
+def _pairwise_product(u, v):
+    """(u v)_k = sum over nonzero pairs p + q = k of u_p v_q sigma(p, q), term by term."""
+    geometry, r = u.geometry, u.box.radius + v.box.radius
+    out = AlgebraElement.zeros(geometry, r).table.copy()
+    for p in np.argwhere(u.table) - u.box.radius:
+        for q in np.argwhere(v.table) - v.box.radius:
+            out[tuple(p + q + r)] += (
+                u.coefficient(p) * v.coefficient(q) * alg.cocycle_phase(geometry, p, q)
+            )
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    upper=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiply_matches_pairwise_sum(n, upper, seed):
+    """Both loop sides of the product against the cocycle, at random theta."""
+    geometry = TorusGeometry.from_upper(n, upper[: n * (n - 1) // 2])
+    rng = np.random.default_rng(seed)
+    dense = random_element(geometry, 1, rng)  # 3^n nonzero modes
+    table = np.zeros((5,) * n, dtype=complex)
+    table.flat[rng.choice(table.size, 3, replace=False)] = rng.standard_normal(3) + 1j
+    sparse = AlgebraElement(geometry, LatticeBox(n, 2), table)
+    for u, v in ((sparse, dense), (dense, sparse)):
+        expect = _pairwise_product(u, v)
+        assert np.max(np.abs(alg.multiply(u, v, "exact").table - expect)) < 1e-13
 
 
 def test_multiply_geometry_mismatch(geom, geom0, rng):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,8 @@ def test_matrix_trace_not_tracial(geom):
     zero = AlgebraElement.zeros(geom, 0)
     u = TorusMatrix(geom, 2, [[zero, v1], [zero, zero]])
     v = TorusMatrix(geom, 2, [[zero, zero], [v2, zero]])
-    tuv = calc.matrix_trace(u.matmul(v, "exact"))
-    tvu = calc.matrix_trace(v.matmul(u, "exact"))
+    tuv = calc.matrix_trace(u.matmul(v))
+    tvu = calc.matrix_trace(v.matmul(u))
     assert coeff_diff(tuv, tvu) > 1e-3
 
 
@@ -226,7 +228,7 @@ def test_determinant_conjugation_invariance(geom):
     report = calc.determinant_identities_check(h, conjugator=u, box=box)
     assert report["conjugation"] < 1e-8
     d1 = calc.determinant(h, box)
-    d2 = calc.determinant(u.transpose().matmul(h, "exact").matmul(u, "exact"), box)
+    d2 = calc.determinant(u.transpose().matmul(h).matmul(u), box)
     assert coeff_diff(d1, d2) < 1e-8
 
 
@@ -304,3 +306,12 @@ def test_matrix_array_ops_match_entrywise(geom, rng):
         for j in range(m)
     )
     assert a.selfadjoint_residual() == expect > 0.0
+    # the kernel sums per mode, not per entry product: equal up to roundoff
+    ab = a.matmul(b)
+    assert ab.box.radius == 5
+    for i in range(m):
+        for j in range(m):
+            e = functools.reduce(
+                alg.add, (alg.multiply(ea[i][l], eb[l][j], "exact") for l in range(m))
+            )
+            assert coeff_diff(ab.entries[i][j], e) <= 1e-13 * e.max_abs()

@@ -212,9 +212,14 @@ def test_cli_failure_paths(tmp_path):
         {"metric": {"type": "conformall"}},
         {"metric": {"type": "conformal", "base": {"type": "flatt"}, "k": []}},
         {"box_radius": -3},
+        {"multiplier_radus": 2},
+        {"metric": {"type": "conformal", "k": {"exp_off": [
+            {"k": [1, 0], "re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}}},
+        {"multiplier_radius": 3, "box_radius": 10},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "metric-type",
-         "base-metric-type", "negative-radius"],
+         "base-metric-type", "negative-radius", "top-level-typo", "positive-spec-typo",
+         "multiplier-radius-too-large"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

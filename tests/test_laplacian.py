@@ -18,6 +18,18 @@ def _ct_metric(geom, calc_radius=10, a0=0.15, a1=0.1):
     return dk, ct
 
 
+def test_operator_and_spectrum_arrays_read_only(geom):
+    box = LatticeBox(2, 3)
+    op = lap.assemble_riemannian(met.metric_flat(geom), box)
+    res = lap.spectrum(op)
+    arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
+              op.matrix, op.conjugated, op.conjugator, res.eigenvalues, res.stable,
+              res.multiplicity_group, res.eigenvectors]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
 def test_flat_operator_diagonal(geom, geom0):
     for g in (geom0, geom):
         box = LatticeBox(2, 4)
@@ -66,14 +78,14 @@ def test_box_too_small(geom):
 def test_conformal_operator_interior_identity(geom):
     """2-d conformal covariance at the operator level, flat base."""
     dk, ct = _ct_metric(geom)
-    rep = lap.conformal_covariance_check(
+    rep, _ = lap.conformal_covariance_check(
         met.metric_flat(geom), dk.nu, LatticeBox(2, 10), calc_box=LatticeBox(2, 10)
     )
     assert rep["two_dim_residual"] < 1e-8
 
 
 def test_conformal_identity_factor(geom):
-    rep = lap.conformal_covariance_check(
+    rep, _ = lap.conformal_covariance_check(
         met.metric_flat(geom),
         AlgebraElement.identity(geom),
         LatticeBox(2, 6),
@@ -86,7 +98,7 @@ def test_conformal_constant_base(geom):
     w = trig_pair(geom, 0, 0.1) + trig_pair(geom, 1, 0.07)
     dk = met.density_exp(w)
     base = met.metric_constant(geom, [[1.4, 0.3], [0.3, 0.9]], box=LatticeBox(2, 4))
-    rep = lap.conformal_covariance_check(
+    rep, _ = lap.conformal_covariance_check(
         base, dk.nu, LatticeBox(2, 10), calc_box=LatticeBox(2, 10)
     )
     assert rep["two_dim_residual"] < 1e-8
