@@ -1,15 +1,16 @@
 """Matrices over the torus algebra and spectral calculus on compressions.
 
 Functions of selfadjoint elements (sqrt, log, exp, powers, inverses) are
-evaluated by compressing left multiplication to a finite lattice box,
-diagonalizing the resulting Hermitian matrix, applying the function to its
-eigenvalues, and reading coefficients back off the cyclic vector(s).  The
-compression of a selfadjoint element is exactly Hermitian because the
-truncated Fourier basis is orthonormal and aligned with the coefficient
-grid.  For an element supported in B_M and a polynomial of degree d the
-readout is exact on the modes of B_{N-dM}; for analytic functions the
-truncation error decays as the box grows, which the tests measure rather
-than assume.
+evaluated by compressing left multiplication to a finite lattice box and
+reading coefficients off f(C) applied to the cyclic vector(s) e_j (x) V_0,
+with C the resulting Hermitian matrix.  Inverses are one Cholesky solve of
+C with those m right-hand sides; every other function diagonalizes C and
+applies the function to its eigenvalues.  The compression of a selfadjoint
+element is exactly Hermitian because the truncated Fourier basis is
+orthonormal and aligned with the coefficient grid.  For an element
+supported in B_M and a polynomial of degree d the readout is exact on the
+modes of B_{N-dM}; for analytic functions the truncation error decays as the
+box grows, which the tests measure rather than assume.
 
 The determinant of a positive invertible matrix h over the algebra is
 exp(Tr(log h)) with Tr the entrywise matrix trace; it is multiplicative
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -311,19 +313,28 @@ def element_from_vector(geometry, box, vec):
 _SINGULAR_AT_ZERO = {"sqrt", "inv_sqrt", "log", "inv", "pow"}
 
 
+def _reciprocal(lam):
+    return 1.0 / lam
+
+
 def _resolve_function(fn):
-    """Map a function spec to (name, vectorized callable, needs_floor)."""
+    """Map a function spec to (name, vectorized callable, needs_floor).
+
+    ("pow", -1) is "inv", so that both take the solve in functional_calculus.
+    """
     if callable(fn):
         return getattr(fn, "__name__", "callable"), fn, False
     if isinstance(fn, tuple) and len(fn) == 2 and fn[0] == "pow":
         s = float(fn[1])
+        if s == -1.0:
+            return _resolve_function("inv")
         return f"pow({s})", (lambda lam: lam**s), True
     table = {
         "sqrt": np.sqrt,
         "inv_sqrt": lambda lam: 1.0 / np.sqrt(lam),
         "log": np.log,
         "exp": np.exp,
-        "inv": lambda lam: 1.0 / lam,
+        "inv": _reciprocal,
     }
     if fn not in table:
         raise ValueError(f"unknown function {fn!r}")
@@ -336,6 +347,46 @@ def _require_selfadjoint(h):
         raise NonSelfadjointInput(f"selfadjointness residual {resid:.3e}")
 
 
+def _floor_violation(name, lam_min, spectral_floor):
+    return SpectralFloorViolation(
+        f"{name}: compressed spectrum reaches {lam_min:.3e} < floor {spectral_floor:.1e}"
+    )
+
+
+def _inverse_columns(mat, cyclic, name, spectral_floor):
+    """Columns C^{-1} e_j at the cyclic rows, by one Cholesky factor of C.
+
+    Factoring C - floor I is the floor test: it succeeds exactly when the
+    spectrum of C lies above the floor.  The solve needs C positive definite,
+    so a floor <= 0 refuses what is not above 0.  lambda_min is computed only
+    for the refusal's message.
+    """
+    d = mat.shape[0]
+    shifted = np.array(mat)
+    shifted.flat[:: d + 1] -= spectral_floor
+    rhs = np.zeros((d, len(cyclic)), dtype=complex)
+    rhs[cyclic, np.arange(len(cyclic))] = 1.0
+    try:
+        scipy.linalg.cholesky(shifted, check_finite=False)
+        factor = scipy.linalg.cho_factor(mat, check_finite=False)
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(mat)[0])
+        raise _floor_violation(name, lam_min, max(spectral_floor, 0.0)) from None
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+def _eigen_columns(mat, cyclic, f, name, needs_floor, spectral_floor):
+    """Columns f(C) e_j at the cyclic rows, from the eigendecomposition of C."""
+    lam, vecs = np.linalg.eigh(mat)
+    if needs_floor and lam[0] < spectral_floor:
+        raise _floor_violation(name, lam[0], spectral_floor)
+    fvals = np.asarray(f(lam), dtype=complex)
+    cols = np.empty((mat.shape[0], len(cyclic)), dtype=complex)
+    for j, row in enumerate(cyclic):
+        cols[:, j] = vecs @ (fvals * vecs[row].conj())
+    return cols
+
+
 def functional_calculus(x, fn, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     """f(x) for selfadjoint x via the Hermitian compression on the box.
 
@@ -343,25 +394,24 @@ def functional_calculus(x, fn, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     case, and the result has the form of x).  fn is one of "sqrt",
     "inv_sqrt", "log", "exp", "inv", ("pow", s), or a vectorized callable on
     eigenvalues.  Functions singular at 0 refuse inputs whose compressed
-    spectrum dips below the floor.  The result lives on the compression box;
-    callers clip as needed.
+    spectrum dips below the floor.  The inverse (also ("pow", -1)) is a
+    Cholesky solve on the cyclic columns; every other function diagonalizes
+    the compression.  The result lives on the compression box; callers clip
+    as needed.
     """
     name, f, needs_floor = _resolve_function(fn)
     h = _as_matrix(x)
     _require_selfadjoint(h)
-    lam, vecs = np.linalg.eigh(compress(h, box).matrix)
-    if needs_floor and lam[0] < spectral_floor:
-        raise SpectralFloorViolation(
-            f"{name}: compressed spectrum reaches {lam[0]:.3e} < floor {spectral_floor:.1e}"
-        )
-    fvals = np.asarray(f(lam), dtype=complex)
+    mat = compress(h, box).matrix
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
-    m, s = h.m, box.size
+    m = h.m
     i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
-    coeffs = np.empty((m, m) + box.shape, dtype=complex)
-    for j in range(m):
-        col = vecs @ (fvals * vecs[j * s + i0].conj())
-        coeffs[:, j] = col.reshape((m,) + box.shape)
+    cyclic = np.arange(m) * box.size + i0
+    if f is _reciprocal:
+        cols = _inverse_columns(mat, cyclic, name, spectral_floor)
+    else:
+        cols = _eigen_columns(mat, cyclic, f, name, needs_floor, spectral_floor)
+    coeffs = cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
     out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     # f real on the spectrum of a selfadjoint input makes f(x) selfadjoint;
     # averaging with the adjoint clears readout roundoff off the real subspace

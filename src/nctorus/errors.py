@@ -45,6 +45,10 @@ class BoxTooSmall(NCTorusError):
     """Multiplier radius too large for the working box."""
 
 
+class BoxTooLarge(NCTorusError):
+    """A dense matrix of the configured boxes would not fit in physical memory."""
+
+
 class UnstableSpectrum(NCTorusError):
     """Fewer eigenvalues stabilized across box radii than requested."""
 

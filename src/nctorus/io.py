@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
 from .calculus import TorusMatrix, make_positive, spectral_bounds
-from .errors import NCTorusError, PositivityViolation
+from .errors import BoxTooLarge, NCTorusError, PositivityViolation
 from .metrics import (
     density_exp,
     density_from_element,
@@ -35,7 +36,15 @@ from .metrics import (
     validate_metric,
 )
 
-_METRIC_TYPES = ("flat", "constant", "conformal", "product", "functional", "explicit")
+# (required, optional) keys of each metric spec type, besides "type"
+_METRIC_KEYS = {
+    "flat": ((), ()),
+    "constant": (("matrix",), ()),
+    "conformal": (("k",), ("base",)),
+    "product": (("blocks",), ()),
+    "functional": (("h", "poly"), ()),
+    "explicit": (("entries",), ()),
+}
 _CONFIG_KEYS = (
     "geometry", "box_radius", "multiplier_radius", "calc_radius", "stability_radius",
     "metric", "nu", "tolerances", "seed", "count", "quadrature_points", "window",
@@ -246,8 +255,15 @@ def _check_metric_spec(spec):
     if not isinstance(spec, dict):
         raise ValueError(f"metric spec must be an object, got {spec!r}")
     kind = spec.get("type", "flat")
-    if kind not in _METRIC_TYPES:
+    if kind not in _METRIC_KEYS:
         raise ValueError(f"unknown metric spec type {kind!r}")
+    required, optional = _METRIC_KEYS[kind]
+    keys = set(spec) - {"type"}
+    if not set(required) <= keys <= set(required + optional):
+        raise ValueError(
+            f"{kind} metric spec has keys {sorted(keys)}, takes {list(required)}"
+            + (f" and optionally {list(optional)}" if optional else "")
+        )
     if kind == "conformal":
         _check_metric_spec(spec.get("base", {"type": "flat"}))
         _check_positive_spec(spec["k"])
@@ -257,13 +273,43 @@ def _check_metric_spec(spec):
 
 
 def load_config(path):
-    """Read a run configuration; a missing file or a bad entry raises NCTorusError."""
+    """Read a run configuration; a missing file or a bad entry raises NCTorusError.
+
+    A config whose largest dense matrix would not fit in physical memory
+    raises BoxTooLarge before anything is allocated.
+    """
     try:
         with open(path, encoding="utf8") as f:
             raw = json.load(f)
-        return _parse_config(raw)
+        config = _parse_config(raw)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise NCTorusError(f"config {path}: {type(exc).__name__}: {exc}") from exc
+    _check_dense_size(path, config)
+    return config
+
+
+def _check_dense_size(path, config):
+    """Refuse a config whose largest dense matrix exceeds physical memory.
+
+    Bounded by an n x n matrix over the algebra (the metric) compressed on
+    the largest of the box, calc and stability boxes, radius R: dimension
+    d = n (2R + 1)^n, 16 d^2 bytes of complex entries.
+    """
+    n = config.geometry.n
+    stability = config.stability_radius
+    radius = max(
+        config.box_radius,
+        config.calc_box.radius,
+        config.box_radius + 2 if stability is None else int(stability),
+    )
+    d = n * (2 * radius + 1) ** n
+    nbytes = 16 * d * d
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise BoxTooLarge(
+            f"config {path}: the largest dense matrix (d = {d}, radius {radius}) needs "
+            f"{nbytes} bytes, more than the {physical} bytes of physical memory"
+        )
 
 
 def _parse_config(raw):

@@ -1,9 +1,10 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
-from nctorus import algebra as alg, calculus as calc
+from nctorus import algebra as alg, calculus as calc, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox
 from nctorus.calculus import TorusMatrix
 from nctorus.errors import (
@@ -77,6 +78,50 @@ def test_spectral_floor_violation(geom):
     x = trig_pair(geom, 0)  # spectrum approaches [-2, 2]
     with pytest.raises(SpectralFloorViolation):
         calc.functional_calculus(x, "log", box)
+    # the inverse's Cholesky floor test names the compressed minimum
+    lam_min = np.linalg.eigvalsh(calc.compress(x, box).matrix)[0]
+    named = re.escape(f"reaches {lam_min:.3e}")
+    with pytest.raises(SpectralFloorViolation, match=named):
+        calc.functional_calculus(x, "inv", box)
+    with pytest.raises(SpectralFloorViolation, match=named):
+        calc.matrix_inverse(x, box)
+    # shifted so that the compressed minimum sits 1e-9 above or below the floor
+    one = AlgebraElement.identity(geom)
+    floor = calc.DEFAULT_SPECTRAL_FLOOR
+    above = alg.add(x, alg.scale(one, floor + 1e-9 - lam_min))
+    below = alg.add(x, alg.scale(one, floor - 1e-9 - lam_min))
+    assert np.linalg.eigvalsh(calc.compress(above, box).matrix)[0] > floor
+    calc.matrix_inverse(above, box)
+    with pytest.raises(SpectralFloorViolation):
+        calc.matrix_inverse(below, box)
+
+
+def _eigen_inverse(h, box):
+    """C^{-1} on the cyclic columns, read off the eigenvectors of the compression."""
+    lam, vecs = np.linalg.eigh(calc.compress(h, box).matrix)
+    i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
+    cols = [vecs @ (vecs[j * box.size + i0].conj() / lam) for j in range(h.m)]
+    coeffs = np.stack([c.reshape((h.m,) + box.shape) for c in cols], axis=1)
+    out = TorusMatrix.from_coeffs(h.geometry, coeffs)
+    return (out + out.adjoint()).scale(0.5)
+
+
+def test_inverse_solve_matches_eigen_readout(geom, rng):
+    box = LatticeBox(2, 8)
+    k = met.density_exp(alg.add(trig_pair(geom, 0, 0.15), trig_pair(geom, 1, 0.1))).nu
+    base = met.metric_constant(geom, [[1.3, 0.2], [0.2, 1.0]])
+    g = met.metric_conformal(base, k, box).matrix
+    x = alg.add(
+        alg.scale(AlgebraElement.identity(geom), 2.0), random_selfadjoint(geom, 2, rng, 0.2)
+    )
+    cases = [(g, _eigen_inverse(g, box)),
+             (x, _eigen_inverse(TorusMatrix(geom, 1, [[x]]), box).entries[0][0])]
+    for h, old in cases:
+        inv = calc.functional_calculus(h, "inv", box)
+        assert coeff_diff(inv, old) <= 1e-13 * old.max_abs()
+        # matrix_inverse and ("pow", -1) are the same solve, down to the last bit
+        assert coeff_diff(calc.matrix_inverse(h, box), inv) == 0.0
+        assert coeff_diff(calc.functional_calculus(h, ("pow", -1), box), inv) == 0.0
 
 
 def test_roundtrips_tighten_with_box(geom):

@@ -4,7 +4,7 @@ import pytest
 
 from nctorus import algebra as alg, calculus as calc, cli, io as nio, metrics as met
 from nctorus.algebra import LatticeBox
-from nctorus.errors import NCTorusError, PositivityViolation
+from nctorus.errors import BoxTooLarge, NCTorusError, PositivityViolation
 from nctorus.forms import OneForm
 from nctorus.sampling import random_element
 
@@ -216,10 +216,14 @@ def test_cli_failure_paths(tmp_path):
         {"metric": {"type": "conformal", "k": {"exp_off": [
             {"k": [1, 0], "re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}}},
         {"multiplier_radius": 3, "box_radius": 10},
+        {"metric": {"type": "constant", "matrx": [[1.0, 0.0], [0.0, 1.0]]}},
+        {"metric": {"type": "functional", "h": [{"k": [1, 0], "re": 0.1, "im": 0}]}},
+        {"metric": {"type": "explicit"}},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "metric-type",
          "base-metric-type", "negative-radius", "top-level-typo", "positive-spec-typo",
-         "multiplier-radius-too-large"],
+         "multiplier-radius-too-large", "constant-spec-typo", "functional-spec-no-poly",
+         "explicit-spec-no-entries"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
@@ -235,3 +239,21 @@ def test_cli_config_errors(tmp_path, capsys, overrides):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""
+
+
+def test_cli_refuses_dense_matrix_beyond_memory(tmp_path, capsys):
+    # n = 3, N = 40: the 3 x 3 metric on the stability box (radius 42) is dense
+    # of size d = 3 * 85**3 and would need 16 d^2 bytes, about 54 TB
+    cfg = _write_cfg(
+        tmp_path,
+        geometry={"n": 3, "theta_upper": [0.3, 0.2, 0.1]},
+        box_radius=40,
+        metric={"type": "flat"},
+    )
+    with pytest.raises(BoxTooLarge):
+        nio.load_config(cfg)
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{16 * (3 * 85**3) ** 2} bytes" in err[0]
