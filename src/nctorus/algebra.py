@@ -255,7 +255,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return multiply(self, other, mode="exact")
+            return multiply(self, other)
         return scale(self, complex(other))
 
     def __rmul__(self, other):
@@ -305,7 +305,7 @@ def trim(u, cutoff):
 
     A product costs the nonzero modes of its sparser operand times the box
     size of the other, so clearing numerically void modes (series tails,
-    readout dust) keeps exact-mode chains affordable; cutoff 0 only
+    readout dust) keeps chains of exact products affordable; cutoff 0 only
     tightens the box.
     """
     table = u.table
@@ -374,20 +374,16 @@ def _twisted_matmul(theta, a, b):
     return out
 
 
-def multiply(u, v, mode="truncate"):
+def multiply(u, v):
     """Twisted convolution (u v)_k = sum_{p+q=k} u_p v_q sigma(p, q).
 
-    The 1 x 1 case of the product kernel.  mode="exact" returns the product
-    on the grown box of radius N_u + N_v; mode="truncate" clips the result
-    back to max(N_u, N_v).
+    The 1 x 1 case of the product kernel, kept exactly on the grown box of
+    radius N_u + N_v.
     """
     _check_same_geometry(u, v)
-    if mode not in ("exact", "truncate"):
-        raise ValueError(f"unknown multiply mode {mode!r}")
     table = _twisted_matmul(u.geometry.theta, u.table[None, None], v.table[None, None])[0, 0]
-    nu, nv = u.box.radius, v.box.radius
-    result = AlgebraElement(u.geometry, LatticeBox(u.geometry.n, nu + nv), table)
-    return resize(result, max(nu, nv)) if mode == "truncate" else result
+    box = LatticeBox(u.geometry.n, u.box.radius + v.box.radius)
+    return AlgebraElement(u.geometry, box, table)
 
 
 def adjoint(u):
@@ -430,12 +426,12 @@ def inner_product(u, v):
 
 def weighted_inner_product(u, v, nu):
     """Density-weighted inner product <u, v>_nu = tau(u nu v*)."""
-    return inner_product(multiply(u, nu, mode="exact"), v)
+    return inner_product(multiply(u, nu), v)
 
 
 def weighted_inner_product_opp(u, v, nu):
     """Opposite-side weighted inner product <u, v>_nu^o = tau(v* nu u)."""
-    return inner_product(multiply(nu, u, mode="exact"), v)
+    return inner_product(multiply(nu, u), v)
 
 
 def sobolev_norm(u, s):
@@ -445,38 +441,39 @@ def sobolev_norm(u, s):
     return float(np.sqrt(np.sum(w * np.abs(u.vector()) ** 2)))
 
 
-def commutator(u, v, mode="exact"):
-    return add(multiply(u, v, mode=mode), scale(multiply(v, u, mode=mode), -1.0))
+def commutator(u, v):
+    return add(multiply(u, v), scale(multiply(v, u), -1.0))
 
 
 def _integer_power(x, p):
     """x^p for an integer p >= 0, by p exact products."""
     out = AlgebraElement.identity(x.geometry)
     for _ in range(p):
-        out = multiply(out, x, "exact")
+        out = multiply(out, x)
     return out
 
 
-def exp_series(w, tol=1e-18, max_terms=90, radius=None):
-    """exp(w) by the power series, with terms added until they fall below tol.
+_EXP_TOL = 1e-18
+_EXP_MAX_TERMS = 90
 
-    Products are exact except that coefficients below tol are discarded
-    (they are dominated by the dropped series tail anyway), which keeps the
-    support from ballooning with numerically void modes.  An explicit radius
-    cap clips harder.  Intended for elements of modest norm, where the
-    factorial decay makes the truncated series accurate to near machine
-    precision.
+
+def exp_series(w):
+    """exp(w) by the power series, with terms added until they fall below tolerance.
+
+    Products are exact except that coefficients below the tolerance are
+    discarded (they are dominated by the dropped series tail anyway), which
+    keeps the support from ballooning with numerically void modes.
+    Intended for elements of modest norm, where the factorial decay makes
+    the truncated series accurate to near machine precision.
     """
     geometry = w.geometry
     acc = AlgebraElement.identity(geometry)
     term = AlgebraElement.identity(geometry)
     bound = w.norm_l1()
-    for j in range(1, max_terms + 1):
-        term = trim(scale(multiply(term, w, mode="exact"), 1.0 / j), tol * 1e-2)
-        if radius is not None and term.box.radius > radius:
-            term = resize(term, radius)
+    for j in range(1, _EXP_MAX_TERMS + 1):
+        term = trim(scale(multiply(term, w), 1.0 / j), _EXP_TOL * 1e-2)
         acc = add(acc, term)
-        if term.norm_l1() <= tol and j * 1.0 >= bound:
+        if term.norm_l1() <= _EXP_TOL and j * 1.0 >= bound:
             break
     return trim(acc, 0.0)
 

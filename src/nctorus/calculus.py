@@ -49,7 +49,9 @@ from .errors import (
     SpectralFloorViolation,
 )
 
-DEFAULT_SPECTRAL_FLOOR = 1e-8
+# functions singular at 0 refuse a compressed spectrum below this floor, and
+# every test of positive invertibility in the package compares against it
+SPECTRAL_FLOOR = 1e-8
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,23 +349,22 @@ def _require_selfadjoint(h):
         raise NonSelfadjointInput(f"selfadjointness residual {resid:.3e}")
 
 
-def _floor_violation(name, lam_min, spectral_floor):
+def _floor_violation(name, lam_min):
     return SpectralFloorViolation(
-        f"{name}: compressed spectrum reaches {lam_min:.3e} < floor {spectral_floor:.1e}"
+        f"{name}: compressed spectrum reaches {lam_min:.3e} < floor {SPECTRAL_FLOOR:.1e}"
     )
 
 
-def _inverse_columns(mat, cyclic, name, spectral_floor):
+def _inverse_columns(mat, cyclic, name):
     """Columns C^{-1} e_j at the cyclic rows, by one Cholesky factor of C.
 
     Factoring C - floor I is the floor test: it succeeds exactly when the
-    spectrum of C lies above the floor.  The solve needs C positive definite,
-    so a floor <= 0 refuses what is not above 0.  lambda_min is computed only
-    for the refusal's message.
+    spectrum of C lies above the floor.  lambda_min is computed only for
+    the refusal's message.
     """
     d = mat.shape[0]
     shifted = np.array(mat)
-    shifted.flat[:: d + 1] -= spectral_floor
+    shifted.flat[:: d + 1] -= SPECTRAL_FLOOR
     rhs = np.zeros((d, len(cyclic)), dtype=complex)
     rhs[cyclic, np.arange(len(cyclic))] = 1.0
     try:
@@ -371,15 +372,15 @@ def _inverse_columns(mat, cyclic, name, spectral_floor):
         factor = scipy.linalg.cho_factor(mat, check_finite=False)
     except np.linalg.LinAlgError:
         lam_min = float(np.linalg.eigvalsh(mat)[0])
-        raise _floor_violation(name, lam_min, max(spectral_floor, 0.0)) from None
+        raise _floor_violation(name, lam_min) from None
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
-def _eigen_columns(mat, cyclic, f, name, needs_floor, spectral_floor):
+def _eigen_columns(mat, cyclic, f, name, needs_floor):
     """Columns f(C) e_j at the cyclic rows, from the eigendecomposition of C."""
     lam, vecs = np.linalg.eigh(mat)
-    if needs_floor and lam[0] < spectral_floor:
-        raise _floor_violation(name, lam[0], spectral_floor)
+    if needs_floor and lam[0] < SPECTRAL_FLOOR:
+        raise _floor_violation(name, lam[0])
     fvals = np.asarray(f(lam), dtype=complex)
     cols = np.empty((mat.shape[0], len(cyclic)), dtype=complex)
     for j, row in enumerate(cyclic):
@@ -387,14 +388,14 @@ def _eigen_columns(mat, cyclic, f, name, needs_floor, spectral_floor):
     return cols
 
 
-def functional_calculus(x, fn, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def functional_calculus(x, fn, box):
     """f(x) for selfadjoint x via the Hermitian compression on the box.
 
     x is an element or a matrix over the algebra (an element is the 1 x 1
     case, and the result has the form of x).  fn is one of "sqrt",
     "inv_sqrt", "log", "exp", "inv", ("pow", s), or a vectorized callable on
     eigenvalues.  Functions singular at 0 refuse inputs whose compressed
-    spectrum dips below the floor.  The inverse (also ("pow", -1)) is a
+    spectrum dips below SPECTRAL_FLOOR.  The inverse (also ("pow", -1)) is a
     Cholesky solve on the cyclic columns; every other function diagonalizes
     the compression.  The result lives on the compression box; callers clip
     as needed.
@@ -408,9 +409,9 @@ def functional_calculus(x, fn, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
     cyclic = np.arange(m) * box.size + i0
     if f is _reciprocal:
-        cols = _inverse_columns(mat, cyclic, name, spectral_floor)
+        cols = _inverse_columns(mat, cyclic, name)
     else:
-        cols = _eigen_columns(mat, cyclic, f, name, needs_floor, spectral_floor)
+        cols = _eigen_columns(mat, cyclic, f, name, needs_floor)
     coeffs = cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
     out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     # f real on the spectrum of a selfadjoint input makes f(x) selfadjoint;
@@ -431,8 +432,8 @@ def spectral_bounds(x, box):
     return float(lam[0]), float(lam[-1])
 
 
-def matrix_inverse(h, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
-    return functional_calculus(h, "inv", box, spectral_floor=spectral_floor)
+def matrix_inverse(h, box):
+    return functional_calculus(h, "inv", box)
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +481,14 @@ def refine_inverse(x, guess, radius, tol=1e-13, max_iter=40):
     X = resize(guess, radius)
     best, best_res = X, np.inf
     for _ in range(max_iter):
-        r = resize(add(one, scale(multiply(x, X, mode="exact"), -1.0)), radius)
+        r = resize(add(one, scale(multiply(x, X), -1.0)), radius)
         res = r.max_abs()
         if res < best_res:
             best, best_res = X, res
         if res <= tol or res >= best_res * 4.0:
             break
-        X = resize(add(X, multiply(X, r, mode="exact")), radius)
-    r = add(one, scale(multiply(x, best, mode="exact"), -1.0))
+        X = resize(add(X, multiply(X, r)), radius)
+    r = add(one, scale(multiply(x, best), -1.0))
     return best, r.max_abs()
 
 
@@ -502,15 +503,15 @@ def refine_inverse_sqrt(x, guess, radius, tol=1e-13, max_iter=60):
     Z = resize(guess, radius)
     best, best_res = Z, np.inf
     for _ in range(max_iter):
-        xz2 = multiply(x, multiply(Z, Z, mode="exact"), mode="exact")
+        xz2 = multiply(x, multiply(Z, Z))
         r = resize(add(one, scale(xz2, -1.0)), radius)
         res = r.max_abs()
         if res < best_res:
             best, best_res = Z, res
         if res <= tol or res >= best_res * 4.0:
             break
-        Z = resize(add(Z, scale(multiply(Z, r, mode="exact"), 0.5)), radius)
-    xz2 = multiply(x, multiply(best, best, mode="exact"), mode="exact")
+        Z = resize(add(Z, scale(multiply(Z, r), 0.5)), radius)
+    xz2 = multiply(x, multiply(best, best))
     res = add(one, scale(xz2, -1.0)).max_abs()
     return best, res
 
@@ -529,9 +530,9 @@ def matrix_trace(h):
     return AlgebraElement(h.geometry, h.box, np.trace(h.coeffs))
 
 
-def determinant(h, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def determinant(h, box):
     """det(h) = exp(Tr(log h)) for positive invertible h; a positive element."""
-    logh = functional_calculus(h, "log", box, spectral_floor=spectral_floor)
+    logh = functional_calculus(h, "log", box)
     return functional_calculus(matrix_trace(logh), "exp", box)
 
 
@@ -547,20 +548,13 @@ def leibniz_determinant(h):
         sign = np.linalg.det(np.eye(m)[list(perm)])  # exactly +-1 for a permutation matrix
         term = h.entries[0][perm[0]]
         for i in range(1, m):
-            term = multiply(term, h.entries[i][perm[i]], mode="exact")
+            term = multiply(term, h.entries[i][perm[i]])
         term = scale(term, sign)
         acc = term if acc is None else add(acc, term)
     return acc
 
 
-def determinant_identities_check(
-    h,
-    other=None,
-    conjugator=None,
-    box=None,
-    compat_tol=1e-9,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-):
+def determinant_identities_check(h, other=None, conjugator=None, box=None, compat_tol=1e-9):
     """Residuals of the determinant identities that hold under compatibility.
 
     Checks, as applicable: [det h, det h'] = 0 and det(hh') = det(h)det(h')
@@ -572,7 +566,7 @@ def determinant_identities_check(
     if box is None:
         raise ValueError("box required")
     report = {}
-    det_h = determinant(h, box, spectral_floor)
+    det_h = determinant(h, box)
     if other is not None:
         hyp = {
             "compatible(h,h')": compatibility_residual(h, other),
@@ -581,12 +575,10 @@ def determinant_identities_check(
         bad = {k: v for k, v in hyp.items() if v > compat_tol}
         if bad:
             raise HypothesisViolated(f"determinant product hypotheses failed: {bad}", hyp)
-        det_o = determinant(other, box, spectral_floor)
+        det_o = determinant(other, box)
         report["det_commutator"] = commutator(det_h, det_o).max_abs()
-        det_prod = determinant(h.matmul(other), box, spectral_floor)
-        report["product_multiplicativity"] = (
-            det_prod - multiply(det_h, det_o, mode="exact")
-        ).max_abs()
+        det_prod = determinant(h.matmul(other), box)
+        report["product_multiplicativity"] = (det_prod - multiply(det_h, det_o)).max_abs()
     if conjugator is not None:
         u = conjugator
         hyp = {
@@ -598,13 +590,13 @@ def determinant_identities_check(
         if bad:
             raise HypothesisViolated(f"determinant conjugation hypotheses failed: {bad}", hyp)
         uhu = u.adjoint().matmul(h).matmul(u)
-        det_uhu = determinant(uhu, box, spectral_floor)
-        det_uu = determinant(u.adjoint().matmul(u), box, spectral_floor)
-        report["conjugation"] = (det_uhu - multiply(det_uu, det_h, mode="exact")).max_abs()
+        det_uhu = determinant(uhu, box)
+        det_uu = determinant(u.adjoint().matmul(u), box)
+        report["conjugation"] = (det_uhu - multiply(det_uu, det_h)).max_abs()
     return report
 
 
-def block_determinant_residual(blocks, box, compat_tol=1e-9, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def block_determinant_residual(blocks, box, compat_tol=1e-9):
     """Residual of det(blockdiag) = product of block determinants."""
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
@@ -614,11 +606,11 @@ def block_determinant_residual(blocks, box, compat_tol=1e-9, spectral_floor=DEFA
                     f"blocks {i},{j} not compatible (residual {r:.3e})",
                     {"compatibility": r},
                 )
-    full = determinant(TorusMatrix.block_diag(blocks), box, spectral_floor)
+    full = determinant(TorusMatrix.block_diag(blocks), box)
     prod = None
     for b in blocks:
-        d = determinant(b, box, spectral_floor)
-        prod = d if prod is None else multiply(prod, d, mode="exact")
+        d = determinant(b, box)
+        prod = d if prod is None else multiply(prod, d)
     return (full - prod).max_abs()
 
 

@@ -64,12 +64,7 @@ def _gate_lines(gates):
 def _assembled(cfg):
     metric = cfg.build_metric()
     nu = cfg.build_density()
-    kwargs = dict(
-        box=cfg.box,
-        mult_radius=cfg.multiplier_radius,
-        calc_box=cfg.calc_box,
-        spectral_floor=cfg.tolerances.spectral_floor,
-    )
+    kwargs = dict(box=cfg.box, mult_radius=cfg.multiplier_radius, calc_box=cfg.calc_box)
     if nu is None:
         return metric, lap.assemble_riemannian(metric, **kwargs)
     return metric, lap.assemble(metric, nu, **kwargs)
@@ -116,12 +111,7 @@ def cmd_weyl(cfg, args):
     if window is None:
         hi = result.stable_count() - 1
         window = (max(1, hi // 6), hi)
-    wc = lap.weyl_constant(
-        metric,
-        cfg.calc_box,
-        quadrature_points=cfg.quadrature_points,
-        spectral_floor=cfg.tolerances.spectral_floor,
-    )
+    wc = lap.weyl_constant(metric, cfg.calc_box, quadrature_points=cfg.quadrature_points)
     c_n = wc.closed_form if not np.isnan(wc.closed_form) else wc.quadrature
     fit = lap.weyl_fit(result, c_n, window)
     report = {
@@ -155,17 +145,9 @@ def cmd_conformal_check(cfg, args):
     spec = cfg.metric_spec
     if spec.get("type") != "conformal":
         raise NCTorusError("conformal-check requires a conformal metric spec")
-    base = nio.metric_from_spec(
-        cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box,
-        spectral_floor=cfg.tolerances.spectral_floor,
-    )
-    k = nio.positive_element_from_spec(
-        cfg.geometry, spec["k"], cfg.calc_box, cfg.tolerances.spectral_floor
-    )
-    report, op = lap.conformal_covariance_check(
-        base, k, cfg.box, calc_box=cfg.calc_box,
-        spectral_floor=cfg.tolerances.spectral_floor,
-    )
+    base = nio.metric_from_spec(cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box)
+    k = nio.positive_element_from_spec(cfg.geometry, spec["k"], cfg.calc_box)
+    report, op = lap.conformal_covariance_check(base, k, cfg.box, calc_box=cfg.calc_box)
     key = "two_dim_residual" if cfg.geometry.n == 2 else "full_law_residual"
     gates = {key: (report[key], cfg.tolerances.conformal)}
     if cfg.geometry.n == 2 and base.provenance == "flat":
@@ -193,7 +175,7 @@ def cmd_det_check(cfg, args):
     box = cfg.calc_box
     g = metric.matrix
     m = g.m
-    d = determinant(g, box, spectral_floor=cfg.tolerances.spectral_floor)
+    d = determinant(g, box)
     report = {}
     t = 2.0
     report["scaling det(t g) = t^m det(g)"] = (
@@ -225,7 +207,7 @@ def cmd_adjoint_check(cfg, args):
     worst = 0.0
     for _ in range(count):
         h, _ = random_hermitian_matrix(geometry, geometry.n, 1, rng, amplitude=0.2)
-        h_inv = matrix_inverse(h, box, spectral_floor=cfg.tolerances.spectral_floor)
+        h_inv = matrix_inverse(h, box)
         dens = random_density(geometry, rng, radius=1, amplitude=0.15)
         omega = random_one_form(geometry, interior, rng)
         u = random_element(geometry, interior, rng)
@@ -239,8 +221,8 @@ def cmd_volume(cfg, args):
     box = cfg.calc_box
     dens = met.riemannian_density(metric, box=box)
     vol = met.volume(dens)
-    detg = determinant(metric.matrix, box, spectral_floor=cfg.tolerances.spectral_floor)
-    sq = multiply(dens.nu, dens.nu, "exact")
+    detg = determinant(metric.matrix, box)
+    sq = multiply(dens.nu, dens.nu)
     report = {
         "volume": vol,
         "flat_reference": (2.0 * np.pi) ** cfg.geometry.n,
@@ -270,7 +252,7 @@ def cmd_oracle_compare(cfg, args):
 
     u = random_element(geometry, 3, rng)
     v = random_element(geometry, 2, rng)
-    algebraic["multiply"] = (multiply(u, v, "exact") - orc.oracle_multiply(u, v)).max_abs()
+    algebraic["multiply"] = (multiply(u, v) - orc.oracle_multiply(u, v)).max_abs()
     algebraic["adjoint"] = (adjoint(u) - orc.oracle_adjoint(u)).max_abs()
     from .algebra import derivation, inner_product, trace
 
@@ -291,7 +273,7 @@ def cmd_oracle_compare(cfg, args):
     inner = max(2, box.radius // 3)
     for fn in ("sqrt", "log", "exp", "inv"):
         arg = scale(x, 0.5) if fn == "exp" else x  # keep exp growth resolvable
-        a = functional_calculus(arg, fn, box, spectral_floor=cfg.tolerances.spectral_floor)
+        a = functional_calculus(arg, fn, box)
         b = orc.oracle_funcalc(arg, fn, radius=box.radius)
         spectral[f"funcalc_{fn}"] = (resize(a, inner) - resize(b, inner)).max_abs()
     d_main = determinant(metric.matrix, box)

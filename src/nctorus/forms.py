@@ -85,7 +85,7 @@ def differential(u):
 def left_action(a, omega):
     """Left module action (a . omega)_i = a omega_i."""
     return type(omega)(
-        omega.geometry, tuple(multiply(a, c, "exact") for c in omega.components)
+        omega.geometry, tuple(multiply(a, c) for c in omega.components)
     )
 
 
@@ -93,10 +93,10 @@ def modular_automorphism(density, x):
     """sigma_nu(x) = nu^{1/2} x nu^{-1/2}, componentwise on forms and fields."""
     s, zi = density.sqrt_nu, density.inv_sqrt_nu
     if isinstance(x, AlgebraElement):
-        return multiply(multiply(s, x, "exact"), zi, "exact")
+        return multiply(multiply(s, x), zi)
     return type(x)(
         x.geometry,
-        tuple(multiply(multiply(s, c, "exact"), zi, "exact") for c in x.components),
+        tuple(multiply(multiply(s, c), zi) for c in x.components),
     )
 
 
@@ -151,8 +151,8 @@ def _divergence(comps):
 def divergence_vector_field(X, nu, box=None):
     """div_nu(X) = sum_i d_i(X^i nu) nu^{-1}; its weight vanishes."""
     dens = as_density(nu, box)
-    x_nu = [multiply(x, dens.nu, "exact") for x in X.components]
-    return multiply(_divergence(x_nu), dens.inv_nu, "exact")
+    x_nu = [multiply(x, dens.nu) for x in X.components]
+    return multiply(_divergence(x_nu), dens.inv_nu)
 
 
 def divergence_one_form(omega, h, nu, box=None, h_inv=None):
@@ -160,7 +160,7 @@ def divergence_one_form(omega, h, nu, box=None, h_inv=None):
     dens = as_density(nu, box)
     a = _multipliers(dens, _dual(h, box, h_inv))
     a_omega = _product(omega.geometry, a.coeffs, _stack(omega.components)[:, None])
-    return multiply(dens.inv_nu, _divergence(a_omega), "exact")
+    return multiply(dens.inv_nu, _divergence(a_omega))
 
 
 def dual_vector_field(omega, h, box=None, h_inv=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
-from .calculus import TorusMatrix, make_positive, spectral_bounds
+from .calculus import SPECTRAL_FLOOR, TorusMatrix, make_positive, spectral_bounds
 from .errors import BoxTooLarge, NCTorusError, PositivityViolation
 from .metrics import (
     density_exp,
@@ -45,10 +45,10 @@ _METRIC_KEYS = {
     "functional": (("h", "poly"), ()),
     "explicit": (("entries",), ()),
 }
-_CONFIG_KEYS = (
-    "geometry", "box_radius", "multiplier_radius", "calc_radius", "stability_radius",
-    "metric", "nu", "tolerances", "seed", "count", "quadrature_points", "window",
-)
+# integer config keys; the radii after box_radius may be null, their default
+_RADIUS_KEYS = ("box_radius", "multiplier_radius", "calc_radius", "stability_radius")
+_INTEGER_KEYS = _RADIUS_KEYS + ("seed", "count", "quadrature_points")
+_CONFIG_KEYS = _INTEGER_KEYS + ("geometry", "metric", "nu", "tolerances", "window")
 # key sets of the object forms of a positive element spec (a bare literal is a list)
 _POSITIVE_SPEC_KEYS = ({"exp_of"}, {"witness"}, {"witness", "constant"})
 
@@ -58,14 +58,31 @@ _POSITIVE_SPEC_KEYS = ({"exp_of"}, {"witness"}, {"witness", "constant"})
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, what):
+    """A JSON integer as itself; anything else (a float, a bool) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what):
+    """A JSON number as a float; anything else (a string, a bool) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def geometry_to_literal(geometry):
     return {"n": geometry.n, "theta": geometry.theta.tolist()}
 
 
 def geometry_from_literal(lit):
-    n = int(lit["n"])
+    n = _integer(lit["n"], "geometry n")
     if "theta_upper" in lit:
-        return TorusGeometry.from_upper(n, [float(v) for v in lit["theta_upper"]])
+        upper = [_number(v, "theta_upper entry") for v in lit["theta_upper"]]
+        if len(upper) != n * (n - 1) // 2:
+            raise ValueError(f"theta_upper has {len(upper)} entries, n = {n} takes n(n-1)/2")
+        return TorusGeometry.from_upper(n, upper)
     return TorusGeometry(n, lit["theta"])
 
 
@@ -82,10 +99,10 @@ def element_to_literal(u, cutoff=0.0):
 def element_from_literal(geometry, literal, radius=None):
     modes = {}
     for item in literal:
-        k = tuple(int(x) for x in item["k"])
+        k = tuple(_integer(x, "mode component") for x in item["k"])
         if len(k) != geometry.n:
             raise ValueError(f"mode {k} has wrong dimension")
-        modes[k] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        modes[k] = complex(_number(item.get("re", 0.0), "re"), _number(item.get("im", 0.0), "im"))
     if not modes:
         return AlgebraElement.zeros(geometry, radius or 0)
     return AlgebraElement.from_modes(geometry, modes, radius=radius)
@@ -109,7 +126,7 @@ def form_from_literal(geometry, literal, kind):
     return kind(geometry, tuple(comps))
 
 
-def positive_element_from_spec(geometry, spec, box, spectral_floor=1e-8):
+def positive_element_from_spec(geometry, spec, box):
     """Positive invertible element from a config spec (see module docstring)."""
     if isinstance(spec, dict) and "exp_of" in spec:
         w = element_from_literal(geometry, spec["exp_of"])
@@ -123,21 +140,21 @@ def positive_element_from_spec(geometry, spec, box, spectral_floor=1e-8):
         return x
     x = element_from_literal(geometry, spec)
     lo, _ = spectral_bounds(scale(add(x, adjoint(x)), 0.5), box)
-    if lo < spectral_floor:
+    if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"element spec has compressed min {lo:.3e}")
     return x
 
 
-def density_from_spec(geometry, spec, box, spectral_floor=1e-8):
+def density_from_spec(geometry, spec, box):
     if isinstance(spec, dict) and "exp_of" in spec:
         w = element_from_literal(geometry, spec["exp_of"])
         w = scale(add(w, adjoint(w)), 0.5)
         return density_exp(w)
-    nu = positive_element_from_spec(geometry, spec, box, spectral_floor)
-    return density_from_element(nu, box, spectral_floor=spectral_floor)
+    nu = positive_element_from_spec(geometry, spec, box)
+    return density_from_element(nu, box)
 
 
-def metric_from_spec(geometry, spec, box, spectral_floor=1e-8):
+def metric_from_spec(geometry, spec, box):
     """Build and validate a metric from its JSON spec."""
     kind = spec.get("type", "flat")
     if kind == "flat":
@@ -145,13 +162,11 @@ def metric_from_spec(geometry, spec, box, spectral_floor=1e-8):
     if kind == "constant":
         return metric_constant(geometry, spec["matrix"], box=box)
     if kind == "conformal":
-        base = metric_from_spec(geometry, spec.get("base", {"type": "flat"}), box, spectral_floor)
-        k = positive_element_from_spec(geometry, spec["k"], box, spectral_floor)
-        return metric_conformal(base, k, box, spectral_floor=spectral_floor)
+        base = metric_from_spec(geometry, spec.get("base", {"type": "flat"}), box)
+        k = positive_element_from_spec(geometry, spec["k"], box)
+        return metric_conformal(base, k, box)
     if kind == "product":
-        blocks = [
-            metric_from_spec(geometry, b, box, spectral_floor) for b in spec["blocks"]
-        ]
+        blocks = [metric_from_spec(geometry, b, box) for b in spec["blocks"]]
         metric, _ = metric_product(blocks, box)
         return metric
     if kind == "functional":
@@ -163,12 +178,9 @@ def metric_from_spec(geometry, spec, box, spectral_floor=1e-8):
             powers = t ** np.arange(poly.shape[2])
             return np.einsum("ijd,d->ij", poly, powers)
 
-        return metric_functional(h, profile, box, spectral_floor=spectral_floor)
+        return metric_functional(h, profile, box)
     if kind == "explicit":
-        return validate_metric(
-            matrix_from_literal(geometry, spec["entries"]), box,
-            spectral_floor=spectral_floor,
-        )
+        return validate_metric(matrix_from_literal(geometry, spec["entries"]), box)
     raise ValueError(f"unknown metric spec type {kind!r}")
 
 
@@ -179,7 +191,6 @@ def metric_from_spec(geometry, spec, box, spectral_floor=1e-8):
 
 @dataclass
 class Tolerances:
-    spectral_floor: float = 1e-8
     stability_rel: float = 1e-3
     multiplicity: float = 1e-6
     asymmetry_threshold: float = 0.1
@@ -200,7 +211,7 @@ class Tolerances:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**{key: _number(value, f"tolerance {key}") for key, value in d.items()})
 
 
 @dataclass
@@ -227,18 +238,12 @@ class RunConfig:
         return LatticeBox(self.geometry.n, self.calc_radius or self.box_radius)
 
     def build_metric(self):
-        return metric_from_spec(
-            self.geometry, self.metric_spec, self.calc_box,
-            spectral_floor=self.tolerances.spectral_floor,
-        )
+        return metric_from_spec(self.geometry, self.metric_spec, self.calc_box)
 
     def build_density(self):
         if self.nu_spec is None:
             return None
-        return density_from_spec(
-            self.geometry, self.nu_spec, self.calc_box,
-            spectral_floor=self.tolerances.spectral_floor,
-        )
+        return density_from_spec(self.geometry, self.nu_spec, self.calc_box)
 
 
 def parse_window(text):
@@ -246,12 +251,19 @@ def parse_window(text):
     return int(lo), int(hi)
 
 
-def _check_positive_spec(spec):
-    if isinstance(spec, dict) and set(spec) not in _POSITIVE_SPEC_KEYS:
+def _check_positive_spec(geometry, spec):
+    if not isinstance(spec, dict):
+        element_from_literal(geometry, spec)
+        return
+    if set(spec) not in _POSITIVE_SPEC_KEYS:
         raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
+    element_from_literal(geometry, spec.get("exp_of", spec.get("witness")))
+    if _number(spec.get("constant", 1.0), "witness constant") <= 0:
+        raise ValueError(f"witness constant must be positive, got {spec['constant']}")
 
 
-def _check_metric_spec(spec):
+def _check_metric_spec(geometry, spec):
+    """Check a metric spec's keys and values; return the size m of its m x m matrix."""
     if not isinstance(spec, dict):
         raise ValueError(f"metric spec must be an object, got {spec!r}")
     kind = spec.get("type", "flat")
@@ -264,12 +276,25 @@ def _check_metric_spec(spec):
             f"{kind} metric spec has keys {sorted(keys)}, takes {list(required)}"
             + (f" and optionally {list(optional)}" if optional else "")
         )
+    n = geometry.n
+    if kind == "constant":
+        mat = np.asarray(spec["matrix"], dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"constant metric matrix has shape {mat.shape}, not m x m")
+        return mat.shape[0]
     if kind == "conformal":
-        _check_metric_spec(spec.get("base", {"type": "flat"}))
-        _check_positive_spec(spec["k"])
+        _check_positive_spec(geometry, spec["k"])
+        return _check_metric_spec(geometry, spec.get("base", {"type": "flat"}))
     if kind == "product":
-        for block in spec["blocks"]:
-            _check_metric_spec(block)
+        return sum(_check_metric_spec(geometry, block) for block in spec["blocks"])
+    if kind == "functional":
+        element_from_literal(geometry, spec["h"])
+        poly = np.asarray(spec["poly"], dtype=float)
+        if poly.ndim != 3 or poly.shape[:2] != (n, n):
+            raise ValueError(f"functional metric poly is not an {n} x {n} x (deg + 1) array")
+    if kind == "explicit":
+        return matrix_from_literal(geometry, spec["entries"]).m
+    return n
 
 
 def load_config(path):
@@ -300,7 +325,7 @@ def _check_dense_size(path, config):
     radius = max(
         config.box_radius,
         config.calc_box.radius,
-        config.box_radius + 2 if stability is None else int(stability),
+        config.box_radius + 2 if stability is None else stability,
     )
     d = n * (2 * radius + 1) ** n
     nbytes = 16 * d * d
@@ -317,31 +342,40 @@ def _parse_config(raw):
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     geometry = geometry_from_literal(raw["geometry"])
-    for key in ("box_radius", "multiplier_radius", "calc_radius", "stability_radius"):
-        if raw.get(key) is not None and int(raw[key]) < 0:
+    for key in _INTEGER_KEYS:
+        if key not in raw or (raw[key] is None and key in _RADIUS_KEYS[1:]):
+            continue
+        if _integer(raw[key], key) < 0 and key in _RADIUS_KEYS:
             raise ValueError(f"{key} must be >= 0, got {raw[key]}")
     mult = raw.get("multiplier_radius")
-    if mult is not None and 4 * int(mult) > int(raw["box_radius"]):
+    if mult is not None and 4 * mult > raw["box_radius"]:
         raise ValueError(f"multiplier_radius {mult} breaks 4 M <= box_radius {raw['box_radius']}")
-    _check_metric_spec(raw.get("metric", {"type": "flat"}))
-    _check_positive_spec(raw.get("nu"))
+    metric = raw.get("metric", {"type": "flat"})
+    size = _check_metric_spec(geometry, metric)
+    if size != geometry.n:
+        raise ValueError(f"metric is {size} x {size}, the {geometry.n}-torus needs "
+                         f"{geometry.n} x {geometry.n}")
+    if raw.get("nu") is not None:
+        _check_positive_spec(geometry, raw["nu"])
     window = raw.get("window")
     if isinstance(window, str):
         window = parse_window(window)
     elif window is not None:
-        window = (int(window[0]), int(window[1]))
+        if not isinstance(window, list) or len(window) != 2:
+            raise ValueError(f"window must be [lo, hi] or \"lo:hi\", got {window!r}")
+        window = tuple(_integer(w, "window bound") for w in window)
     return RunConfig(
         geometry=geometry,
-        box_radius=int(raw["box_radius"]),
-        multiplier_radius=raw.get("multiplier_radius"),
+        box_radius=raw["box_radius"],
+        multiplier_radius=mult,
         calc_radius=raw.get("calc_radius"),
         stability_radius=raw.get("stability_radius"),
-        metric_spec=raw.get("metric", {"type": "flat"}),
+        metric_spec=metric,
         nu_spec=raw.get("nu"),
         tolerances=Tolerances.from_dict(raw.get("tolerances", {})),
-        seed=int(raw.get("seed", 0)),
-        count=int(raw.get("count", 100)),
-        quadrature_points=int(raw.get("quadrature_points", 64)),
+        seed=raw.get("seed", 0),
+        count=raw.get("count", 100),
+        quadrature_points=raw.get("quadrature_points", 64),
         window=window,
     )
 

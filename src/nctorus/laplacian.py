@@ -43,7 +43,6 @@ from .algebra import (
     weighted_inner_product_opp,
 )
 from .calculus import (
-    DEFAULT_SPECTRAL_FLOOR,
     TorusMatrix,
     compress,
     element_from_vector,
@@ -117,7 +116,7 @@ class LaplaceBeltramiOperator:
         a = TorusMatrix(self.geometry, self.geometry.n, self.multipliers).coeffs
         du = _stack(differential(u).components)[:, None]
         div = _divergence(_product(self.geometry, a, du))
-        return scale(multiply(self.prefactor, div, "exact"), -1.0)
+        return scale(multiply(self.prefactor, div), -1.0)
 
 
 def _build_matrices(prefactor, sqrt_factor, multipliers, box):
@@ -139,15 +138,7 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box):
     return mat, t, s_mat, asym
 
 
-def assemble(
-    h,
-    nu,
-    box,
-    mult_radius=None,
-    calc_box=None,
-    h_inv=None,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-):
+def assemble(h, nu, box, mult_radius=None, calc_box=None, h_inv=None):
     """Assemble the operator for a Hermitian metric matrix and a density.
 
     mult_radius clips the derived multiplier elements; it must satisfy
@@ -168,8 +159,8 @@ def assemble(
     if h.m != h.geometry.n:
         raise ValueError(f"metric for the Laplacian must be {h.geometry.n} x {h.geometry.n}")
     if h_inv is None:
-        h_inv = calc.matrix_inverse(h, calc_box, spectral_floor=spectral_floor)
-    dens = as_density(nu, calc_box, spectral_floor=spectral_floor)
+        h_inv = calc.matrix_inverse(h, calc_box)
+    dens = as_density(nu, calc_box)
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
@@ -181,13 +172,7 @@ def assemble(
 
 
 def assemble_riemannian(
-    g,
-    box,
-    mult_radius=None,
-    calc_box=None,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-    self_compat_tol=1e-10,
-    density=None,
+    g, box, mult_radius=None, calc_box=None, self_compat_tol=1e-10, density=None
 ):
     """Operator of a validated metric: h^{ij} = g^{ij}, nu = sqrt(det g).
 
@@ -198,15 +183,8 @@ def assemble_riemannian(
     its interior-row residual is computed and stored.
     """
     calc_box = calc_box or g.box
-    dens = density or riemannian_density(g, box=calc_box, spectral_floor=spectral_floor)
-    op = assemble(
-        g,
-        dens,
-        box,
-        mult_radius=mult_radius,
-        calc_box=calc_box,
-        spectral_floor=spectral_floor,
-    )
+    dens = density or riemannian_density(g, box=calc_box)
+    op = assemble(g, dens, box, mult_radius=mult_radius, calc_box=calc_box)
     resid = np.nan
     if g.is_self_compatible(tol=self_compat_tol):
         b = _clip(TorusMatrix.scalar(dens.nu, g.n).matmul(g.inverse), mult_radius)
@@ -405,7 +383,7 @@ def principal_symbol_bounds(op, samples=16, calc_box=None):
 # ---------------------------------------------------------------------------
 
 
-def conformally_deformed_flat_matrix(k, box, calc_box=None, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def conformally_deformed_flat_matrix(k, box, calc_box=None):
     """Hermitian matrix of k^{-1} (flat Laplacian) k^{-1} on the box.
 
     This is the conformally deformed flat operator on the plain Hilbert
@@ -413,7 +391,7 @@ def conformally_deformed_flat_matrix(k, box, calc_box=None, spectral_floor=DEFAU
     Laplace-Beltrami operator, so stable spectra must match.
     """
     calc_box = calc_box or box
-    dk = density_from_element(k, calc_box, spectral_floor=spectral_floor)
+    dk = density_from_element(k, calc_box)
     k_inv_mat = compress(dk.inv_nu, box).matrix
     k2 = (np.abs(box.modes()) ** 2).sum(axis=1).astype(float)
     return k_inv_mat @ (k2[:, None] * k_inv_mat)
@@ -425,7 +403,6 @@ def conformal_covariance_check(
     box,
     calc_box=None,
     commute_tol=1e-9,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
     ghat=None,
     nu_g=None,
     nu_ghat=None,
@@ -458,20 +435,16 @@ def conformal_covariance_check(
     from .metrics import metric_conformal, validate_metric
 
     if not isinstance(g, RiemannianMetric):
-        g = validate_metric(g_mat, calc_box, spectral_floor=spectral_floor)
+        g = validate_metric(g_mat, calc_box)
     if ghat is None:
-        ghat = metric_conformal(g, k, calc_box, spectral_floor=spectral_floor)
+        ghat = metric_conformal(g, k, calc_box)
 
-    op_g = assemble_riemannian(
-        g, box, calc_box=calc_box, spectral_floor=spectral_floor, density=nu_g
-    )
-    op_hat = assemble_riemannian(
-        ghat, box, calc_box=calc_box, spectral_floor=spectral_floor, density=nu_ghat
-    )
+    op_g = assemble_riemannian(g, box, calc_box=calc_box, density=nu_g)
+    op_hat = assemble_riemannian(ghat, box, calc_box=calc_box, density=nu_ghat)
 
     if k_density is None:
-        k_density = density_from_element(k, calc_box, spectral_floor=spectral_floor)
-    k_inv_2 = multiply(k_density.inv_nu, k_density.inv_nu, "exact")
+        k_density = density_from_element(k, calc_box)
+    k_inv_2 = multiply(k_density.inv_nu, k_density.inv_nu)
     rhs = compress(k_inv_2, box).matrix @ op_g.matrix
 
     report = {"commutator": comm, "asymmetry_g": op_g.asymmetry, "asymmetry_ghat": op_hat.asymmetry}
@@ -485,14 +458,14 @@ def conformal_covariance_check(
 
     # gradient correction: sum_j M(c_j) D_j with
     # c_j = nu^{-1} k^{-n} sum_i d_i(k^{n-2}) a_ij
-    pref = multiply(op_g.nu.inv_nu, _integer_power(k_density.inv_nu, n), "exact")
+    pref = multiply(op_g.nu.inv_nu, _integer_power(k_density.inv_nu, n))
     grad = _stack(differential(_integer_power(k, n - 2)).components)[None]
     a = TorusMatrix(op_g.geometry, n, op_g.multipliers).coeffs
     modes = box.modes()
     corr = np.zeros((box.size, box.size), dtype=complex)
     for j, c in enumerate(_product(op_g.geometry, grad, a)):
         dj = 1j * modes[:, j].astype(float)
-        corr += compress(multiply(pref, c, "exact"), box).matrix * dj[None, :]
+        corr += compress(multiply(pref, c), box).matrix * dj[None, :]
     report["full_law_residual"] = float(
         np.max(np.abs((op_hat.matrix - (rhs - corr))[rows]))
     )
@@ -538,13 +511,7 @@ class WeylConstantResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def weyl_constant(
-    h,
-    box,
-    quadrature_points=64,
-    h_inv=None,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-):
+def weyl_constant(h, box, quadrature_points=64, h_inv=None):
     """Eigenvalue-counting constant of the metric by sphere quadrature.
 
     Integrates tau((xi, xi)_{h^{-1}}^{-n/2}) over the unit sphere and divides
@@ -558,14 +525,12 @@ def weyl_constant(
     else:
         metric = None
         if h_inv is None:
-            h_inv = calc.matrix_inverse(h, box, spectral_floor=spectral_floor)
+            h_inv = calc.matrix_inverse(h, box)
     n = h.geometry.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
     total = 0.0
     for xi, w in zip(nodes, weights):
-        val = functional_calculus(
-            _symbol(h_inv, xi), ("pow", -n / 2.0), box, spectral_floor=spectral_floor
-        )
+        val = functional_calculus(_symbol(h_inv, xi), ("pow", -n / 2.0), box)
         total += w * float(trace(val).real)
     quad = total / n
     closed = np.nan

@@ -34,7 +34,7 @@ from .algebra import (
     trace,
 )
 from .calculus import (
-    DEFAULT_SPECTRAL_FLOOR,
+    SPECTRAL_FLOOR,
     TorusMatrix,
     compatibility_residual,
     functional_calculus,
@@ -46,6 +46,7 @@ from .errors import (
     HypothesisViolated,
     MetricValidationError,
     PositivityViolation,
+    SpectralFloorViolation,
     SpectrumOutsideDomain,
 )
 
@@ -78,65 +79,59 @@ def density_one(geometry):
 
 def _family_residual(nu, sqrt_nu, inv_sqrt_nu, inv_nu):
     one = AlgebraElement.identity(nu.geometry)
-    r1 = add(multiply(nu, inv_nu, "exact"), scale(one, -1.0)).max_abs()
-    r2 = add(multiply(sqrt_nu, inv_sqrt_nu, "exact"), scale(one, -1.0)).max_abs()
-    r3 = add(multiply(sqrt_nu, sqrt_nu, "exact"), scale(nu, -1.0)).max_abs()
-    r4 = add(multiply(inv_sqrt_nu, inv_sqrt_nu, "exact"), scale(inv_nu, -1.0)).max_abs()
+    r1 = add(multiply(nu, inv_nu), scale(one, -1.0)).max_abs()
+    r2 = add(multiply(sqrt_nu, inv_sqrt_nu), scale(one, -1.0)).max_abs()
+    r3 = add(multiply(sqrt_nu, sqrt_nu), scale(nu, -1.0)).max_abs()
+    r4 = add(multiply(inv_sqrt_nu, inv_sqrt_nu), scale(inv_nu, -1.0)).max_abs()
     return max(r1, r2, r3, r4)
 
 
-def density_exp(w, radius=None):
+def density_exp(w):
     """Density nu = exp(w) for selfadjoint w, with all powers from the series."""
     if not is_selfadjoint(w, tol=1e-12):
         raise PositivityViolation("exponent must be selfadjoint")
-    nu = exp_series(w, radius=radius)
-    sq = exp_series(scale(w, 0.5), radius=radius)
-    isq = exp_series(scale(w, -0.5), radius=radius)
-    inv = exp_series(scale(w, -1.0), radius=radius)
+    nu = exp_series(w)
+    sq = exp_series(scale(w, 0.5))
+    isq = exp_series(scale(w, -0.5))
+    inv = exp_series(scale(w, -1.0))
     return Density(
         nu, sq, isq, inv, _family_residual(nu, sq, isq, inv), provenance="exp"
     )
 
 
-def density_from_element(
-    nu,
-    box,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-    refine_radius=None,
-    refine_tol=1e-13,
-    provenance="explicit",
-):
+def density_from_element(nu, box, refine_radius=None, provenance="explicit"):
     """Density from an explicit positive invertible element.
 
     Validates selfadjointness, takes the inverse square root by spectral
     calculus (which refuses a compressed spectrum below the floor with a
     SpectralFloorViolation, a PositivityViolation), and Newton-polishes it
-    so the power family is mutually consistent to near refine_tol (limited
-    by the coefficient decay of nu^{-1/2} at the refinement radius).
+    so the power family is mutually consistent to near the Newton
+    tolerance (limited by the coefficient decay of nu^{-1/2} at the
+    refinement radius).
     """
     resid = selfadjoint_residual(nu)
     if resid > 1e-10 * (1.0 + nu.max_abs()):
         raise PositivityViolation(f"density not selfadjoint (residual {resid:.3e})")
     if refine_radius is None:
         refine_radius = 2 * box.radius
-    guess = functional_calculus(nu, "inv_sqrt", box, spectral_floor=spectral_floor)
-    z, _ = calc.refine_inverse_sqrt(nu, guess, refine_radius, tol=refine_tol)
+    guess = functional_calculus(nu, "inv_sqrt", box)
+    z, _ = calc.refine_inverse_sqrt(nu, guess, refine_radius)
     from .algebra import trim
 
     cut = 1e-17 * max(1.0, nu.max_abs())
     z = trim(z, cut)
-    sqrt_nu = trim(multiply(nu, z, "exact"), cut)
-    inv_nu = trim(multiply(z, z, "exact"), cut)
+    sqrt_nu = trim(multiply(nu, z), cut)
+    inv_nu = trim(multiply(z, z), cut)
     res = _family_residual(nu, sqrt_nu, z, inv_nu)
     return Density(nu, sqrt_nu, z, inv_nu, res, provenance=provenance)
 
 
-def as_density(nu, box=None, **kw):
+def as_density(nu, box=None):
     if isinstance(nu, Density):
         return nu
     if box is None:
         raise ValueError("box required to build a density from a raw element")
-    return density_from_element(nu, box, **kw)
+    return density_from_element(nu, box)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +144,6 @@ class MetricValidationReport:
     selfadjoint_residual: float
     inverse_selfadjoint_residual: float
     inverse_residual: float
-    spectral_min: float
-    spectral_max: float
     self_compatibility: float
 
 
@@ -194,40 +187,36 @@ def _entry_selfadjoint_residual(h):
     return (h - h.adjoint().transpose()).max_abs()
 
 
-def validate_metric(
-    g,
-    box,
-    spectral_floor=DEFAULT_SPECTRAL_FLOOR,
-    provenance="explicit",
-    inverse=None,
-):
+def validate_metric(g, box, provenance="explicit", inverse=None):
     """Validate a candidate metric matrix and return a RiemannianMetric.
 
     Checks, in order: selfadjoint entries, positive invertibility of the
-    compression, selfadjoint entries of the computed inverse, and the
-    interior residual of g g^{-1} = 1.  Raises MetricValidationError with
-    the measured report on failure.  The inverse selfadjointness test is
-    what rejects positive matrices with selfadjoint entries whose inverse
-    leaves the real subspace.  Size m < n is allowed (product-metric
-    blocks); a full metric for the Laplacian must be n x n.
+    compression (the floor test of the inverse's Cholesky factor),
+    selfadjoint entries of the computed inverse, and the interior residual
+    of g g^{-1} = 1.  Raises MetricValidationError with the measured report
+    on failure.  The inverse selfadjointness test is what rejects positive
+    matrices with selfadjoint entries whose inverse leaves the real
+    subspace.  A caller that supplies the inverse has tested positivity
+    itself.  Size m < n is allowed (product-metric blocks); a full metric
+    for the Laplacian must be n x n.
     """
     sa = _entry_selfadjoint_residual(g)
     amp = 1.0 + g.max_abs()
-    lo, hi = spectral_bounds(g, box) if sa <= _SELFADJOINT_TOL * amp else (np.nan, np.nan)
 
     def _report(inv_sa=np.nan, inv_res=np.nan, self_comp=np.nan):
-        return MetricValidationReport(sa, inv_sa, inv_res, lo, hi, self_comp)
+        return MetricValidationReport(sa, inv_sa, inv_res, self_comp)
 
     if sa > _SELFADJOINT_TOL * amp:
         raise MetricValidationError(
             f"metric entries not selfadjoint (residual {sa:.3e})", _report()
         )
-    if lo < spectral_floor:
-        raise MetricValidationError(
-            f"metric not positive invertible (compressed min {lo:.3e})", _report()
-        )
     if inverse is None:
-        inverse = calc.matrix_inverse(g, box, spectral_floor=spectral_floor)
+        try:
+            inverse = calc.matrix_inverse(g, box)
+        except SpectralFloorViolation as exc:
+            raise MetricValidationError(
+                f"metric not positive invertible ({exc})", _report()
+            ) from None
     inv_sa = _entry_selfadjoint_residual(inverse)
     inv_amp = 1.0 + inverse.max_abs()
     if inv_sa > _SELFADJOINT_TOL * inv_amp:
@@ -256,7 +245,7 @@ def metric_flat(geometry):
     """Euclidean metric g_ij = delta_ij; its inverse and density are exact."""
     n = geometry.n
     eye = TorusMatrix.identity(geometry, n)
-    report = MetricValidationReport(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
+    report = MetricValidationReport(0.0, 0.0, 0.0, 0.0)
     return RiemannianMetric(eye, eye, LatticeBox(n, 0), report, provenance="flat")
 
 
@@ -265,18 +254,24 @@ def metric_constant(geometry, mat, box=None):
     mat = np.asarray(mat, dtype=float)
     if not np.allclose(mat, mat.T):
         raise MetricValidationError("constant metric must be symmetric")
+    # the compression of a constant matrix has the matrix's eigenvalues
+    lam_min = float(np.linalg.eigvalsh(mat)[0])
+    if lam_min < SPECTRAL_FLOOR:
+        raise MetricValidationError(
+            f"constant metric not positive definite (min eigenvalue {lam_min:.3e})"
+        )
     g = TorusMatrix.from_scalar_matrix(geometry, mat)
     inv = TorusMatrix.from_scalar_matrix(geometry, np.linalg.inv(mat))
     box = box or LatticeBox(geometry.n, 2)
     return validate_metric(g, box, provenance="constant", inverse=inv)
 
 
-def metric_conformal(base, k, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def metric_conformal(base, k, box):
     """Conformal deformation: entries k g_ij k for positive invertible k."""
     if not is_selfadjoint(k, tol=1e-10):
         raise PositivityViolation("conformal factor must be selfadjoint")
     lo, _ = spectral_bounds(k, box)
-    if lo < spectral_floor:
+    if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
     g = base.matrix if isinstance(base, RiemannianMetric) else base
     k_eye = TorusMatrix.scalar(k, g.m)
@@ -295,7 +290,7 @@ def metric_product(blocks, box):
     return metric, compat
 
 
-def metric_functional(h, profile, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def metric_functional(h, profile, box):
     """Functional metric g_ij = g_ij(h) for a selfadjoint generator h.
 
     profile maps a real t to an n x n SPD matrix; it is sampled at the
@@ -322,10 +317,7 @@ def metric_functional(h, profile, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
     cols = vecs @ (samples * vecs[i0].conj()[:, None, None]).reshape(-1, n * n)
     coeffs = cols.T.reshape((n, n) + box.shape)
     return validate_metric(
-        TorusMatrix.from_coeffs(geometry, coeffs),
-        box,
-        spectral_floor=spectral_floor,
-        provenance="functional",
+        TorusMatrix.from_coeffs(geometry, coeffs), box, provenance="functional"
     )
 
 
@@ -334,7 +326,7 @@ def metric_functional(h, profile, box, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
 # ---------------------------------------------------------------------------
 
 
-def riemannian_density(g, box=None, spectral_floor=DEFAULT_SPECTRAL_FLOOR, refine_tol=1e-13):
+def riemannian_density(g, box=None):
     """Volume element of a metric: sqrt(det g) = exp(Tr(log g) / 2)."""
     if isinstance(g, RiemannianMetric):
         box = box or g.box
@@ -345,24 +337,18 @@ def riemannian_density(g, box=None, spectral_floor=DEFAULT_SPECTRAL_FLOOR, refin
         mat = g
         if box is None:
             raise ValueError("box required")
-    log_g = functional_calculus(mat, "log", box, spectral_floor=spectral_floor)
+    log_g = functional_calculus(mat, "log", box)
     half_trace = scale(matrix_trace(log_g), 0.5)
     nu = functional_calculus(half_trace, "exp", box)
     nu = scale(add(nu, adjoint(nu)), 0.5)  # clear roundoff off the real subspace
-    return density_from_element(
-        nu,
-        box,
-        spectral_floor=spectral_floor,
-        refine_tol=refine_tol,
-        provenance="riemannian",
-    )
+    return density_from_element(nu, box, provenance="riemannian")
 
 
 def weight(nu, u):
     """Weight of a density: (2 pi)^n tau(u nu)."""
     nu_elem = nu.nu if isinstance(nu, Density) else nu
     n = nu_elem.geometry.n
-    return (2.0 * np.pi) ** n * trace(multiply(u, nu_elem, "exact"))
+    return (2.0 * np.pi) ** n * trace(multiply(u, nu_elem))
 
 
 def volume(g_or_density, box=None):
@@ -426,7 +412,7 @@ def conformal_density_residual(g, k, box):
     comm = compatibility_residual(TorusMatrix.scalar(k, 1), mat)
     if comm > 1e-9 * (1.0 + k.max_abs() * mat.max_abs()):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-    scaled = TorusMatrix.scalar(multiply(k, k, "exact"), mat.m).matmul(mat)
+    scaled = TorusMatrix.scalar(multiply(k, k), mat.m).matmul(mat)
     nu_scaled = riemannian_density(scaled, box=box)
     nu_g = riemannian_density(mat, box=box)
-    return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu, "exact")).max_abs()
+    return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu)).max_abs()

@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox
-from .calculus import _resolve_function
+from .calculus import SPECTRAL_FLOOR, _resolve_function
 from .errors import AliasingRisk, NonzeroTheta, SpectralFloorViolation
-
-DEFAULT_SPECTRAL_FLOOR = 1e-8
 
 
 def _require_commutative(geometry):
@@ -25,10 +23,10 @@ def _require_commutative(geometry):
         raise NonzeroTheta("grid oracle only applies to theta = 0")
 
 
-def grid_for(*elements, factor=4):
+def grid_for(*elements):
     """Grid size with the stated oversampling for the given elements."""
     max_mode = max((e.support_radius() for e in elements), default=0)
-    return factor * max(1, max_mode) + 1
+    return 4 * max(1, max_mode) + 1
 
 
 def to_grid(u, grid_size=None):
@@ -86,14 +84,14 @@ def _real_samples(x, grid):
     return samples.real
 
 
-def oracle_funcalc(x, fn, radius, grid_size=None, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def oracle_funcalc(x, fn, radius):
     """Pointwise f of the (real) sample values of a selfadjoint element."""
     _, f, needs_floor = _resolve_function(fn)
-    grid = grid_size or max(grid_for(x), 2 * radius + 1)
+    grid = max(grid_for(x), 2 * radius + 1)
     vals = _real_samples(x, grid)
-    if needs_floor and vals.min() < spectral_floor:
+    if needs_floor and vals.min() < SPECTRAL_FLOOR:
         raise SpectralFloorViolation(
-            f"sampled values reach {vals.min():.3e} < floor {spectral_floor:.1e}"
+            f"sampled values reach {vals.min():.3e} < floor {SPECTRAL_FLOOR:.1e}"
         )
     return from_grid(x.geometry, np.asarray(f(vals), dtype=complex), radius)
 
@@ -107,19 +105,19 @@ def _matrix_samples(h, grid):
     return fields
 
 
-def oracle_matrix_funcalc(h, fn, radius, grid_size=None, spectral_floor=DEFAULT_SPECTRAL_FLOOR):
+def oracle_matrix_funcalc(h, fn, radius):
     """Pointwise matrix function of a selfadjoint matrix field (batched eigh)."""
     from .calculus import TorusMatrix
 
     _require_commutative(h.geometry)
     _, f, needs_floor = _resolve_function(fn)
-    grid = grid_size or max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
+    grid = max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
     fields = _matrix_samples(h, grid)
     fields = 0.5 * (fields + np.conj(np.swapaxes(fields, -1, -2)))
     lam, vecs = np.linalg.eigh(fields)
-    if needs_floor and lam.min() < spectral_floor:
+    if needs_floor and lam.min() < SPECTRAL_FLOOR:
         raise SpectralFloorViolation(
-            f"sampled spectrum reaches {lam.min():.3e} < floor {spectral_floor:.1e}"
+            f"sampled spectrum reaches {lam.min():.3e} < floor {SPECTRAL_FLOOR:.1e}"
         )
     fl = np.asarray(f(lam))
     out = np.einsum("...ik,...k,...jk->...ij", vecs, fl, np.conj(vecs))
@@ -130,20 +128,20 @@ def oracle_matrix_funcalc(h, fn, radius, grid_size=None, spectral_floor=DEFAULT_
     return TorusMatrix(h.geometry, h.m, entries)
 
 
-def oracle_det(h, radius, grid_size=None):
+def oracle_det(h, radius):
     """Pointwise classical determinant of the sampled matrix field."""
     _require_commutative(h.geometry)
-    grid = grid_size or max(
+    grid = max(
         4 * max(1, h.box.radius) + 1, 2 * radius + 1, 2 * h.m * h.box.radius + 1
     )
     fields = _matrix_samples(h, grid)
     return from_grid(h.geometry, np.linalg.det(fields), radius)
 
 
-def oracle_density(h, radius, grid_size=None):
+def oracle_density(h, radius):
     """Pointwise sqrt(det) of a positive matrix field."""
     _require_commutative(h.geometry)
-    grid = grid_size or max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
+    grid = max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)
     fields = _matrix_samples(h, grid)
     dets = np.linalg.det(fields).real
     if dets.min() <= 0:
@@ -159,7 +157,7 @@ def _grid_derivative(samples, axis):
     return np.fft.ifftn(np.fft.fftn(samples) * (1j * freq.reshape(shape)))
 
 
-def oracle_laplacian_apply(prefactor, multipliers, u, grid_size=None):
+def oracle_laplacian_apply(prefactor, multipliers, u):
     """-p sum_ij d_i(a_ij d_j u) by Fourier multipliers and pointwise products.
 
     Takes the same multiplier elements as the assembled operator, so the
@@ -170,7 +168,7 @@ def oracle_laplacian_apply(prefactor, multipliers, u, grid_size=None):
     n = u.geometry.n
     sup_a = max(a.support_radius() for row in multipliers for a in row)
     radius = u.support_radius() + sup_a + prefactor.support_radius()
-    grid = grid_size or max(2 * radius + 1, 4 * max(1, u.support_radius()) + 1)
+    grid = max(2 * radius + 1, 4 * max(1, u.support_radius()) + 1)
     u_s = to_grid(u, grid)
     p_s = to_grid(prefactor, grid)
     acc = np.zeros_like(u_s)
@@ -181,7 +179,7 @@ def oracle_laplacian_apply(prefactor, multipliers, u, grid_size=None):
     return from_grid(u.geometry, -p_s * acc, radius)
 
 
-def oracle_laplacian_matrix(prefactor, multipliers, box, grid_size=None):
+def oracle_laplacian_matrix(prefactor, multipliers, box):
     """Column-by-column grid assembly of the operator on the box.
 
     Multiplier fields are sampled once; per basis mode the inner derivative
@@ -193,7 +191,7 @@ def oracle_laplacian_matrix(prefactor, multipliers, box, grid_size=None):
     n = geometry.n
     sup_a = max(a.support_radius() for row in multipliers for a in row)
     radius_needed = box.radius + sup_a + prefactor.support_radius()
-    grid = grid_size or max(2 * radius_needed + 1, 4 * max(1, box.radius) + 1)
+    grid = max(2 * radius_needed + 1, 4 * max(1, box.radius) + 1)
     p_s = to_grid(prefactor, grid)
     a_s = [[to_grid(multipliers[i][j], grid) for j in range(n)] for i in range(n)]
     freq = np.fft.fftfreq(grid, d=1.0 / grid)

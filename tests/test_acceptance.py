@@ -71,9 +71,9 @@ def test_criterion_02_generator_relation_and_cocycle():
                 ej[j], ek[k] = 1, 1
                 vj = AlgebraElement.basis(geom, ej)
                 vk = AlgebraElement.basis(geom, ek)
-                lhs = alg.multiply(vk, vj, "exact")
+                lhs = alg.multiply(vk, vj)
                 rhs = alg.scale(
-                    alg.multiply(vj, vk, "exact"),
+                    alg.multiply(vj, vk),
                     np.exp(2j * np.pi * geom.theta[j, k]),
                 )
                 worst = max(worst, coeff_diff(lhs, rhs))
@@ -88,8 +88,8 @@ def test_criterion_03_determinant_suite():
     geom = TorusGeometry.two_torus(IRRATIONAL)
     w_factor = trig_pair(geom, 0, 0.15) + trig_pair(geom, 1, 0.1)
     dk = met.density_exp(w_factor)
-    k2 = alg.multiply(dk.nu, dk.nu, "exact")
-    k4 = alg.multiply(k2, k2, "exact")
+    k2 = alg.multiply(dk.nu, dk.nu)
+    k4 = alg.multiply(k2, k2)
     flat = met.metric_flat(geom)
     per_box = []
     for radius in (6, 8, 10):
@@ -223,7 +223,7 @@ def test_criterion_08_master_oracle():
     u = random_element(geom, 3, rng)
     v = random_element(geom, 2, rng)
     algebraic["multiply"] = coeff_diff(
-        alg.multiply(u, v, "exact"), orc.oracle_multiply(u, v)
+        alg.multiply(u, v), orc.oracle_multiply(u, v)
     )
     algebraic["adjoint"] = coeff_diff(alg.adjoint(u), orc.oracle_adjoint(u))
     grid = orc.grid_for(u)
@@ -296,9 +296,8 @@ def test_criterion_08_master_oracle():
                     tuple(
                         tuple(
                             alg.multiply(
-                                alg.multiply(op.nu.sqrt_nu, op.h_inv.entries[i][j], "exact"),
+                                alg.multiply(op.nu.sqrt_nu, op.h_inv.entries[i][j]),
                                 op.nu.sqrt_nu,
-                                "exact",
                             )
                             for j in range(2)
                         )
@@ -401,8 +400,8 @@ def test_n3_smoke():
     g0 = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
     g0inv = np.linalg.inv(g0)
     base = met.metric_constant(geom3, g0, box=LatticeBox(3, 2))
-    k2 = alg.multiply(dk.nu, dk.nu, "exact")
-    k2inv = alg.multiply(dk.inv_nu, dk.inv_nu, "exact")
+    k2 = alg.multiply(dk.nu, dk.nu)
+    k2inv = alg.multiply(dk.inv_nu, dk.inv_nu)
     ghat = met.validate_metric(
         TorusMatrix(geom3, 3, [[alg.scale(k2, g0[i, j]) for j in range(3)] for i in range(3)]),
         LatticeBox(3, 2),

@@ -55,7 +55,7 @@ def test_compress_matches_multiplication(geom, rng):
     left = calc.element_from_vector(
         geom, box, calc.compress(u, box).matrix @ calc.coefficient_vector(v, box)
     )
-    right = alg.resize(alg.multiply(u, v, "exact"), box.radius)
+    right = alg.resize(alg.multiply(u, v), box.radius)
     # interior modes agree; boundary rows lose the clipped tail
     assert coeff_diff(alg.resize(left, 3), alg.resize(right, 3)) < 1e-13
 
@@ -87,7 +87,7 @@ def test_spectral_floor_violation(geom):
         calc.matrix_inverse(x, box)
     # shifted so that the compressed minimum sits 1e-9 above or below the floor
     one = AlgebraElement.identity(geom)
-    floor = calc.DEFAULT_SPECTRAL_FLOOR
+    floor = calc.SPECTRAL_FLOOR
     above = alg.add(x, alg.scale(one, floor + 1e-9 - lam_min))
     below = alg.add(x, alg.scale(one, floor - 1e-9 - lam_min))
     assert np.linalg.eigvalsh(calc.compress(above, box).matrix)[0] > floor
@@ -134,7 +134,7 @@ def test_roundtrips_tighten_with_box(geom):
         )
         resid_log.append(coeff_diff(alg.resize(back, 3), alg.resize(x, 3)))
         root = calc.functional_calculus(x, "sqrt", box)
-        sq = alg.multiply(root, root, "exact")
+        sq = alg.multiply(root, root)
         resid_sqrt.append(coeff_diff(alg.resize(sq, 3), alg.resize(x, 3)))
         back2 = calc.functional_calculus(
             calc.functional_calculus(x, ("pow", 0.4), box), ("pow", 2.5), box
@@ -149,7 +149,7 @@ def test_polynomial_exactness(geom):
     x = alg.add(alg.scale(AlgebraElement.identity(geom), 2.0), trig_pair(geom, 0, 0.5))
     box = LatticeBox(2, 8)
     sq = calc.functional_calculus(x, ("pow", 2), box)
-    direct = alg.multiply(x, x, "exact")
+    direct = alg.multiply(x, x)
     assert coeff_diff(alg.resize(sq, 6), alg.resize(direct, 6)) < 1e-13
 
 
@@ -175,7 +175,7 @@ def test_make_positive_matrix_worked_example(geom):
     # h = [[1, a], [a, a^2 + b^2]] up to the positivity shift
     assert coeff_diff(h.entries[0][1], a) < 1e-8
     assert coeff_diff(h.entries[1][0], a) < 1e-8
-    aabb = alg.add(alg.multiply(a, a, "exact"), alg.multiply(b, b, "exact"))
+    aabb = alg.add(alg.multiply(a, a), alg.multiply(b, b))
     assert coeff_diff(h.entries[1][1], aabb) < 1e-8
     assert calc.certificate_residual(cert, h) < 1e-14
 
@@ -232,7 +232,7 @@ def test_determinant_scalar_matrix(geom):
         )
         expect = AlgebraElement.identity(geom)
         for _ in range(m):
-            expect = alg.multiply(expect, k, "exact")
+            expect = alg.multiply(expect, k)
         assert coeff_diff(calc.determinant(km, box), expect) < 1e-8
 
 
@@ -267,7 +267,7 @@ def test_determinant_conjugation_invariance(geom):
     box = LatticeBox(2, 8)
     k = _exp_element(geom, 0.12, 0.08)
     zero = AlgebraElement.zeros(geom, 0)
-    h = TorusMatrix(geom, 2, [[k, zero], [zero, alg.multiply(k, k, "exact")]])
+    h = TorusMatrix(geom, 2, [[k, zero], [zero, alg.multiply(k, k)]])
     c, s = np.cos(0.6), np.sin(0.6)
     u = TorusMatrix.from_scalar_matrix(geom, [[c, -s], [s, c]])
     report = calc.determinant_identities_check(h, conjugator=u, box=box)
@@ -293,7 +293,7 @@ def test_determinant_hypothesis_violation(geom):
 def test_self_compatible_leibniz(geom):
     box = LatticeBox(2, 10)
     k = _exp_element(geom, 0.15, 0.1)
-    k2 = alg.multiply(k, k, "exact")
+    k2 = alg.multiply(k, k)
     zero = AlgebraElement.zeros(geom, 0)
     h = TorusMatrix(geom, 2, [[k2, zero], [zero, k2]])
     assert calc.self_compatibility_residual(h) < 1e-14
@@ -357,6 +357,6 @@ def test_matrix_array_ops_match_entrywise(geom, rng):
     for i in range(m):
         for j in range(m):
             e = functools.reduce(
-                alg.add, (alg.multiply(ea[i][l], eb[l][j], "exact") for l in range(m))
+                alg.add, (alg.multiply(ea[i][l], eb[l][j]) for l in range(m))
             )
             assert coeff_diff(ab.entries[i][j], e) <= 1e-13 * e.max_abs()

@@ -37,11 +37,11 @@ def test_kernel_of_differential_is_constants(geom):
 
 def test_differential_leibniz(geom, rng):
     u, v = random_element(geom, 2, rng), random_element(geom, 2, rng)
-    duv = forms.differential(alg.multiply(u, v, "exact"))
+    duv = forms.differential(alg.multiply(u, v))
     for i in range(2):
         expect = alg.add(
-            alg.multiply(alg.derivation(u, i), v, "exact"),
-            alg.multiply(u, alg.derivation(v, i), "exact"),
+            alg.multiply(alg.derivation(u, i), v),
+            alg.multiply(u, alg.derivation(v, i)),
         )
         assert coeff_diff(duv.components[i], expect) < 1e-13
 
@@ -52,7 +52,7 @@ def test_left_action(geom, rng):
     acted = forms.left_action(a, omega)
     for i in range(2):
         assert coeff_diff(
-            acted.components[i], alg.multiply(a, omega.components[i], "exact")
+            acted.components[i], alg.multiply(a, omega.components[i])
         ) == 0.0
 
 
@@ -63,8 +63,8 @@ def test_modular_automorphism(geom, rng):
     dens = random_density(geom, rng, amplitude=0.2)
     v = random_element(geom, 2, rng)
     su, sv = (forms.modular_automorphism(dens, x) for x in (u, v))
-    suv = forms.modular_automorphism(dens, alg.multiply(u, v, "exact"))
-    assert coeff_diff(suv, alg.multiply(su, sv, "exact")) < 1e-9
+    suv = forms.modular_automorphism(dens, alg.multiply(u, v))
+    assert coeff_diff(suv, alg.multiply(su, sv)) < 1e-9
     lhs = alg.weighted_inner_product_opp(u, v, dens.nu)
     rhs = alg.weighted_inner_product(su, sv, dens.nu)
     assert abs(lhs - rhs) < 1e-10

@@ -209,6 +209,7 @@ def test_cli_failure_paths(tmp_path):
         None,  # no config file at all
         {"tolerances": {"kernal": 1e-8}},
         {"tolerances": {"selfadjoint": 1e-30, "inverse": 1e-30}},  # removed keys
+        {"tolerances": {"spectral_floor": 0.6}},  # removed: a constant of calculus
         {"metric": {"type": "conformall"}},
         {"metric": {"type": "conformal", "base": {"type": "flatt"}, "k": []}},
         {"box_radius": -3},
@@ -219,11 +220,22 @@ def test_cli_failure_paths(tmp_path):
         {"metric": {"type": "constant", "matrx": [[1.0, 0.0], [0.0, 1.0]]}},
         {"metric": {"type": "functional", "h": [{"k": [1, 0], "re": 0.1, "im": 0}]}},
         {"metric": {"type": "explicit"}},
+        {"metric": {"type": "constant", "matrix": "abc"}},
+        {"metric": {"type": "conformal", "k": [{"k": [1, 0, 0], "re": 1.0, "im": 0}]}},
+        {"metric": {"type": "conformal", "k": {"exp_of": 5}}},
+        {"window": [5]},
+        {"box_radius": 10.7},
+        {"metric": {"type": "constant", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                   [0.0, 0.0, 1.0]]}},
+        {"tolerances": {"kernel": "tight"}},
+        {"geometry": {"n": 2, "theta_upper": [0.3, 0.2]}},
     ],
-    ids=["missing-file", "tolerance-typo", "removed-tolerances", "metric-type",
-         "base-metric-type", "negative-radius", "top-level-typo", "positive-spec-typo",
-         "multiplier-radius-too-large", "constant-spec-typo", "functional-spec-no-poly",
-         "explicit-spec-no-entries"],
+    ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
+         "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
+         "positive-spec-typo", "multiplier-radius-too-large", "constant-spec-typo",
+         "functional-spec-no-poly", "explicit-spec-no-entries", "constant-matrix-string",
+         "mode-wrong-dimension", "exp-of-number", "window-one-bound", "box-radius-float",
+         "metric-wrong-size", "tolerance-string", "theta-upper-length"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

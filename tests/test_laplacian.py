@@ -215,7 +215,7 @@ def test_product_metric_expanded_operator(geom, rng):
     gmat = TorusMatrix(
         geom,
         2,
-        [[alg.multiply(k1, k1, "exact"), zero], [zero, alg.multiply(k2, k2, "exact")]],
+        [[alg.multiply(k1, k1), zero], [zero, alg.multiply(k2, k2)]],
     )
     g = met.validate_metric(gmat, LatticeBox(2, 10))
     op = lap.assemble_riemannian(g, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
@@ -223,20 +223,17 @@ def test_product_metric_expanded_operator(geom, rng):
     lhs = alg.scale(op.apply(u), -1.0)
     k1i, k2i = alg.exp_series(alg.scale(w, -1.0)), alg.exp_series(alg.scale(w, -0.7))
     term = lambda ki, axis: alg.multiply(
-        alg.multiply(ki, ki, "exact"),
+        alg.multiply(ki, ki),
         alg.derivation(alg.derivation(u, axis), axis),
-        "exact",
     )
-    inv12 = alg.multiply(k1i, k2i, "exact")
+    inv12 = alg.multiply(k1i, k2i)
     grad1 = alg.multiply(
-        alg.multiply(inv12, alg.derivation(alg.multiply(k2, k1i, "exact"), 0), "exact"),
+        alg.multiply(inv12, alg.derivation(alg.multiply(k2, k1i), 0)),
         alg.derivation(u, 0),
-        "exact",
     )
     grad2 = alg.multiply(
-        alg.multiply(inv12, alg.derivation(alg.multiply(k1, k2i, "exact"), 1), "exact"),
+        alg.multiply(inv12, alg.derivation(alg.multiply(k1, k2i), 1)),
         alg.derivation(u, 1),
-        "exact",
     )
     rhs = alg.add(alg.add(term(k1i, 0), term(k2i, 1)), alg.add(grad1, grad2))
     assert coeff_diff(alg.resize(lhs, 5), alg.resize(rhs, 5)) < 1e-7
@@ -261,7 +258,7 @@ def test_weyl_constant_conformal(geom):
     dk, ct = _ct_metric(geom)
     wc = lap.weyl_constant(ct, LatticeBox(2, 8), quadrature_points=48)
     assert wc.residual < 1e-6
-    expect = np.pi * alg.trace(alg.multiply(dk.nu, dk.nu, "exact")).real
+    expect = np.pi * alg.trace(alg.multiply(dk.nu, dk.nu)).real
     assert wc.closed_form == pytest.approx(expect, rel=1e-10)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_conformally_flat_entries(geom):
     box = LatticeBox(2, 8)
     dk = _exp_density(geom)
     g = met.metric_conformal(met.metric_flat(geom), dk.nu, box)
-    k2 = alg.multiply(dk.nu, dk.nu, "exact")
+    k2 = alg.multiply(dk.nu, dk.nu)
     assert coeff_diff(g.matrix.entries[0][0], k2) < 1e-14
     assert coeff_diff(g.matrix.entries[1][1], k2) < 1e-14
     assert g.report.self_compatibility < 1e-13
@@ -87,10 +89,10 @@ def test_riemannian_density_flat_and_conformal(geom):
     dk = _exp_density(geom)
     ct = met.metric_conformal(flat, dk.nu, box)
     dens = met.riemannian_density(ct)
-    k2 = alg.multiply(dk.nu, dk.nu, "exact")
+    k2 = alg.multiply(dk.nu, dk.nu)
     assert coeff_diff(dens.nu, k2) < 1e-8  # nu(k^2 I) = k^n, n = 2
     detg = calc.determinant(ct.matrix, box)
-    nusq = alg.multiply(dens.nu, dens.nu, "exact")
+    nusq = alg.multiply(dens.nu, dens.nu)
     assert coeff_diff(nusq, detg) < 1e-8
 
 
@@ -100,14 +102,14 @@ def test_product_metric_density(geom):
     k1 = alg.exp_series(w)
     k2 = alg.exp_series(alg.scale(w, 0.7))  # commutes with k1
     b1 = met.validate_metric(
-        TorusMatrix(geom, 2, [[alg.multiply(k1, k1, "exact"),
+        TorusMatrix(geom, 2, [[alg.multiply(k1, k1),
                                AlgebraElement.zeros(geom, 0)],
                               [AlgebraElement.zeros(geom, 0),
-                               alg.multiply(k2, k2, "exact")]]),
+                               alg.multiply(k2, k2)]]),
         box,
     )
     dens = met.riemannian_density(b1)
-    assert coeff_diff(dens.nu, alg.multiply(k1, k2, "exact")) < 1e-8
+    assert coeff_diff(dens.nu, alg.multiply(k1, k2)) < 1e-8
 
 
 def test_metric_product_blocks(geom):
@@ -138,7 +140,7 @@ def test_weight_positivity_and_sandwich(geom, rng):
     dens = _exp_density(geom)
     for _ in range(5):
         u = random_element(geom, 2, rng)
-        val = met.weight(dens, alg.multiply(alg.adjoint(u), u, "exact"))
+        val = met.weight(dens, alg.multiply(alg.adjoint(u), u))
         assert val.real >= -1e-12 and abs(val.imag) < 1e-10
     x, _ = calc.make_positive(random_element(geom, 2, rng, 0.5), 0.5)
     s = met.weight_trace_sandwich(dens, x, box)
@@ -192,6 +194,19 @@ def test_validation_rejects_nonselfadjoint_entries(geom):
     h = TorusMatrix(geom, 2, [[one, v], [v, one]])
     with pytest.raises(MetricValidationError):
         met.validate_metric(h, box)
+
+
+def test_validation_rejects_nonpositive(geom):
+    box = LatticeBox(2, 5)
+    one = AlgebraElement.identity(geom)
+    zero = AlgebraElement.zeros(geom, 0)
+    h = TorusMatrix(geom, 2, [[one, zero], [zero, trig_pair(geom, 0)]])  # diag(1, a)
+    lam_min = np.linalg.eigvalsh(calc.compress(h, box).matrix)[0]
+    assert lam_min < 0
+    with pytest.raises(MetricValidationError, match=re.escape(f"reaches {lam_min:.3e}")):
+        met.validate_metric(h, box)
+    with pytest.raises(MetricValidationError):
+        met.metric_constant(geom, [[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_density_from_element_consistency(geom):
