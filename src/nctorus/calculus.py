@@ -4,13 +4,17 @@ Functions of selfadjoint elements (sqrt, log, exp, powers, inverses) are
 evaluated by compressing left multiplication to a finite lattice box and
 reading coefficients off f(C) applied to the cyclic vector(s) e_j (x) V_0,
 with C the resulting Hermitian matrix.  Inverses are one Cholesky solve of
-C with those m right-hand sides; every other function diagonalizes C and
-applies the function to its eigenvalues.  The compression of a selfadjoint
-element is exactly Hermitian because the truncated Fourier basis is
-orthonormal and aligned with the coefficient grid.  For an element
-supported in B_M and a polynomial of degree d the readout is exact on the
-modes of B_{N-dM}; for analytic functions the truncation error decays as the
-box grows, which the tests measure rather than assume.
+C with those m right-hand sides.  Every other function runs block Lanczos
+on the m cyclic vectors and applies the function to the small
+block-tridiagonal matrix it builds; when that readout has not settled within
+a fixed number of blocks, C is diagonalized instead.  Functions singular at
+0 first test C against the spectral floor by a Cholesky factorization, on
+every path.  The compression of a selfadjoint element is exactly Hermitian
+because the truncated Fourier basis is orthonormal and aligned with the
+coefficient grid.  For an element supported in B_M and a polynomial of
+degree d the readout is exact on the modes of B_{N-dM}; for analytic
+functions the truncation error decays as the box grows, which the tests
+measure rather than assume.
 
 The determinant of a positive invertible matrix h over the algebra is
 exp(Tr(log h)) with Tr the entrywise matrix trace; it is multiplicative
@@ -355,37 +359,98 @@ def _floor_violation(name, lam_min):
     )
 
 
-def _inverse_columns(mat, cyclic, name):
-    """Columns C^{-1} e_j at the cyclic rows, by one Cholesky factor of C.
+def _require_floor(mat, name):
+    """Refuse C unless its spectrum lies above SPECTRAL_FLOOR.
 
-    Factoring C - floor I is the floor test: it succeeds exactly when the
-    spectrum of C lies above the floor.  lambda_min is computed only for
-    the refusal's message.
+    Factoring C - floor I is the test: it succeeds exactly when the spectrum
+    of C lies above the floor.  lambda_min is computed only for the
+    refusal's message.
     """
-    d = mat.shape[0]
-    shifted = np.array(mat)
-    shifted.flat[:: d + 1] -= SPECTRAL_FLOOR
-    rhs = np.zeros((d, len(cyclic)), dtype=complex)
-    rhs[cyclic, np.arange(len(cyclic))] = 1.0
+    shifted = np.array(mat, order="F")  # factored in place by LAPACK
+    shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
     try:
-        scipy.linalg.cholesky(shifted, check_finite=False)
-        factor = scipy.linalg.cho_factor(mat, check_finite=False)
+        scipy.linalg.cholesky(shifted, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         lam_min = float(np.linalg.eigvalsh(mat)[0])
         raise _floor_violation(name, lam_min) from None
+
+
+def _unit_columns(d, cyclic):
+    """The d x m block E of the unit columns e_j at the cyclic rows."""
+    e = np.zeros((d, len(cyclic)), dtype=complex)
+    e[cyclic, np.arange(len(cyclic))] = 1.0
+    return e
+
+
+def _inverse_columns(mat, cyclic):
+    """Columns C^{-1} e_j at the cyclic rows, by one Cholesky solve."""
+    factor = scipy.linalg.cho_factor(mat, check_finite=False)
+    rhs = _unit_columns(mat.shape[0], cyclic)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
-def _eigen_columns(mat, cyclic, f, name, needs_floor):
+def _eigen_columns(mat, cyclic, f):
     """Columns f(C) e_j at the cyclic rows, from the eigendecomposition of C."""
     lam, vecs = np.linalg.eigh(mat)
-    if needs_floor and lam[0] < SPECTRAL_FLOOR:
-        raise _floor_violation(name, lam[0])
     fvals = np.asarray(f(lam), dtype=complex)
     cols = np.empty((mat.shape[0], len(cyclic)), dtype=complex)
     for j, row in enumerate(cyclic):
         cols[:, j] = vecs @ (fvals * vecs[row].conj())
     return cols
+
+
+# block Lanczos stops once two successive readouts differ by at most
+# _LANCZOS_TOL times their largest entry, and hands over to the dense readout
+# when that has not happened within _LANCZOS_MAX_BLOCKS blocks
+_LANCZOS_TOL = 1e-14
+_LANCZOS_MAX_BLOCKS = 80
+
+
+def _lanczos_columns(mat, cyclic, f):
+    """Columns f(C) e_j at the cyclic rows, by block Lanczos started on them.
+
+    With Q the orthonormal Krylov basis and T = Q* C Q its block-tridiagonal
+    compression, f(C) E is read as Q f(T)[:, :m].  Each new block is
+    orthogonalized twice against all previous ones (full
+    reorthogonalization), so Q stays orthonormal to roundoff.  Returns None,
+    for the dense readout to take over, when the readout has not settled
+    within the block cap or when the residual block loses rank exactly.
+    """
+    d, m = mat.shape[0], len(cyclic)
+    blocks = min(_LANCZOS_MAX_BLOCKS, d // m)
+    basis = np.zeros((d, m * blocks), dtype=complex)
+    basis[:, :m] = _unit_columns(d, cyclic)
+    t = np.zeros((m * blocks, m * blocks), dtype=complex)
+    previous = None
+    for k in range(blocks):
+        lo, hi = k * m, (k + 1) * m
+        q = basis[:, :hi]
+        w = mat @ basis[:, lo:hi]
+        a = basis[:, lo:hi].conj().T @ w
+        t[lo:hi, lo:hi] = 0.5 * (a + a.conj().T)
+        for _ in range(2):
+            w -= q @ (q.conj().T @ w)
+        lam, vecs = np.linalg.eigh(t[:hi, :hi])
+        fvals = np.asarray(f(lam), dtype=complex)
+        cols = q @ (vecs @ (fvals[:, None] * vecs[:m].conj().T))
+        if not w.any():
+            return cols  # the Krylov space is invariant: the readout is exact
+        if previous is not None and (
+            np.max(np.abs(cols - previous)) <= _LANCZOS_TOL * np.max(np.abs(cols))
+        ):
+            return cols
+        if k + 1 == blocks:
+            break
+        new, b = np.linalg.qr(w)
+        if not b.diagonal().all():
+            # one column's Krylov space closed before the others': QR would
+            # fill the gap with a direction that need not be orthogonal to Q
+            return None
+        previous = cols
+        basis[:, hi : hi + m] = new
+        t[hi : hi + m, lo:hi] = b
+        t[lo:hi, hi : hi + m] = b.conj().T
+    return None
 
 
 def functional_calculus(x, fn, box):
@@ -395,23 +460,29 @@ def functional_calculus(x, fn, box):
     case, and the result has the form of x).  fn is one of "sqrt",
     "inv_sqrt", "log", "exp", "inv", ("pow", s), or a vectorized callable on
     eigenvalues.  Functions singular at 0 refuse inputs whose compressed
-    spectrum dips below SPECTRAL_FLOOR.  The inverse (also ("pow", -1)) is a
-    Cholesky solve on the cyclic columns; every other function diagonalizes
-    the compression.  The result lives on the compression box; callers clip
-    as needed.
+    spectrum dips below SPECTRAL_FLOOR, tested by a Cholesky factorization
+    of the compression minus the floor.  The inverse (also ("pow", -1)) is
+    a Cholesky solve on the cyclic columns; every other function runs block
+    Lanczos on the cyclic vectors, with the dense eigendecomposition of the
+    compression as the fallback when Lanczos has not converged.  The result
+    lives on the compression box; callers clip as needed.
     """
     name, f, needs_floor = _resolve_function(fn)
     h = _as_matrix(x)
     _require_selfadjoint(h)
     mat = compress(h, box).matrix
+    if needs_floor:
+        _require_floor(mat, name)
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     m = h.m
     i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
     cyclic = np.arange(m) * box.size + i0
     if f is _reciprocal:
-        cols = _inverse_columns(mat, cyclic, name)
+        cols = _inverse_columns(mat, cyclic)
     else:
-        cols = _eigen_columns(mat, cyclic, f, name, needs_floor)
+        cols = _lanczos_columns(mat, cyclic, f)
+        if cols is None:
+            cols = _eigen_columns(mat, cyclic, f)
     coeffs = cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
     out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     # f real on the spectrum of a selfadjoint input makes f(x) selfadjoint;
@@ -467,29 +538,6 @@ def certificate_residual(certificate, x):
 # ---------------------------------------------------------------------------
 # Newton refinement in the algebra (used to tighten density power families)
 # ---------------------------------------------------------------------------
-
-
-def refine_inverse(x, guess, radius, tol=1e-13, max_iter=40):
-    """Polish an approximate inverse by X <- X + X(1 - xX), clipped per step.
-
-    Returns (X, residual) with residual = max coefficient of xX - 1 after the
-    final clip.  Quadratically convergent once the starting residual is < 1
-    in the l1 coefficient norm; the attainable residual is limited by the
-    decay of the true inverse at the cap radius.
-    """
-    one = AlgebraElement.identity(x.geometry)
-    X = resize(guess, radius)
-    best, best_res = X, np.inf
-    for _ in range(max_iter):
-        r = resize(add(one, scale(multiply(x, X), -1.0)), radius)
-        res = r.max_abs()
-        if res < best_res:
-            best, best_res = X, res
-        if res <= tol or res >= best_res * 4.0:
-            break
-        X = resize(add(X, multiply(X, r)), radius)
-    r = add(one, scale(multiply(x, best), -1.0))
-    return best, r.max_abs()
 
 
 def refine_inverse_sqrt(x, guess, radius, tol=1e-13, max_iter=60):

@@ -70,9 +70,17 @@ def _assembled(cfg):
     return metric, lap.assemble(metric, nu, **kwargs)
 
 
+def _count(args, default):
+    """The --count flag, else the config's count; a count below 1 is invalid input."""
+    count = default if args.count is None else args.count
+    if count < 1:
+        raise NCTorusError(f"--count must be >= 1, got {count}")
+    return count
+
+
 def cmd_spectrum(cfg, args):
+    count = _count(args, cfg.count)
     metric, op = _assembled(cfg)
-    count = args.count or cfg.count
     result = lap.spectrum(
         op,
         count=count,
@@ -99,6 +107,7 @@ def cmd_spectrum(cfg, args):
 
 
 def cmd_weyl(cfg, args):
+    window = nio.parse_window(args.window) if args.window else cfg.window
     metric, op = _assembled(cfg)
     result = lap.spectrum(
         op,
@@ -106,8 +115,6 @@ def cmd_weyl(cfg, args):
         rel_tol=cfg.tolerances.stability_rel,
         asymmetry_threshold=cfg.tolerances.asymmetry_threshold,
     )
-    n = cfg.geometry.n
-    window = nio.parse_window(args.window) if args.window else cfg.window
     if window is None:
         hi = result.stable_count() - 1
         window = (max(1, hi // 6), hi)
@@ -203,7 +210,7 @@ def cmd_adjoint_check(cfg, args):
     geometry = cfg.geometry
     box = cfg.calc_box
     interior = max(1, cfg.box_radius // 2)
-    count = args.count or min(cfg.count, 50)
+    count = _count(args, min(cfg.count, 50))
     worst = 0.0
     for _ in range(count):
         h, _ = random_hermitian_matrix(geometry, geometry.n, 1, rng, amplitude=0.2)

@@ -247,8 +247,12 @@ class RunConfig:
 
 
 def parse_window(text):
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
+    """An index window "lo:hi" as the pair (lo, hi); anything else raises NCTorusError."""
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise NCTorusError(f'window must be "lo:hi" with two integers, got {text!r}') from None
+    return lo, hi
 
 
 def _check_positive_spec(geometry, spec):
@@ -307,7 +311,7 @@ def load_config(path):
         with open(path, encoding="utf8") as f:
             raw = json.load(f)
         config = _parse_config(raw)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, NCTorusError) as exc:
         raise NCTorusError(f"config {path}: {type(exc).__name__}: {exc}") from exc
     _check_dense_size(path, config)
     return config
@@ -347,6 +351,8 @@ def _parse_config(raw):
             continue
         if _integer(raw[key], key) < 0 and key in _RADIUS_KEYS:
             raise ValueError(f"{key} must be >= 0, got {raw[key]}")
+    if raw.get("count", 1) < 1:
+        raise ValueError(f"count must be >= 1, got {raw['count']}")
     mult = raw.get("multiplier_radius")
     if mult is not None and 4 * mult > raw["box_radius"]:
         raise ValueError(f"multiplier_radius {mult} breaks 4 M <= box_radius {raw['box_radius']}")

@@ -1,11 +1,14 @@
 import functools
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg, calculus as calc, metrics as met
-from nctorus.algebra import AlgebraElement, LatticeBox
+from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry
 from nctorus.calculus import TorusMatrix
 from nctorus.errors import (
     HypothesisViolated,
@@ -61,10 +64,14 @@ def test_compress_matches_multiplication(geom, rng):
 
 
 def test_functional_calculus_scalar(geom):
+    # the compression of 4 is 4 I: the first Lanczos block spans an invariant
+    # subspace, and the readout is exact
     box = LatticeBox(2, 4)
     four = alg.scale(AlgebraElement.identity(geom), 4.0)
     root = calc.functional_calculus(four, "sqrt", box)
-    assert coeff_diff(root, alg.scale(AlgebraElement.identity(geom), 2.0)) < 1e-13
+    assert coeff_diff(root, alg.scale(AlgebraElement.identity(geom), 2.0)) == 0.0
+    root = calc.functional_calculus(TorusMatrix.identity(geom, 2).scale(4.0), "sqrt", box)
+    assert coeff_diff(root, TorusMatrix.identity(geom, 2).scale(2.0)) == 0.0
 
 
 def test_functional_calculus_rejects_nonselfadjoint(geom):
@@ -76,16 +83,18 @@ def test_functional_calculus_rejects_nonselfadjoint(geom):
 def test_spectral_floor_violation(geom):
     box = LatticeBox(2, 5)
     x = trig_pair(geom, 0)  # spectrum approaches [-2, 2]
-    with pytest.raises(SpectralFloorViolation):
-        calc.functional_calculus(x, "log", box)
-    # the inverse's Cholesky floor test names the compressed minimum
-    lam_min = np.linalg.eigvalsh(calc.compress(x, box).matrix)[0]
-    named = re.escape(f"reaches {lam_min:.3e}")
-    with pytest.raises(SpectralFloorViolation, match=named):
-        calc.functional_calculus(x, "inv", box)
-    with pytest.raises(SpectralFloorViolation, match=named):
+    # the Cholesky floor test names the compressed minimum
+    def named(h):
+        return re.escape(f"reaches {np.linalg.eigvalsh(calc.compress(h, box).matrix)[0]:.3e}")
+
+    singular = ("inv", "sqrt", "inv_sqrt", "log", ("pow", 0.5))
+    for fn in singular:
+        with pytest.raises(SpectralFloorViolation, match=named(x)):
+            calc.functional_calculus(x, fn, box)
+    with pytest.raises(SpectralFloorViolation, match=named(x)):
         calc.matrix_inverse(x, box)
     # shifted so that the compressed minimum sits 1e-9 above or below the floor
+    lam_min = np.linalg.eigvalsh(calc.compress(x, box).matrix)[0]
     one = AlgebraElement.identity(geom)
     floor = calc.SPECTRAL_FLOOR
     above = alg.add(x, alg.scale(one, floor + 1e-9 - lam_min))
@@ -94,13 +103,23 @@ def test_spectral_floor_violation(geom):
     calc.matrix_inverse(above, box)
     with pytest.raises(SpectralFloorViolation):
         calc.matrix_inverse(below, box)
+    for fn in singular[1:]:
+        calc.functional_calculus(above, fn, box)
+        with pytest.raises(SpectralFloorViolation, match=named(below)):
+            calc.functional_calculus(below, fn, box)
 
 
-def _eigen_inverse(h, box):
-    """C^{-1} on the cyclic columns, read off the eigenvectors of the compression."""
+def _resolved(fn):
+    """The vectorized callable behind a function spec."""
+    return calc._resolve_function(fn)[1]
+
+
+def _eigen_readout(h, box, f):
+    """f(C) on the cyclic columns, read off the eigenvectors of the compression."""
     lam, vecs = np.linalg.eigh(calc.compress(h, box).matrix)
+    fvals = np.asarray(f(lam), dtype=complex)
     i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
-    cols = [vecs @ (vecs[j * box.size + i0].conj() / lam) for j in range(h.m)]
+    cols = [vecs @ (fvals * vecs[j * box.size + i0].conj()) for j in range(h.m)]
     coeffs = np.stack([c.reshape((h.m,) + box.shape) for c in cols], axis=1)
     out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     return (out + out.adjoint()).scale(0.5)
@@ -114,14 +133,61 @@ def test_inverse_solve_matches_eigen_readout(geom, rng):
     x = alg.add(
         alg.scale(AlgebraElement.identity(geom), 2.0), random_selfadjoint(geom, 2, rng, 0.2)
     )
-    cases = [(g, _eigen_inverse(g, box)),
-             (x, _eigen_inverse(TorusMatrix(geom, 1, [[x]]), box).entries[0][0])]
+    reciprocal = _resolved("inv")
+    cases = [(g, _eigen_readout(g, box, reciprocal)),
+             (x, _eigen_readout(TorusMatrix(geom, 1, [[x]]), box, reciprocal).entries[0][0])]
     for h, old in cases:
         inv = calc.functional_calculus(h, "inv", box)
         assert coeff_diff(inv, old) <= 1e-13 * old.max_abs()
         # matrix_inverse and ("pow", -1) are the same solve, down to the last bit
         assert coeff_diff(calc.matrix_inverse(h, box), inv) == 0.0
         assert coeff_diff(calc.functional_calculus(h, ("pow", -1), box), inv) == 0.0
+
+
+_LANCZOS_FUNCTIONS = ("log", "sqrt", "inv_sqrt", "exp", ("pow", 0.5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([1, 2]),
+    upper=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lanczos_matches_dense_readout(n, m, upper, seed):
+    """Block Lanczos against the dense eigenvector readout, at random theta."""
+    geometry = TorusGeometry.from_upper(n, upper[: n * (n - 1) // 2])
+    rng = np.random.default_rng(seed)
+    h, _ = random_hermitian_matrix(geometry, m, 1, rng)
+    box = LatticeBox(n, 4 if n == 2 else 2)
+    # the dense fallback must not run: every result here is Lanczos's
+    with mock.patch.object(calc, "_eigen_columns", side_effect=AssertionError("fallback")):
+        for fn in _LANCZOS_FUNCTIONS:
+            got = calc.functional_calculus(h, fn, box)
+            want = _eigen_readout(h, box, _resolved(fn))
+            assert coeff_diff(got, want) <= 1e-13 * want.max_abs()
+
+
+def test_lanczos_falls_back_to_dense_readout(geom, monkeypatch):
+    x = alg.add(alg.scale(AlgebraElement.identity(geom), 2.0), trig_pair(geom, 0, 0.5))
+    h = TorusMatrix(geom, 1, [[x]])
+    box = LatticeBox(2, 6)
+    dense = _eigen_readout(h, box, np.log).entries[0][0]
+    lanczos = calc.functional_calculus(x, "log", box)
+    assert 0.0 < coeff_diff(lanczos, dense) <= 1e-13 * dense.max_abs()
+    # the constant entry closes its column's Krylov space after one block,
+    # before the other column's: the dense readout takes over at once
+    two = alg.scale(AlgebraElement.identity(geom), 2.0)
+    zero = AlgebraElement.zeros(geom, 0)
+    split = TorusMatrix(geom, 2, [[two, zero], [zero, x]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no Ritz values off the spectrum reach log
+        assert coeff_diff(
+            calc.functional_calculus(split, "log", box), _eigen_readout(split, box, np.log)
+        ) == 0.0
+    # one block cannot settle the readout, so the dense one comes back, bit for bit
+    monkeypatch.setattr(calc, "_LANCZOS_MAX_BLOCKS", 1)
+    assert coeff_diff(calc.functional_calculus(x, "log", box), dense) == 0.0
 
 
 def test_roundtrips_tighten_with_box(geom):
@@ -307,12 +373,9 @@ def test_refinement_residuals(geom):
         alg.scale(AlgebraElement.identity(geom), 1.5), trig_pair(geom, 0, 0.3)
     )
     box = LatticeBox(2, 10)
-    guess = calc.functional_calculus(nu, "inv", box)
-    _, res = calc.refine_inverse(nu, guess, radius=20)
+    guess = calc.functional_calculus(nu, "inv_sqrt", box)
+    _, res = calc.refine_inverse_sqrt(nu, guess, radius=20)
     assert res < 1e-13
-    guess2 = calc.functional_calculus(nu, "inv_sqrt", box)
-    _, res2 = calc.refine_inverse_sqrt(nu, guess2, radius=20)
-    assert res2 < 1e-13
 
 
 def test_matrix_array_ops_match_entrywise(geom, rng):

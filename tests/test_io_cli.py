@@ -229,13 +229,16 @@ def test_cli_failure_paths(tmp_path):
                                                    [0.0, 0.0, 1.0]]}},
         {"tolerances": {"kernel": "tight"}},
         {"geometry": {"n": 2, "theta_upper": [0.3, 0.2]}},
+        {"count": 0},
+        {"window": "5"},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
          "positive-spec-typo", "multiplier-radius-too-large", "constant-spec-typo",
          "functional-spec-no-poly", "explicit-spec-no-entries", "constant-matrix-string",
          "mode-wrong-dimension", "exp-of-number", "window-one-bound", "box-radius-float",
-         "metric-wrong-size", "tolerance-string", "theta-upper-length"],
+         "metric-wrong-size", "tolerance-string", "theta-upper-length", "count-zero",
+         "window-string-one-bound"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
@@ -247,6 +250,29 @@ def test_cli_config_errors(tmp_path, capsys, overrides):
         nio.load_config(cfg)
     capsys.readouterr()
     assert cli.main(["volume", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "--window", "5"],
+        ["weyl", "--window", "a:b"],
+        ["adjoint-check", "--count", "0"],
+        ["adjoint-check", "--count", "-1"],
+        ["spectrum", "--count", "0"],
+        ["spectrum", "--count", "-1"],
+    ],
+    ids=["window-one-bound", "window-not-integers", "adjoint-count-zero",
+         "adjoint-count-negative", "spectrum-count-zero", "spectrum-count-negative"],
+)
+def test_cli_flag_errors(tmp_path, capsys, argv):
+    # a bad flag is invalid input like a bad config: exit 2, one error line, no gates
+    cfg = _write_cfg(tmp_path)
+    assert cli.main([*argv, "--config", cfg]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
