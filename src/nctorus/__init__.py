@@ -12,7 +12,6 @@ from .algebra import (
     resize,
     sobolev_norm,
     trace,
-    weighted_inner_product,
     weighted_inner_product_opp,
 )
 from .calculus import (

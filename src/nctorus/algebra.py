@@ -424,11 +424,6 @@ def inner_product(u, v):
     return complex(np.vdot(resize(v, r).table, resize(u, r).table))
 
 
-def weighted_inner_product(u, v, nu):
-    """Density-weighted inner product <u, v>_nu = tau(u nu v*)."""
-    return inner_product(multiply(u, nu), v)
-
-
 def weighted_inner_product_opp(u, v, nu):
     """Opposite-side weighted inner product <u, v>_nu^o = tau(v* nu u)."""
     return inner_product(multiply(nu, u), v)

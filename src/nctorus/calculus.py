@@ -303,11 +303,6 @@ def compress(x, box):
     return CompressedOperator(h.geometry, box, h.m, mat)
 
 
-def coefficient_vector(x, box):
-    """Flatten an element's coefficients into the enumeration of a (possibly larger) box."""
-    return resize(x, box.radius).vector()
-
-
 def element_from_vector(geometry, box, vec):
     return AlgebraElement(geometry, box, np.asarray(vec, dtype=complex).reshape(box.shape))
 
@@ -527,12 +522,6 @@ def make_positive(y, c):
     w = _as_matrix(y)
     x = w.adjoint().matmul(w) + TorusMatrix.identity(w.geometry, w.m).scale(c)
     return _like(y, x), PositivityCertificate(y, float(c))
-
-
-def certificate_residual(certificate, x):
-    """Max coefficient error of the reconstruction y* y + c against x."""
-    rebuilt, _ = make_positive(certificate.witness, certificate.constant)
-    return (x - rebuilt).max_abs()
 
 
 # ---------------------------------------------------------------------------

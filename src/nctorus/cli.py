@@ -23,9 +23,12 @@ from .algebra import (
     _integer_power,
     add,
     adjoint,
+    derivation,
+    inner_product,
     multiply,
     resize,
     scale,
+    trace,
 )
 from .calculus import (
     TorusMatrix,
@@ -261,8 +264,6 @@ def cmd_oracle_compare(cfg, args):
     v = random_element(geometry, 2, rng)
     algebraic["multiply"] = (multiply(u, v) - orc.oracle_multiply(u, v)).max_abs()
     algebraic["adjoint"] = (adjoint(u) - orc.oracle_adjoint(u)).max_abs()
-    from .algebra import derivation, inner_product, trace
-
     gu = orc.to_grid(u, orc.grid_for(u))
     gv = orc.to_grid(v, orc.grid_for(u))
     algebraic["trace"] = abs(trace(u) - complex(gu.mean()))

@@ -32,6 +32,7 @@ from .algebra import (
     multiply,
     resize,
     scale,
+    weighted_inner_product_opp,
 )
 from .calculus import TorusMatrix, matrix_inverse
 from .errors import GeometryMismatch
@@ -80,13 +81,6 @@ class VectorField(_Components):
 def differential(u):
     """du with components d_i(u); kernel on truncated elements is span{1}."""
     return OneForm(u.geometry, tuple(derivation(u, i) for i in range(u.geometry.n)))
-
-
-def left_action(a, omega):
-    """Left module action (a . omega)_i = a omega_i."""
-    return type(omega)(
-        omega.geometry, tuple(multiply(a, c) for c in omega.components)
-    )
 
 
 def modular_automorphism(density, x):
@@ -163,19 +157,12 @@ def divergence_one_form(omega, h, nu, box=None, h_inv=None):
     return multiply(dens.inv_nu, _divergence(a_omega))
 
 
-def dual_vector_field(omega, h, box=None, h_inv=None):
-    """X_omega^h = sum_ij omega_j* h^{ji} d_i, the metric dual of a form."""
-    stars = _stack([adjoint(c) for c in omega.components])[None]
-    comps = _product(omega.geometry, stars, _dual(h, box, h_inv).coeffs)
-    return VectorField(omega.geometry, tuple(comps))
-
-
 def twisted_dual_vector_field(omega, h, nu, box=None, h_inv=None):
     """X_omega^{h,nu} = sum_ij omega_j* nu^{1/2} h^{ji} nu^{-1/2} d_i.
 
     The divergence of a form is the adjoint of the divergence of this field:
     delta(omega) = [div_nu(X_omega^{h,nu})]*; when [h, nu] = 0 it reduces to
-    the plain metric dual.
+    the plain metric dual sum_ij omega_j* h^{ji} d_i.
     """
     dens = as_density(nu, box)
     n = omega.geometry.n
@@ -191,8 +178,6 @@ def twisted_dual_vector_field(omega, h, nu, box=None, h_inv=None):
 
 def adjointness_residual(omega, u, h, nu, box=None, h_inv=None):
     """|<-delta(omega), u>_nu^o - <omega, du>_h,nu^o| for one instance."""
-    from .algebra import weighted_inner_product_opp
-
     dens = as_density(nu, box)
     delta = divergence_one_form(omega, h, dens, box=box, h_inv=h_inv)
     lhs = weighted_inner_product_opp(scale(delta, -1.0), u, dens.nu)

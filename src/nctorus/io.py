@@ -1,11 +1,12 @@
 """File formats: JSON literals, run configuration, spectra CSV.
 
 Element literal: a list of {"k": [k1, ..., kn], "re": float, "im": float}
-entries; geometry literal: {"n": int, "theta": [[...]]} or {"n": int,
-"theta_upper": [...]} (strictly upper-triangular entries, row by row, which
-guarantees exact antisymmetry through JSON round-trips).  Matrix literals
-are m x m nested element literals; form literals are lists of n element
-literals.
+entries, "re" and "im" optional; geometry literal: {"n": int, "theta":
+[[...]]} or {"n": int, "theta_upper": [...]} (strictly upper-triangular
+entries, row by row, which guarantees exact antisymmetry through JSON
+round-trips).  Matrix literals are m x m nested element literals.  Any
+other key is refused.  Literals are only read; the one file written here is
+the spectrum CSV.
 
 Positive elements in metric/density specs may be given three ways:
 a bare literal (positivity checked by compressed spectral bounds),
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
+from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, exp_series, scale
 from .calculus import SPECTRAL_FLOOR, TorusMatrix, make_positive, spectral_bounds
 from .errors import BoxTooLarge, NCTorusError, PositivityViolation
 from .metrics import (
@@ -72,11 +73,12 @@ def _number(value, what):
     return float(value)
 
 
-def geometry_to_literal(geometry):
-    return {"n": geometry.n, "theta": geometry.theta.tolist()}
-
-
 def geometry_from_literal(lit):
+    keys = set(lit)
+    if not keys <= {"n", "theta", "theta_upper"} or {"theta", "theta_upper"} <= keys:
+        raise ValueError(
+            f"geometry has keys {sorted(keys)}, takes n and one of theta, theta_upper"
+        )
     n = _integer(lit["n"], "geometry n")
     if "theta_upper" in lit:
         upper = [_number(v, "theta_upper entry") for v in lit["theta_upper"]]
@@ -86,19 +88,11 @@ def geometry_from_literal(lit):
     return TorusGeometry(n, lit["theta"])
 
 
-def element_to_literal(u, cutoff=0.0):
-    out = []
-    r = u.box.radius
-    for off in np.argwhere(np.abs(u.table) > cutoff):
-        k = off - r
-        c = u.table[tuple(off)]
-        out.append({"k": [int(x) for x in k], "re": float(c.real), "im": float(c.imag)})
-    return out
-
-
 def element_from_literal(geometry, literal, radius=None):
     modes = {}
     for item in literal:
+        if not set(item) <= {"k", "re", "im"}:
+            raise ValueError(f"element literal item has keys {sorted(item)}, takes k, re, im")
         k = tuple(_integer(x, "mode component") for x in item["k"])
         if len(k) != geometry.n:
             raise ValueError(f"mode {k} has wrong dimension")
@@ -108,32 +102,16 @@ def element_from_literal(geometry, literal, radius=None):
     return AlgebraElement.from_modes(geometry, modes, radius=radius)
 
 
-def matrix_to_literal(h, cutoff=0.0):
-    return [[element_to_literal(e, cutoff) for e in row] for row in h.entries]
-
-
 def matrix_from_literal(geometry, literal):
     entries = [[element_from_literal(geometry, e) for e in row] for row in literal]
     return TorusMatrix(geometry, len(entries), entries)
-
-
-def form_to_literal(omega, cutoff=0.0):
-    return [element_to_literal(c, cutoff) for c in omega.components]
-
-
-def form_from_literal(geometry, literal, kind):
-    comps = [element_from_literal(geometry, c) for c in literal]
-    return kind(geometry, tuple(comps))
 
 
 def positive_element_from_spec(geometry, spec, box):
     """Positive invertible element from a config spec (see module docstring)."""
     if isinstance(spec, dict) and "exp_of" in spec:
         w = element_from_literal(geometry, spec["exp_of"])
-        w = scale(add(w, adjoint(w)), 0.5)
-        from .algebra import exp_series
-
-        return exp_series(w)
+        return exp_series(scale(add(w, adjoint(w)), 0.5))
     if isinstance(spec, dict) and "witness" in spec:
         y = element_from_literal(geometry, spec["witness"])
         x, _ = make_positive(y, float(spec.get("constant", 1.0)))
@@ -207,6 +185,8 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"tolerances must be an object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -399,19 +379,3 @@ def write_spectrum_csv(path, result):
             writer.writerow(
                 [i, f"{lam:.16e}", int(result.stable[i]), int(result.multiplicity_group[i])]
             )
-
-
-def read_spectrum_csv(path):
-    rows = []
-    with open(path, newline="", encoding="utf8") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            rows.append(
-                (
-                    int(row["index"]),
-                    float(row["eigenvalue"]),
-                    bool(int(row["stable"])),
-                    int(row["multiplicity_group"]),
-                )
-            )
-    return rows

@@ -62,7 +62,9 @@ from .metrics import (
     RiemannianMetric,
     as_density,
     density_from_element,
+    metric_conformal,
     riemannian_density,
+    validate_metric,
     volume,
 )
 
@@ -94,13 +96,12 @@ class LaplaceBeltramiOperator:
     sqrt_factor: AlgebraElement  # nu^{1/2}, clipped per policy
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
     matrix: np.ndarray
-    conjugated: np.ndarray  # T = S matrix S^{-1}
-    conjugator: np.ndarray  # S = M(nu^{1/2})
+    conjugated: np.ndarray  # T = S matrix S^{-1} with S = M(nu^{1/2})
     asymmetry: float
     self_compatible_residual: float = np.nan
 
     def __post_init__(self):
-        for a in (self.matrix, self.conjugated, self.conjugator):
+        for a in (self.matrix, self.conjugated):
             a.setflags(write=False)
 
     @property
@@ -123,22 +124,23 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box):
     geometry = prefactor.geometry
     n = geometry.n
     modes = box.modes()
-    core = np.zeros((box.size, box.size), dtype=complex)
+    core = np.zeros((box.size, box.size), dtype=complex)  # -sum_ij D_i M(a_ij) D_j
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
             a = compress(multipliers[i][j], box).matrix
-            core += di[:, None] * a * dj[None, :]
-    mat = -(compress(prefactor, box).matrix @ core)
+            core -= di[:, None] * a * dj[None, :]
+    mat = compress(prefactor, box).matrix @ core
+    del core  # one d x d array fewer alive through the solve below
     s_mat = compress(sqrt_factor, box).matrix
     t = np.linalg.solve(s_mat.T, (s_mat @ mat).T).T  # S mat S^{-1}
     denom = float(np.linalg.norm(t)) or 1.0
     asym = float(np.linalg.norm(t - t.conj().T)) / denom
-    return mat, t, s_mat, asym
+    return mat, t, asym
 
 
-def assemble(h, nu, box, mult_radius=None, calc_box=None, h_inv=None):
+def assemble(h, nu, box, mult_radius=None, calc_box=None):
     """Assemble the operator for a Hermitian metric matrix and a density.
 
     mult_radius clips the derived multiplier elements; it must satisfy
@@ -154,8 +156,9 @@ def assemble(h, nu, box, mult_radius=None, calc_box=None, h_inv=None):
         )
     calc_box = calc_box or box
     if isinstance(h, RiemannianMetric):
-        h_inv = h_inv or h.inverse
-        h = h.matrix
+        h, h_inv = h.matrix, h.inverse
+    else:
+        h_inv = None
     if h.m != h.geometry.n:
         raise ValueError(f"metric for the Laplacian must be {h.geometry.n} x {h.geometry.n}")
     if h_inv is None:
@@ -164,31 +167,29 @@ def assemble(h, nu, box, mult_radius=None, calc_box=None, h_inv=None):
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
-    mat, t, s_mat, asym = _build_matrices(pref, sqrt_f, mult, box)
+    mat, t, asym = _build_matrices(pref, sqrt_f, mult, box)
     return LaplaceBeltramiOperator(
-        h.geometry, box, mult_radius, h, h_inv, dens, pref, sqrt_f, mult,
-        mat, t, s_mat, asym,
+        h.geometry, box, mult_radius, h, h_inv, dens, pref, sqrt_f, mult, mat, t, asym
     )
 
 
-def assemble_riemannian(
-    g, box, mult_radius=None, calc_box=None, self_compat_tol=1e-10, density=None
-):
+def assemble_riemannian(g, box, mult_radius=None, calc_box=None, density=None):
     """Operator of a validated metric: h^{ij} = g^{ij}, nu = sqrt(det g).
 
     A precomputed Density may be supplied when the volume element is known
     in closed form (conformal powers, constant metrics); otherwise it is
     computed from the determinant.  For a self-compatible metric the
     commuted assembly -det^{-1/2} sum d_i(det^{1/2} g^{ij} d_j) must agree;
-    its interior-row residual is computed and stored.
+    its interior-row residual is computed and stored.  Self-compatibility is
+    tested at 1e-10.
     """
     calc_box = calc_box or g.box
     dens = density or riemannian_density(g, box=calc_box)
     op = assemble(g, dens, box, mult_radius=mult_radius, calc_box=calc_box)
     resid = np.nan
-    if g.is_self_compatible(tol=self_compat_tol):
+    if g.is_self_compatible(tol=1e-10):
         b = _clip(TorusMatrix.scalar(dens.nu, g.n).matmul(g.inverse), mult_radius)
-        mat2, _, _, _ = _build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
+        mat2, _, _ = _build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
         margin = box.radius // 2
         rows = interior_indices(box, margin)
         resid = float(np.max(np.abs((op.matrix - mat2)[rows])))
@@ -210,12 +211,11 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     stable: np.ndarray
     multiplicity_group: np.ndarray
-    eigenvectors: np.ndarray  # columns, coefficient tables on box
     asymmetry: float
     stability_asymmetry: float
 
     def __post_init__(self):
-        for a in (self.eigenvalues, self.stable, self.multiplicity_group, self.eigenvectors):
+        for a in (self.eigenvalues, self.stable, self.multiplicity_group):
             a.setflags(write=False)
 
     @property
@@ -224,9 +224,6 @@ class SpectrumResult:
 
     def stable_count(self):
         return int(np.sum(self.stable))
-
-    def eigenvector(self, i):
-        return element_from_vector(self.geometry, self.box, self.eigenvectors[:, i])
 
     def multiplicity_of(self, value, tol=1e-6):
         lam = self.stable_eigenvalues
@@ -255,8 +252,8 @@ def spectrum(
 
     The same multiplier family is recompressed on a larger box (default
     radius + 2) and the sorted spectra are paired by index; an eigenvalue is
-    stable when the pair agrees to rel_tol relative accuracy.  Eigenvectors
-    are returned in the coefficient basis (columns of S^{-1} W).  Raises
+    stable when the pair agrees to rel_tol relative accuracy.  Only
+    eigenvalues are computed, on both boxes.  Raises
     UnstableSpectrum if fewer than count eigenvalues stabilize, or when the
     recorded asymmetry exceeds the threshold.
     """
@@ -267,12 +264,9 @@ def spectrum(
     if stability_radius is None:
         stability_radius = op.box.radius + 2
     big_box = LatticeBox(op.geometry.n, stability_radius)
-    _, t2, _, asym2 = _build_matrices(
-        op.prefactor, op.sqrt_factor, op.multipliers, big_box
-    )
+    _, t2, asym2 = _build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, big_box)
     lam2 = np.linalg.eigvalsh(0.5 * (t2 + t2.conj().T))
-    lam, w = np.linalg.eigh(op.symmetrized)
-    vecs = np.linalg.solve(op.conjugator, w)
+    lam = np.linalg.eigvalsh(op.symmetrized)
     m = min(lam.size, lam2.size)
     stable = np.zeros(lam.shape, dtype=bool)
     pair_diff = np.abs(lam[:m] - lam2[:m])
@@ -288,7 +282,7 @@ def spectrum(
         )
     groups = _group_multiplicities(lam, multiplicity_tol)
     return SpectrumResult(
-        op.geometry, op.box, big_box, lam, stable, groups, vecs, op.asymmetry, asym2
+        op.geometry, op.box, big_box, lam, stable, groups, op.asymmetry, asym2
     )
 
 
@@ -305,46 +299,6 @@ def generalized_spectrum(op):
     a = g_mat @ op.matrix
     a = 0.5 * (a + a.conj().T)
     return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
-
-
-def eigenvector_shell_decay(result, i):
-    """Max outer-shell coefficient of eigenvector i relative to its peak.
-
-    Smooth eigenvectors of an elliptic operator decay rapidly in Fourier
-    modes; a small value certifies the vector is resolved by the box.
-    """
-    table = np.abs(result.eigenvectors[:, i].reshape(result.box.shape))
-    peak = float(table.max()) or 1.0
-    inner = tuple(slice(1, -1) for _ in range(result.box.n))
-    shell = table.copy()
-    shell[inner] = 0.0
-    return float(shell.max()) / peak
-
-
-def reliable_indices(result, shell_tol=1e-6):
-    """Stable eigenvalues whose eigenvectors pass the shell-decay proxy."""
-    idx = np.where(result.stable)[0]
-    return np.array(
-        [i for i in idx if eigenvector_shell_decay(result, i) <= shell_tol], dtype=int
-    )
-
-
-def eigenbasis_gram_residual(op, result, count=None, indices=None):
-    """Deviation from orthonormality in the density-twisted inner product.
-
-    Measured against an independently compressed Gram matrix M(L_nu); the
-    eigenvectors are exactly orthonormal for M(sqrt)* M(sqrt), so the
-    residual is the truncation gap between the two, weighted by the
-    eigenvector mass near the boundary.
-    """
-    if indices is None:
-        indices = np.where(result.stable)[0]
-        if count is not None:
-            indices = indices[:count]
-    g_mat = compress(op.nu.nu, op.box).matrix
-    v = result.eigenvectors[:, indices]
-    gram = v.conj().T @ g_mat @ v
-    return float(np.max(np.abs(gram - np.eye(len(indices)))))
 
 
 def green_identity_residual(op, u, v):
@@ -402,7 +356,6 @@ def conformal_covariance_check(
     k,
     box,
     calc_box=None,
-    commute_tol=1e-9,
     ghat=None,
     nu_g=None,
     nu_ghat=None,
@@ -418,7 +371,8 @@ def conformal_covariance_check(
     correction vanishes identically.  Both sides are assembled independently
     (no multiplier clipping) and compared on interior rows, where box-exit
     leakage is a product of two coefficient tails.  Raises
-    HypothesisViolated when [k, g] fails at commute_tol.
+    HypothesisViolated when the commutator [k, g] exceeds 1e-9 (relative to
+    the sizes of k and g).
 
     Closed-form ingredients (the deformed metric with its inverse, either
     volume element, the power family of k) may be passed in when available;
@@ -429,11 +383,8 @@ def conformal_covariance_check(
     g_mat = g.matrix if isinstance(g, RiemannianMetric) else g
     n = g_mat.geometry.n
     comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g_mat)
-    if comm > commute_tol * (1.0 + k.max_abs() * (1.0 + g_mat.max_abs())):
+    if comm > 1e-9 * (1.0 + k.max_abs() * (1.0 + g_mat.max_abs())):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-
-    from .metrics import metric_conformal, validate_metric
-
     if not isinstance(g, RiemannianMetric):
         g = validate_metric(g_mat, calc_box)
     if ghat is None:
@@ -511,7 +462,7 @@ class WeylConstantResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def weyl_constant(h, box, quadrature_points=64, h_inv=None):
+def weyl_constant(h, box, quadrature_points=64):
     """Eigenvalue-counting constant of the metric by sphere quadrature.
 
     Integrates tau((xi, xi)_{h^{-1}}^{-n/2}) over the unit sphere and divides
@@ -519,13 +470,9 @@ def weyl_constant(h, box, quadrature_points=64, h_inv=None):
     (2 pi)^{-n} |unit ball| Vol is computed alongside.
     """
     if isinstance(h, RiemannianMetric):
-        metric = h
-        h_inv = h_inv or h.inverse
-        h = h.matrix
+        metric, h, h_inv = h, h.matrix, h.inverse
     else:
-        metric = None
-        if h_inv is None:
-            h_inv = calc.matrix_inverse(h, box)
+        metric, h_inv = None, calc.matrix_inverse(h, box)
     n = h.geometry.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
     total = 0.0

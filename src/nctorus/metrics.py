@@ -32,6 +32,7 @@ from .algebra import (
     scale,
     selfadjoint_residual,
     trace,
+    trim,
 )
 from .calculus import (
     SPECTRAL_FLOOR,
@@ -116,7 +117,6 @@ def density_from_element(nu, box, refine_radius=None, provenance="explicit"):
         refine_radius = 2 * box.radius
     guess = functional_calculus(nu, "inv_sqrt", box)
     z, _ = calc.refine_inverse_sqrt(nu, guess, refine_radius)
-    from .algebra import trim
 
     cut = 1e-17 * max(1.0, nu.max_abs())
     z = trim(z, cut)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox
-from .calculus import SPECTRAL_FLOOR, _resolve_function
+from .calculus import SPECTRAL_FLOOR, TorusMatrix, _resolve_function
 from .errors import AliasingRisk, NonzeroTheta, SpectralFloorViolation
 
 
@@ -107,8 +107,6 @@ def _matrix_samples(h, grid):
 
 def oracle_matrix_funcalc(h, fn, radius):
     """Pointwise matrix function of a selfadjoint matrix field (batched eigh)."""
-    from .calculus import TorusMatrix
-
     _require_commutative(h.geometry)
     _, f, needs_floor = _resolve_function(fn)
     grid = max(4 * max(1, h.box.radius) + 1, 2 * radius + 1)

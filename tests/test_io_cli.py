@@ -1,46 +1,52 @@
+import csv
 import json
 
 import pytest
 
-from nctorus import algebra as alg, calculus as calc, cli, io as nio, metrics as met
+from nctorus import calculus as calc, cli, io as nio, metrics as met
 from nctorus.algebra import LatticeBox
 from nctorus.errors import BoxTooLarge, NCTorusError, PositivityViolation
 from nctorus.forms import OneForm
-from nctorus.sampling import random_element
 
 from conftest import coeff_diff
 
 
 def test_geometry_literal_roundtrip(geom):
-    lit = nio.geometry_to_literal(geom)
-    back = nio.geometry_from_literal(lit)
+    back = nio.geometry_from_literal({"n": 2, "theta": geom.theta.tolist()})
     assert back == geom
     upper = nio.geometry_from_literal({"n": 3, "theta_upper": [0.3, 0.2, 0.1]})
     assert upper.theta[0, 1] == 0.3 and upper.theta[2, 0] == -0.2
 
 
-def test_element_literal_roundtrip(geom, rng):
-    u = random_element(geom, 2, rng)
-    lit = nio.element_to_literal(u)
-    back = nio.element_from_literal(geom, lit)
-    assert coeff_diff(back, u) < 1e-15
+def test_element_literal_roundtrip(geom):
+    lit = [{"k": [0, 0], "re": 1.5}, {"k": [2, -1], "re": 0.25, "im": 0.5},
+           {"k": [-2, 1], "im": -0.5}]
+    u = nio.element_from_literal(geom, lit)
+    assert u.box.radius == 2
+    assert u.coefficient((0, 0)) == 1.5
+    assert u.coefficient((2, -1)) == 0.25 + 0.5j
+    assert u.coefficient((-2, 1)) == -0.5j
+    assert u.coefficient((1, 1)) == 0.0
     sparse = nio.element_from_literal(geom, [{"k": [1, 0], "re": 0.5, "im": -0.25}])
     assert sparse.coefficient((1, 0)) == 0.5 - 0.25j
     assert sparse.box.radius == 1
 
 
-def test_matrix_and_form_literals(geom, rng):
-    m = calc.TorusMatrix(
-        geom, 2, [[random_element(geom, 1, rng) for _ in range(2)] for _ in range(2)]
-    )
-    back = nio.matrix_from_literal(geom, nio.matrix_to_literal(m))
+def test_matrix_and_form_literals(geom):
+    one = [{"k": [0, 0], "re": 1.0}]
+    lit = [[one, [{"k": [1, 0], "re": 0.5, "im": 0.25}]],
+           [[{"k": [-1, 0], "re": 0.5, "im": -0.25}], [{"k": [0, 0], "re": 2.0}]]]
+    m = nio.matrix_from_literal(geom, lit)
+    assert m.m == 2 and m.box.radius == 1
+    assert m.entries[0][0].coefficient((0, 0)) == 1.0
+    assert m.entries[0][1].coefficient((1, 0)) == 0.5 + 0.25j
+    assert m.entries[1][0].coefficient((-1, 0)) == 0.5 - 0.25j
+    assert m.entries[1][1].coefficient((0, 0)) == 2.0
+    assert m.selfadjoint_residual() == 0.0
+    # a form literal is a list of n element literals, one per component
+    omega = OneForm.from_components([nio.element_from_literal(geom, c) for c in lit[0]])
     for i in range(2):
-        for j in range(2):
-            assert coeff_diff(back.entries[i][j], m.entries[i][j]) < 1e-15
-    omega = OneForm(geom, tuple(random_element(geom, 1, rng) for _ in range(2)))
-    back_form = nio.form_from_literal(geom, nio.form_to_literal(omega), OneForm)
-    for i in range(2):
-        assert coeff_diff(back_form.components[i], omega.components[i]) < 1e-15
+        assert coeff_diff(omega.components[i], m.entries[0][i]) == 0.0
 
 
 def test_positive_element_specs(geom):
@@ -126,10 +132,13 @@ def test_spectrum_csv_roundtrip(tmp_path, geom):
     res = lap.spectrum(op)
     path = tmp_path / "spec.csv"
     nio.write_spectrum_csv(path, res)
-    rows = nio.read_spectrum_csv(path)
+    with open(path, newline="", encoding="utf8") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == res.eigenvalues.size
-    assert rows[0][1] == pytest.approx(0.0, abs=1e-14)
-    assert rows[1][2] in (True, False)
+    assert [float(r["eigenvalue"]) for r in rows] == res.eigenvalues.tolist()
+    assert [r["stable"] for r in rows] == [str(int(s)) for s in res.stable]
+    assert [int(r["multiplicity_group"]) for r in rows] == res.multiplicity_group.tolist()
+    assert [int(r["index"]) for r in rows] == list(range(len(rows)))
 
 
 def _write_cfg(tmp_path, **overrides):
@@ -156,8 +165,9 @@ def test_cli_spectrum_and_weyl(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-    rows = nio.read_spectrum_csv(out)
-    assert rows[0][1] == pytest.approx(0.0, abs=1e-8)
+    with open(out, newline="", encoding="utf8") as f:
+        rows = list(csv.DictReader(f))
+    assert float(rows[0]["eigenvalue"]) == pytest.approx(0.0, abs=1e-8)
     assert cli.main(["weyl", "--config", cfg, "--window", "10:60",
                      "--out", str(tmp_path / "weyl.json")]) == 0
     report = json.loads((tmp_path / "weyl.json").read_text())
@@ -231,6 +241,12 @@ def test_cli_failure_paths(tmp_path):
         {"geometry": {"n": 2, "theta_upper": [0.3, 0.2]}},
         {"count": 0},
         {"window": "5"},
+        {"tolerances": []},
+        {"tolerances": ""},
+        {"geometry": {"n": 2, "theta_upper": [0.5], "thetta": 1}},
+        {"geometry": {"n": 2, "theta": [[0.0, 0.5], [-0.5, 0.0]], "theta_upper": [0.5]}},
+        {"metric": {"type": "conformal", "k": {"exp_of": [
+            {"k": [1, 0], "Re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}}},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -238,7 +254,8 @@ def test_cli_failure_paths(tmp_path):
          "functional-spec-no-poly", "explicit-spec-no-entries", "constant-matrix-string",
          "mode-wrong-dimension", "exp-of-number", "window-one-bound", "box-radius-float",
          "metric-wrong-size", "tolerance-string", "theta-upper-length", "count-zero",
-         "window-string-one-bound"],
+         "window-string-one-bound", "tolerances-list", "tolerances-string",
+         "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
