@@ -67,10 +67,11 @@ def _gate_lines(gates):
 def _assembled(cfg):
     metric = cfg.build_metric()
     nu = cfg.build_density()
-    kwargs = dict(box=cfg.box, mult_radius=cfg.multiplier_radius, calc_box=cfg.calc_box)
     if nu is None:
-        return metric, lap.assemble_riemannian(metric, **kwargs)
-    return metric, lap.assemble(metric, nu, **kwargs)
+        op = lap.assemble_riemannian(metric, cfg.box, cfg.multiplier_radius, cfg.calc_box)
+    else:
+        op = lap.assemble(metric.inverse, nu, cfg.box, cfg.multiplier_radius)
+    return metric, op
 
 
 def _count(args, default):
@@ -157,7 +158,10 @@ def cmd_conformal_check(cfg, args):
         raise NCTorusError("conformal-check requires a conformal metric spec")
     base = nio.metric_from_spec(cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box)
     k = nio.positive_element_from_spec(cfg.geometry, spec["k"], cfg.calc_box)
-    report, op = lap.conformal_covariance_check(base, k, cfg.box, calc_box=cfg.calc_box)
+    dk = met.density_from_element(k, cfg.calc_box)
+    report, op = lap.conformal_covariance_check(
+        base, k, cfg.box, calc_box=cfg.calc_box, k_density=dk
+    )
     key = "two_dim_residual" if cfg.geometry.n == 2 else "full_law_residual"
     gates = {key: (report[key], cfg.tolerances.conformal)}
     if cfg.geometry.n == 2 and base.provenance == "flat":
@@ -167,7 +171,7 @@ def cmd_conformal_check(cfg, args):
             rel_tol=cfg.tolerances.stability_rel,
             asymmetry_threshold=cfg.tolerances.asymmetry_threshold,
         )
-        a = lap.conformally_deformed_flat_matrix(k, cfg.box, calc_box=cfg.calc_box)
+        a = lap.conformally_deformed_flat_matrix(dk, cfg.box)
         lam = np.linalg.eigvalsh(a)
         stable = res.stable_eigenvalues
         rel = np.abs(stable - lam[: stable.size]) / (1.0 + np.abs(stable))
@@ -221,7 +225,7 @@ def cmd_adjoint_check(cfg, args):
         dens = random_density(geometry, rng, radius=1, amplitude=0.15)
         omega = random_one_form(geometry, interior, rng)
         u = random_element(geometry, interior, rng)
-        worst = max(worst, adjointness_residual(omega, u, h, dens, h_inv=h_inv))
+        worst = max(worst, adjointness_residual(omega, u, h_inv, dens))
     print(f"adjoint-check: {count} instances, worst residual {worst:.3e}")
     return _gate_lines({"adjointness": (worst, cfg.tolerances.adjointness)})
 

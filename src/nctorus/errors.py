@@ -42,7 +42,8 @@ class SpectrumOutsideDomain(NCTorusError):
 
 
 class BoxTooSmall(NCTorusError):
-    """Multiplier radius too large for the working box."""
+    """Multiplier radius too large for the working box, or a stability box
+    no larger than it."""
 
 
 class BoxTooLarge(NCTorusError):

@@ -12,6 +12,10 @@ The identity is algebraically exact given the shared multiplier elements
 and nu nu^{-1} = 1, so its numerical residual tracks the density family's
 consistency residual.  Tests feed inputs supported in half the working box
 so that every product stays exact.
+
+Every operator here reads the metric only through its inverse (h^{ij}), a
+TorusMatrix, and the density only through a Density with its powers; the
+caller that holds them hands them over.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from .algebra import (
     scale,
     weighted_inner_product_opp,
 )
-from .calculus import TorusMatrix, matrix_inverse
+from .calculus import TorusMatrix
 from .errors import GeometryMismatch
-from .metrics import RiemannianMetric, as_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,17 +97,6 @@ def modular_automorphism(density, x):
     )
 
 
-def _dual(h, box=None, h_inv=None):
-    """The inverse (h^{ij}), however the metric was handed in."""
-    if h_inv is not None:
-        return h_inv
-    if isinstance(h, RiemannianMetric):
-        return h.inverse
-    if box is None:
-        raise ValueError("box required to invert a raw matrix")
-    return matrix_inverse(h, box)
-
-
 def _multipliers(dens, h_inv):
     """The matrix of multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}."""
     s = TorusMatrix.scalar(dens.sqrt_nu, h_inv.m)
@@ -125,14 +117,12 @@ def _product(geometry, *factors):
     return [AlgebraElement(geometry, box, t) for t in out.reshape((-1,) + out.shape[2:])]
 
 
-def form_inner_product(omega, zeta, h, nu, box=None, h_inv=None):
+def form_inner_product(omega, zeta, h_inv, dens):
     """<omega, zeta>_h,nu^o = sum_ij tau(zeta_i* nu^{1/2} h^{ij} nu^{1/2} omega_j).
 
-    h may be a RiemannianMetric (its stored inverse is used), a raw
-    TorusMatrix (inverted on the box), or the inverse may be passed
-    directly; nu is a Density (or an element, converted on the box).
+    h_inv is the inverse metric (h^{ij}) and dens the Density of nu.
     """
-    a = _multipliers(as_density(nu, box), _dual(h, box, h_inv))
+    a = _multipliers(dens, h_inv)
     a_omega = _product(omega.geometry, a.coeffs, _stack(omega.components)[:, None])
     return complex(sum(inner_product(x, z) for x, z in zip(a_omega, zeta.components)))
 
@@ -142,44 +132,40 @@ def _divergence(comps):
     return functools.reduce(add, (derivation(c, i) for i, c in enumerate(comps)))
 
 
-def divergence_vector_field(X, nu, box=None):
+def divergence_vector_field(X, dens):
     """div_nu(X) = sum_i d_i(X^i nu) nu^{-1}; its weight vanishes."""
-    dens = as_density(nu, box)
     x_nu = [multiply(x, dens.nu) for x in X.components]
     return multiply(_divergence(x_nu), dens.inv_nu)
 
 
-def divergence_one_form(omega, h, nu, box=None, h_inv=None):
+def divergence_one_form(omega, h_inv, dens):
     """delta(omega) = nu^{-1} sum_ij d_i(nu^{1/2} h^{ij} nu^{1/2} omega_j)."""
-    dens = as_density(nu, box)
-    a = _multipliers(dens, _dual(h, box, h_inv))
+    a = _multipliers(dens, h_inv)
     a_omega = _product(omega.geometry, a.coeffs, _stack(omega.components)[:, None])
     return multiply(dens.inv_nu, _divergence(a_omega))
 
 
-def twisted_dual_vector_field(omega, h, nu, box=None, h_inv=None):
+def twisted_dual_vector_field(omega, h_inv, dens):
     """X_omega^{h,nu} = sum_ij omega_j* nu^{1/2} h^{ji} nu^{-1/2} d_i.
 
     The divergence of a form is the adjoint of the divergence of this field:
     delta(omega) = [div_nu(X_omega^{h,nu})]*; when [h, nu] = 0 it reduces to
     the plain metric dual sum_ij omega_j* h^{ji} d_i.
     """
-    dens = as_density(nu, box)
     n = omega.geometry.n
     comps = _product(
         omega.geometry,
         _stack([adjoint(c) for c in omega.components])[None],
         TorusMatrix.scalar(dens.sqrt_nu, n).coeffs,
-        _dual(h, box, h_inv).coeffs,
+        h_inv.coeffs,
         TorusMatrix.scalar(dens.inv_sqrt_nu, n).coeffs,
     )
     return VectorField(omega.geometry, tuple(comps))
 
 
-def adjointness_residual(omega, u, h, nu, box=None, h_inv=None):
+def adjointness_residual(omega, u, h_inv, dens):
     """|<-delta(omega), u>_nu^o - <omega, du>_h,nu^o| for one instance."""
-    dens = as_density(nu, box)
-    delta = divergence_one_form(omega, h, dens, box=box, h_inv=h_inv)
+    delta = divergence_one_form(omega, h_inv, dens)
     lhs = weighted_inner_product_opp(scale(delta, -1.0), u, dens.nu)
-    rhs = form_inner_product(omega, differential(u), h, dens, box=box, h_inv=h_inv)
+    rhs = form_inner_product(omega, differential(u), h_inv, dens)
     return abs(lhs - rhs)

@@ -336,6 +336,9 @@ def _parse_config(raw):
     mult = raw.get("multiplier_radius")
     if mult is not None and 4 * mult > raw["box_radius"]:
         raise ValueError(f"multiplier_radius {mult} breaks 4 M <= box_radius {raw['box_radius']}")
+    stab = raw.get("stability_radius")
+    if stab is not None and stab <= raw["box_radius"]:
+        raise ValueError(f"stability_radius {stab} must exceed box_radius {raw['box_radius']}")
     metric = raw.get("metric", {"type": "flat"})
     size = _check_metric_spec(geometry, metric)
     if size != geometry.n:

@@ -23,7 +23,7 @@ the only leakage is the product of two coefficient tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -59,12 +59,9 @@ from .errors import (
 from .forms import _divergence, _multipliers, _product, _stack, differential
 from .metrics import (
     Density,
-    RiemannianMetric,
-    as_density,
     density_from_element,
     metric_conformal,
     riemannian_density,
-    validate_metric,
     volume,
 )
 
@@ -84,12 +81,12 @@ def interior_indices(box, inner_radius):
 
 @dataclass(frozen=True, eq=False)
 class LaplaceBeltramiOperator:
-    """Assembled operator with its multiplier family and conjugated form."""
+    """Assembled operator: its two inputs, the inverse metric (h^{ij}) and the
+    Density, the multiplier family read from them, and the matrix with its
+    conjugated form."""
 
     geometry: object
     box: LatticeBox
-    mult_radius: object  # int or None (unclipped)
-    h: TorusMatrix
     h_inv: TorusMatrix
     nu: Density
     prefactor: AlgebraElement  # nu^{-1}, clipped per policy
@@ -98,7 +95,6 @@ class LaplaceBeltramiOperator:
     matrix: np.ndarray
     conjugated: np.ndarray  # T = S matrix S^{-1} with S = M(nu^{1/2})
     asymmetry: float
-    self_compatible_residual: float = np.nan
 
     def __post_init__(self):
         for a in (self.matrix, self.conjugated):
@@ -140,60 +136,42 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box):
     return mat, t, asym
 
 
-def assemble(h, nu, box, mult_radius=None, calc_box=None):
-    """Assemble the operator for a Hermitian metric matrix and a density.
+def assemble(h_inv, dens, box, mult_radius=None):
+    """Assemble the operator of an inverse metric and a density on the box.
 
-    mult_radius clips the derived multiplier elements; it must satisfy
-    4 * mult_radius <= box radius so the interior rows stay exact.  With
-    mult_radius=None the multipliers keep their full support, which
-    identity checks require.  h may be a validated RiemannianMetric (its
-    stored inverse is reused) or a raw positive matrix (inverted on
-    calc_box, default the working box).
+    h_inv is the n x n inverse metric (h^{ij}), e.g. RiemannianMetric.inverse
+    or calc.matrix_inverse(h, box) of a raw Hermitian h; dens is the Density
+    of nu with its powers.  mult_radius clips the derived multiplier
+    elements; it must satisfy 4 * mult_radius <= box radius so the interior
+    rows stay exact.  With mult_radius=None the multipliers keep their full
+    support, which identity checks require.
     """
     if mult_radius is not None and 4 * mult_radius > box.radius:
         raise BoxTooSmall(
             f"multiplier radius {mult_radius} too large for box radius {box.radius}"
         )
-    calc_box = calc_box or box
-    if isinstance(h, RiemannianMetric):
-        h, h_inv = h.matrix, h.inverse
-    else:
-        h_inv = None
-    if h.m != h.geometry.n:
-        raise ValueError(f"metric for the Laplacian must be {h.geometry.n} x {h.geometry.n}")
-    if h_inv is None:
-        h_inv = calc.matrix_inverse(h, calc_box)
-    dens = as_density(nu, calc_box)
+    n = h_inv.geometry.n
+    if h_inv.m != n:
+        raise ValueError(f"metric for the Laplacian must be {n} x {n}")
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
     mat, t, asym = _build_matrices(pref, sqrt_f, mult, box)
     return LaplaceBeltramiOperator(
-        h.geometry, box, mult_radius, h, h_inv, dens, pref, sqrt_f, mult, mat, t, asym
+        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, t, asym
     )
 
 
 def assemble_riemannian(g, box, mult_radius=None, calc_box=None, density=None):
     """Operator of a validated metric: h^{ij} = g^{ij}, nu = sqrt(det g).
 
-    A precomputed Density may be supplied when the volume element is known
-    in closed form (conformal powers, constant metrics); otherwise it is
-    computed from the determinant.  For a self-compatible metric the
-    commuted assembly -det^{-1/2} sum d_i(det^{1/2} g^{ij} d_j) must agree;
-    its interior-row residual is computed and stored.  Self-compatibility is
-    tested at 1e-10.
+    Passes g.inverse and the Density to assemble.  A precomputed Density may
+    be supplied when the volume element is known in closed form (conformal
+    powers, constant metrics); otherwise it is riemannian_density(g) on
+    calc_box (default g.box).
     """
-    calc_box = calc_box or g.box
     dens = density or riemannian_density(g, box=calc_box)
-    op = assemble(g, dens, box, mult_radius=mult_radius, calc_box=calc_box)
-    resid = np.nan
-    if g.is_self_compatible(tol=1e-10):
-        b = _clip(TorusMatrix.scalar(dens.nu, g.n).matmul(g.inverse), mult_radius)
-        mat2, _, _ = _build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
-        margin = box.radius // 2
-        rows = interior_indices(box, margin)
-        resid = float(np.max(np.abs((op.matrix - mat2)[rows])))
-    return replace(op, self_compatible_residual=resid)
+    return assemble(g.inverse, dens, box, mult_radius=mult_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +231,9 @@ def spectrum(
     The same multiplier family is recompressed on a larger box (default
     radius + 2) and the sorted spectra are paired by index; an eigenvalue is
     stable when the pair agrees to rel_tol relative accuracy.  Only
-    eigenvalues are computed, on both boxes.  Raises
+    eigenvalues are computed, on both boxes.  Raises BoxTooSmall when
+    stability_radius does not exceed the box radius, since the comparison
+    would then pair the spectrum with itself or a smaller box's.  Raises
     UnstableSpectrum if fewer than count eigenvalues stabilize, or when the
     recorded asymmetry exceeds the threshold.
     """
@@ -263,6 +243,10 @@ def spectrum(
         )
     if stability_radius is None:
         stability_radius = op.box.radius + 2
+    if stability_radius <= op.box.radius:
+        raise BoxTooSmall(
+            f"stability radius {stability_radius} must exceed box radius {op.box.radius}"
+        )
     big_box = LatticeBox(op.geometry.n, stability_radius)
     _, t2, asym2 = _build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, big_box)
     lam2 = np.linalg.eigvalsh(0.5 * (t2 + t2.conj().T))
@@ -337,16 +321,15 @@ def principal_symbol_bounds(op, samples=16, calc_box=None):
 # ---------------------------------------------------------------------------
 
 
-def conformally_deformed_flat_matrix(k, box, calc_box=None):
+def conformally_deformed_flat_matrix(k_density, box):
     """Hermitian matrix of k^{-1} (flat Laplacian) k^{-1} on the box.
 
     This is the conformally deformed flat operator on the plain Hilbert
     space; for the metric k^2 delta_ij it is unitarily equivalent to the
-    Laplace-Beltrami operator, so stable spectra must match.
+    Laplace-Beltrami operator, so stable spectra must match.  k_density is
+    the Density of k, whose inv_nu is read.
     """
-    calc_box = calc_box or box
-    dk = density_from_element(k, calc_box)
-    k_inv_mat = compress(dk.inv_nu, box).matrix
+    k_inv_mat = compress(k_density.inv_nu, box).matrix
     k2 = (np.abs(box.modes()) ** 2).sum(axis=1).astype(float)
     return k_inv_mat @ (k2[:, None] * k_inv_mat)
 
@@ -355,7 +338,7 @@ def conformal_covariance_check(
     g,
     k,
     box,
-    calc_box=None,
+    calc_box,
     ghat=None,
     nu_g=None,
     nu_ghat=None,
@@ -376,17 +359,13 @@ def conformal_covariance_check(
 
     Closed-form ingredients (the deformed metric with its inverse, either
     volume element, the power family of k) may be passed in when available;
-    anything omitted is computed from the spectral calculus.  Returns the
-    residual report and the assembled operator of ghat.
+    anything omitted is computed from the spectral calculus on calc_box.
+    Returns the residual report and the assembled operator of ghat.
     """
-    calc_box = calc_box or (g.box if isinstance(g, RiemannianMetric) else box)
-    g_mat = g.matrix if isinstance(g, RiemannianMetric) else g
-    n = g_mat.geometry.n
-    comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g_mat)
-    if comm > 1e-9 * (1.0 + k.max_abs() * (1.0 + g_mat.max_abs())):
+    n = g.n
+    comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g.matrix)
+    if comm > 1e-9 * (1.0 + k.max_abs() * (1.0 + g.matrix.max_abs())):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-    if not isinstance(g, RiemannianMetric):
-        g = validate_metric(g_mat, calc_box)
     if ghat is None:
         ghat = metric_conformal(g, k, calc_box)
 
@@ -462,27 +441,24 @@ class WeylConstantResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def weyl_constant(h, box, quadrature_points=64):
-    """Eigenvalue-counting constant of the metric by sphere quadrature.
+def weyl_constant(g, box, quadrature_points=64):
+    """Eigenvalue-counting constant of a validated metric by sphere quadrature.
 
-    Integrates tau((xi, xi)_{h^{-1}}^{-n/2}) over the unit sphere and divides
-    by n.  When h is a validated self-compatible metric the closed form
-    (2 pi)^{-n} |unit ball| Vol is computed alongside.
+    Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere and divides
+    by n.  When g is self-compatible the closed form (2 pi)^{-n} |unit ball|
+    Vol is computed alongside.
     """
-    if isinstance(h, RiemannianMetric):
-        metric, h, h_inv = h, h.matrix, h.inverse
-    else:
-        metric, h_inv = None, calc.matrix_inverse(h, box)
-    n = h.geometry.n
+    n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
     total = 0.0
     for xi, w in zip(nodes, weights):
-        val = functional_calculus(_symbol(h_inv, xi), ("pow", -n / 2.0), box)
+        val = functional_calculus(_symbol(g.inverse, xi), ("pow", -n / 2.0), box)
         total += w * float(trace(val).real)
     quad = total / n
     closed = np.nan
-    if metric is not None and metric.is_self_compatible(tol=1e-10):
-        closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * volume(metric, box=box)
+    if g.is_self_compatible(tol=1e-10):
+        vol = volume(riemannian_density(g, box=box))
+        closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * vol
     return WeylConstantResult(quad, closed)
 
 

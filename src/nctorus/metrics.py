@@ -126,14 +126,6 @@ def density_from_element(nu, box, refine_radius=None, provenance="explicit"):
     return Density(nu, sqrt_nu, z, inv_nu, res, provenance=provenance)
 
 
-def as_density(nu, box=None):
-    if isinstance(nu, Density):
-        return nu
-    if box is None:
-        raise ValueError("box required to build a density from a raw element")
-    return density_from_element(nu, box)
-
-
 # ---------------------------------------------------------------------------
 # metric validation
 # ---------------------------------------------------------------------------
@@ -273,14 +265,13 @@ def metric_conformal(base, k, box):
     lo, _ = spectral_bounds(k, box)
     if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
-    g = base.matrix if isinstance(base, RiemannianMetric) else base
-    k_eye = TorusMatrix.scalar(k, g.m)
-    return validate_metric(k_eye.matmul(g).matmul(k_eye), box, provenance="conformal")
+    k_eye = TorusMatrix.scalar(k, base.n)
+    return validate_metric(k_eye.matmul(base.matrix).matmul(k_eye), box, provenance="conformal")
 
 
 def metric_product(blocks, box):
     """Block-diagonal assembly of validated metrics; compatibility is measured."""
-    mats = [b.matrix if isinstance(b, RiemannianMetric) else b for b in blocks]
+    mats = [b.matrix for b in blocks]
     compat = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -344,21 +335,15 @@ def riemannian_density(g, box=None):
     return density_from_element(nu, box, provenance="riemannian")
 
 
-def weight(nu, u):
+def weight(dens, u):
     """Weight of a density: (2 pi)^n tau(u nu)."""
-    nu_elem = nu.nu if isinstance(nu, Density) else nu
-    n = nu_elem.geometry.n
-    return (2.0 * np.pi) ** n * trace(multiply(u, nu_elem))
+    return (2.0 * np.pi) ** dens.geometry.n * trace(multiply(u, dens.nu))
 
 
-def volume(g_or_density, box=None):
-    """Riemannian volume (2 pi)^n tau(nu); a positive real."""
-    if isinstance(g_or_density, RiemannianMetric):
-        dens = riemannian_density(g_or_density, box=box)
-    else:
-        dens = g_or_density
-    n = dens.geometry.n
-    return float(((2.0 * np.pi) ** n * trace(dens.nu)).real)
+def volume(dens):
+    """Volume (2 pi)^n tau(nu) of a Density, a positive real; the Riemannian
+    volume of a metric g is volume(riemannian_density(g, box))."""
+    return float(((2.0 * np.pi) ** dens.geometry.n * trace(dens.nu)).real)
 
 
 def weight_trace_sandwich(density, x, box):

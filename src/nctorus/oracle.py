@@ -29,21 +29,22 @@ def grid_for(*elements):
     return 4 * max(1, max_mode) + 1
 
 
+def _modes_on_grid(n, radius, grid_size):
+    """Index of the grid points of the modes of B_radius, one axis at a time."""
+    return np.ix_(*[np.arange(-radius, radius + 1) % grid_size] * n)
+
+
 def to_grid(u, grid_size=None):
     """Sample u(x) = sum u_k e^{i k.x} on the uniform grid of the torus."""
     _require_commutative(u.geometry)
-    n = u.geometry.n
+    n, r, s = u.geometry.n, u.box.radius, u.support_radius()
     if grid_size is None:
         grid_size = grid_for(u)
-    if grid_size < 2 * u.support_radius() + 1:
-        raise AliasingRisk(
-            f"grid {grid_size} cannot carry modes up to {u.support_radius()}"
-        )
+    if grid_size < 2 * s + 1:
+        raise AliasingRisk(f"grid {grid_size} cannot carry modes up to {s}")
     arr = np.zeros((grid_size,) * n, dtype=complex)
-    r = u.box.radius
-    for off in np.argwhere(u.table):
-        k = off - r
-        arr[tuple(k % grid_size)] += u.table[tuple(off)]
+    # adding into zeros rather than assigning stores a -0.0 part as +0.0
+    arr[_modes_on_grid(n, s, grid_size)] += u.table[(slice(r - s, r + s + 1),) * n]
     return np.fft.ifftn(arr) * grid_size**n
 
 
@@ -55,11 +56,8 @@ def from_grid(geometry, samples, radius):
     if grid_size < 2 * radius + 1:
         raise AliasingRisk(f"grid {grid_size} cannot resolve radius {radius}")
     coeffs = np.fft.fftn(samples) / samples.size
-    box = LatticeBox(geometry.n, radius)
-    table = np.zeros(box.shape, dtype=complex)
-    for k in box.modes():
-        table[tuple(k + radius)] = coeffs[tuple(k % grid_size)]
-    return AlgebraElement(geometry, box, table)
+    table = coeffs[_modes_on_grid(geometry.n, radius, grid_size)]
+    return AlgebraElement(geometry, LatticeBox(geometry.n, radius), table)
 
 
 def oracle_multiply(u, v):

@@ -73,9 +73,7 @@ def test_form_inner_product_flat_unit(geom, rng):
     omega = random_one_form(geom, 2, rng)
     zeta = random_one_form(geom, 2, rng)
     eye = TorusMatrix.identity(geom, 2)
-    val = forms.form_inner_product(
-        omega, zeta, eye, met.density_one(geom), h_inv=eye
-    )
+    val = forms.form_inner_product(omega, zeta, eye, met.density_one(geom))
     expect = sum(
         alg.inner_product(omega.components[i], zeta.components[i]) for i in range(2)
     )
@@ -89,7 +87,7 @@ def test_form_inner_product_positive(geom, rng):
     dens = random_density(geom, rng, amplitude=0.15)
     for _ in range(5):
         omega = random_one_form(geom, 2, rng)
-        val = forms.form_inner_product(omega, omega, h, dens, h_inv=h_inv)
+        val = forms.form_inner_product(omega, omega, h_inv, dens)
         assert val.real > 0.0 and abs(val.imag) < 1e-10 * (1.0 + val.real)
 
 
@@ -116,9 +114,7 @@ def test_divergence_vector_field(geom, rng):
 def test_divergence_one_form_flat(geom, rng):
     u = random_element(geom, 3, rng)
     eye = TorusMatrix.identity(geom, 2)
-    delta_du = forms.divergence_one_form(
-        forms.differential(u), eye, met.density_one(geom), h_inv=eye
-    )
+    delta_du = forms.divergence_one_form(forms.differential(u), eye, met.density_one(geom))
     expect = alg.add(
         alg.derivation(alg.derivation(u, 0), 0), alg.derivation(alg.derivation(u, 1), 1)
     )
@@ -134,7 +130,7 @@ def test_adjointness(geom, rng):
         dens = random_density(geom, rng, amplitude=0.15)
         omega = random_one_form(geom, 3, rng)
         u = random_element(geom, 3, rng)
-        worst = max(worst, forms.adjointness_residual(omega, u, h, dens, h_inv=h_inv))
+        worst = max(worst, forms.adjointness_residual(omega, u, h_inv, dens))
     assert worst < 1e-10
 
 
@@ -145,7 +141,7 @@ def test_divergence_matches_dual_field(geom, rng):
     omega = random_one_form(geom, 2, rng)
     h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
     h_inv = calc.matrix_inverse(h, box)
-    delta = forms.divergence_one_form(omega, h, dens, h_inv=h_inv)
-    x = forms.twisted_dual_vector_field(omega, h, dens, h_inv=h_inv)
+    delta = forms.divergence_one_form(omega, h_inv, dens)
+    x = forms.twisted_dual_vector_field(omega, h_inv, dens)
     alt = alg.adjoint(forms.divergence_vector_field(x, dens))
     assert coeff_diff(delta, alt) < 1e-10

@@ -247,6 +247,8 @@ def test_cli_failure_paths(tmp_path):
         {"geometry": {"n": 2, "theta": [[0.0, 0.5], [-0.5, 0.0]], "theta_upper": [0.5]}},
         {"metric": {"type": "conformal", "k": {"exp_of": [
             {"k": [1, 0], "Re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}}},
+        {"stability_radius": 8},
+        {"stability_radius": 6},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -255,7 +257,8 @@ def test_cli_failure_paths(tmp_path):
          "mode-wrong-dimension", "exp-of-number", "window-one-bound", "box-radius-float",
          "metric-wrong-size", "tolerance-string", "theta-upper-length", "count-zero",
          "window-string-one-bound", "tolerances-list", "tolerances-string",
-         "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo"],
+         "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
+         "stability-radius-equal", "stability-radius-below"],
 )
 def test_cli_config_errors(tmp_path, capsys, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

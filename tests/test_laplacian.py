@@ -53,7 +53,8 @@ def test_flat_multiplicities(geom):
 def test_flat_assemble_raw_path(geom):
     """assemble() with an identity matrix and unit density stays diagonal."""
     box = LatticeBox(2, 6)
-    op = lap.assemble(TorusMatrix.identity(geom, 2), met.density_one(geom), box)
+    h_inv = calc.matrix_inverse(TorusMatrix.identity(geom, 2), box)
+    op = lap.assemble(h_inv, met.density_one(geom), box)
     off = op.matrix - np.diag(np.diag(op.matrix))
     assert np.max(np.abs(off)) < 1e-12
     assert np.max(np.abs(np.sort(np.real(np.diag(op.matrix))) -
@@ -72,6 +73,14 @@ def test_box_too_small(geom):
     dk, ct = _ct_metric(geom)
     with pytest.raises(BoxTooSmall):
         lap.assemble_riemannian(ct, LatticeBox(2, 10), mult_radius=3)
+
+
+def test_spectrum_refuses_stability_box_not_larger(geom):
+    # pairing the spectrum with itself, or with a smaller box's, tests nothing
+    op = lap.assemble_riemannian(met.metric_flat(geom), LatticeBox(2, 4))
+    for radius in (4, 2):
+        with pytest.raises(BoxTooSmall):
+            lap.spectrum(op, stability_radius=radius)
 
 
 def test_conformal_operator_interior_identity(geom):
@@ -104,9 +113,16 @@ def test_conformal_constant_base(geom):
 
 
 def test_self_compatible_commuted_form(geom):
-    dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
-    assert op.self_compatible_residual < 1e-9
+    """For a self-compatible metric the commuted assembly
+    -det^{-1/2} sum d_i(det^{1/2} g^{ij} d_j) agrees on interior rows."""
+    _, ct = _ct_metric(geom)
+    assert ct.is_self_compatible(tol=1e-10)
+    box = LatticeBox(2, 10)
+    op = lap.assemble_riemannian(ct, box, calc_box=box)
+    b = TorusMatrix.scalar(op.nu.nu, 2).matmul(ct.inverse)
+    commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
+    rows = lap.interior_indices(box, box.radius // 2)
+    assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
 
 
 def test_green_identity(geom, rng):
@@ -140,10 +156,11 @@ def test_asymmetry_decreases_with_box(geom):
 
 
 def test_kernel_and_nonnegativity(geom, rng):
+    box = LatticeBox(2, 10)
     for _ in range(3):
         h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         dens = random_density(geom, rng, amplitude=0.15)
-        op = lap.assemble(h, dens, LatticeBox(2, 10))
+        op = lap.assemble(calc.matrix_inverse(h, box), dens, box)
         res = lap.spectrum(op)
         stable = res.stable_eigenvalues
         assert abs(stable[0]) <= 1e-8
@@ -180,7 +197,7 @@ def test_deformed_flat_spectrum_match(geom):
     box = LatticeBox(2, 10)
     op = lap.assemble_riemannian(ct, box, calc_box=LatticeBox(2, 10))
     res = lap.spectrum(op)
-    a = lap.conformally_deformed_flat_matrix(dk.nu, box, calc_box=LatticeBox(2, 10))
+    a = lap.conformally_deformed_flat_matrix(dk, box)
     assert np.max(np.abs(a - a.conj().T)) < 1e-12
     lam = np.linalg.eigvalsh(a)
     stable = res.stable_eigenvalues
