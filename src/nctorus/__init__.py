@@ -16,7 +16,6 @@ from .algebra import (
 )
 from .calculus import (
     CompressedOperator,
-    PositivityCertificate,
     TorusMatrix,
     compress,
     determinant,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch
+from .errors import GeometryMismatch, SeriesNotConverged
 
 
 def _as_theta(n, theta):
@@ -459,7 +459,9 @@ def exp_series(w):
     discarded (they are dominated by the dropped series tail anyway), which
     keeps the support from ballooning with numerically void modes.
     Intended for elements of modest norm, where the factorial decay makes
-    the truncated series accurate to near machine precision.
+    the truncated series accurate to near machine precision.  A last term
+    above the tolerance relative to the sum raises SeriesNotConverged: the
+    partial sum is wrong (80 % low for w = 50 (V_e + V_-e) at theta = 0).
     """
     geometry = w.geometry
     acc = AlgebraElement.identity(geometry)
@@ -470,6 +472,10 @@ def exp_series(w):
         acc = add(acc, term)
         if term.norm_l1() <= _EXP_TOL and j * 1.0 >= bound:
             break
+    else:  # the term limit is reached
+        if term.norm_l1() > _EXP_TOL * acc.norm_l1():
+            raise SeriesNotConverged(f"exp series of an exponent of l1 norm {bound:.3e} "
+                                     f"has not converged in {_EXP_MAX_TERMS} terms")
     return trim(acc, 0.0)
 
 

@@ -502,26 +502,14 @@ def matrix_inverse(h, box):
     return functional_calculus(h, "inv", box)
 
 
-# ---------------------------------------------------------------------------
-# positivity witnesses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityCertificate:
-    """Witness y and constant c > 0 asserting x = y* y + c."""
-
-    witness: object
-    constant: float
-
-
 def make_positive(y, c):
-    """Return (y* y + c, certificate); positive with compressed spectrum >= c."""
+    """y* y + c for an element or a matrix y and a constant c > 0, in the form
+    of y: positive, with compressed spectrum >= c."""
     if c <= 0:
         raise ValueError("constant must be positive")
     w = _as_matrix(y)
     x = w.adjoint().matmul(w) + TorusMatrix.identity(w.geometry, w.m).scale(c)
-    return _like(y, x), PositivityCertificate(y, float(c))
+    return _like(y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +579,7 @@ def leibniz_determinant(h):
     return acc
 
 
-def determinant_identities_check(h, other=None, conjugator=None, box=None, compat_tol=1e-9):
+def determinant_identities_check(h, box, other=None, conjugator=None, compat_tol=1e-9):
     """Residuals of the determinant identities that hold under compatibility.
 
     Checks, as applicable: [det h, det h'] = 0 and det(hh') = det(h)det(h')
@@ -600,8 +588,6 @@ def determinant_identities_check(h, other=None, conjugator=None, box=None, compa
     a commutation hypothesis fails at compat_tol, reporting the measured
     residuals.
     """
-    if box is None:
-        raise ValueError("box required")
     report = {}
     det_h = determinant(h, box)
     if other is not None:

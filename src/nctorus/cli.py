@@ -68,7 +68,7 @@ def _assembled(cfg):
     metric = cfg.build_metric()
     nu = cfg.build_density()
     if nu is None:
-        op = lap.assemble_riemannian(metric, cfg.box, cfg.multiplier_radius, cfg.calc_box)
+        op = lap.assemble_riemannian(metric, cfg.box, cfg.multiplier_radius)
     else:
         op = lap.assemble(metric.inverse, nu, cfg.box, cfg.multiplier_radius)
     return metric, op
@@ -122,7 +122,9 @@ def cmd_weyl(cfg, args):
     if window is None:
         hi = result.stable_count() - 1
         window = (max(1, hi // 6), hi)
-    wc = lap.weyl_constant(metric, cfg.calc_box, quadrature_points=cfg.quadrature_points)
+    # the closed form reads the metric's own density, whatever nu the config sets
+    dens = op.nu if cfg.nu_spec is None else met.riemannian_density(metric)
+    wc = lap.weyl_constant(metric, dens, cfg.calc_box, quadrature_points=cfg.quadrature_points)
     c_n = wc.closed_form if not np.isnan(wc.closed_form) else wc.quadrature
     fit = lap.weyl_fit(result, c_n, window)
     report = {
@@ -205,7 +207,7 @@ def cmd_det_check(cfg, args):
     report["scalar matrix det(k I_m) = k^m"] = (
         determinant(km, box) - _integer_power(k_elem, m)
     ).max_abs()
-    if metric.is_self_compatible(tol=1e-10):
+    if metric.is_self_compatible():
         report["self-compatible Leibniz expansion"] = (d - leibniz_determinant(g)).max_abs()
     _emit(report, args.out)
     gates = {name: (val, cfg.tolerances.determinant) for name, val in report.items()}
@@ -220,7 +222,7 @@ def cmd_adjoint_check(cfg, args):
     count = _count(args, min(cfg.count, 50))
     worst = 0.0
     for _ in range(count):
-        h, _ = random_hermitian_matrix(geometry, geometry.n, 1, rng, amplitude=0.2)
+        h = random_hermitian_matrix(geometry, geometry.n, 1, rng, amplitude=0.2)
         h_inv = matrix_inverse(h, box)
         dens = random_density(geometry, rng, radius=1, amplitude=0.15)
         omega = random_one_form(geometry, interior, rng)
@@ -233,7 +235,7 @@ def cmd_adjoint_check(cfg, args):
 def cmd_volume(cfg, args):
     metric = cfg.build_metric()
     box = cfg.calc_box
-    dens = met.riemannian_density(metric, box=box)
+    dens = met.riemannian_density(metric)
     vol = met.volume(dens)
     detg = determinant(metric.matrix, box)
     sq = multiply(dens.nu, dens.nu)
@@ -293,15 +295,15 @@ def cmd_oracle_compare(cfg, args):
     spectral["determinant"] = (
         resize(d_main, box.radius // 2) - resize(d_orc, box.radius // 2)
     ).max_abs()
-    dens = met.riemannian_density(metric, box=box)
+    dens = met.riemannian_density(metric)
     nu_orc = orc.oracle_density(metric.matrix, radius=box.radius)
     spectral["riemannian_density"] = (
         resize(dens.nu, box.radius // 2) - resize(nu_orc, box.radius // 2)
     ).max_abs()
-    mult_radius = cfg.multiplier_radius or max(1, cfg.box_radius // 4)
-    op = lap.assemble_riemannian(
-        metric, cfg.box, mult_radius=mult_radius, calc_box=box
-    )
+    mult_radius = cfg.multiplier_radius  # an explicit 0 keeps the multipliers constant
+    if mult_radius is None:
+        mult_radius = max(1, cfg.box_radius // 4)
+    op = lap.assemble_riemannian(metric, cfg.box, mult_radius=mult_radius, density=dens)
     m_orc = orc.oracle_laplacian_matrix(op.prefactor, op.multipliers, cfg.box)
     rows = lap.interior_indices(cfg.box, cfg.box_radius - 2 * mult_radius)
     algebraic["laplacian_matrix_interior"] = float(

@@ -37,6 +37,10 @@ class MetricValidationError(NCTorusError):
         self.report = report
 
 
+class SeriesNotConverged(NCTorusError):
+    """A power series did not reach its tolerance within its term limit."""
+
+
 class SpectrumOutsideDomain(NCTorusError):
     """Sampled spectrum leaves the domain of a functional-metric profile."""
 

@@ -114,8 +114,7 @@ def positive_element_from_spec(geometry, spec, box):
         return exp_series(scale(add(w, adjoint(w)), 0.5))
     if isinstance(spec, dict) and "witness" in spec:
         y = element_from_literal(geometry, spec["witness"])
-        x, _ = make_positive(y, float(spec.get("constant", 1.0)))
-        return x
+        return make_positive(y, float(spec.get("constant", 1.0)))
     x = element_from_literal(geometry, spec)
     lo, _ = spectral_bounds(scale(add(x, adjoint(x)), 0.5), box)
     if lo < SPECTRAL_FLOOR:

@@ -162,15 +162,15 @@ def assemble(h_inv, dens, box, mult_radius=None):
     )
 
 
-def assemble_riemannian(g, box, mult_radius=None, calc_box=None, density=None):
-    """Operator of a validated metric: h^{ij} = g^{ij}, nu = sqrt(det g).
+def assemble_riemannian(g, box, mult_radius=None, density=None):
+    """Operator of a RiemannianMetric: h^{ij} = g^{ij}, nu = sqrt(det g).
 
-    Passes g.inverse and the Density to assemble.  A precomputed Density may
-    be supplied when the volume element is known in closed form (conformal
-    powers, constant metrics); otherwise it is riemannian_density(g) on
-    calc_box (default g.box).
+    Passes g.inverse and the Density to assemble.  A Density the caller
+    already holds may be supplied: a closed form (conformal powers,
+    constant metrics) or riemannian_density(g) computed once for several
+    uses; otherwise it is riemannian_density(g), on g.box.
     """
-    dens = density or riemannian_density(g, box=calc_box)
+    dens = density or riemannian_density(g)
     return assemble(g.inverse, dens, box, mult_radius=mult_radius)
 
 
@@ -359,7 +359,8 @@ def conformal_covariance_check(
 
     Closed-form ingredients (the deformed metric with its inverse, either
     volume element, the power family of k) may be passed in when available;
-    anything omitted is computed from the spectral calculus on calc_box.
+    anything omitted is computed from the spectral calculus: ghat and k's
+    powers on calc_box, each volume element on its metric's box.
     Returns the residual report and the assembled operator of ghat.
     """
     n = g.n
@@ -369,8 +370,8 @@ def conformal_covariance_check(
     if ghat is None:
         ghat = metric_conformal(g, k, calc_box)
 
-    op_g = assemble_riemannian(g, box, calc_box=calc_box, density=nu_g)
-    op_hat = assemble_riemannian(ghat, box, calc_box=calc_box, density=nu_ghat)
+    op_g = assemble_riemannian(g, box, density=nu_g)
+    op_hat = assemble_riemannian(ghat, box, density=nu_ghat)
 
     if k_density is None:
         k_density = density_from_element(k, calc_box)
@@ -441,12 +442,14 @@ class WeylConstantResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def weyl_constant(g, box, quadrature_points=64):
-    """Eigenvalue-counting constant of a validated metric by sphere quadrature.
+def weyl_constant(g, dens, box, quadrature_points=64):
+    """Eigenvalue-counting constant of a RiemannianMetric by sphere quadrature.
 
-    Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere and divides
-    by n.  When g is self-compatible the closed form (2 pi)^{-n} |unit ball|
-    Vol is computed alongside.
+    Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere, by the
+    spectral calculus on box, and divides by n.  dens is g's Riemannian
+    density, which the caller already holds (the assembled operator's nu,
+    or riemannian_density(g)).  When g is self-compatible the closed form
+    (2 pi)^{-n} |unit ball| volume(dens) is computed alongside.
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
@@ -456,9 +459,8 @@ def weyl_constant(g, box, quadrature_points=64):
         total += w * float(trace(val).real)
     quad = total / n
     closed = np.nan
-    if g.is_self_compatible(tol=1e-10):
-        vol = volume(riemannian_density(g, box=box))
-        closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * vol
+    if g.is_self_compatible():
+        closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * volume(dens)
     return WeylConstantResult(quad, closed)
 
 

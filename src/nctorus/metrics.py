@@ -66,7 +66,6 @@ class Density:
     inv_sqrt_nu: AlgebraElement
     inv_nu: AlgebraElement
     consistency_residual: float
-    provenance: str = "explicit"
 
     @property
     def geometry(self):
@@ -75,7 +74,7 @@ class Density:
 
 def density_one(geometry):
     one = AlgebraElement.identity(geometry)
-    return Density(one, one, one, one, 0.0, provenance="unit")
+    return Density(one, one, one, one, 0.0)
 
 
 def _family_residual(nu, sqrt_nu, inv_sqrt_nu, inv_nu):
@@ -95,12 +94,10 @@ def density_exp(w):
     sq = exp_series(scale(w, 0.5))
     isq = exp_series(scale(w, -0.5))
     inv = exp_series(scale(w, -1.0))
-    return Density(
-        nu, sq, isq, inv, _family_residual(nu, sq, isq, inv), provenance="exp"
-    )
+    return Density(nu, sq, isq, inv, _family_residual(nu, sq, isq, inv))
 
 
-def density_from_element(nu, box, refine_radius=None, provenance="explicit"):
+def density_from_element(nu, box, refine_radius=None):
     """Density from an explicit positive invertible element.
 
     Validates selfadjointness, takes the inverse square root by spectral
@@ -123,7 +120,7 @@ def density_from_element(nu, box, refine_radius=None, provenance="explicit"):
     sqrt_nu = trim(multiply(nu, z), cut)
     inv_nu = trim(multiply(z, z), cut)
     res = _family_residual(nu, sqrt_nu, z, inv_nu)
-    return Density(nu, sqrt_nu, z, inv_nu, res, provenance=provenance)
+    return Density(nu, sqrt_nu, z, inv_nu, res)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +133,12 @@ class MetricValidationReport:
     selfadjoint_residual: float
     inverse_selfadjoint_residual: float
     inverse_residual: float
-    self_compatibility: float
 
 
 @dataclass(frozen=True)
 class RiemannianMetric:
-    """Validated metric: the matrix, its computed inverse, and residuals."""
+    """Validated metric: the matrix, its computed inverse, the box it was
+    validated on (its density's box), and the validation residuals."""
 
     matrix: TorusMatrix
     inverse: TorusMatrix
@@ -157,8 +154,9 @@ class RiemannianMetric:
     def n(self):
         return self.matrix.m
 
-    def is_self_compatible(self, tol=1e-12):
-        return self.report.self_compatibility <= tol * (1.0 + self.matrix.max_abs())
+    def is_self_compatible(self):
+        """Whether the entries commute to 1e-10 (relative); computed per call."""
+        return self_compatibility_residual(self.matrix) <= 1e-10 * (1.0 + self.matrix.max_abs())
 
 
 # validation tolerances: entry selfadjointness (relative to 1 + max coefficient)
@@ -190,13 +188,15 @@ def validate_metric(g, box, provenance="explicit", inverse=None):
     matrices with selfadjoint entries whose inverse leaves the real
     subspace.  A caller that supplies the inverse has tested positivity
     itself.  Size m < n is allowed (product-metric blocks); a full metric
-    for the Laplacian must be n x n.
+    for the Laplacian must be n x n.  Self-compatibility is not checked
+    here: RiemannianMetric.is_self_compatible computes it on demand.  The
+    returned metric keeps box, on which its density is computed.
     """
     sa = _entry_selfadjoint_residual(g)
     amp = 1.0 + g.max_abs()
 
-    def _report(inv_sa=np.nan, inv_res=np.nan, self_comp=np.nan):
-        return MetricValidationReport(sa, inv_sa, inv_res, self_comp)
+    def _report(inv_sa=np.nan, inv_res=np.nan):
+        return MetricValidationReport(sa, inv_sa, inv_res)
 
     if sa > _SELFADJOINT_TOL * amp:
         raise MetricValidationError(
@@ -222,10 +222,7 @@ def validate_metric(g, box, provenance="explicit", inverse=None):
             f"g g^-1 = 1 fails on interior modes (residual {inv_res:.3e})",
             _report(inv_sa=inv_sa, inv_res=inv_res),
         )
-    self_comp = self_compatibility_residual(g)
-    return RiemannianMetric(
-        g, inverse, box, _report(inv_sa, inv_res, self_comp), provenance=provenance
-    )
+    return RiemannianMetric(g, inverse, box, _report(inv_sa, inv_res), provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def metric_flat(geometry):
     """Euclidean metric g_ij = delta_ij; its inverse and density are exact."""
     n = geometry.n
     eye = TorusMatrix.identity(geometry, n)
-    report = MetricValidationReport(0.0, 0.0, 0.0, 0.0)
+    report = MetricValidationReport(0.0, 0.0, 0.0)
     return RiemannianMetric(eye, eye, LatticeBox(n, 0), report, provenance="flat")
 
 
@@ -317,22 +314,19 @@ def metric_functional(h, profile, box):
 # ---------------------------------------------------------------------------
 
 
-def riemannian_density(g, box=None):
-    """Volume element of a metric: sqrt(det g) = exp(Tr(log g) / 2)."""
-    if isinstance(g, RiemannianMetric):
-        box = box or g.box
-        if g.provenance == "flat":
-            return density_one(g.geometry)
-        mat = g.matrix
-    else:
-        mat = g
-        if box is None:
-            raise ValueError("box required")
-    log_g = functional_calculus(mat, "log", box)
+def riemannian_density(g):
+    """Volume element sqrt(det g) = exp(Tr(log g) / 2) of a RiemannianMetric.
+
+    Computed on g.box, the box the metric was validated on; the flat
+    metric's density is exactly 1.
+    """
+    if g.provenance == "flat":
+        return density_one(g.geometry)
+    log_g = functional_calculus(g.matrix, "log", g.box)
     half_trace = scale(matrix_trace(log_g), 0.5)
-    nu = functional_calculus(half_trace, "exp", box)
+    nu = functional_calculus(half_trace, "exp", g.box)
     nu = scale(add(nu, adjoint(nu)), 0.5)  # clear roundoff off the real subspace
-    return density_from_element(nu, box, provenance="riemannian")
+    return density_from_element(nu, g.box)
 
 
 def weight(dens, u):
@@ -342,7 +336,7 @@ def weight(dens, u):
 
 def volume(dens):
     """Volume (2 pi)^n tau(nu) of a Density, a positive real; the Riemannian
-    volume of a metric g is volume(riemannian_density(g, box))."""
+    volume of a metric g is volume(riemannian_density(g))."""
     return float(((2.0 * np.pi) ** dens.geometry.n * trace(dens.nu)).real)
 
 
@@ -366,11 +360,13 @@ def weight_trace_sandwich(density, x, box):
 def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
     """Residuals of nu(u^t g u) = nu(g) and the matching volume identity.
 
-    u must have selfadjoint entries, be self-compatible and compatible with
-    g, and be orthogonal (u^t u = 1) to tolerance; otherwise the identity
-    has no reason to hold and HypothesisViolated is raised.
+    g is a RiemannianMetric; u^t g u is validated on box, and each density is
+    computed on its metric's box.  u must have selfadjoint entries, be
+    self-compatible and compatible with g, and be orthogonal (u^t u = 1) to
+    tolerance; otherwise the identity has no reason to hold and
+    HypothesisViolated is raised.
     """
-    mat = g.matrix if isinstance(g, RiemannianMetric) else g
+    mat = g.matrix
     hyp = {
         "u_selfadjoint_entries": _entry_selfadjoint_residual(u),
         "self_compatible(u)": self_compatibility_residual(u),
@@ -382,22 +378,22 @@ def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
     bad = {k: v for k, v in hyp.items() if v > max(compat_tol, ortho_tol)}
     if bad:
         raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {bad}", hyp)
-    conj = ut.matmul(mat).matmul(u)
-    nu_g = riemannian_density(mat, box=box)
-    nu_c = riemannian_density(conj, box=box)
+    nu_g = riemannian_density(g)
+    nu_c = riemannian_density(validate_metric(ut.matmul(mat).matmul(u), box))
     dens_resid = (nu_c.nu - nu_g.nu).max_abs()
     vol_resid = abs(volume(nu_c) - volume(nu_g))
     return {"density_residual": dens_resid, "volume_residual": vol_resid, **hyp}
 
 
 def conformal_density_residual(g, k, box):
-    """Residual of nu(k^2 g) = k^n nu(g) for commuting k and g."""
-    mat = g.matrix if isinstance(g, RiemannianMetric) else g
+    """Residual of nu(k^2 g) = k^n nu(g) for a RiemannianMetric g commuting
+    with k; k^2 g is validated on box."""
+    mat = g.matrix
     n = mat.geometry.n
     comm = compatibility_residual(TorusMatrix.scalar(k, 1), mat)
     if comm > 1e-9 * (1.0 + k.max_abs() * mat.max_abs()):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
     scaled = TorusMatrix.scalar(multiply(k, k), mat.m).matmul(mat)
-    nu_scaled = riemannian_density(scaled, box=box)
-    nu_g = riemannian_density(mat, box=box)
+    nu_scaled = riemannian_density(validate_metric(scaled, box))
+    nu_g = riemannian_density(g)
     return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu)).max_abs()

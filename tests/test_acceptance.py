@@ -128,7 +128,7 @@ def test_criterion_04_adjointness():
     interior = 4  # inputs supported in half the working box
     worst = 0.0
     for _ in range(50):
-        h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+        h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         h_inv = calc.matrix_inverse(h, box)
         dens = random_density(geom, rng, amplitude=0.15)
         omega = random_one_form(geom, interior, rng)
@@ -147,7 +147,7 @@ def test_criterion_05_kernel_and_nonnegativity():
     worst_zero, worst_neg, kernel_counts = 0.0, 0.0, []
     box = LatticeBox(2, 10)
     for _ in range(10):
-        h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+        h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         dens = random_density(geom, rng, amplitude=0.15)
         op = lap.assemble(calc.matrix_inverse(h, box), dens, box)
         stable = lap.spectrum(op).stable_eigenvalues
@@ -176,7 +176,7 @@ def test_criterion_06_conformal_covariance():
     op_res = max(rep_flat["two_dim_residual"], rep_const["two_dim_residual"])
 
     ct = met.metric_conformal(met.metric_flat(geom), dk.nu, box)
-    op = lap.assemble_riemannian(ct, box, calc_box=box)
+    op = lap.assemble_riemannian(ct, box)
     res = lap.spectrum(op)
     a = lap.conformally_deformed_flat_matrix(dk, box)
     lam = np.linalg.eigvalsh(a)
@@ -198,9 +198,9 @@ def test_criterion_07_weyl_law():
     dk = met.density_exp(w)
     box = LatticeBox(2, 12)
     ct = met.metric_conformal(met.metric_flat(geom), dk.nu, box)
-    op = lap.assemble_riemannian(ct, box, mult_radius=3, calc_box=box)
+    op = lap.assemble_riemannian(ct, box, mult_radius=3)
     res = lap.spectrum(op)
-    wc = lap.weyl_constant(ct, LatticeBox(2, 8), quadrature_points=64)
+    wc = lap.weyl_constant(ct, op.nu, LatticeBox(2, 8), quadrature_points=64)
     window = (50, min(300, res.stable_count() - 1))
     fit = lap.weyl_fit(res, wc.closed_form, window)
     exp_dev = abs(fit.exponent - 1.0)
@@ -277,7 +277,7 @@ def test_criterion_08_master_oracle():
         for j in range(2)
     )
 
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 8), mult_radius=2, calc_box=box)
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 8), mult_radius=2)
     algebraic["laplacian_apply"] = coeff_diff(
         alg.resize(op.apply_exact(u), 7),
         alg.resize(orc.oracle_laplacian_apply(op.prefactor, op.multipliers, u), 7),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg
 from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry
-from nctorus.errors import GeometryMismatch
+from nctorus.errors import GeometryMismatch, NCTorusError, SeriesNotConverged
 from nctorus.sampling import random_element
 
 from conftest import coeff_diff, trig_pair
@@ -205,6 +205,17 @@ def test_exp_series_inverse_pair(geom):
     e, em = alg.exp_series(w), alg.exp_series(alg.scale(w, -1.0))
     prod = alg.multiply(e, em)
     assert coeff_diff(prod, AlgebraElement.identity(geom)) < 1e-15
+
+
+def test_exp_series_refuses_unconverged_sum(geom0):
+    # at theta = 0, tau(exp(a (V_e + V_-e))) = I_0(2a); for a = 50 the 90-term
+    # partial sum is 2.13e41 against I_0(100) = 1.07e42
+    with pytest.raises(SeriesNotConverged) as err:
+        alg.exp_series(trig_pair(geom0, 0, 50.0))
+    assert isinstance(err.value, NCTorusError)
+    # a = 12.5 settles within the term limit, relative to the sum: I_0(25)
+    e = alg.exp_series(trig_pair(geom0, 0, 12.5))
+    assert alg.trace(e).real == pytest.approx(5774560606.466310, rel=1e-14)
 
 
 def test_selfadjoint_predicate(geom, rng):

@@ -158,7 +158,7 @@ def test_lanczos_matches_dense_readout(n, m, upper, seed):
     """Block Lanczos against the dense eigenvector readout, at random theta."""
     geometry = TorusGeometry.from_upper(n, upper[: n * (n - 1) // 2])
     rng = np.random.default_rng(seed)
-    h, _ = random_hermitian_matrix(geometry, m, 1, rng)
+    h = random_hermitian_matrix(geometry, m, 1, rng)
     box = LatticeBox(n, 4 if n == 2 else 2)
     # the dense fallback must not run: every result here is Lanczos's
     with mock.patch.object(calc, "_eigen_columns", side_effect=AssertionError("fallback")):
@@ -220,10 +220,10 @@ def test_polynomial_exactness(geom):
 
 
 def test_make_positive(geom, rng):
-    x, _ = calc.make_positive(AlgebraElement.zeros(geom, 0), 2.0)
+    x = calc.make_positive(AlgebraElement.zeros(geom, 0), 2.0)
     assert coeff_diff(x, alg.scale(AlgebraElement.identity(geom), 2.0)) == 0.0
     y = random_element(geom, 2, rng, amplitude=0.5)
-    x, _ = calc.make_positive(y, 1.0)
+    x = calc.make_positive(y, 1.0)
     lo, _ = calc.spectral_bounds(x, LatticeBox(2, 6))
     assert lo >= 1.0 - 1e-10
 
@@ -236,7 +236,7 @@ def test_make_positive_matrix_worked_example(geom):
     one = AlgebraElement.identity(geom)
     zero = AlgebraElement.zeros(geom, 0)
     y = TorusMatrix(geom, 2, [[one, a], [zero, b]])
-    h, _ = calc.make_positive(y, 1e-9)
+    h = calc.make_positive(y, 1e-9)
     # h = [[1, a], [a, a^2 + b^2]] up to the positivity shift
     assert coeff_diff(h.entries[0][1], a) < 1e-8
     assert coeff_diff(h.entries[1][0], a) < 1e-8
@@ -302,7 +302,7 @@ def test_determinant_scalar_matrix(geom):
 
 def test_determinant_scaling_and_power(geom, rng):
     box = LatticeBox(2, 10)
-    h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.1)
+    h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.1)
     d = calc.determinant(h, box)
     d2 = calc.determinant(h.scale(3.0), box)
     assert coeff_diff(d2, alg.scale(d, 9.0)) < 1e-9
@@ -346,8 +346,8 @@ def test_determinant_hypothesis_violation(geom):
     v1 = trig_pair(geom, 0)
     v2 = trig_pair(geom, 1)
     one = AlgebraElement.identity(geom)
-    h1, _ = calc.make_positive(TorusMatrix(geom, 2, [[v1, v1], [v1, v1]]), 1.0)
-    h2, _ = calc.make_positive(TorusMatrix(geom, 2, [[v2, v2], [v2, v2]]), 1.0)
+    h1 = calc.make_positive(TorusMatrix(geom, 2, [[v1, v1], [v1, v1]]), 1.0)
+    h2 = calc.make_positive(TorusMatrix(geom, 2, [[v2, v2], [v2, v2]]), 1.0)
     with pytest.raises(HypothesisViolated):
         calc.determinant_identities_check(h1, other=h2, box=box)
     assert alg.commutator(v1, v2).max_abs() > 0.1  # genuinely noncommuting

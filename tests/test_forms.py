@@ -82,7 +82,7 @@ def test_form_inner_product_flat_unit(geom, rng):
 
 def test_form_inner_product_positive(geom, rng):
     box = LatticeBox(2, 8)
-    h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+    h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
     h_inv = calc.matrix_inverse(h, box)
     dens = random_density(geom, rng, amplitude=0.15)
     for _ in range(5):
@@ -125,7 +125,7 @@ def test_adjointness(geom, rng):
     box = LatticeBox(2, 8)
     worst = 0.0
     for _ in range(10):
-        h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+        h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         h_inv = calc.matrix_inverse(h, box)
         dens = random_density(geom, rng, amplitude=0.15)
         omega = random_one_form(geom, 3, rng)
@@ -139,7 +139,7 @@ def test_divergence_matches_dual_field(geom, rng):
     box = LatticeBox(2, 8)
     dens = random_density(geom, rng, amplitude=0.2)
     omega = random_one_form(geom, 2, rng)
-    h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+    h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
     h_inv = calc.matrix_inverse(h, box)
     delta = forms.divergence_one_form(omega, h_inv, dens)
     x = forms.twisted_dual_vector_field(omega, h_inv, dens)

@@ -91,7 +91,7 @@ def test_metric_specs(geom):
         },
         box,
     )
-    assert func.is_self_compatible(tol=1e-9)
+    assert func.is_self_compatible()
     prod = nio.metric_from_spec(
         geom,
         {"type": "product", "blocks": [
@@ -193,6 +193,38 @@ def test_cli_oracle_compare(tmp_path):
     assert report["algebraic"]["multiply"] < 1e-12
 
 
+def test_cli_oracle_compare_multiplier_radius_zero(tmp_path, capsys):
+    # an explicit 0 keeps the multipliers constant; it is not replaced by a
+    # default (box_radius // 4, which the box 3 refuses)
+    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [0.0]}, box_radius=3,
+                     multiplier_radius=0)
+    assert cli.main(["oracle-compare", "--config", cfg,
+                     "--out", str(tmp_path / "oracle.json")]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "oracle.json").read_text())
+    assert report["algebraic"]["laplacian_matrix_interior"] < 1e-12
+
+
+@pytest.mark.parametrize("command", ["weyl", "oracle-compare"])
+def test_cli_computes_the_density_once(tmp_path, monkeypatch, command):
+    from nctorus import laplacian as lap
+
+    calls = []
+    original = met.riemannian_density
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(met, "riemannian_density", counted)
+    monkeypatch.setattr(lap, "riemannian_density", counted)
+    theta = 0.0 if command == "oracle-compare" else 0.7071067811865476
+    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [theta]})
+    argv = [command, "--config", cfg] + (["--window", "10:60"] if command == "weyl" else [])
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_cli_density_override(tmp_path):
     cfg = _write_cfg(
         tmp_path,
@@ -211,6 +243,11 @@ def test_cli_failure_paths(tmp_path):
     # an impossible tolerance flips the exit code, not the report
     cfg_strict = _write_cfg(tmp_path, tolerances={"adjointness": 1e-18})
     assert cli.main(["adjoint-check", "--config", cfg_strict, "--count", "2"]) == 1
+
+
+# inputs whose fault shows only when the metric is built: the file reads
+# fine, and an exponent of l1 norm 120 is refused by the series itself
+_BUILD_ERRORS = ("exp-of-not-converging",)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +286,8 @@ def test_cli_failure_paths(tmp_path):
             {"k": [1, 0], "Re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}}},
         {"stability_radius": 8},
         {"stability_radius": 6},
+        {"metric": {"type": "conformal", "k": {"exp_of": [
+            {"k": [1, 0], "re": 60, "im": 0}, {"k": [-1, 0], "re": 60, "im": 0}]}}},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -258,16 +297,17 @@ def test_cli_failure_paths(tmp_path):
          "metric-wrong-size", "tolerance-string", "theta-upper-length", "count-zero",
          "window-string-one-bound", "tolerances-list", "tolerances-string",
          "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
-         "stability-radius-equal", "stability-radius-below"],
+         "stability-radius-equal", "stability-radius-below", "exp-of-not-converging"],
 )
-def test_cli_config_errors(tmp_path, capsys, overrides):
+def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
     if overrides is None:
         cfg = str(tmp_path / "absent.json")
     else:
         cfg = _write_cfg(tmp_path, **overrides)
-    with pytest.raises(NCTorusError):
-        nio.load_config(cfg)
+    if request.node.callspec.id not in _BUILD_ERRORS:
+        with pytest.raises(NCTorusError):
+            nio.load_config(cfg)
     capsys.readouterr()
     assert cli.main(["volume", "--config", cfg]) == 2
     captured = capsys.readouterr()

@@ -63,7 +63,7 @@ def test_flat_assemble_raw_path(geom):
 
 def test_constants_killed_exactly(geom, rng):
     dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 8), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 8))
     delta0 = np.zeros(op.box.size)
     delta0[op.box.index_of((0, 0))] = 1.0
     assert np.max(np.abs(op.matrix @ delta0)) == 0.0
@@ -116,9 +116,9 @@ def test_self_compatible_commuted_form(geom):
     """For a self-compatible metric the commuted assembly
     -det^{-1/2} sum d_i(det^{1/2} g^{ij} d_j) agrees on interior rows."""
     _, ct = _ct_metric(geom)
-    assert ct.is_self_compatible(tol=1e-10)
+    assert ct.is_self_compatible()
     box = LatticeBox(2, 10)
-    op = lap.assemble_riemannian(ct, box, calc_box=box)
+    op = lap.assemble_riemannian(ct, box)
     b = TorusMatrix.scalar(op.nu.nu, 2).matmul(ct.inverse)
     commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
     rows = lap.interior_indices(box, box.radius // 2)
@@ -127,7 +127,7 @@ def test_self_compatible_commuted_form(geom):
 
 def test_green_identity(geom, rng):
     dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
     for _ in range(5):
         u = random_element(geom, 3, rng)
         v = random_element(geom, 3, rng)
@@ -136,7 +136,7 @@ def test_green_identity(geom, rng):
 
 def test_matrix_application_matches_exact_path(geom, rng):
     dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
     u = random_element(geom, 3, rng)
     via_matrix = op.apply(u)
     via_elements = op.apply_exact(u)
@@ -148,9 +148,7 @@ def test_asymmetry_decreases_with_box(geom):
     dens = met.riemannian_density(ct)
     values = []
     for radius in (6, 8, 10, 12):
-        op = lap.assemble_riemannian(
-            ct, LatticeBox(2, radius), calc_box=LatticeBox(2, 10), density=dens
-        )
+        op = lap.assemble_riemannian(ct, LatticeBox(2, radius), density=dens)
         values.append(op.asymmetry)
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -158,7 +156,7 @@ def test_asymmetry_decreases_with_box(geom):
 def test_kernel_and_nonnegativity(geom, rng):
     box = LatticeBox(2, 10)
     for _ in range(3):
-        h, _ = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+        h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         dens = random_density(geom, rng, amplitude=0.15)
         op = lap.assemble(calc.matrix_inverse(h, box), dens, box)
         res = lap.spectrum(op)
@@ -181,7 +179,7 @@ def test_spectrum_stability_flags_flat(geom):
 
 def test_generalized_eigensolve_agrees(geom):
     dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
     lam = lap.spectrum(op).stable_eigenvalues[:26]
     lam_gen = lap.generalized_spectrum(op)[:26]
     assert lam.size == 26
@@ -195,7 +193,7 @@ def test_generalized_eigensolve_agrees(geom):
 def test_deformed_flat_spectrum_match(geom):
     dk, ct = _ct_metric(geom)
     box = LatticeBox(2, 10)
-    op = lap.assemble_riemannian(ct, box, calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, box)
     res = lap.spectrum(op)
     a = lap.conformally_deformed_flat_matrix(dk, box)
     assert np.max(np.abs(a - a.conj().T)) < 1e-12
@@ -207,7 +205,7 @@ def test_deformed_flat_spectrum_match(geom):
 
 def test_principal_symbol_invertible(geom):
     dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 8), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 8))
     lo, hi = lap.principal_symbol_bounds(op, samples=12)
     assert lo > 0.1 and hi < 10.0
 
@@ -223,7 +221,7 @@ def test_product_metric_expanded_operator(geom, rng):
         [[alg.multiply(k1, k1), zero], [zero, alg.multiply(k2, k2)]],
     )
     g = met.validate_metric(gmat, LatticeBox(2, 10))
-    op = lap.assemble_riemannian(g, LatticeBox(2, 10), calc_box=LatticeBox(2, 10))
+    op = lap.assemble_riemannian(g, LatticeBox(2, 10))
     u = random_element(geom, 3, rng)
     lhs = alg.scale(op.apply(u), -1.0)
     k1i, k2i = alg.exp_series(alg.scale(w, -1.0)), alg.exp_series(alg.scale(w, -0.7))
@@ -245,7 +243,8 @@ def test_product_metric_expanded_operator(geom, rng):
 
 
 def test_weyl_constant_flat(geom):
-    wc = lap.weyl_constant(met.metric_flat(geom), LatticeBox(2, 6), quadrature_points=32)
+    flat = met.metric_flat(geom)
+    wc = lap.weyl_constant(flat, met.riemannian_density(flat), LatticeBox(2, 6), 32)
     assert wc.quadrature == pytest.approx(np.pi, abs=1e-12)
     assert wc.closed_form == pytest.approx(np.pi, abs=1e-12)
 
@@ -254,14 +253,14 @@ def test_weyl_constant_scaling(geom):
     """Homogeneity: scaling the metric by t scales the constant by t^{n/2}."""
     t = 4.0
     scaled = met.metric_constant(geom, t * np.eye(2))
-    wc = lap.weyl_constant(scaled, LatticeBox(2, 6), quadrature_points=32)
+    wc = lap.weyl_constant(scaled, met.riemannian_density(scaled), LatticeBox(2, 6), 32)
     assert wc.quadrature == pytest.approx(t * np.pi, rel=1e-12)
     assert wc.closed_form == pytest.approx(t * np.pi, rel=1e-12)
 
 
 def test_weyl_constant_conformal(geom):
     dk, ct = _ct_metric(geom)
-    wc = lap.weyl_constant(ct, LatticeBox(2, 8), quadrature_points=48)
+    wc = lap.weyl_constant(ct, met.riemannian_density(ct), LatticeBox(2, 8), 48)
     assert wc.residual < 1e-6
     expect = np.pi * alg.trace(alg.multiply(dk.nu, dk.nu)).real
     assert wc.closed_form == pytest.approx(expect, rel=1e-10)

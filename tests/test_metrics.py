@@ -60,7 +60,34 @@ def test_conformally_flat_entries(geom):
     k2 = alg.multiply(dk.nu, dk.nu)
     assert coeff_diff(g.matrix.entries[0][0], k2) < 1e-14
     assert coeff_diff(g.matrix.entries[1][1], k2) < 1e-14
-    assert g.report.self_compatibility < 1e-13
+    assert calc.self_compatibility_residual(g.matrix) < 1e-13
+
+
+def test_validation_leaves_self_compatibility_to_the_metric(geom, monkeypatch):
+    # building a metric never computes the self-compatibility residual;
+    # is_self_compatible computes it on each call
+    from nctorus import io as nio
+
+    def refuse(a):
+        raise AssertionError("self_compatibility_residual called")
+
+    box = LatticeBox(2, 6)
+    k = {"exp_of": [{"k": [1, 0], "re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}
+    specs = [
+        {"type": "constant", "matrix": [[2.0, 0.3], [0.3, 1.0]]},
+        {"type": "conformal", "k": k},
+        {"type": "functional", "h": [{"k": [1, 0], "re": 0.5, "im": 0}],
+         "poly": [[[1.2, 0.1], [0.0, 0.05]], [[0.0, 0.05], [0.9, 0.0]]]},
+        {"type": "explicit", "entries": [[[{"k": [0, 0], "re": 2.0}], []],
+                                         [[], [{"k": [0, 0], "re": 3.0}]]]},
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(calc, "self_compatibility_residual", refuse)
+        m.setattr(met, "self_compatibility_residual", refuse)
+        metrics = [nio.metric_from_spec(geom, spec, box) for spec in specs]
+        with pytest.raises(AssertionError, match="self_compatibility_residual called"):
+            metrics[1].is_self_compatible()
+    assert all(g.is_self_compatible() for g in metrics)
 
 
 def test_functional_metric(geom):
@@ -71,8 +98,8 @@ def test_functional_metric(geom):
         return np.array([[1.2 + 0.2 * t, 0.1 * t], [0.1 * t, 0.9 + 0.1 * t]])
 
     g = met.metric_functional(h, profile, box)
-    assert g.report.self_compatibility < 1e-10
-    assert g.is_self_compatible(tol=1e-10)
+    assert calc.self_compatibility_residual(g.matrix) < 1e-10
+    assert g.is_self_compatible()
 
     const = met.metric_functional(h, lambda t: np.eye(2) * 1.5, box)
     expect = alg.scale(AlgebraElement.identity(geom), 1.5)
@@ -144,7 +171,7 @@ def test_weight_positivity_and_sandwich(geom, rng):
         u = random_element(geom, 2, rng)
         val = met.weight(dens, alg.multiply(alg.adjoint(u), u))
         assert val.real >= -1e-12 and abs(val.imag) < 1e-10
-    x, _ = calc.make_positive(random_element(geom, 2, rng, 0.5), 0.5)
+    x = calc.make_positive(random_element(geom, 2, rng, 0.5), 0.5)
     s = met.weight_trace_sandwich(dens, x, box)
     assert s["lower"] <= s["middle"] + 1e-10
     assert s["middle"] <= s["upper"] + 1e-10
@@ -213,7 +240,7 @@ def test_validation_rejects_nonpositive(geom):
 
 def test_density_from_element_consistency(geom):
     box = LatticeBox(2, 8)
-    nu_elem, _ = calc.make_positive(trig_pair(geom, 0, 0.3), 1.0)
+    nu_elem = calc.make_positive(trig_pair(geom, 0, 0.3), 1.0)
     dens = met.density_from_element(nu_elem, box)
     assert dens.consistency_residual < 1e-8
     tight = met.density_from_element(nu_elem, box, refine_radius=26)

@@ -114,7 +114,7 @@ def test_laplacian_apply_and_matrix_match(geom0, rng):
     cb = LatticeBox(2, 10)
     dk = met.density_exp(trig_pair(geom0, 0, 0.15) + trig_pair(geom0, 1, 0.1))
     ct = met.metric_conformal(met.metric_flat(geom0), dk.nu, cb)
-    op = lap.assemble_riemannian(ct, box, mult_radius=2, calc_box=cb)
+    op = lap.assemble_riemannian(ct, box, mult_radius=2)
     u = random_element(geom0, 3, rng)
     a_main = op.apply_exact(u)
     a_orc = orc.oracle_laplacian_apply(op.prefactor, op.multipliers, u)
