@@ -180,14 +180,14 @@ class AlgebraElement:
         return cls(geometry, box, np.zeros(box.shape, dtype=complex))
 
     @classmethod
-    def basis(cls, geometry, k, radius=None, coeff=1.0):
-        """The unitary V_k (scaled by coeff) on a box containing k."""
+    def basis(cls, geometry, k, radius=None):
+        """The unitary V_k on a box containing k."""
         k = np.asarray(k, dtype=int)
         if radius is None:
             radius = int(np.max(np.abs(k))) if k.size else 0
         box = LatticeBox(geometry.n, radius)
         table = np.zeros(box.shape, dtype=complex)
-        table[tuple(k + radius)] = coeff
+        table[tuple(k + radius)] = 1.0
         return cls(geometry, box, table)
 
     @classmethod
@@ -229,9 +229,9 @@ class AlgebraElement:
     def norm_l2(self):
         return float(np.sqrt(np.sum(np.abs(self.table) ** 2)))
 
-    def support_radius(self, cutoff=0.0):
-        """Radius of the smallest box holding all coefficients above cutoff."""
-        nz = np.argwhere(np.abs(self.table) > cutoff)
+    def support_radius(self):
+        """Radius of the smallest box holding all nonzero coefficients."""
+        nz = np.argwhere(np.abs(self.table) > 0.0)
         if nz.size == 0:
             return 0
         return int(np.max(np.abs(nz - self.box.radius)))
@@ -450,6 +450,10 @@ def _integer_power(x, p):
 
 _EXP_TOL = 1e-18
 _EXP_MAX_TERMS = 90
+# the summed l1 norms of the terms may exceed the sum's by at most this factor:
+# roundoff of the largest terms, about 2.2e-16 of them, then stays near 1e-11
+# of the sum
+_EXP_MAX_CANCELLATION = 1e5
 
 
 def exp_series(w):
@@ -459,23 +463,34 @@ def exp_series(w):
     discarded (they are dominated by the dropped series tail anyway), which
     keeps the support from ballooning with numerically void modes.
     Intended for elements of modest norm, where the factorial decay makes
-    the truncated series accurate to near machine precision.  A last term
-    above the tolerance relative to the sum raises SeriesNotConverged: the
-    partial sum is wrong (80 % low for w = 50 (V_e + V_-e) at theta = 0).
+    the truncated series accurate to near machine precision.  Raises
+    SeriesNotConverged when the sum cannot be trusted: when the last term
+    is above the tolerance relative to the sum at the term limit (the
+    partial sum is 80 % low for w = 50 (V_e + V_-e) at theta = 0), or when
+    the terms' summed l1 norms exceed the sum's by more than
+    _EXP_MAX_CANCELLATION, so that their roundoff swamps it (for w = -20
+    the sum would be 9.9e-9 against e^-20 = 2.1e-9).
     """
     geometry = w.geometry
     acc = AlgebraElement.identity(geometry)
     term = AlgebraElement.identity(geometry)
     bound = w.norm_l1()
+    mass = 1.0  # summed l1 norms of the terms, the identity's included
     for j in range(1, _EXP_MAX_TERMS + 1):
         term = trim(scale(multiply(term, w), 1.0 / j), _EXP_TOL * 1e-2)
         acc = add(acc, term)
-        if term.norm_l1() <= _EXP_TOL and j * 1.0 >= bound:
+        size = term.norm_l1()
+        mass += size
+        if size <= _EXP_TOL and j * 1.0 >= bound:
             break
     else:  # the term limit is reached
-        if term.norm_l1() > _EXP_TOL * acc.norm_l1():
+        if size > _EXP_TOL * acc.norm_l1():
             raise SeriesNotConverged(f"exp series of an exponent of l1 norm {bound:.3e} "
                                      f"has not converged in {_EXP_MAX_TERMS} terms")
+    if mass > _EXP_MAX_CANCELLATION * acc.norm_l1():
+        raise SeriesNotConverged(f"exp series of an exponent of l1 norm {bound:.3e} "
+                                 f"cancels: its terms sum to {mass:.3e} in l1 norm, "
+                                 f"the series to {acc.norm_l1():.3e}")
     return trim(acc, 0.0)
 
 

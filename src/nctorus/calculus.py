@@ -56,6 +56,9 @@ from .errors import (
 # functions singular at 0 refuse a compressed spectrum below this floor, and
 # every test of positive invertibility in the package compares against it
 SPECTRAL_FLOOR = 1e-8
+# a commutation or orthogonality hypothesis of an identity check holds when
+# its residual is at most this
+COMPAT_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=8)
@@ -107,8 +110,8 @@ class TorusMatrix:
         return out
 
     @classmethod
-    def identity(cls, geometry, m, radius=0):
-        return cls.from_scalar_matrix(geometry, np.eye(m), radius)
+    def identity(cls, geometry, m):
+        return cls.from_scalar_matrix(geometry, np.eye(m))
 
     @classmethod
     def scalar(cls, x, m):
@@ -116,9 +119,9 @@ class TorusMatrix:
         return cls.from_coeffs(x.geometry, np.multiply.outer(np.eye(m), x.table))
 
     @classmethod
-    def from_scalar_matrix(cls, geometry, mat, radius=0):
+    def from_scalar_matrix(cls, geometry, mat):
         """Constant-coefficient matrix: each entry is a scalar multiple of 1."""
-        one = AlgebraElement.identity(geometry, radius).table
+        one = AlgebraElement.identity(geometry).table
         return cls.from_coeffs(geometry, np.multiply.outer(np.asarray(mat, dtype=complex), one))
 
     @classmethod
@@ -261,10 +264,6 @@ class CompressedOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self):
-        return self.m * self.box.size
-
     def hermitian_residual(self):
         scale_ = max(1.0, float(np.max(np.abs(self.matrix))))
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale_
@@ -323,8 +322,6 @@ def _resolve_function(fn):
 
     ("pow", -1) is "inv", so that both take the solve in functional_calculus.
     """
-    if callable(fn):
-        return getattr(fn, "__name__", "callable"), fn, False
     if isinstance(fn, tuple) and len(fn) == 2 and fn[0] == "pow":
         s = float(fn[1])
         if s == -1.0:
@@ -453,8 +450,8 @@ def functional_calculus(x, fn, box):
 
     x is an element or a matrix over the algebra (an element is the 1 x 1
     case, and the result has the form of x).  fn is one of "sqrt",
-    "inv_sqrt", "log", "exp", "inv", ("pow", s), or a vectorized callable on
-    eigenvalues.  Functions singular at 0 refuse inputs whose compressed
+    "inv_sqrt", "log", "exp", "inv" or ("pow", s); any other spec is a
+    ValueError.  Functions singular at 0 refuse inputs whose compressed
     spectrum dips below SPECTRAL_FLOOR, tested by a Cholesky factorization
     of the compression minus the floor.  The inverse (also ("pow", -1)) is
     a Cholesky solve on the cyclic columns; every other function runs block
@@ -579,13 +576,13 @@ def leibniz_determinant(h):
     return acc
 
 
-def determinant_identities_check(h, box, other=None, conjugator=None, compat_tol=1e-9):
+def determinant_identities_check(h, box, other=None, conjugator=None):
     """Residuals of the determinant identities that hold under compatibility.
 
     Checks, as applicable: [det h, det h'] = 0 and det(hh') = det(h)det(h')
     for compatible commuting h, h'; det(u* h u) = det(u*u) det(h) for a
     compatible self-compatible conjugator u.  Raises HypothesisViolated when
-    a commutation hypothesis fails at compat_tol, reporting the measured
+    a commutation hypothesis fails at COMPAT_TOL, reporting the measured
     residuals.
     """
     report = {}
@@ -595,7 +592,7 @@ def determinant_identities_check(h, box, other=None, conjugator=None, compat_tol
             "compatible(h,h')": compatibility_residual(h, other),
             "[h,h']": (h.matmul(other) - other.matmul(h)).max_abs(),
         }
-        bad = {k: v for k, v in hyp.items() if v > compat_tol}
+        bad = {k: v for k, v in hyp.items() if v > COMPAT_TOL}
         if bad:
             raise HypothesisViolated(f"determinant product hypotheses failed: {bad}", hyp)
         det_o = determinant(other, box)
@@ -609,7 +606,7 @@ def determinant_identities_check(h, box, other=None, conjugator=None, compat_tol
             "self_compatible(u)": self_compatibility_residual(u),
             "compatible(u,u*)": compatibility_residual(u, u.adjoint()),
         }
-        bad = {k: v for k, v in hyp.items() if v > compat_tol}
+        bad = {k: v for k, v in hyp.items() if v > COMPAT_TOL}
         if bad:
             raise HypothesisViolated(f"determinant conjugation hypotheses failed: {bad}", hyp)
         uhu = u.adjoint().matmul(h).matmul(u)
@@ -619,12 +616,13 @@ def determinant_identities_check(h, box, other=None, conjugator=None, compat_tol
     return report
 
 
-def block_determinant_residual(blocks, box, compat_tol=1e-9):
-    """Residual of det(blockdiag) = product of block determinants."""
+def block_determinant_residual(blocks, box):
+    """Residual of det(blockdiag) = product of block determinants; the blocks
+    must be pairwise compatible to COMPAT_TOL."""
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             r = compatibility_residual(blocks[i], blocks[j])
-            if r > compat_tol:
+            if r > COMPAT_TOL:
                 raise HypothesisViolated(
                     f"blocks {i},{j} not compatible (residual {r:.3e})",
                     {"compatibility": r},

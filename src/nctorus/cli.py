@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,8 +48,19 @@ from .sampling import (
 )
 
 
+def _finite(x):
+    """The report with each NaN or infinity as None, which JSON writes as null."""
+    if isinstance(x, dict):
+        return {key: _finite(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [_finite(value) for value in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2, default=float)
+    text = json.dumps(_finite(report), indent=2, default=float)
     if out_path:
         with open(out_path, "w", encoding="utf8") as f:
             f.write(text + "\n")
@@ -82,17 +94,21 @@ def _count(args, default):
     return count
 
 
-def cmd_spectrum(cfg, args):
-    count = _count(args, cfg.count)
-    metric, op = _assembled(cfg)
+def _spectrum(cfg, op):
+    """The spectrum of the assembled operator, and its asymmetry gate."""
     result = lap.spectrum(
         op,
-        count=count,
         stability_radius=cfg.stability_radius,
         rel_tol=cfg.tolerances.stability_rel,
         multiplicity_tol=cfg.tolerances.multiplicity,
-        asymmetry_threshold=cfg.tolerances.asymmetry_threshold,
     )
+    return result, {"asymmetry": (result.asymmetry, cfg.tolerances.asymmetry_threshold)}
+
+
+def cmd_spectrum(cfg, args):
+    count = _count(args, cfg.count)
+    metric, op = _assembled(cfg)
+    result, gates = _spectrum(cfg, op)
     if args.out:
         nio.write_spectrum_csv(args.out, result)
         print(f"wrote {args.out}")
@@ -101,24 +117,20 @@ def cmd_spectrum(cfg, args):
         f"spectrum: {result.stable_count()} stable of {result.eigenvalues.size} "
         f"(asymmetry {op.asymmetry:.3e})"
     )
-    gates = {
-        "asymmetry": (op.asymmetry, cfg.tolerances.asymmetry_threshold),
-        "kernel |lambda_0|": (abs(float(stable[0])), cfg.tolerances.kernel),
-        "negativity": (max(0.0, -float(stable.min())), cfg.tolerances.kernel),
-        "requested count deficit": (float(max(0, count - result.stable_count())), 0.5),
-    }
+    if stable.size:
+        kernel, negativity = abs(float(stable[0])), max(0.0, -float(stable.min()))
+    else:  # no stable eigenvalue: there is no kernel to measure, and both gates fail
+        kernel = negativity = math.inf
+    gates["kernel |lambda_0|"] = (kernel, cfg.tolerances.kernel)
+    gates["negativity"] = (negativity, cfg.tolerances.kernel)
+    gates["requested count deficit"] = (float(max(0, count - result.stable_count())), 0.5)
     return _gate_lines(gates)
 
 
 def cmd_weyl(cfg, args):
     window = nio.parse_window(args.window) if args.window else cfg.window
     metric, op = _assembled(cfg)
-    result = lap.spectrum(
-        op,
-        stability_radius=cfg.stability_radius,
-        rel_tol=cfg.tolerances.stability_rel,
-        asymmetry_threshold=cfg.tolerances.asymmetry_threshold,
-    )
+    result, gates = _spectrum(cfg, op)
     if window is None:
         hi = result.stable_count() - 1
         window = (max(1, hi // 6), hi)
@@ -139,16 +151,14 @@ def cmd_weyl(cfg, args):
         "stable_count": result.stable_count(),
     }
     _emit(report, args.out)
-    gates = {
-        "exponent deviation": (
-            abs(fit.exponent - fit.exponent_target) / fit.exponent_target,
-            cfg.tolerances.weyl_exponent_pct / 100.0,
-        ),
-        "counting ratio deviation": (
-            max(abs(fit.counting_ratio_min - 1.0), abs(fit.counting_ratio_max - 1.0)),
-            cfg.tolerances.weyl_ratio_pct / 100.0,
-        ),
-    }
+    gates["exponent deviation"] = (
+        abs(fit.exponent - fit.exponent_target) / fit.exponent_target,
+        cfg.tolerances.weyl_exponent_pct / 100.0,
+    )
+    gates["counting ratio deviation"] = (
+        max(abs(fit.counting_ratio_min - 1.0), abs(fit.counting_ratio_max - 1.0)),
+        cfg.tolerances.weyl_ratio_pct / 100.0,
+    )
     if not np.isnan(wc.closed_form):
         gates["quadrature vs closed form"] = (wc.residual, cfg.tolerances.weyl_constant)
     return _gate_lines(gates)
@@ -159,29 +169,23 @@ def cmd_conformal_check(cfg, args):
     if spec.get("type") != "conformal":
         raise NCTorusError("conformal-check requires a conformal metric spec")
     base = nio.metric_from_spec(cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box)
-    k = nio.positive_element_from_spec(cfg.geometry, spec["k"], cfg.calc_box)
-    dk = met.density_from_element(k, cfg.calc_box)
+    dk = nio.density_from_spec(cfg.geometry, spec["k"], cfg.calc_box)
     report, op = lap.conformal_covariance_check(
-        base, k, cfg.box, calc_box=cfg.calc_box, k_density=dk
+        base, dk.nu, cfg.box, calc_box=cfg.calc_box, k_density=dk
     )
     key = "two_dim_residual" if cfg.geometry.n == 2 else "full_law_residual"
     gates = {key: (report[key], cfg.tolerances.conformal)}
-    if cfg.geometry.n == 2 and base.provenance == "flat":
-        res = lap.spectrum(
-            op,
-            stability_radius=cfg.stability_radius,
-            rel_tol=cfg.tolerances.stability_rel,
-            asymmetry_threshold=cfg.tolerances.asymmetry_threshold,
-        )
+    if cfg.geometry.n == 2 and base.is_flat:
+        res, spectrum_gates = _spectrum(cfg, op)
+        gates.update(spectrum_gates)
         a = lap.conformally_deformed_flat_matrix(dk, cfg.box)
         lam = np.linalg.eigvalsh(a)
         stable = res.stable_eigenvalues
         rel = np.abs(stable - lam[: stable.size]) / (1.0 + np.abs(stable))
-        report["deformed_flat_match"] = float(rel.max())
-        gates["deformed flat spectrum match"] = (
-            float(rel.max()),
-            cfg.tolerances.stability_rel,
-        )
+        # with no stable eigenvalue there is nothing to match, and the gate fails
+        match = float(rel.max()) if stable.size else math.inf
+        report["deformed_flat_match"] = match
+        gates["deformed flat spectrum match"] = (match, cfg.tolerances.stability_rel)
     _emit(report, args.out)
     return _gate_lines(gates)
 
@@ -250,7 +254,7 @@ def cmd_volume(cfg, args):
         "nu(g)^2 = det(g)": (report["density_squared_vs_det"], cfg.tolerances.volume),
         "positivity": (max(0.0, -vol), 0.0),
     }
-    if metric.provenance == "flat":
+    if metric.is_flat:
         gates["flat volume"] = (
             abs(vol - report["flat_reference"]),
             1e-10 * report["flat_reference"],

@@ -38,7 +38,8 @@ class MetricValidationError(NCTorusError):
 
 
 class SeriesNotConverged(NCTorusError):
-    """A power series did not reach its tolerance within its term limit."""
+    """A power series did not reach its tolerance within its term limit, or
+    cancellation among its terms left the sum no accurate digits to spare."""
 
 
 class SpectrumOutsideDomain(NCTorusError):
@@ -52,10 +53,6 @@ class BoxTooSmall(NCTorusError):
 
 class BoxTooLarge(NCTorusError):
     """A dense matrix of the configured boxes would not fit in physical memory."""
-
-
-class UnstableSpectrum(NCTorusError):
-    """Fewer eigenvalues stabilized across box radii than requested."""
 
 
 class WindowOutOfRange(NCTorusError):

@@ -60,15 +60,6 @@ class _Components:
     def from_components(cls, comps):
         return cls(comps[0].geometry, tuple(comps))
 
-    def __add__(self, other):
-        return type(self)(
-            self.geometry,
-            tuple(add(a, b) for a, b in zip(self.components, other.components)),
-        )
-
-    def scale(self, c):
-        return type(self)(self.geometry, tuple(scale(x, c) for x in self.components))
-
     def max_abs(self):
         return max(c.max_abs() for c in self.components)
 

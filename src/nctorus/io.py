@@ -88,7 +88,7 @@ def geometry_from_literal(lit):
     return TorusGeometry(n, lit["theta"])
 
 
-def element_from_literal(geometry, literal, radius=None):
+def element_from_literal(geometry, literal):
     modes = {}
     for item in literal:
         if not set(item) <= {"k", "re", "im"}:
@@ -98,8 +98,8 @@ def element_from_literal(geometry, literal, radius=None):
             raise ValueError(f"mode {k} has wrong dimension")
         modes[k] = complex(_number(item.get("re", 0.0), "re"), _number(item.get("im", 0.0), "im"))
     if not modes:
-        return AlgebraElement.zeros(geometry, radius or 0)
-    return AlgebraElement.from_modes(geometry, modes, radius=radius)
+        return AlgebraElement.zeros(geometry, 0)
+    return AlgebraElement.from_modes(geometry, modes)
 
 
 def matrix_from_literal(geometry, literal):

@@ -2,8 +2,8 @@
 
 A metric is a positive invertible n x n matrix over the algebra whose
 entries, and those of its inverse, are selfadjoint.  Truncation breaks the
-exact identities, so validation is tolerance-based and every validated
-metric carries its measured residuals.
+exact identities, so validation is tolerance-based, and a metric that
+fails it is refused with its measured residuals.
 
 A density is a positive invertible element nu together with an internally
 consistent family of powers (nu^{1/2}, nu^{-1/2}, nu^{-1}).  The family is
@@ -25,7 +25,6 @@ from .algebra import (
     LatticeBox,
     _integer_power,
     add,
-    adjoint,
     exp_series,
     is_selfadjoint,
     multiply,
@@ -137,14 +136,13 @@ class MetricValidationReport:
 
 @dataclass(frozen=True)
 class RiemannianMetric:
-    """Validated metric: the matrix, its computed inverse, the box it was
-    validated on (its density's box), and the validation residuals."""
+    """Validated metric: the matrix, its computed inverse, and the box it was
+    validated on (its density's box).  What else is known of it (flatness,
+    self-compatibility) is read off the matrix."""
 
     matrix: TorusMatrix
     inverse: TorusMatrix
     box: LatticeBox
-    report: MetricValidationReport
-    provenance: str = "explicit"
 
     @property
     def geometry(self):
@@ -153,6 +151,12 @@ class RiemannianMetric:
     @property
     def n(self):
         return self.matrix.m
+
+    @property
+    def is_flat(self):
+        """Whether the matrix is exactly the identity; its density is then exactly 1."""
+        eye = TorusMatrix.identity(self.geometry, self.n)
+        return (self.matrix - eye).max_abs() == 0.0
 
     def is_self_compatible(self):
         """Whether the entries commute to 1e-10 (relative); computed per call."""
@@ -177,7 +181,7 @@ def _entry_selfadjoint_residual(h):
     return (h - h.adjoint().transpose()).max_abs()
 
 
-def validate_metric(g, box, provenance="explicit", inverse=None):
+def validate_metric(g, box, inverse=None):
     """Validate a candidate metric matrix and return a RiemannianMetric.
 
     Checks, in order: selfadjoint entries, positive invertibility of the
@@ -188,9 +192,11 @@ def validate_metric(g, box, provenance="explicit", inverse=None):
     matrices with selfadjoint entries whose inverse leaves the real
     subspace.  A caller that supplies the inverse has tested positivity
     itself.  Size m < n is allowed (product-metric blocks); a full metric
-    for the Laplacian must be n x n.  Self-compatibility is not checked
-    here: RiemannianMetric.is_self_compatible computes it on demand.  The
-    returned metric keeps box, on which its density is computed.
+    for the Laplacian must be n x n.  Self-compatibility and flatness are
+    not recorded here: RiemannianMetric.is_self_compatible and is_flat read
+    them off the matrix.  The returned metric keeps box, on which its
+    density is computed; the measured residuals are reported only on
+    failure.
     """
     sa = _entry_selfadjoint_residual(g)
     amp = 1.0 + g.max_abs()
@@ -222,7 +228,7 @@ def validate_metric(g, box, provenance="explicit", inverse=None):
             f"g g^-1 = 1 fails on interior modes (residual {inv_res:.3e})",
             _report(inv_sa=inv_sa, inv_res=inv_res),
         )
-    return RiemannianMetric(g, inverse, box, _report(inv_sa, inv_res), provenance=provenance)
+    return RiemannianMetric(g, inverse, box)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +240,7 @@ def metric_flat(geometry):
     """Euclidean metric g_ij = delta_ij; its inverse and density are exact."""
     n = geometry.n
     eye = TorusMatrix.identity(geometry, n)
-    report = MetricValidationReport(0.0, 0.0, 0.0)
-    return RiemannianMetric(eye, eye, LatticeBox(n, 0), report, provenance="flat")
+    return RiemannianMetric(eye, eye, LatticeBox(n, 0))
 
 
 def metric_constant(geometry, mat, box=None):
@@ -252,7 +257,7 @@ def metric_constant(geometry, mat, box=None):
     g = TorusMatrix.from_scalar_matrix(geometry, mat)
     inv = TorusMatrix.from_scalar_matrix(geometry, np.linalg.inv(mat))
     box = box or LatticeBox(geometry.n, 2)
-    return validate_metric(g, box, provenance="constant", inverse=inv)
+    return validate_metric(g, box, inverse=inv)
 
 
 def metric_conformal(base, k, box):
@@ -263,7 +268,7 @@ def metric_conformal(base, k, box):
     if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
     k_eye = TorusMatrix.scalar(k, base.n)
-    return validate_metric(k_eye.matmul(base.matrix).matmul(k_eye), box, provenance="conformal")
+    return validate_metric(k_eye.matmul(base.matrix).matmul(k_eye), box)
 
 
 def metric_product(blocks, box):
@@ -274,7 +279,7 @@ def metric_product(blocks, box):
         for j in range(i + 1, len(mats)):
             compat = max(compat, compatibility_residual(mats[i], mats[j]))
     g = TorusMatrix.block_diag(mats)
-    metric = validate_metric(g, box, provenance=f"product(compat={compat:.3e})")
+    metric = validate_metric(g, box)
     return metric, compat
 
 
@@ -304,9 +309,7 @@ def metric_functional(h, profile, box):
     # entry (i, j) is g_ij(C) applied to the cyclic vector V_0
     cols = vecs @ (samples * vecs[i0].conj()[:, None, None]).reshape(-1, n * n)
     coeffs = cols.T.reshape((n, n) + box.shape)
-    return validate_metric(
-        TorusMatrix.from_coeffs(geometry, coeffs), box, provenance="functional"
-    )
+    return validate_metric(TorusMatrix.from_coeffs(geometry, coeffs), box)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +320,14 @@ def metric_functional(h, profile, box):
 def riemannian_density(g):
     """Volume element sqrt(det g) = exp(Tr(log g) / 2) of a RiemannianMetric.
 
-    Computed on g.box, the box the metric was validated on; the flat
+    Computed on g.box, the box the metric was validated on; a flat
     metric's density is exactly 1.
     """
-    if g.provenance == "flat":
+    if g.is_flat:
         return density_one(g.geometry)
     log_g = functional_calculus(g.matrix, "log", g.box)
     half_trace = scale(matrix_trace(log_g), 0.5)
     nu = functional_calculus(half_trace, "exp", g.box)
-    nu = scale(add(nu, adjoint(nu)), 0.5)  # clear roundoff off the real subspace
     return density_from_element(nu, g.box)
 
 
@@ -357,13 +359,13 @@ def weight_trace_sandwich(density, x, box):
     }
 
 
-def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
+def orthogonal_invariance_check(g, u, box):
     """Residuals of nu(u^t g u) = nu(g) and the matching volume identity.
 
     g is a RiemannianMetric; u^t g u is validated on box, and each density is
     computed on its metric's box.  u must have selfadjoint entries, be
-    self-compatible and compatible with g, and be orthogonal (u^t u = 1) to
-    tolerance; otherwise the identity has no reason to hold and
+    self-compatible and compatible with g, and be orthogonal (u^t u = 1), each
+    to calculus.COMPAT_TOL; otherwise the identity has no reason to hold and
     HypothesisViolated is raised.
     """
     mat = g.matrix
@@ -375,7 +377,7 @@ def orthogonal_invariance_check(g, u, box, compat_tol=1e-9, ortho_tol=1e-9):
     ut = u.transpose()
     utu = ut.matmul(u)
     hyp["orthogonality"] = (utu - TorusMatrix.identity(u.geometry, u.m)).max_abs()
-    bad = {k: v for k, v in hyp.items() if v > max(compat_tol, ortho_tol)}
+    bad = {k: v for k, v in hyp.items() if v > calc.COMPAT_TOL}
     if bad:
         raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {bad}", hyp)
     nu_g = riemannian_density(g)

@@ -24,25 +24,23 @@ def random_density(geometry, rng, radius=1, amplitude=0.15):
     return density_exp(random_selfadjoint(geometry, radius, rng, amplitude))
 
 
-def random_hermitian_matrix(geometry, m, radius, rng, amplitude=0.2, constant=1.0):
-    """Positive invertible matrix y* y + c with random small entries."""
+def random_hermitian_matrix(geometry, m, radius, rng, amplitude=0.2):
+    """Positive invertible matrix y* y + 1 with random small entries."""
     y = TorusMatrix(
         geometry,
         m,
         [[random_element(geometry, radius, rng, amplitude) for _ in range(m)] for _ in range(m)],
     )
-    return make_positive(y, constant)
+    return make_positive(y, 1.0)
 
 
-def random_one_form(geometry, radius, rng, amplitude=1.0):
+def random_one_form(geometry, radius, rng):
     return OneForm(
-        geometry,
-        tuple(random_element(geometry, radius, rng, amplitude) for _ in range(geometry.n)),
+        geometry, tuple(random_element(geometry, radius, rng) for _ in range(geometry.n))
     )
 
 
-def random_vector_field(geometry, radius, rng, amplitude=1.0):
+def random_vector_field(geometry, radius, rng):
     return VectorField(
-        geometry,
-        tuple(random_element(geometry, radius, rng, amplitude) for _ in range(geometry.n)),
+        geometry, tuple(random_element(geometry, radius, rng) for _ in range(geometry.n))
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nctorus import laplacian as lap
 from nctorus.algebra import AlgebraElement, TorusGeometry, add, scale
 
 
@@ -45,3 +46,11 @@ def trig_pair(geometry, axis, amplitude=1.0):
         add(AlgebraElement.basis(geometry, e), AlgebraElement.basis(geometry, -e)),
         amplitude,
     )
+
+
+def spectrum(op, **kwargs):
+    """laplacian.spectrum of an operator whose recorded asymmetry is at most 0.1,
+    the default asymmetry gate of the command line."""
+    res = lap.spectrum(op, **kwargs)
+    assert res.asymmetry <= 0.1
+    return res

@@ -20,7 +20,7 @@ from nctorus.sampling import (
     random_one_form,
 )
 
-from conftest import IRRATIONAL, coeff_diff, trig_pair
+from conftest import IRRATIONAL, coeff_diff, spectrum, trig_pair
 
 
 def _verdict(criterion, ok, detail):
@@ -41,7 +41,7 @@ def test_criterion_01_flat_spectrum_exact():
         off = np.max(np.abs(op.matrix - np.diag(np.diag(op.matrix))))
         diag = np.sort(np.real(np.diag(op.matrix)))
         dev = max(off, np.max(np.abs(diag - lap.lattice_eigenvalues(box4))))
-        res = lap.spectrum(op)
+        res = spectrum(op)
         assert res.multiplicity_of(1.0) == 4
         assert res.multiplicity_of(25.0) == 8  # modes (0, +-5) exceed box 4
         box8 = LatticeBox(2, 8)
@@ -150,7 +150,7 @@ def test_criterion_05_kernel_and_nonnegativity():
         h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
         dens = random_density(geom, rng, amplitude=0.15)
         op = lap.assemble(calc.matrix_inverse(h, box), dens, box)
-        stable = lap.spectrum(op).stable_eigenvalues
+        stable = spectrum(op).stable_eigenvalues
         kernel_counts.append(int(np.sum(np.abs(stable) <= 1e-8)))
         worst_zero = max(worst_zero, abs(float(stable[0])))
         worst_neg = min(worst_neg, float(stable.min()))
@@ -177,7 +177,7 @@ def test_criterion_06_conformal_covariance():
 
     ct = met.metric_conformal(met.metric_flat(geom), dk.nu, box)
     op = lap.assemble_riemannian(ct, box)
-    res = lap.spectrum(op)
+    res = spectrum(op)
     a = lap.conformally_deformed_flat_matrix(dk, box)
     lam = np.linalg.eigvalsh(a)
     stable = res.stable_eigenvalues
@@ -199,7 +199,7 @@ def test_criterion_07_weyl_law():
     box = LatticeBox(2, 12)
     ct = met.metric_conformal(met.metric_flat(geom), dk.nu, box)
     op = lap.assemble_riemannian(ct, box, mult_radius=3)
-    res = lap.spectrum(op)
+    res = spectrum(op)
     wc = lap.weyl_constant(ct, op.nu, LatticeBox(2, 8), quadrature_points=64)
     window = (50, min(300, res.stable_count() - 1))
     fit = lap.weyl_fit(res, wc.closed_form, window)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +218,18 @@ def test_exp_series_refuses_unconverged_sum(geom0):
     # a = 12.5 settles within the term limit, relative to the sum: I_0(25)
     e = alg.exp_series(trig_pair(geom0, 0, 12.5))
     assert alg.trace(e).real == pytest.approx(5774560606.466310, rel=1e-14)
+
+
+def test_exp_series_refuses_cancelled_sum(geom):
+    # for w = -a 1 the terms alternate and peak near a^a / a!; once their
+    # roundoff is as large as e^-a the sum is wrong (9.9e-9 for e^-20 = 2.1e-9)
+    one = AlgebraElement.identity(geom)
+    for a in (-10.0, -20.0):
+        with pytest.raises(SeriesNotConverged):
+            alg.exp_series(alg.scale(one, a))
+    for a in (-5.0, 20.0):
+        e = alg.trace(alg.exp_series(alg.scale(one, a))).real
+        assert e == pytest.approx(math.exp(a), rel=1e-12)
 
 
 def test_selfadjoint_predicate(geom, rng):

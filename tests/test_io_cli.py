@@ -8,7 +8,7 @@ from nctorus.algebra import LatticeBox
 from nctorus.errors import BoxTooLarge, NCTorusError, PositivityViolation
 from nctorus.forms import OneForm
 
-from conftest import coeff_diff
+from conftest import coeff_diff, spectrum
 
 
 def test_geometry_literal_roundtrip(geom):
@@ -70,7 +70,7 @@ def test_positive_element_specs(geom):
 def test_metric_specs(geom):
     box = LatticeBox(2, 6)
     flat = nio.metric_from_spec(geom, {"type": "flat"}, box)
-    assert flat.provenance == "flat"
+    assert flat.is_flat
     const = nio.metric_from_spec(
         geom, {"type": "constant", "matrix": [[2.0, 0.3], [0.3, 1.0]]}, box
     )
@@ -81,7 +81,7 @@ def test_metric_specs(geom):
                                                {"k": [-1, 0], "re": 0.1, "im": 0}]}},
         box,
     )
-    assert conf.provenance == "conformal"
+    assert not conf.is_flat
     func = nio.metric_from_spec(
         geom,
         {
@@ -129,7 +129,7 @@ def test_spectrum_csv_roundtrip(tmp_path, geom):
     from nctorus import laplacian as lap
 
     op = lap.assemble_riemannian(met.metric_flat(geom), LatticeBox(2, 3))
-    res = lap.spectrum(op)
+    res = spectrum(op)
     path = tmp_path / "spec.csv"
     nio.write_spectrum_csv(path, res)
     with open(path, newline="", encoding="utf8") as f:
@@ -243,6 +243,53 @@ def test_cli_failure_paths(tmp_path):
     # an impossible tolerance flips the exit code, not the report
     cfg_strict = _write_cfg(tmp_path, tolerances={"adjointness": 1e-18})
     assert cli.main(["adjoint-check", "--config", cfg_strict, "--count", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "tolerances, command, gate",
+    [
+        ({"stability_rel": 1e-30}, "spectrum", "kernel |lambda_0|"),
+        ({"stability_rel": 1e-30}, "conformal-check", "deformed flat spectrum match"),
+        ({"asymmetry_threshold": 1e-30}, "spectrum", "asymmetry"),
+        ({"asymmetry_threshold": 1e-30}, "weyl", "asymmetry"),
+        ({"asymmetry_threshold": 1e-30}, "conformal-check", "asymmetry"),
+    ],
+    ids=["nothing-stable-spectrum", "nothing-stable-conformal", "asymmetry-spectrum",
+         "asymmetry-weyl", "asymmetry-conformal"],
+)
+def test_cli_spectral_gates_fail_with_exit_1(tmp_path, capsys, tolerances, command, gate):
+    # what a spectrum measures is judged by the gates: exit 1 with a [FAIL]
+    # line, never exit 2 (invalid input) or a traceback
+    cfg = _write_cfg(tmp_path, box_radius=4, stability_radius=6, count=5,
+                     quadrature_points=16, tolerances=tolerances)
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"[FAIL] {gate}: " in captured.out
+
+
+def test_cli_weyl_writes_strict_json(tmp_path):
+    # a metric that is not self-compatible has no closed-form constant; its
+    # NaN values are written as null, which strict JSON parsers accept
+    def entry(axis):
+        e = [0, 0]
+        e[axis] = 1
+        return [{"k": [0, 0], "re": 2.0}, {"k": e, "re": 0.1},
+                {"k": [-x for x in e], "re": 0.1}]
+
+    cfg = _write_cfg(
+        tmp_path, box_radius=6, stability_radius=8, quadrature_points=16,
+        metric={"type": "explicit", "entries": [[entry(0), []], [[], entry(1)]]},
+    )
+    out = tmp_path / "weyl.json"
+    assert cli.main(["weyl", "--config", cfg, "--out", str(out)]) in (0, 1)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["c_n_closed_form"] is None and report["c_n_residual"] is None
+    assert report["c_n_quadrature"] > 0.0
 
 
 # inputs whose fault shows only when the metric is built: the file reads
