@@ -14,16 +14,21 @@ generating unitaries.  The ordered-monomial convention (U_1^{k_1} ...
 U_n^{k_n}) differs from V_k by a per-mode phase; converters are provided.
 
 One kernel computes every product, of elements and of matrices over the
-algebra alike: it loops over the nonzero modes of the sparser operand, so
-a product costs that count times the box size of the other operand.
+algebra alike, as one GEMM over lattice rows (a row fixes every coordinate
+but the last).  Its multiply-adds are the nonzero rows of both operands,
+times the nonzero last-axis columns of the contracted operand, times the
+output's last-axis width, times the matrix sizes; its Python steps are one
+per nonzero row of the contracted operand.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GeometryMismatch, SeriesNotConverged
 
@@ -303,10 +308,10 @@ def resize(u, radius):
 def trim(u, cutoff):
     """Drop coefficients at or below cutoff and shrink the box to the rest.
 
-    A product costs the nonzero modes of its sparser operand times the box
-    size of the other, so clearing numerically void modes (series tails,
-    readout dust) keeps chains of exact products affordable; cutoff 0 only
-    tightens the box.
+    A product costs the nonzero rows of both operands times the nonzero
+    last-axis columns of one of them, so clearing numerically void modes
+    (series tails, readout dust) keeps chains of exact products affordable;
+    cutoff 0 only tightens the box.
     """
     table = u.table
     if cutoff > 0.0:
@@ -327,9 +332,11 @@ def scale(u, c):
     return AlgebraElement(u.geometry, u.box, u.table * complex(c))
 
 
-# the product kernel takes its modes in batches whose temporary arrays hold
-# about this many complex entries (512 kB); 2 MB batches ran slower
-_BATCH_ENTRIES = 2**15
+# the product kernel takes the rows of its Toeplitz operand in batches whose
+# Toeplitz and product arrays hold about this many complex entries (16 MB):
+# on the n = 3 spectrum benchmark 2**22 raised the peak memory by 13 MB, and
+# 2**16 ran 15 % slower
+_BATCH_ENTRIES = 2**20
 
 
 def _adjoint_coeffs(coeffs, n):
@@ -338,40 +345,115 @@ def _adjoint_coeffs(coeffs, n):
     return np.conj(coeffs.swapaxes(0, 1)[flip])
 
 
+def _pi_phase(terms):
+    """exp(i*pi * sum_j t_j N_j) for floats t_j and integer arrays N_j; None
+    when every t_j vanishes.
+
+    Each t_j N_j is reduced mod 2 exactly: t_j (taken mod 2) splits into a
+    float32 head, whose products with integers below 2**29 are exact in
+    float64, and a tail below 2**-23 |t_j|.  The argument so stays within a
+    few units, however large the N_j.
+    """
+    arg = 0.0
+    for t, k in terms:
+        t = math.fmod(t, 2.0)
+        if t != 0.0:
+            head = float(np.float32(t))
+            arg = arg + (np.fmod(head * k, 2.0) + (t - head) * k)
+    return None if np.isscalar(arg) else np.exp(1j * np.pi * arg)
+
+
+def _support(x, n):
+    """Nonzero rows of a coefficient array (m, l, *box), as flat indices and
+    as offsets on the first n - 1 box axes, and its nonzero last-axis columns."""
+    mask = x.any(axis=(0, 1))
+    rows = mask.any(axis=-1)
+    cols = np.flatnonzero(mask.any(axis=tuple(range(n - 1))))
+    return np.flatnonzero(rows), np.argwhere(rows), cols
+
+
 def _twisted_matmul(theta, a, b):
     """Twisted matrix product (m, l, *box_a) x (l, k, *box_b) -> (m, k, *box_{a+b}).
 
-    c_ik = sum_l a_il b_lk, each entry product kept on the grown box.  The
-    loop runs over the nonzero modes p of the sparser operand (the left one
-    on ties): per mode the matrix index is contracted, sigma(p, .) applied
-    and the block added at p + box_b.  A sparser right operand goes through
-    the exact identity (ab)* = b* a*.
+    c_ik = sum_l a_il b_lk, each entry product kept on the grown box.  A
+    mode splits into its row p' (the first n - 1 axes) and its last-axis
+    column p_n.  For every nonzero row q' of b, b's last axis is laid out as
+    a Toeplitz matrix over the nonzero columns of a, so that one GEMM
+    contracts the matrix index and p_n for all nonzero rows p' of a at
+    once; each row p' then adds one slab at the output rows p' + q'.  The
+    cocycle sigma(p, q) = exp(i*pi * q.theta p) comes from tables over
+    (q', p_n), (p', p_n), (k_n, p') and (q', p'), with k_n = p_n + q_n.
+    The operand with fewer nonzero columns is contracted (the left one on
+    ties); a right one goes through the exact identity (ab)* = b* a*.
     """
     n = theta.shape[0]
-    nz = np.argwhere(a.any(axis=(0, 1)))
-    if np.count_nonzero(b.any(axis=(0, 1))) < len(nz):
+    flat_a, rows_a, cols_a = _support(a, n)
+    flat_b, rows_b, cols_b = _support(b, n)
+    if (len(cols_b), len(rows_b)) < (len(cols_a), len(rows_a)):
         return _adjoint_coeffs(
             _twisted_matmul(theta, _adjoint_coeffs(b, n), _adjoint_coeffs(a, n)), n
         )
-    na, nb = (a.shape[-1] - 1) // 2, (b.shape[-1] - 1) // 2
-    width = 2 * nb + 1
-    out = np.zeros(a.shape[:1] + b.shape[1:2] + (2 * (na + nb) + 1,) * n, dtype=complex)
-    # sigma(p, q) = prod_j exp(i*pi * q_j (theta p)_j): one row per mode and axis
-    q = np.arange(-nb, nb + 1, dtype=float)
-    rows = np.exp(1j * np.pi * ((nz - na) @ theta.T)[:, :, None] * q)
-    coeffs = a[(slice(None), slice(None)) + tuple(nz.T)].transpose(2, 0, 1)
-    expand = (Ellipsis,) + (None,) * (b.ndim - 1)
-    batch = max(1, _BATCH_ENTRIES // max(1, a.shape[0] * b.size))
-    for start in range(0, len(nz), batch):
+    (m, l), k = a.shape[:2], b.shape[1]
+    wa, wb = a.shape[-1], b.shape[-1]
+    width = wa + wb - 1
+    out = np.zeros((m, k, width ** (n - 1), width), dtype=complex)
+    if not len(cols_a) or not len(cols_b):
+        return out.reshape((m, k) + (width,) * n)
+    P, Q, C = len(rows_a), len(rows_b), len(cols_a)
+    lo, hi = cols_a[0] + cols_b[0], cols_a[-1] + cols_b[-1] + 1  # output columns reached
+    # modes as lattice points: p = (p', p_n) of a, q' of b, k_n of the output
+    p_row, p_n = rows_a - (wa - 1) // 2, cols_a - (wa - 1) // 2
+    q_row = rows_b - (wb - 1) // 2
+    k_n = np.arange(lo, hi) - (width - 1) // 2
+    # q.theta p = q'.theta' p' + p_n (q'.theta_{.n}) + (k_n - p_n) (theta_{n.}.p')
+    last = [(theta[-1, j], p_row[:, j, None]) for j in range(n - 1)]
+    a_phase = _pi_phase([(t, -r * p_n) for t, r in last])  # (P, C)
+    kn_phase = _pi_phase([(t, r * k_n) for t, r in last])  # (P, hi - lo)
+    q_phase = _pi_phase([(theta[j, -1], q_row[:, j, None] * p_n) for j in range(n - 1)])
+    row_phase = _pi_phase([
+        (theta[i, j], p_row[:, j, None] * q_row[:, i] - p_row[:, i, None] * q_row[:, j])
+        for i in range(n - 1) for j in range(i + 1, n - 1)
+    ])  # (P, Q)
+    lhs = a.reshape(m, l, -1, wa)[:, :, flat_a[:, None], cols_a]  # (m, l, P, C)
+    if a_phase is not None:
+        lhs = lhs * a_phase
+    lhs = lhs.transpose(2, 0, 1, 3).reshape(P * m, l * C)
+    # b's rows, their last axis padded by span zeros at both ends: Toeplitz
+    # entry (column c of a, output column o) is b's column o - c, at padded
+    # index o - c + span, which is entry o - lo of the window from first[c]
+    span = cols_a[-1] - cols_a[0]
+    padded = np.zeros((l, k, Q, wb + 2 * span), dtype=complex)
+    padded[..., span : span + wb] = b.reshape(l, k, -1, wb)[:, :, flat_b]
+    first = lo + span - cols_a
+    # the output row of p' + q' is the sum of the two rows' flat offsets in it
+    off_a = np.ravel_multi_index(rows_a.T, (width,) * (n - 1))
+    off_b = np.ravel_multi_index(rows_b.T, (width,) * (n - 1))
+    batch = max(1, _BATCH_ENTRIES // (k * (hi - lo) * (l * C + P * m)))
+    for start in range(0, Q, batch):
         part = slice(start, start + batch)
-        phase = rows[part, 0]
-        for j in range(1, n):
-            phase = phase[..., None] * rows[part, j].reshape((-1,) + (1,) * j + (width,))
-        blocks = (coeffs[part][expand] * b).sum(axis=2)
-        blocks *= phase[:, None, None]
-        for off, block in zip(nz[part], blocks):
-            out[(slice(None), slice(None)) + tuple(slice(o, o + width) for o in off)] += block
-    return out
+        windows = sliding_window_view(padded[:, :, part], hi - lo, axis=-1)
+        toeplitz = windows.transpose(0, 3, 1, 2, 4)[:, first]  # (l, C, k, Qc, hi - lo)
+        if q_phase is not None:
+            toeplitz *= q_phase[part].T[:, None, :, None]
+        prod = (lhs @ toeplitz.reshape(l * C, -1)).reshape(P, m, k, toeplitz.shape[3], hi - lo)
+        if kn_phase is not None:
+            prod *= kn_phase[:, None, None, None, :]
+        if row_phase is not None:
+            prod *= row_phase[:, part, None][:, None, None]
+        for off, slab in zip(off_a, prod):
+            out[:, :, off + off_b[part], lo:hi] += slab
+    return out.reshape((m, k) + (width,) * n)
+
+
+def _sandwich(x, coeffs, y):
+    """Entries x c_ij y of a coefficient array c (m, k, *box), for elements x
+    and y: x against c laid out as a 1 x mk row, then that row as an mk x 1
+    column against y, so that no zero entry of a scalar matrix x I is
+    multiplied out."""
+    theta = x.geometry.theta
+    row = _twisted_matmul(theta, x.table[None, None], coeffs.reshape((1, -1) + coeffs.shape[2:]))
+    col = _twisted_matmul(theta, row.reshape((-1, 1) + row.shape[2:]), y.table[None, None])
+    return col.reshape(coeffs.shape[:2] + col.shape[2:])
 
 
 def multiply(u, v):

@@ -3,8 +3,9 @@
 Functions of selfadjoint elements (sqrt, log, exp, powers, inverses) are
 evaluated by compressing left multiplication to a finite lattice box and
 reading coefficients off f(C) applied to the cyclic vector(s) e_j (x) V_0,
-with C the resulting Hermitian matrix.  Inverses are one Cholesky solve of
-C with those m right-hand sides.  Every other function runs block Lanczos
+with C the resulting Hermitian matrix.  Inverses solve C for those m
+right-hand sides with the Cholesky factor that the floor test computes (of
+C minus the floor), refined against C.  Every other function runs block Lanczos
 on the m cyclic vectors and applies the function to the small
 block-tridiagonal matrix it builds; when that readout has not settled within
 a fixed number of blocks, C is diagonalized instead.  Functions singular at
@@ -352,7 +353,8 @@ def _floor_violation(name, lam_min):
 
 
 def _require_floor(mat, name):
-    """Refuse C unless its spectrum lies above SPECTRAL_FLOOR.
+    """Refuse C unless its spectrum lies above SPECTRAL_FLOOR; else return the
+    Cholesky factor of C - floor I.
 
     Factoring C - floor I is the test: it succeeds exactly when the spectrum
     of C lies above the floor.  lambda_min is computed only for the
@@ -361,7 +363,7 @@ def _require_floor(mat, name):
     shifted = np.array(mat, order="F")  # factored in place by LAPACK
     shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
     try:
-        scipy.linalg.cholesky(shifted, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         lam_min = float(np.linalg.eigvalsh(mat)[0])
         raise _floor_violation(name, lam_min) from None
@@ -374,11 +376,30 @@ def _unit_columns(d, cyclic):
     return e
 
 
-def _inverse_columns(mat, cyclic):
-    """Columns C^{-1} e_j at the cyclic rows, by one Cholesky solve."""
-    factor = scipy.linalg.cho_factor(mat, check_finite=False)
-    rhs = _unit_columns(mat.shape[0], cyclic)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+# refinement steps of an inverse before C itself is factored instead
+_REFINE_STEPS = 8
+
+
+def _inverse_columns(mat, shifted_factor, cyclic):
+    """Columns y = C^{-1} e_j at the cyclic rows, from the factor of C - floor I.
+
+    C y = e is (C - floor I) y = e - floor y, so y <- (C - floor I)^{-1}(e -
+    floor y) cuts the error by floor / (lambda_min - floor) per step: two
+    steps reach roundoff unless lambda_min is within a few orders of the
+    floor.  Stops once a step moves y by at most its roundoff; when that
+    has not happened in _REFINE_STEPS steps, C is factored and solved.
+    """
+    def solve(factor, rhs):
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+    e = _unit_columns(mat.shape[0], cyclic)
+    y = solve(shifted_factor, e)
+    for _ in range(_REFINE_STEPS):
+        step = solve(shifted_factor, e - SPECTRAL_FLOOR * y) - y
+        y += step
+        if np.max(np.abs(step)) <= np.finfo(float).eps * np.max(np.abs(y)):
+            return y
+    return solve(scipy.linalg.cho_factor(mat, check_finite=False), e)
 
 
 def _eigen_columns(mat, cyclic, f):
@@ -453,8 +474,9 @@ def functional_calculus(x, fn, box):
     "inv_sqrt", "log", "exp", "inv" or ("pow", s); any other spec is a
     ValueError.  Functions singular at 0 refuse inputs whose compressed
     spectrum dips below SPECTRAL_FLOOR, tested by a Cholesky factorization
-    of the compression minus the floor.  The inverse (also ("pow", -1)) is
-    a Cholesky solve on the cyclic columns; every other function runs block
+    of the compression minus the floor.  The inverse (also ("pow", -1))
+    solves for the cyclic columns with that factor, refined against the
+    compression; every other function runs block
     Lanczos on the cyclic vectors, with the dense eigendecomposition of the
     compression as the fallback when Lanczos has not converged.  The result
     lives on the compression box; callers clip as needed.
@@ -463,15 +485,15 @@ def functional_calculus(x, fn, box):
     h = _as_matrix(x)
     _require_selfadjoint(h)
     mat = compress(h, box).matrix
-    if needs_floor:
-        _require_floor(mat, name)
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     m = h.m
     i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
     cyclic = np.arange(m) * box.size + i0
-    if f is _reciprocal:
-        cols = _inverse_columns(mat, cyclic)
-    else:
+    if f is _reciprocal:  # the floor test's factor serves the solve
+        cols = _inverse_columns(mat, _require_floor(mat, name), cyclic)
+    else:  # the factor is dropped before the readout, which needs memory of its own
+        if needs_floor:
+            _require_floor(mat, name)
         cols = _lanczos_columns(mat, cyclic, f)
         if cols is None:
             cols = _eigen_columns(mat, cyclic, f)

@@ -131,9 +131,14 @@ def cmd_weyl(cfg, args):
     window = nio.parse_window(args.window) if args.window else cfg.window
     metric, op = _assembled(cfg)
     result, gates = _spectrum(cfg, op)
+    stable = result.stable_count()
     if window is None:
-        hi = result.stable_count() - 1
+        hi = max(2, stable - 1)
         window = (max(1, hi // 6), hi)
+    # the fit needs every eigenvalue of its window stable: too few is a failed gate
+    gates["window stable deficit"] = (float(max(0, window[1] + 1 - stable)), 0.5)
+    if window[1] >= stable:
+        return _gate_lines(gates)
     # the closed form reads the metric's own density, whatever nu the config sets
     dens = op.nu if cfg.nu_spec is None else met.riemannian_density(metric)
     wc = lap.weyl_constant(metric, dens, cfg.calc_box, quadrature_points=cfg.quadrature_points)

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     LatticeBox,
+    _sandwich,
     _twisted_matmul,
     add,
     adjoint,
@@ -89,9 +90,9 @@ def modular_automorphism(density, x):
 
 
 def _multipliers(dens, h_inv):
-    """The matrix of multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}."""
-    s = TorusMatrix.scalar(dens.sqrt_nu, h_inv.m)
-    return s.matmul(h_inv).matmul(s)
+    """The matrix of multipliers a_ij = nu^{1/2} h^{ij} nu^{1/2}, entry by entry."""
+    s = dens.sqrt_nu
+    return TorusMatrix.from_coeffs(h_inv.geometry, _sandwich(s, h_inv.coeffs, s))
 
 
 def _stack(comps):
@@ -143,14 +144,12 @@ def twisted_dual_vector_field(omega, h_inv, dens):
     delta(omega) = [div_nu(X_omega^{h,nu})]*; when [h, nu] = 0 it reduces to
     the plain metric dual sum_ij omega_j* h^{ji} d_i.
     """
-    n = omega.geometry.n
-    comps = _product(
-        omega.geometry,
-        _stack([adjoint(c) for c in omega.components])[None],
-        TorusMatrix.scalar(dens.sqrt_nu, n).coeffs,
-        h_inv.coeffs,
-        TorusMatrix.scalar(dens.inv_sqrt_nu, n).coeffs,
-    )
+    theta = omega.geometry.theta
+    stars = _stack([adjoint(c) for c in omega.components])[:, None]
+    # the row of the omega_j* nu^{1/2}, times h, then each entry times nu^{-1/2}
+    row = _twisted_matmul(theta, stars, dens.sqrt_nu.table[None, None]).swapaxes(0, 1)
+    row = _twisted_matmul(theta, row, h_inv.coeffs)
+    comps = _product(omega.geometry, row.swapaxes(0, 1), dens.inv_sqrt_nu.table[None, None])
     return VectorField(omega.geometry, tuple(comps))
 
 

@@ -231,6 +231,13 @@ def parse_window(text):
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
         raise NCTorusError(f'window must be "lo:hi" with two integers, got {text!r}') from None
+    return _ordered_window(lo, hi)
+
+
+def _ordered_window(lo, hi):
+    """(lo, hi) if 1 <= lo < hi, the only windows a fit can take, else NCTorusError."""
+    if not 1 <= lo < hi:
+        raise NCTorusError(f"window must have 1 <= lo < hi, got {lo}:{hi}")
     return lo, hi
 
 
@@ -351,7 +358,7 @@ def _parse_config(raw):
     elif window is not None:
         if not isinstance(window, list) or len(window) != 2:
             raise ValueError(f"window must be [lo, hi] or \"lo:hi\", got {window!r}")
-        window = tuple(_integer(w, "window bound") for w in window)
+        window = _ordered_window(*(_integer(w, "window bound") for w in window))
     return RunConfig(
         geometry=geometry,
         box_radius=raw["box_radius"],

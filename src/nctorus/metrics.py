@@ -24,6 +24,7 @@ from .algebra import (
     AlgebraElement,
     LatticeBox,
     _integer_power,
+    _sandwich,
     add,
     exp_series,
     is_selfadjoint,
@@ -267,8 +268,8 @@ def metric_conformal(base, k, box):
     lo, _ = spectral_bounds(k, box)
     if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
-    k_eye = TorusMatrix.scalar(k, base.n)
-    return validate_metric(k_eye.matmul(base.matrix).matmul(k_eye), box)
+    coeffs = _sandwich(k, base.matrix.coeffs, k)
+    return validate_metric(TorusMatrix.from_coeffs(k.geometry, coeffs), box)
 
 
 def metric_product(blocks, box):
@@ -395,7 +396,8 @@ def conformal_density_residual(g, k, box):
     comm = compatibility_residual(TorusMatrix.scalar(k, 1), mat)
     if comm > 1e-9 * (1.0 + k.max_abs() * mat.max_abs()):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-    scaled = TorusMatrix.scalar(multiply(k, k), mat.m).matmul(mat)
+    one = AlgebraElement.identity(k.geometry)
+    scaled = TorusMatrix.from_coeffs(k.geometry, _sandwich(multiply(k, k), mat.coeffs, one))
     nu_scaled = riemannian_density(validate_metric(scaled, box))
     nu_g = riemannian_density(g)
     return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu)).max_abs()

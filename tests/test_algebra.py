@@ -103,6 +103,64 @@ def test_multiply_matches_pairwise_sum(n, upper, seed):
         assert np.max(np.abs(alg.multiply(u, v).table - expect)) < 1e-13
 
 
+def _extended_product(theta, a, b):
+    """The kernel's product (m, l, *box_a) x (l, k, *box_b), term by term in
+    extended precision: c_ik(p + q) += a_il(p) b_lk(q) sigma(p, q) over all modes."""
+    n = theta.shape[0]
+    na, nb = (a.shape[-1] - 1) // 2, (b.shape[-1] - 1) // 2
+    half_turn = np.clongdouble(1j) * np.arccos(np.longdouble(-1))
+    th = theta.astype(np.longdouble)
+    qs = np.argwhere(np.ones(b.shape[2:], dtype=bool))
+    q_modes = (qs - nb).astype(np.longdouble)
+    bq = b.reshape(b.shape[:2] + (-1,)).astype(np.clongdouble)
+    out = np.zeros(a.shape[:1] + b.shape[1:2] + (2 * (na + nb) + 1,) * n, dtype=np.clongdouble)
+    for p in np.argwhere(np.ones(a.shape[2:], dtype=bool)):
+        sigma = np.exp(half_turn * (q_modes @ (th @ (p - na).astype(np.longdouble))))
+        ap = a[(slice(None), slice(None)) + tuple(p)].astype(np.clongdouble)
+        out[(slice(None), slice(None)) + tuple((p + qs).T)] += np.einsum("il,lkq->ikq", ap, bq * sigma)
+    return out
+
+
+def _kernel_operands(n, case, rng):
+    def dense(m, k, radius):
+        shape = (m, k) + (2 * radius + 1,) * n
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def one_per_row(radius):
+        width = 2 * radius + 1
+        table = np.zeros((width,) * n, dtype=complex)
+        for row in np.ndindex(*(width,) * (n - 1)):
+            table[row + (rng.integers(width),)] = rng.standard_normal() + 1j
+        return table[None, None]
+
+    small, large = (3, 14) if n == 2 else (1, 3)
+    return {
+        "element": lambda: (dense(1, 1, small), dense(1, 1, large)),
+        "right-sparser": lambda: (dense(1, 1, large), dense(1, 1, small)),
+        "matrix": lambda: (dense(2, 2, 2), dense(2, 2, small)),
+        "row-times-matrix": lambda: (dense(1, 2, small), dense(2, 2, 1)),
+        "one-mode-per-row": lambda: (one_per_row(small + 1), dense(1, 1, small)),
+        "zero": lambda: (np.zeros((1, 1) + (5,) * n, dtype=complex), dense(1, 1, small)),
+        "radius-0": lambda: (dense(2, 1, 0), dense(1, 2, small)),
+        "both-radius-0": lambda: (dense(1, 1, 0), dense(1, 1, 0)),
+    }[case]()
+
+
+@pytest.mark.parametrize("case", ["element", "right-sparser", "matrix", "row-times-matrix",
+                                  "one-mode-per-row", "zero", "radius-0", "both-radius-0"])
+@pytest.mark.parametrize("geometry", [
+    TorusGeometry.two_torus(1.0 / math.sqrt(2.0)),
+    TorusGeometry.from_upper(3, [0.3, 0.2, 0.1]),
+    TorusGeometry.two_torus(0.0),
+], ids=["n2", "n3", "theta0"])
+def test_kernel_matches_extended_precision_sum(geometry, case, rng):
+    a, b = _kernel_operands(geometry.n, case, rng)
+    expect = _extended_product(geometry.theta, a, b)
+    got = alg._twisted_matmul(geometry.theta, a, b)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 def test_multiply_geometry_mismatch(geom, geom0, rng):
     with pytest.raises(GeometryMismatch):
         alg.multiply(random_element(geom, 1, rng), random_element(geom0, 1, rng))

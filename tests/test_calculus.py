@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg, calculus as calc, metrics as met
@@ -142,6 +143,30 @@ def test_inverse_solve_matches_eigen_readout(geom, rng):
         # matrix_inverse and ("pow", -1) are the same solve, down to the last bit
         assert coeff_diff(calc.matrix_inverse(h, box), inv) == 0.0
         assert coeff_diff(calc.functional_calculus(h, ("pow", -1), box), inv) == 0.0
+
+
+def test_inverse_refines_the_floor_factor(geom):
+    # the README metric k^2 I, k = exp(0.15 (V_e1 + V_-e1) + 0.1 (V_e2 + V_-e2)),
+    # compressed on its box of radius 10 (d = 882)
+    box = LatticeBox(2, 10)
+    k = met.density_exp(alg.add(trig_pair(geom, 0, 0.15), trig_pair(geom, 1, 0.1))).nu
+    mat = calc.compress(met.metric_conformal(met.metric_flat(geom), k, box).matrix, box).matrix
+    assert mat.shape == (882, 882)
+    cyclic = np.arange(2) * box.size + box.index_of([0, 0])
+    e = calc._unit_columns(882, cyclic)
+    exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), e)
+    cols = calc._inverse_columns(mat, calc._require_floor(mat, "inv"), cyclic)
+    assert np.max(np.abs(cols - exact)) <= 1e-14 * np.max(np.abs(exact))
+    # 1e-9 above the floor the refinement cannot settle, and C itself is solved
+    x = trig_pair(geom, 0)
+    small = LatticeBox(2, 5)
+    lam_min = np.linalg.eigvalsh(calc.compress(x, small).matrix)[0]
+    shift = calc.SPECTRAL_FLOOR + 1e-9 - lam_min
+    mat = calc.compress(alg.add(x, alg.scale(AlgebraElement.identity(geom), shift)), small).matrix
+    cyclic = np.array([small.index_of([0, 0])])
+    exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), calc._unit_columns(121, cyclic))
+    cols = calc._inverse_columns(mat, calc._require_floor(mat, "inv"), cyclic)
+    assert np.array_equal(cols, exact)
 
 
 _LANCZOS_FUNCTIONS = ("log", "sqrt", "inv_sqrt", "exp", ("pow", 0.5))

@@ -1,4 +1,7 @@
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 
 from nctorus import algebra as alg, calculus as calc, forms, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox
@@ -145,3 +148,26 @@ def test_divergence_matches_dual_field(geom, rng):
     x = forms.twisted_dual_vector_field(omega, h_inv, dens)
     alt = alg.adjoint(forms.divergence_vector_field(x, dens))
     assert coeff_diff(delta, alt) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_entrywise_products_match_scalar_matrix_forms(geom, geom3, rng, n):
+    """The multipliers and the dual field, taken entry by entry, are the
+    products with the scalar matrices nu^{+-1/2} I."""
+    geometry = geom if n == 2 else geom3
+    # the identities are algebraic: any two elements can stand for nu^{+-1/2}
+    dens = SimpleNamespace(sqrt_nu=random_element(geometry, 2, rng),
+                           inv_sqrt_nu=random_element(geometry, 1, rng))
+    h_inv = random_hermitian_matrix(geometry, n, 1, rng)
+    s = TorusMatrix.scalar(dens.sqrt_nu, n)
+    expect = s.matmul(h_inv).matmul(s)
+    assert coeff_diff(forms._multipliers(dens, h_inv), expect) <= 1e-15 * expect.max_abs()
+    omega = random_one_form(geometry, 1, rng)
+    stars = forms._stack([alg.adjoint(c) for c in omega.components])[None]
+    zi = TorusMatrix.scalar(dens.inv_sqrt_nu, n)
+    row = stars
+    for factor in (s, h_inv, zi):
+        row = alg._twisted_matmul(geometry.theta, row, factor.coeffs)
+    x = forms.twisted_dual_vector_field(omega, h_inv, dens)
+    for got, want in zip(x.components, row[0]):
+        assert np.max(np.abs(got.table - want)) <= 1e-15 * np.max(np.abs(row))

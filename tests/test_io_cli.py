@@ -268,6 +268,22 @@ def test_cli_spectral_gates_fail_with_exit_1(tmp_path, capsys, tolerances, comma
     assert f"[FAIL] {gate}: " in captured.out
 
 
+def test_cli_weyl_gates_the_stable_count(tmp_path, capsys):
+    # with nothing stable, neither the default window nor a given one can be
+    # fitted: a failed gate, exit 1; a malformed window is still invalid input
+    cfg = _write_cfg(tmp_path, box_radius=4, stability_radius=6, count=5,
+                     quadrature_points=16, tolerances={"stability_rel": 1e-30})
+    for window in ([], ["--window", "1:3"]):
+        assert cli.main(["weyl", "--config", cfg, *window]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "[FAIL] window stable deficit: " in captured.out
+    for window in ("5", "5:3", "0:4"):
+        assert cli.main(["weyl", "--config", cfg, "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_weyl_writes_strict_json(tmp_path):
     # a metric that is not self-compatible has no closed-form constant; its
     # NaN values are written as null, which strict JSON parsers accept
@@ -335,6 +351,7 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
         {"stability_radius": 6},
         {"metric": {"type": "conformal", "k": {"exp_of": [
             {"k": [1, 0], "re": 60, "im": 0}, {"k": [-1, 0], "re": 60, "im": 0}]}}},
+        {"window": [40, 10]},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -344,7 +361,8 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
          "metric-wrong-size", "tolerance-string", "theta-upper-length", "count-zero",
          "window-string-one-bound", "tolerances-list", "tolerances-string",
          "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
-         "stability-radius-equal", "stability-radius-below", "exp-of-not-converging"],
+         "stability-radius-equal", "stability-radius-below", "exp-of-not-converging",
+         "window-unordered"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

@@ -47,6 +47,16 @@ def test_conformal_scalar(geom):
     assert g.matrix.entries[0][1].max_abs() == 0.0
 
 
+def test_conformal_matches_scalar_matrix_form(geom):
+    box = LatticeBox(2, 8)
+    k = _exp_density(geom).nu
+    base = met.metric_constant(geom, [[1.3, 0.2], [0.2, 1.0]])
+    k_eye = TorusMatrix.scalar(k, 2)
+    expect = k_eye.matmul(base.matrix).matmul(k_eye)
+    got = met.metric_conformal(base, k, box).matrix
+    assert coeff_diff(got, expect) <= 1e-15 * expect.max_abs()
+
+
 def test_conformal_rejects_nonpositive(geom):
     box = LatticeBox(2, 6)
     with pytest.raises(PositivityViolation):
