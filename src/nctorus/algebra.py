@@ -518,10 +518,6 @@ def sobolev_norm(u, s):
     return float(np.sqrt(np.sum(w * np.abs(u.vector()) ** 2)))
 
 
-def commutator(u, v):
-    return add(multiply(u, v), scale(multiply(v, u), -1.0))
-
-
 def _integer_power(x, p):
     """x^p for an integer p >= 0, by p exact products."""
     out = AlgebraElement.identity(x.geometry)
@@ -597,12 +593,10 @@ def ordered_coefficients(u):
     return np.asarray(u.table / _ordering_phases(u.geometry, u.box))
 
 
-def element_from_ordered(geometry, table, radius=None):
+def element_from_ordered(geometry, table):
     """Element whose ordered-monomial coefficient table is given."""
     table = np.asarray(table, dtype=complex)
-    if radius is None:
-        radius = (table.shape[0] - 1) // 2
-    box = LatticeBox(geometry.n, radius)
+    box = LatticeBox(geometry.n, (table.shape[0] - 1) // 2)
     return AlgebraElement(geometry, box, table * _ordering_phases(geometry, box))
 
 

@@ -18,9 +18,11 @@ functions the truncation error decays as the box grows, which the tests
 measure rather than assume.
 
 The determinant of a positive invertible matrix h over the algebra is
-exp(Tr(log h)) with Tr the entrywise matrix trace; it is multiplicative
-only under the commutation hypotheses checked by
-``determinant_identities_check``.
+exp(Tr(log h)) with Tr the entrywise matrix trace.  It is multiplicative
+only under commutation hypotheses; ``block_determinant_residual`` measures
+the block-diagonal case, for pairwise compatible blocks.
+``determinant_identities`` computes the identities that the det-check
+subcommand gates.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from .algebra import (
     TorusGeometry,
     _adjoint_coeffs,
     _check_same_geometry,
+    _integer_power,
     _resize_table,
     _twisted_matmul,
     add,
-    commutator,
     multiply,
     resize,
     scale,
@@ -598,43 +600,33 @@ def leibniz_determinant(h):
     return acc
 
 
-def determinant_identities_check(h, box, other=None, conjugator=None):
-    """Residuals of the determinant identities that hold under compatibility.
+def determinant_identities(metric, k, box):
+    """Residuals of the determinant identities of a metric, on the box.
 
-    Checks, as applicable: [det h, det h'] = 0 and det(hh') = det(h)det(h')
-    for compatible commuting h, h'; det(u* h u) = det(u*u) det(h) for a
-    compatible self-compatible conjugator u.  Raises HypothesisViolated when
-    a commutation hypothesis fails at COMPAT_TOL, reporting the measured
-    residuals.
+    metric is a RiemannianMetric g (m x m) and k an element.  In this order:
+    det(t g) = t^m det(g) at t = 2, det(g^s) = det(g)^s at s = 1/2,
+    det(k I_m) = k^m, and, when g is self-compatible (its entries then
+    generate a commutative algebra), det(g) against the Leibniz expansion.
+    The report's keys are the gate names of the det-check subcommand.
     """
-    report = {}
-    det_h = determinant(h, box)
-    if other is not None:
-        hyp = {
-            "compatible(h,h')": compatibility_residual(h, other),
-            "[h,h']": (h.matmul(other) - other.matmul(h)).max_abs(),
-        }
-        bad = {k: v for k, v in hyp.items() if v > COMPAT_TOL}
-        if bad:
-            raise HypothesisViolated(f"determinant product hypotheses failed: {bad}", hyp)
-        det_o = determinant(other, box)
-        report["det_commutator"] = commutator(det_h, det_o).max_abs()
-        det_prod = determinant(h.matmul(other), box)
-        report["product_multiplicativity"] = (det_prod - multiply(det_h, det_o)).max_abs()
-    if conjugator is not None:
-        u = conjugator
-        hyp = {
-            "compatible(h,u)": compatibility_residual(h, u),
-            "self_compatible(u)": self_compatibility_residual(u),
-            "compatible(u,u*)": compatibility_residual(u, u.adjoint()),
-        }
-        bad = {k: v for k, v in hyp.items() if v > COMPAT_TOL}
-        if bad:
-            raise HypothesisViolated(f"determinant conjugation hypotheses failed: {bad}", hyp)
-        uhu = u.adjoint().matmul(h).matmul(u)
-        det_uhu = determinant(uhu, box)
-        det_uu = determinant(u.adjoint().matmul(u), box)
-        report["conjugation"] = (det_uhu - multiply(det_uu, det_h)).max_abs()
+    g = metric.matrix
+    m = g.m
+    d = determinant(g, box)
+    t = 2.0
+    report = {
+        "scaling det(t g) = t^m det(g)": (
+            determinant(g.scale(t), box) - scale(d, t**m)
+        ).max_abs()
+    }
+    gs = functional_calculus(g, ("pow", 0.5), box)
+    report["power det(g^s) = det(g)^s"] = (
+        determinant(gs, box) - functional_calculus(d, ("pow", 0.5), box)
+    ).max_abs()
+    report["scalar matrix det(k I_m) = k^m"] = (
+        determinant(TorusMatrix.scalar(k, m), box) - _integer_power(k, m)
+    ).max_abs()
+    if metric.is_self_compatible():
+        report["self-compatible Leibniz expansion"] = (d - leibniz_determinant(g)).max_abs()
     return report
 
 

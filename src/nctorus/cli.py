@@ -21,7 +21,6 @@ from . import metrics as met
 from . import oracle as orc
 from .algebra import (
     AlgebraElement,
-    _integer_power,
     add,
     adjoint,
     derivation,
@@ -32,10 +31,9 @@ from .algebra import (
     trace,
 )
 from .calculus import (
-    TorusMatrix,
     determinant,
+    determinant_identities,
     functional_calculus,
-    leibniz_determinant,
     matrix_inverse,
 )
 from .errors import NCTorusError
@@ -139,8 +137,9 @@ def cmd_weyl(cfg, args):
     gates["window stable deficit"] = (float(max(0, window[1] + 1 - stable)), 0.5)
     if window[1] >= stable:
         return _gate_lines(gates)
-    # the closed form reads the metric's own density, whatever nu the config sets
-    dens = op.nu if cfg.nu_spec is None else met.riemannian_density(metric)
+    # the closed form reads the metric's own density, whatever nu the config
+    # sets: with nu set, weyl_constant computes it, and only if it needs it
+    dens = op.nu if cfg.nu_spec is None else None
     wc = lap.weyl_constant(metric, dens, cfg.calc_box, quadrature_points=cfg.quadrature_points)
     c_n = wc.closed_form if not np.isnan(wc.closed_form) else wc.quadrature
     fit = lap.weyl_fit(result, c_n, window)
@@ -175,9 +174,7 @@ def cmd_conformal_check(cfg, args):
         raise NCTorusError("conformal-check requires a conformal metric spec")
     base = nio.metric_from_spec(cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box)
     dk = nio.density_from_spec(cfg.geometry, spec["k"], cfg.calc_box)
-    report, op = lap.conformal_covariance_check(
-        base, dk.nu, cfg.box, calc_box=cfg.calc_box, k_density=dk
-    )
+    report, op = lap.conformal_covariance_check(base, dk, cfg.box, cfg.calc_box)
     key = "two_dim_residual" if cfg.geometry.n == 2 else "full_law_residual"
     gates = {key: (report[key], cfg.tolerances.conformal)}
     if cfg.geometry.n == 2 and base.is_flat:
@@ -197,27 +194,9 @@ def cmd_conformal_check(cfg, args):
 
 def cmd_det_check(cfg, args):
     metric = cfg.build_metric()
-    box = cfg.calc_box
-    g = metric.matrix
-    m = g.m
-    d = determinant(g, box)
-    report = {}
-    t = 2.0
-    report["scaling det(t g) = t^m det(g)"] = (
-        determinant(g.scale(t), box) - scale(d, t**m)
-    ).max_abs()
-    gs = functional_calculus(g, ("pow", 0.5), box)
-    report["power det(g^s) = det(g)^s"] = (
-        determinant(gs, box) - functional_calculus(d, ("pow", 0.5), box)
-    ).max_abs()
     k = cfg.build_density()
     k_elem = k.nu if k is not None else AlgebraElement.identity(cfg.geometry) * 2.0
-    km = TorusMatrix.scalar(k_elem, m)
-    report["scalar matrix det(k I_m) = k^m"] = (
-        determinant(km, box) - _integer_power(k_elem, m)
-    ).max_abs()
-    if metric.is_self_compatible():
-        report["self-compatible Leibniz expansion"] = (d - leibniz_determinant(g)).max_abs()
+    report = determinant_identities(metric, k_elem, cfg.calc_box)
     _emit(report, args.out)
     gates = {name: (val, cfg.tolerances.determinant) for name, val in report.items()}
     return _gate_lines(gates)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -67,10 +68,21 @@ def _integer(value, what):
 
 
 def _number(value, what):
-    """A JSON number as a float; anything else (a string, a bool) is a ValueError."""
+    """A finite JSON number as a float; anything else (a string, a bool, a NaN
+    or an infinity, which Python's json reads) is a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def _numbers(value, what):
+    """A JSON array of finite numbers as a float array, else a ValueError."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has an entry that is not finite")
+    return arr
 
 
 def geometry_from_literal(lit):
@@ -85,7 +97,7 @@ def geometry_from_literal(lit):
         if len(upper) != n * (n - 1) // 2:
             raise ValueError(f"theta_upper has {len(upper)} entries, n = {n} takes n(n-1)/2")
         return TorusGeometry.from_upper(n, upper)
-    return TorusGeometry(n, lit["theta"])
+    return TorusGeometry(n, _numbers(lit["theta"], "geometry theta"))
 
 
 def element_from_literal(geometry, literal):
@@ -268,7 +280,7 @@ def _check_metric_spec(geometry, spec):
         )
     n = geometry.n
     if kind == "constant":
-        mat = np.asarray(spec["matrix"], dtype=float)
+        mat = _numbers(spec["matrix"], "constant metric matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise ValueError(f"constant metric matrix has shape {mat.shape}, not m x m")
         return mat.shape[0]
@@ -279,7 +291,7 @@ def _check_metric_spec(geometry, spec):
         return sum(_check_metric_spec(geometry, block) for block in spec["blocks"])
     if kind == "functional":
         element_from_literal(geometry, spec["h"])
-        poly = np.asarray(spec["poly"], dtype=float)
+        poly = _numbers(spec["poly"], "functional metric poly")
         if poly.ndim != 3 or poly.shape[:2] != (n, n):
             raise ValueError(f"functional metric poly is not an {n} x {n} x (deg + 1) array")
     if kind == "explicit":
@@ -297,7 +309,7 @@ def load_config(path):
         with open(path, encoding="utf8") as f:
             raw = json.load(f)
         config = _parse_config(raw)
-    except (OSError, ValueError, KeyError, TypeError, NCTorusError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, NCTorusError) as exc:
         raise NCTorusError(f"config {path}: {type(exc).__name__}: {exc}") from exc
     _check_dense_size(path, config)
     return config

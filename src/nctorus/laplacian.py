@@ -35,26 +35,22 @@ from .algebra import (
     _integer_power,
     add,
     adjoint,
-    inner_product,
     multiply,
     resize,
     scale,
     trace,
-    weighted_inner_product_opp,
 )
 from .calculus import (
     TorusMatrix,
     compress,
     element_from_vector,
     functional_calculus,
-    spectral_bounds,
     unit_ball_volume,
 )
 from .errors import BoxTooSmall, HypothesisViolated, WindowOutOfRange
 from .forms import _divergence, _multipliers, _product, _stack, differential
 from .metrics import (
     Density,
-    density_from_element,
     metric_conformal,
     riemannian_density,
     volume,
@@ -266,38 +262,6 @@ def generalized_spectrum(op):
     return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
 
 
-def green_identity_residual(op, u, v):
-    """|<L u, v>_nu^o - sum_ij tau((d_i v)* a_ij d_j u)| via the matrix path."""
-    lu = op.apply(u)
-    lhs = weighted_inner_product_opp(lu, v, op.nu.nu)
-    a = TorusMatrix(op.geometry, op.geometry.n, op.multipliers).coeffs
-    a_du = _product(op.geometry, a, _stack(differential(u).components)[:, None])
-    rhs = sum(inner_product(x, dv) for x, dv in zip(a_du, differential(v).components))
-    return abs(lhs - rhs)
-
-
-def _symbol(h_inv, xi):
-    """Selfadjoint part of sum_ij xi_i xi_j h^{ij}, the symbol (xi, xi)_{h^{-1}}."""
-    table = np.einsum("i,j,ij...->...", xi, xi, h_inv.coeffs)
-    s = AlgebraElement(h_inv.geometry, h_inv.box, table)
-    return scale(add(s, adjoint(s)), 0.5)
-
-
-def principal_symbol_bounds(op, samples=16):
-    """Min/max compressed eigenvalues of (xi, xi)_{h^{-1}} over unit xi.
-
-    The principal symbol is similar to this element, so invertibility along
-    the sample grid certifies ellipticity at the truncated level.  Each is
-    compressed on the box of half the operator's radius (at least 4).
-    """
-    calc_box = LatticeBox(op.geometry.n, max(4, op.box.radius // 2))
-    lo_worst, hi_worst = np.inf, -np.inf
-    for xi in _sphere_nodes(op.geometry.n, samples)[0]:
-        lo, hi = spectral_bounds(_symbol(op.h_inv, xi), calc_box)
-        lo_worst, hi_worst = min(lo_worst, lo), max(hi_worst, hi)
-    return lo_worst, hi_worst
-
-
 # ---------------------------------------------------------------------------
 # conformal covariance
 # ---------------------------------------------------------------------------
@@ -316,16 +280,7 @@ def conformally_deformed_flat_matrix(k_density, box):
     return k_inv_mat @ (k2[:, None] * k_inv_mat)
 
 
-def conformal_covariance_check(
-    g,
-    k,
-    box,
-    calc_box,
-    ghat=None,
-    nu_g=None,
-    nu_ghat=None,
-    k_density=None,
-):
+def conformal_covariance_check(g, k_density, box, calc_box):
     """Residual of the conformal transformation law for ghat = k g k.
 
     For commuting (k, g) the transformed operator satisfies
@@ -339,24 +294,21 @@ def conformal_covariance_check(
     HypothesisViolated when the commutator [k, g] exceeds 1e-9 (relative to
     the sizes of k and g).
 
-    Closed-form ingredients (the deformed metric with its inverse, either
-    volume element, the power family of k) may be passed in when available;
-    anything omitted is computed from the spectral calculus: ghat and k's
-    powers on calc_box, each volume element on its metric's box.
-    Returns the residual report and the assembled operator of ghat.
+    k_density is the Density of k, whose nu is k and whose inv_nu gives
+    k^{-2}; ghat is validated on calc_box, and each volume element is the
+    Riemannian density of its metric, on that metric's box.  Returns the
+    residual report and the assembled operator of ghat.
     """
     n = g.n
+    k = k_density.nu
     comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g.matrix)
     if comm > 1e-9 * (1.0 + k.max_abs() * (1.0 + g.matrix.max_abs())):
         raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
-    if ghat is None:
-        ghat = metric_conformal(g, k, calc_box)
+    ghat = metric_conformal(g, k, calc_box)
 
-    op_g = assemble_riemannian(g, box, density=nu_g)
-    op_hat = assemble_riemannian(ghat, box, density=nu_ghat)
+    op_g = assemble_riemannian(g, box)
+    op_hat = assemble_riemannian(ghat, box)
 
-    if k_density is None:
-        k_density = density_from_element(k, calc_box)
     k_inv_2 = multiply(k_density.inv_nu, k_density.inv_nu)
     rhs = compress(k_inv_2, box).matrix @ op_g.matrix
 
@@ -388,6 +340,13 @@ def conformal_covariance_check(
 # ---------------------------------------------------------------------------
 # Weyl law harness
 # ---------------------------------------------------------------------------
+
+
+def _symbol(h_inv, xi):
+    """Selfadjoint part of sum_ij xi_i xi_j h^{ij}, the symbol (xi, xi)_{h^{-1}}."""
+    table = np.einsum("i,j,ij...->...", xi, xi, h_inv.coeffs)
+    s = AlgebraElement(h_inv.geometry, h_inv.box, table)
+    return scale(add(s, adjoint(s)), 0.5)
 
 
 def _sphere_nodes(n, points):
@@ -429,9 +388,10 @@ def weyl_constant(g, dens, box, quadrature_points=64):
 
     Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere, by the
     spectral calculus on box, and divides by n.  dens is g's Riemannian
-    density, which the caller already holds (the assembled operator's nu,
-    or riemannian_density(g)).  When g is self-compatible the closed form
-    (2 pi)^{-n} |unit ball| volume(dens) is computed alongside.
+    density when the caller already holds it (the assembled operator's nu),
+    else None.  When g is self-compatible the closed form (2 pi)^{-n} |unit
+    ball| volume(dens) is computed alongside, from riemannian_density(g)
+    when dens is None; otherwise the density is not needed.
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
@@ -442,6 +402,7 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     quad = total / n
     closed = np.nan
     if g.is_self_compatible():
+        dens = dens or riemannian_density(g)
         closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * volume(dens)
     return WeylConstantResult(quad, closed)
 

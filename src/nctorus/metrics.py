@@ -7,10 +7,11 @@ fails it is refused with its measured residuals.
 
 A density is a positive invertible element nu together with an internally
 consistent family of powers (nu^{1/2}, nu^{-1/2}, nu^{-1}).  The family is
-produced either from an exponential series nu = exp(w) or by Newton
-polishing of spectral-calculus output; either way the pairwise consistency
-residual (max coefficient of nu * nu^{-1} - 1 etc.) is recorded, since the
-divergence/Laplacian identities inherit exactly this error.
+produced either from the exponential series nu^{+-1/2} = exp(+-w/2), with
+nu^{+-1} their squares, or by Newton polishing of spectral-calculus output;
+either way the pairwise consistency residual (max coefficient of
+nu * nu^{-1} - 1 etc.) is recorded, since the divergence/Laplacian
+identities inherit exactly this error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import calculus as calc
 from .algebra import (
     AlgebraElement,
     LatticeBox,
+    _EXP_TOL,
     _integer_power,
     _sandwich,
     add,
@@ -87,13 +89,19 @@ def _family_residual(nu, sqrt_nu, inv_sqrt_nu, inv_nu):
 
 
 def density_exp(w):
-    """Density nu = exp(w) for selfadjoint w, with all powers from the series."""
+    """Density nu = exp(w) for selfadjoint w, with all powers from the series.
+
+    Only nu^{+-1/2} = exp(+-w/2) are summed; nu and nu^{-1} are their exact
+    squares, trimmed at the series' own cutoff.  A half exponent halves the
+    cancellation of the inverse series, so exp_series accepts a scalar
+    exponent up to |a| of about 11.5 rather than 5.8.
+    """
     if not is_selfadjoint(w, tol=1e-12):
         raise PositivityViolation("exponent must be selfadjoint")
-    nu = exp_series(w)
     sq = exp_series(scale(w, 0.5))
     isq = exp_series(scale(w, -0.5))
-    inv = exp_series(scale(w, -1.0))
+    nu = trim(multiply(sq, sq), _EXP_TOL * 1e-2)
+    inv = trim(multiply(isq, isq), _EXP_TOL * 1e-2)
     return Density(nu, sq, isq, inv, _family_residual(nu, sq, isq, inv))
 
 

@@ -314,17 +314,12 @@ def test_ordered_monomial_product_phases(geom, rng):
     box = LatticeBox(2, 8)
     for _ in range(10):
         p, q = rng.integers(-3, 4, size=2), rng.integers(-3, 4, size=2)
-        up = alg.element_from_ordered(
-            geom, AlgebraElement.basis(geom, p, radius=4).table, radius=4
-        )
-        uq = alg.element_from_ordered(
-            geom, AlgebraElement.basis(geom, q, radius=4).table, radius=4
-        )
+        up = alg.element_from_ordered(geom, AlgebraElement.basis(geom, p, radius=4).table)
+        uq = alg.element_from_ordered(geom, AlgebraElement.basis(geom, q, radius=4).table)
         prod = alg.multiply(up, uq)
         expect = alg.element_from_ordered(
             geom,
             AlgebraElement.basis(geom, p + q, radius=8).table
             * alg.ordered_product_phase(geom, p, q),
-            radius=8,
         )
         assert coeff_diff(prod, expect) < 1e-13

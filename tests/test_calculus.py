@@ -345,11 +345,13 @@ def test_determinant_block_and_product(geom):
     b2 = TorusMatrix(geom, 1, [[k2]])
     resid = calc.block_determinant_residual([b1, b2], box)
     assert resid < 1e-9
+    # commuting, compatible h1 and h2: det(h1 h2) = det(h1) det(h2), and the
+    # two determinants commute
     h1 = TorusMatrix(geom, 2, [[k1, zero], [zero, k2]])
     h2 = TorusMatrix(geom, 2, [[k2, zero], [zero, k1]])
-    report = calc.determinant_identities_check(h1, other=h2, box=box)
-    assert report["det_commutator"] < 1e-10
-    assert report["product_multiplicativity"] < 1e-8
+    d1, d2 = calc.determinant(h1, box), calc.determinant(h2, box)
+    assert coeff_diff(alg.multiply(d1, d2), alg.multiply(d2, d1)) < 1e-10
+    assert coeff_diff(calc.determinant(h1.matmul(h2), box), alg.multiply(d1, d2)) < 1e-8
 
 
 def test_determinant_conjugation_invariance(geom):
@@ -359,8 +361,6 @@ def test_determinant_conjugation_invariance(geom):
     h = TorusMatrix(geom, 2, [[k, zero], [zero, alg.multiply(k, k)]])
     c, s = np.cos(0.6), np.sin(0.6)
     u = TorusMatrix.from_scalar_matrix(geom, [[c, -s], [s, c]])
-    report = calc.determinant_identities_check(h, conjugator=u, box=box)
-    assert report["conjugation"] < 1e-8
     d1 = calc.determinant(h, box)
     d2 = calc.determinant(u.transpose().matmul(h).matmul(u), box)
     assert coeff_diff(d1, d2) < 1e-8
@@ -370,13 +370,12 @@ def test_determinant_hypothesis_violation(geom):
     box = LatticeBox(2, 6)
     v1 = trig_pair(geom, 0)
     v2 = trig_pair(geom, 1)
-    one = AlgebraElement.identity(geom)
     h1 = calc.make_positive(TorusMatrix(geom, 2, [[v1, v1], [v1, v1]]), 1.0)
     h2 = calc.make_positive(TorusMatrix(geom, 2, [[v2, v2], [v2, v2]]), 1.0)
     with pytest.raises(HypothesisViolated):
-        calc.determinant_identities_check(h1, other=h2, box=box)
-    assert alg.commutator(v1, v2).max_abs() > 0.1  # genuinely noncommuting
-    _ = one
+        calc.block_determinant_residual([h1, h2], box)
+    # genuinely noncommuting
+    assert coeff_diff(alg.multiply(v1, v2), alg.multiply(v2, v1)) > 0.1
 
 
 def test_self_compatible_leibniz(geom):

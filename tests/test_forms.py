@@ -133,7 +133,11 @@ def test_adjointness(geom, rng):
         dens = random_density(geom, rng, amplitude=0.15)
         omega = random_one_form(geom, 3, rng)
         u = random_element(geom, 3, rng)
-        worst = max(worst, forms.adjointness_residual(omega, u, h_inv, dens))
+        v = random_element(geom, 3, rng)
+        # with omega = dv the identity is Green's formula for L v = -delta(dv):
+        # <L v, u>_nu^o = <dv, du>_h,nu^o
+        for form in (omega, forms.differential(v)):
+            worst = max(worst, forms.adjointness_residual(form, u, h_inv, dens))
     assert worst < 1e-10
 
 

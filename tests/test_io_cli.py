@@ -205,8 +205,29 @@ def test_cli_oracle_compare_multiplier_radius_zero(tmp_path, capsys):
     assert report["algebraic"]["laplacian_matrix_interior"] < 1e-12
 
 
-@pytest.mark.parametrize("command", ["weyl", "oracle-compare"])
-def test_cli_computes_the_density_once(tmp_path, monkeypatch, command):
+_NU = {"exp_of": [{"k": [1, 0], "re": 0.1}, {"k": [-1, 0], "re": 0.1}]}
+# diag(1 + a, 1 + b) with a, b along different axes: its entries do not commute
+_NOT_SELF_COMPATIBLE = {"type": "explicit", "entries": [
+    [[{"k": [0, 0], "re": 1.0}, {"k": [1, 0], "re": 0.02}, {"k": [-1, 0], "re": 0.02}], []],
+    [[], [{"k": [0, 0], "re": 1.0}, {"k": [0, 1], "re": 0.02}, {"k": [0, -1], "re": 0.02}]],
+]}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, computed, exits",
+    [
+        ("weyl", {}, 1, (0,)),
+        ("oracle-compare", {}, 1, (0,)),
+        # with nu set, the metric's own density serves only the closed form of a
+        # self-compatible metric.  The counting-ratio gate of the near-flat
+        # explicit metric fails on the window 10:60: there only the count is tested
+        ("weyl", {"nu": _NU}, 1, (0,)),
+        ("weyl", {"nu": _NU, "metric": _NOT_SELF_COMPATIBLE}, 0, (0, 1)),
+    ],
+    ids=["weyl", "oracle-compare", "weyl-nu", "weyl-nu-not-self-compatible"],
+)
+def test_cli_computes_the_density_once(tmp_path, monkeypatch, command, overrides, computed,
+                                       exits):
     from nctorus import laplacian as lap
 
     calls = []
@@ -219,10 +240,10 @@ def test_cli_computes_the_density_once(tmp_path, monkeypatch, command):
     monkeypatch.setattr(met, "riemannian_density", counted)
     monkeypatch.setattr(lap, "riemannian_density", counted)
     theta = 0.0 if command == "oracle-compare" else 0.7071067811865476
-    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [theta]})
+    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [theta]}, **overrides)
     argv = [command, "--config", cfg] + (["--window", "10:60"] if command == "weyl" else [])
-    assert cli.main(argv) == 0
-    assert len(calls) == 1
+    assert cli.main(argv) in exits
+    assert len(calls) == computed
 
 
 def test_cli_density_override(tmp_path):
@@ -352,6 +373,11 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
         {"metric": {"type": "conformal", "k": {"exp_of": [
             {"k": [1, 0], "re": 60, "im": 0}, {"k": [-1, 0], "re": 60, "im": 0}]}}},
         {"window": [40, 10]},
+        # Python's json reads NaN and Infinity: no number of a config may be either
+        {"tolerances": {"kernel": float("nan")}},
+        {"geometry": {"n": 2, "theta_upper": [float("inf")]}},
+        {"metric": {"type": "conformal", "k": {"exp_of": [{"k": [1, 0], "re": float("nan")}]}}},
+        {"tolerances": {"kernel": 10**400}},  # an integer beyond every float
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -362,7 +388,8 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
          "window-string-one-bound", "tolerances-list", "tolerances-string",
          "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
          "stability-radius-equal", "stability-radius-below", "exp-of-not-converging",
-         "window-unordered"],
+         "window-unordered", "tolerance-nan", "theta-upper-infinity", "exp-of-nan",
+         "tolerance-huge-integer"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

@@ -4,7 +4,7 @@ import pytest
 from nctorus import algebra as alg, calculus as calc, laplacian as lap, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox
 from nctorus.calculus import TorusMatrix
-from nctorus.errors import BoxTooSmall, WindowOutOfRange
+from nctorus.errors import BoxTooSmall, SpectralFloorViolation, WindowOutOfRange
 from nctorus.sampling import random_density, random_element, random_hermitian_matrix
 
 from conftest import coeff_diff, spectrum, trig_pair
@@ -87,17 +87,14 @@ def test_conformal_operator_interior_identity(geom):
     """2-d conformal covariance at the operator level, flat base."""
     dk, ct = _ct_metric(geom)
     rep, _ = lap.conformal_covariance_check(
-        met.metric_flat(geom), dk.nu, LatticeBox(2, 10), calc_box=LatticeBox(2, 10)
+        met.metric_flat(geom), dk, LatticeBox(2, 10), LatticeBox(2, 10)
     )
     assert rep["two_dim_residual"] < 1e-8
 
 
 def test_conformal_identity_factor(geom):
     rep, _ = lap.conformal_covariance_check(
-        met.metric_flat(geom),
-        AlgebraElement.identity(geom),
-        LatticeBox(2, 6),
-        calc_box=LatticeBox(2, 6),
+        met.metric_flat(geom), met.density_one(geom), LatticeBox(2, 6), LatticeBox(2, 6)
     )
     assert rep["two_dim_residual"] < 1e-12
 
@@ -106,9 +103,7 @@ def test_conformal_constant_base(geom):
     w = trig_pair(geom, 0, 0.1) + trig_pair(geom, 1, 0.07)
     dk = met.density_exp(w)
     base = met.metric_constant(geom, [[1.4, 0.3], [0.3, 0.9]], box=LatticeBox(2, 4))
-    rep, _ = lap.conformal_covariance_check(
-        base, dk.nu, LatticeBox(2, 10), calc_box=LatticeBox(2, 10)
-    )
+    rep, _ = lap.conformal_covariance_check(base, dk, LatticeBox(2, 10), LatticeBox(2, 10))
     assert rep["two_dim_residual"] < 1e-8
 
 
@@ -123,15 +118,6 @@ def test_self_compatible_commuted_form(geom):
     commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
     rows = lap.interior_indices(box, box.radius // 2)
     assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
-
-
-def test_green_identity(geom, rng):
-    dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
-    for _ in range(5):
-        u = random_element(geom, 3, rng)
-        v = random_element(geom, 3, rng)
-        assert lap.green_identity_residual(op, u, v) < 1e-9
 
 
 def test_matrix_application_matches_exact_path(geom, rng):
@@ -202,13 +188,6 @@ def test_deformed_flat_spectrum_match(geom):
     assert rel.max() < 1e-3
 
 
-def test_principal_symbol_invertible(geom):
-    dk, ct = _ct_metric(geom)
-    op = lap.assemble_riemannian(ct, LatticeBox(2, 8))
-    lo, hi = lap.principal_symbol_bounds(op, samples=12)
-    assert lo > 0.1 and hi < 10.0
-
-
 def test_product_metric_expanded_operator(geom, rng):
     """Two-factor diagonal metric reproduces the expanded coefficient form."""
     w = trig_pair(geom, 0, 0.12)
@@ -263,6 +242,15 @@ def test_weyl_constant_conformal(geom):
     assert wc.residual < 1e-6
     expect = np.pi * alg.trace(alg.multiply(dk.nu, dk.nu)).real
     assert wc.closed_form == pytest.approx(expect, rel=1e-10)
+
+
+def test_weyl_constant_refuses_a_non_elliptic_symbol(geom):
+    """The floor test of each node's compression is the ellipticity check: the
+    symbol (xi, xi)_{g^{-1}} of diag(1, -1) is -1 at xi = (0, 1)."""
+    indefinite = TorusMatrix.from_scalar_matrix(geom, [[1.0, 0.0], [0.0, -1.0]])
+    g = met.RiemannianMetric(indefinite, indefinite, LatticeBox(2, 2))
+    with pytest.raises(SpectralFloorViolation):
+        lap.weyl_constant(g, None, LatticeBox(2, 4), quadrature_points=8)
 
 
 def test_weyl_fit_flat(geom):

@@ -10,6 +10,7 @@ from nctorus.errors import (
     HypothesisViolated,
     MetricValidationError,
     PositivityViolation,
+    SeriesNotConverged,
     SpectrumOutsideDomain,
 )
 from nctorus.sampling import random_element
@@ -35,6 +36,19 @@ def test_flat_volume_independent_of_theta():
         g = TorusGeometry.two_torus(t)
         vol = met.volume(met.riemannian_density(met.metric_flat(g)))
         assert vol == pytest.approx((2 * np.pi) ** 2, rel=1e-14)
+
+
+def test_density_exp_of_a_constant(geom):
+    """exp(a) sums only exp(+-a/2): the series of exp(-|a|/2) cancels by the
+    ratio e^{|a|}, which exp_series refuses above 1e5, at |a| of about 11.5."""
+    one = AlgebraElement.identity(geom)
+    dens = met.density_exp(alg.scale(one, 10.0))
+    for got, want in ((dens.nu, 10.0), (dens.inv_nu, -10.0),
+                      (dens.sqrt_nu, 5.0), (dens.inv_sqrt_nu, -5.0)):
+        assert got.box.radius == 0
+        assert abs(alg.trace(got) - np.exp(want)) <= 1e-12 * np.exp(want)
+    with pytest.raises(SeriesNotConverged):
+        met.density_exp(alg.scale(one, 12.0))
 
 
 def test_conformal_scalar(geom):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import nctorus
 
-MAX_DEFAULTED_PARAMETERS = 35
+MAX_DEFAULTED_PARAMETERS = 27
 
 
 def _defaulted_parameters():
