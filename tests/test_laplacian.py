@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nctorus import algebra as alg, calculus as calc, laplacian as lap, metrics as met
+from nctorus import algebra as alg, calculus as calc, forms, laplacian as lap, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox
 from nctorus.calculus import TorusMatrix
 from nctorus.errors import BoxTooSmall, SpectralFloorViolation, WindowOutOfRange
@@ -118,6 +118,20 @@ def test_self_compatible_commuted_form(geom):
     commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
     rows = lap.interior_indices(box, box.radius // 2)
     assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
+
+
+def test_green_identity(geom, rng):
+    """<L u, v>_nu^o = <du, dv>_h,nu^o through the assembled matrix."""
+    dk, ct = _ct_metric(geom)
+    op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
+    for _ in range(5):
+        u = random_element(geom, 3, rng)
+        v = random_element(geom, 3, rng)
+        lhs = alg.weighted_inner_product_opp(op.apply(u), v, op.nu.nu)
+        rhs = forms.form_inner_product(
+            forms.differential(u), forms.differential(v), op.h_inv, op.nu
+        )
+        assert abs(lhs - rhs) < 1e-9
 
 
 def test_matrix_application_matches_exact_path(geom, rng):
