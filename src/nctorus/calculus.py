@@ -34,6 +34,7 @@ from itertools import permutations
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     AlgebraElement,
@@ -278,31 +279,31 @@ def compress(x, box):
     The compression is exactly Hermitian when x is selfadjoint.  For modes
     near the box boundary the product leaves the box, so only matrix
     elements with row index in the interior are those of the full operator.
+
+    Block (i, j) at [row, col] is entry (i, j)'s coefficient at mode(row) -
+    mode(col), a mode of the difference box B_{2N}.  With the entry's table
+    resized to B_{2N} (zero beyond its own radius), the windows of shape
+    B_N slid over it, read with the window axes reversed, are exactly that
+    block; it is copied in and multiplied by the cached phase table, so no
+    index table is built.
     """
-    h = _as_matrix(x)
-    r, width, s = h.box.radius, h.box.width, box.size
-    modes = box.modes()
-    # block [row, col] is an entry's coefficient at mode(row) - mode(col):
-    # `flat` indexes that mode in the raveled table (clipped into range),
-    # `outside` marks modes beyond the table's box, which read as zero
-    flat = np.zeros((s, s), dtype=np.intp)
-    outside = np.zeros((s, s), dtype=bool)
-    for axis in range(box.n):
-        diff = modes[:, None, axis] - modes[None, :, axis]
-        outside |= np.abs(diff) > r
-        flat = flat * width + np.clip(diff + r, 0, 2 * r)
-    phase = _phase_matrix(h.geometry, box)
-    mat = np.zeros((h.m * s, h.m * s), dtype=complex)
-    for i in range(h.m):
-        for j in range(h.m):
-            table = h.coeffs[i, j]
-            if not table.any():
+    coeffs = x.coeffs if isinstance(x, TorusMatrix) else x.table[None, None]
+    m, n, s, shape = coeffs.shape[0], box.n, box.size, box.shape
+    tables = _resize_table(coeffs, 2 * box.radius, n)
+    reversed_window = (Ellipsis,) + (slice(None, None, -1),) * n
+    phase = _phase_matrix(x.geometry, box)
+    mat = np.zeros((m * s, m * s), dtype=complex)
+    blocks = mat.reshape((m,) + shape + (m,) + shape)
+    for i in range(m):
+        for j in range(m):
+            if not coeffs[i, j].any():
                 continue
-            block = mat[i * s : (i + 1) * s, j * s : (j + 1) * s]
-            np.take(table.ravel(), flat, out=block, mode="clip")
-            block[outside] = 0.0
-            block *= phase
-    return CompressedOperator(h.geometry, box, h.m, mat)
+            # window at offset mode(row) + N, position 2N - (mode(col) + N):
+            # the table's coefficient at mode(row) - mode(col)
+            windows = sliding_window_view(tables[i, j], shape)
+            blocks[(i,) + (slice(None),) * n + (j,)] = windows[reversed_window]
+            mat[i * s : (i + 1) * s, j * s : (j + 1) * s] *= phase
+    return CompressedOperator(x.geometry, box, m, mat)
 
 
 def element_from_vector(geometry, box, vec):

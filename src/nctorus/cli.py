@@ -113,7 +113,7 @@ def cmd_spectrum(cfg, args):
     stable = result.stable_eigenvalues
     print(
         f"spectrum: {result.stable_count()} stable of {result.eigenvalues.size} "
-        f"(asymmetry {op.asymmetry:.3e})"
+        f"(asymmetry {result.asymmetry:.3e}, stability box {result.stability_asymmetry:.3e})"
     )
     if stable.size:
         kernel, negativity = abs(float(stable[0])), max(0.0, -float(stable.min()))

@@ -12,6 +12,16 @@ nu^{1/2} moves the operator to the standard inner product, where it is
 symmetric up to truncation; the recorded asymmetry of T = S L S^{-1} is the
 truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
 
+On a box of d modes the spectrum path holds at most three d x d complex
+arrays at a time, besides the cached phase table of compress and, on the
+operator's own box, the assembled matrix.  Each compression is read from
+sliding windows over its coefficient table, with no index table.  The core
+sum_ij D_i M(a_ij) D_j accumulates through one reused term buffer.  T is
+solved in place in the buffer of S M, by one LU factorization of S^T.
+T - T* (for the asymmetry) and then (T + T*)/2 are formed in one more
+buffer: the operator keeps it, and on the stability box the eigensolver
+overwrites it.
+
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
 the sorted lists, relative tolerance) are flagged stable.  Multipliers may
@@ -73,8 +83,8 @@ def interior_indices(box, inner_radius):
 @dataclass(frozen=True, eq=False)
 class LaplaceBeltramiOperator:
     """Assembled operator: its two inputs, the inverse metric (h^{ij}) and the
-    Density, the multiplier family read from them, and the matrix with its
-    conjugated form."""
+    Density, the multiplier family read from them, and the matrix with the
+    Hermitian part of its conjugated form, which the eigensolve reads."""
 
     geometry: object
     box: LatticeBox
@@ -84,16 +94,12 @@ class LaplaceBeltramiOperator:
     sqrt_factor: AlgebraElement  # nu^{1/2}, clipped per policy
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
     matrix: np.ndarray
-    conjugated: np.ndarray  # T = S matrix S^{-1} with S = M(nu^{1/2})
+    symmetrized: np.ndarray  # (T + T*)/2 of T = S matrix S^{-1}, S = M(nu^{1/2})
     asymmetry: float
 
     def __post_init__(self):
-        for a in (self.matrix, self.conjugated):
+        for a in (self.matrix, self.symmetrized):
             a.setflags(write=False)
-
-    @property
-    def symmetrized(self):
-        return 0.5 * (self.conjugated + self.conjugated.conj().T)
 
     def apply(self, u):
         vec = self.matrix @ resize(u, self.box.radius).vector()
@@ -107,24 +113,45 @@ class LaplaceBeltramiOperator:
         return scale(multiply(self.prefactor, div), -1.0)
 
 
-def _build_matrices(prefactor, sqrt_factor, multipliers, box):
-    geometry = prefactor.geometry
-    n = geometry.n
+def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
+    """M = -M(nu^{-1}) sum_ij D_i M(a_ij) D_j on the box (dropped before the
+    solve and returned as None unless keep_matrix), the Hermitian part
+    (T + T*)/2 of T = S M S^{-1} with S = M(nu^{1/2}), F-ordered so that
+    LAPACK reads it in place, and the asymmetry ||T - T*|| / ||T||."""
+    n = prefactor.geometry.n
     modes = box.modes()
     core = np.zeros((box.size, box.size), dtype=complex)  # -sum_ij D_i M(a_ij) D_j
+    term = np.empty_like(core)
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
-            a = compress(multipliers[i][j], box).matrix
-            core -= di[:, None] * a * dj[None, :]
+            np.multiply(di[:, None], compress(multipliers[i][j], box).matrix, out=term)
+            term *= dj[None, :]
+            core -= term
+    del term
     mat = compress(prefactor, box).matrix @ core
-    del core  # one d x d array fewer alive through the solve below
+    del core
     s_mat = compress(sqrt_factor, box).matrix
-    t = np.linalg.solve(s_mat.T, (s_mat @ mat).T).T  # S mat S^{-1}
-    denom = float(np.linalg.norm(t)) or 1.0
-    asym = float(np.linalg.norm(t - t.conj().T)) / denom
-    return mat, t, asym
+    t = s_mat @ mat
+    if not keep_matrix:
+        mat = None
+    lu = scipy.linalg.lu_factor(s_mat.T, check_finite=False)
+    del s_mat
+    # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
+    scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
+    del lu
+    # buf's rows are T's columns: both norms sum column by column
+    buf = np.empty_like(t)
+    np.copyto(buf, t.T)
+    denom = float(np.linalg.norm(buf)) or 1.0
+    np.subtract(t.T.real, t.real, out=buf.real)  # buf = (T - T*)^T
+    np.add(t.T.imag, t.imag, out=buf.imag)
+    asym = float(np.linalg.norm(buf)) / denom
+    np.add(t.T.real, t.real, out=buf.real)  # buf = ((T + T*) / 2)^T
+    np.subtract(t.T.imag, t.imag, out=buf.imag)
+    buf *= 0.5
+    return mat, buf.T, asym
 
 
 def assemble(h_inv, dens, box, mult_radius=None):
@@ -147,9 +174,9 @@ def assemble(h_inv, dens, box, mult_radius=None):
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
-    mat, t, asym = _build_matrices(pref, sqrt_f, mult, box)
+    mat, sym, asym = _build_matrices(pref, sqrt_f, mult, box, True)
     return LaplaceBeltramiOperator(
-        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, t, asym
+        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, sym, asym
     )
 
 
@@ -210,6 +237,14 @@ def _group_multiplicities(lam, tol):
     return group
 
 
+def _eigenvalues(sym, in_place):
+    """Ascending eigenvalues of an F-ordered Hermitian matrix, by the
+    divide-and-conquer LAPACK driver; in place when allowed."""
+    return scipy.linalg.eigh(
+        sym, eigvals_only=True, overwrite_a=in_place, driver="evd", check_finite=False
+    )
+
+
 def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
     """Eigenvalues of the symmetrized conjugated operator, with stability flags.
 
@@ -229,9 +264,12 @@ def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
             f"stability radius {stability_radius} must exceed box radius {op.box.radius}"
         )
     big_box = LatticeBox(op.geometry.n, stability_radius)
-    _, t2, asym2 = _build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, big_box)
-    lam2 = np.linalg.eigvalsh(0.5 * (t2 + t2.conj().T))
-    lam = np.linalg.eigvalsh(op.symmetrized)
+    _, sym2, asym2 = _build_matrices(
+        op.prefactor, op.sqrt_factor, op.multipliers, big_box, False
+    )
+    lam2 = _eigenvalues(sym2, True)
+    del sym2
+    lam = _eigenvalues(op.symmetrized, False)
     m = min(lam.size, lam2.size)
     stable = np.zeros(lam.shape, dtype=bool)
     pair_diff = np.abs(lam[:m] - lam2[:m])

@@ -45,6 +45,61 @@ def test_compress_basis_structure(geom):
     assert np.count_nonzero(mat[:, box.index_of(edge)]) == 0
 
 
+def _gathered(x, box):
+    """The compression by an index gather: s x s tables of the raveled index
+    of mode(row) - mode(col) in the entry's table (clipped into range) and of
+    the modes beyond the table, which read as zero."""
+    h = calc._as_matrix(x)
+    r, width, s = h.box.radius, h.box.width, box.size
+    modes = box.modes()
+    flat = np.zeros((s, s), dtype=np.intp)
+    outside = np.zeros((s, s), dtype=bool)
+    for axis in range(box.n):
+        diff = modes[:, None, axis] - modes[None, :, axis]
+        outside |= np.abs(diff) > r
+        flat = flat * width + np.clip(diff + r, 0, 2 * r)
+    phase = calc._phase_matrix(h.geometry, box)
+    mat = np.zeros((h.m * s, h.m * s), dtype=complex)
+    for i in range(h.m):
+        for j in range(h.m):
+            table = h.coeffs[i, j]
+            if not table.any():
+                continue
+            block = mat[i * s : (i + 1) * s, j * s : (j + 1) * s]
+            np.take(table.ravel(), flat, out=block, mode="clip")
+            block[outside] = 0.0
+            block *= phase
+    return mat
+
+
+def _circle():
+    """A one-dimensional torus, which TorusGeometry refuses: the gather is
+    defined on boxes of any dimension, so its test builds one directly."""
+    circle = object.__new__(TorusGeometry)
+    object.__setattr__(circle, "n", 1)
+    object.__setattr__(circle, "theta", np.zeros((1, 1)))
+    return circle
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [_circle(), TorusGeometry.two_torus(0.0), TorusGeometry.two_torus(1.0 / np.sqrt(2.0)),
+     TorusGeometry.from_upper(3, [0.0, 0.0, 0.0]), TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])],
+    ids=["n1", "n2-theta0", "n2", "n3-theta0", "n3"],
+)
+def test_compress_equals_index_gather(geometry, rng):
+    """The window-view compression gathers exactly the index gather's bits,
+    for tables inside and beyond the difference box B_{2N}."""
+    box = LatticeBox(geometry.n, 2)
+    zero = AlgebraElement.zeros(geometry, 0)
+    for radius in (1, 3, 4, 6):  # 2N = 4
+        x = random_element(geometry, radius, rng)
+        y = random_element(geometry, 2, rng)
+        for h in (x, TorusMatrix(geometry, 2, [[x, zero], [y, x]])):
+            got, want = calc.compress(h, box).matrix, _gathered(h, box)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_compress_hermitian_exactly(geom, rng):
     box = LatticeBox(2, 5)
     x = random_selfadjoint(geom, 2, rng)

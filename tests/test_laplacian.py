@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def test_operator_and_spectrum_arrays_read_only(geom):
     op = lap.assemble_riemannian(met.metric_flat(geom), box)
     res = spectrum(op)
     arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
-              op.matrix, op.conjugated, res.eigenvalues, res.stable, res.multiplicity_group]
+              op.matrix, op.symmetrized, res.eigenvalues, res.stable, res.multiplicity_group]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -115,7 +117,7 @@ def test_self_compatible_commuted_form(geom):
     box = LatticeBox(2, 10)
     op = lap.assemble_riemannian(ct, box)
     b = TorusMatrix.scalar(op.nu.nu, 2).matmul(ct.inverse)
-    commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box)
+    commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box, True)
     rows = lap.interior_indices(box, box.radius // 2)
     assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
 
@@ -174,6 +176,41 @@ def test_spectrum_stability_flags_flat(geom):
     assert np.array_equal(lam, lap.lattice_eigenvalues(box)[: lam.size])
     assert lam.max() < (box.radius + 1) ** 2 + 1e-9
     assert res.stable_count() < box.size
+
+
+def _solve_and_eigvalsh(op, box):
+    """Asymmetry and eigenvalues of the symmetrized conjugated operator on the
+    box, by a plain solve for T = S M S^{-1} and eigvalsh of (T + T*)/2."""
+    mat = lap._build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, box, True)[0]
+    s_mat = calc.compress(op.sqrt_factor, box).matrix
+    t = np.linalg.solve(s_mat.T, (s_mat @ mat).T).T
+    asym = np.linalg.norm(t - t.conj().T) / np.linalg.norm(t)
+    return asym, np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+
+
+def test_spectrum_working_set(geom3, rng):
+    """The stability pass holds about three d x d arrays, d = |B_stab|, and
+    gives what the solve-and-eigvalsh formula gives."""
+    h = random_hermitian_matrix(geom3, 3, 1, rng, amplitude=0.2)
+    dens = random_density(geom3, rng, amplitude=0.15)
+    box, big = LatticeBox(3, 3), LatticeBox(3, 4)
+    op = lap.assemble(calc.matrix_inverse(h, LatticeBox(3, 2)), dens, box)
+    calc._phase_matrix(geom3, big)  # cached across calls: not part of the pass
+    d = big.size
+    assert d == 729
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = lap.spectrum(op, stability_radius=big.radius)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * d * d
+    asym, lam = _solve_and_eigvalsh(op, box)
+    asym2, _ = _solve_and_eigvalsh(op, big)
+    assert abs(res.asymmetry - asym) <= 1e-14 * asym
+    assert abs(res.stability_asymmetry - asym2) <= 1e-14 * asym2
+    assert np.max(np.abs(res.eigenvalues - lam)) <= 1e-14 * np.max(np.abs(lam))
 
 
 def test_generalized_eigensolve_agrees(geom):
