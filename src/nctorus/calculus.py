@@ -3,12 +3,19 @@
 Functions of selfadjoint elements (sqrt, log, exp, powers, inverses) are
 evaluated by compressing left multiplication to a finite lattice box and
 reading coefficients off f(C) applied to the cyclic vector(s) e_j (x) V_0,
-with C the resulting Hermitian matrix.  Inverses solve C for those m
-right-hand sides with the Cholesky factor that the floor test computes (of
-C minus the floor), refined against C.  Every other function runs block Lanczos
-on the m cyclic vectors and applies the function to the small
-block-tridiagonal matrix it builds; when that readout has not settled within
-a fixed number of blocks, C is diagonalized instead.  Functions singular at
+with C the resulting Hermitian matrix.  A matrix is first split into the
+connected components of its entry graph (i and j joined when entry (i, j)
+or (j, i) is not identically zero), and each diagonal block is compressed
+and evaluated alone, with exact zeros between blocks; within one call a
+block equal to an earlier one takes its result, as f(y (x) I_m) = f(y) (x)
+I_m.  The conformal metric k^2 I_n is n equal 1 x 1 blocks, so its
+functions cost one compression of dimension |B_N|, not one of n |B_N|.
+Inverses solve C for those m right-hand sides with the Cholesky factor
+that the floor test computes (of C minus the floor), refined against C.
+Every other function runs block Lanczos on the m cyclic vectors and
+applies the function to the small block-tridiagonal matrix it builds; when
+that readout has not settled within a fixed number of blocks, C is
+diagonalized instead.  Functions singular at
 0 first test C against the spectral floor by a Cholesky factorization, on
 every path.  The compression of a selfadjoint element is exactly Hermitian
 because the truncated Fourier basis is orthonormal and aligned with the
@@ -70,8 +77,13 @@ def _phase_matrix(geometry, box):
     """Read-only table [r, q] = exp(i pi q.theta r) over pairs of box modes."""
     modes = box.modes().astype(float)
     w = modes @ geometry.theta @ modes.T  # w[a, b] = a . theta b
-    w = 0.5 * (w - w.T)  # enforce the exact antisymmetry (zero diagonal) of q.theta r
-    phase = np.exp(1j * np.pi * w.T)
+    # built in place in one complex buffer: w.T - w enforces the exact
+    # antisymmetry (zero diagonal) of q.theta r
+    phase = np.zeros(w.shape, dtype=complex)
+    np.subtract(w.T, w, out=phase.imag)
+    phase.imag *= 0.5
+    phase.imag *= np.pi
+    np.exp(phase, out=phase)
     phase.setflags(write=False)
     return phase
 
@@ -218,16 +230,17 @@ def _like(x, h):
 
 
 def _nonzero_entries(h):
-    """Coefficient tables of the entries that are not identically zero."""
+    """The distinct coefficient tables of the entries that are not
+    identically zero: k I_m gives one table, not m."""
     flat = h.coeffs.reshape((-1,) + h.coeffs.shape[2:])
-    return flat[flat.any(axis=tuple(range(1, flat.ndim)))]
+    return np.unique(flat[flat.any(axis=tuple(range(1, flat.ndim)))], axis=0)
 
 
 def compatibility_residual(a, b):
     """Max commutator coefficient over all entry pairs of two matrices.
 
-    The column of a's nonzero entries times the row of b's holds every x y,
-    and the transpose of the reverse product every y x.
+    The column of a's distinct nonzero entries times the row of b's holds
+    every x y, and the transpose of the reverse product every y x.
     """
     _check_same_geometry(a, b)
     col = _nonzero_entries(a)[:, None]
@@ -469,24 +482,19 @@ def _lanczos_columns(mat, cyclic, f):
     return None
 
 
-def functional_calculus(x, fn, box):
-    """f(x) for selfadjoint x via the Hermitian compression on the box.
+def _components(h):
+    """Index arrays of the connected components of h's entry graph, in which
+    i and j are joined when entry (i, j) or (j, i) is not identically zero."""
+    linked = h.coeffs.reshape(h.m, h.m, -1).any(axis=2)
+    reach = linked | linked.T | np.eye(h.m, dtype=bool)
+    for _ in range(h.m.bit_length()):  # paths of up to 2^k steps after k squarings
+        reach = reach @ reach
+    # row i is i's component; keep it where i is the component's first index
+    return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
-    x is an element or a matrix over the algebra (an element is the 1 x 1
-    case, and the result has the form of x).  fn is one of "sqrt",
-    "inv_sqrt", "log", "exp", "inv" or ("pow", s); any other spec is a
-    ValueError.  Functions singular at 0 refuse inputs whose compressed
-    spectrum dips below SPECTRAL_FLOOR, tested by a Cholesky factorization
-    of the compression minus the floor.  The inverse (also ("pow", -1))
-    solves for the cyclic columns with that factor, refined against the
-    compression; every other function runs block
-    Lanczos on the cyclic vectors, with the dense eigendecomposition of the
-    compression as the fallback when Lanczos has not converged.  The result
-    lives on the compression box; callers clip as needed.
-    """
-    name, f, needs_floor = _resolve_function(fn)
-    h = _as_matrix(x)
-    _require_selfadjoint(h)
+
+def _block_calculus(h, box, name, f, needs_floor):
+    """Coefficient array (m, m, *box.shape) of f(h) read off the compression."""
     mat = compress(h, box).matrix
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     m = h.m
@@ -500,7 +508,44 @@ def functional_calculus(x, fn, box):
         cols = _lanczos_columns(mat, cyclic, f)
         if cols is None:
             cols = _eigen_columns(mat, cyclic, f)
-    coeffs = cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
+    return cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
+
+
+def functional_calculus(x, fn, box):
+    """f(x) for selfadjoint x via the Hermitian compression on the box.
+
+    x is an element or a matrix over the algebra (an element is the 1 x 1
+    case, and the result has the form of x).  fn is one of "sqrt",
+    "inv_sqrt", "log", "exp", "inv" or ("pow", s); any other spec is a
+    ValueError.  A matrix is split into the connected components of its
+    entry graph (i and j joined when entry (i, j) or (j, i) is not
+    identically zero); f acts on each diagonal block alone, the entries
+    between blocks of f(x) are exactly zero, and a block equal to an earlier
+    one of the same call takes that block's result (f(y (x) I) = f(y) (x) I).
+    Functions singular at 0 refuse inputs whose compressed spectrum dips
+    below SPECTRAL_FLOOR, tested by a Cholesky factorization of the block's
+    compression minus the floor.  The inverse (also ("pow", -1)) solves for
+    the cyclic columns with that factor, refined against the compression;
+    every other function runs block Lanczos on the cyclic vectors, with the
+    dense eigendecomposition of the compression as the fallback when
+    Lanczos has not converged.  The result lives on the compression box;
+    callers clip as needed.
+    """
+    name, f, needs_floor = _resolve_function(fn)
+    h = _as_matrix(x)
+    _require_selfadjoint(h)
+    coeffs = np.zeros((h.m, h.m) + box.shape, dtype=complex)
+    done = []  # (block, its result) of each distinct block computed so far
+    for component in _components(h):
+        at = np.ix_(component, component)
+        block = h.coeffs[at]
+        result = next((r for b, r in done if np.array_equal(b, block)), None)
+        if result is None:
+            result = _block_calculus(
+                TorusMatrix.from_coeffs(h.geometry, block), box, name, f, needs_floor
+            )
+            done.append((block, result))
+        coeffs[at] = result
     out = TorusMatrix.from_coeffs(h.geometry, coeffs)
     # f real on the spectrum of a selfadjoint input makes f(x) selfadjoint;
     # averaging with the adjoint clears readout roundoff off the real subspace

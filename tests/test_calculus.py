@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -98,6 +99,36 @@ def test_compress_equals_index_gather(geometry, rng):
         for h in (x, TorusMatrix(geometry, 2, [[x, zero], [y, x]])):
             got, want = calc.compress(h, box).matrix, _gathered(h, box)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _old_phase_matrix(geometry, box):
+    """The phase table by the formula it was first written with."""
+    modes = box.modes().astype(float)
+    w = modes @ geometry.theta @ modes.T
+    w = 0.5 * (w - w.T)
+    return np.exp(1j * np.pi * w.T)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [TorusGeometry.two_torus(0.0), TorusGeometry.two_torus(1.0 / np.sqrt(2.0)),
+     TorusGeometry.from_upper(3, [0.0, 0.0, 0.0]), TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])],
+    ids=["n2-theta0", "n2", "n3-theta0", "n3"],
+)
+def test_phase_matrix_in_one_buffer(geometry):
+    """The in-place table has the old formula's bytes, in C order, and its
+    build peaks at 1.5 d x d complex tables (the old one at 2.5)."""
+    box = LatticeBox(geometry.n, 10 if geometry.n == 2 else 5)  # d = 441, 1331
+    build = calc._phase_matrix.__wrapped__  # past the cache
+    tracemalloc.start()
+    try:
+        phase = build(geometry, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phase.flags.c_contiguous
+    assert phase.tobytes() == _old_phase_matrix(geometry, box).tobytes()
+    assert peak <= 1.6 * 16 * box.size**2
 
 
 def test_compress_hermitian_exactly(geom, rng):
@@ -255,19 +286,97 @@ def test_lanczos_falls_back_to_dense_readout(geom, monkeypatch):
     dense = _eigen_readout(h, box, np.log).entries[0][0]
     lanczos = calc.functional_calculus(x, "log", box)
     assert 0.0 < coeff_diff(lanczos, dense) <= 1e-13 * dense.max_abs()
-    # the constant entry closes its column's Krylov space after one block,
-    # before the other column's: the dense readout takes over at once
+    # on the whole compression of a block-diagonal matrix, the constant
+    # entry closes its column's Krylov space after one block, before the
+    # other column's: Lanczos hands over to the dense readout at once
     two = alg.scale(AlgebraElement.identity(geom), 2.0)
     zero = AlgebraElement.zeros(geom, 0)
     split = TorusMatrix(geom, 2, [[two, zero], [zero, x]])
+    cyclic = np.arange(2) * box.size + box.index_of([0, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no Ritz values off the spectrum reach log
-        assert coeff_diff(
-            calc.functional_calculus(split, "log", box), _eigen_readout(split, box, np.log)
-        ) == 0.0
+        assert calc._lanczos_columns(calc.compress(split, box).matrix, cyclic, np.log) is None
+        # functional_calculus takes the blocks one at a time
+        blocks = [TorusMatrix(geom, 1, [[calc.functional_calculus(y, "log", box)]])
+                  for y in (two, x)]
+        got = calc.functional_calculus(split, "log", box)
+    assert coeff_diff(got, TorusMatrix.block_diag(blocks)) == 0.0
     # one block cannot settle the readout, so the dense one comes back, bit for bit
     monkeypatch.setattr(calc, "_LANCZOS_MAX_BLOCKS", 1)
     assert coeff_diff(calc.functional_calculus(x, "log", box), dense) == 0.0
+
+
+def _compressed_dims(monkeypatch):
+    """The dimensions of the compressions made from here on, in call order."""
+    dims = []
+    compress = calc.compress
+
+    def spy(x, box):
+        op = compress(x, box)
+        dims.append(op.matrix.shape[0])
+        return op
+
+    monkeypatch.setattr(calc, "compress", spy)
+    return dims
+
+
+def test_block_calculus_reuses_equal_blocks(geom, monkeypatch):
+    # the README metric k^2 I: two equal 1 x 1 blocks, one compression
+    box = LatticeBox(2, 6)
+    k = met.density_exp(alg.add(trig_pair(geom, 0, 0.15), trig_pair(geom, 1, 0.1))).nu
+    g = met.metric_conformal(met.metric_flat(geom), k, box).matrix
+    want = _eigen_readout(g, box, np.log)
+    dims = _compressed_dims(monkeypatch)
+    got = calc.functional_calculus(g, "log", box)
+    assert dims == [box.size]
+    assert got.coeffs[0, 0].tobytes() == got.coeffs[1, 1].tobytes()
+    assert not got.coeffs[0, 1].any() and not got.coeffs[1, 0].any()
+    assert coeff_diff(got, want) <= 1e-13 * want.max_abs()
+
+
+def test_block_calculus_matches_whole_readout(geom, rng, monkeypatch):
+    # a 3 x 3 matrix whose entry graph has the components {0, 2} and {1}
+    box = LatticeBox(2, 4)
+    p = random_hermitian_matrix(geom, 2, 1, rng)
+    one = AlgebraElement.identity(geom)
+    z = alg.add(alg.scale(one, 1.5), random_selfadjoint(geom, 1, rng, 0.2))
+    zero = AlgebraElement.zeros(geom, 0)
+    (a, b), (c, d) = p.entries
+    h = TorusMatrix(geom, 3, [[a, zero, b], [zero, z, zero], [c, zero, d]])
+    for fn in ("log", "inv", ("pow", 0.5)):
+        want = _eigen_readout(h, box, _resolved(fn))
+        with monkeypatch.context() as patch:
+            dims = _compressed_dims(patch)
+            got = calc.functional_calculus(h, fn, box)
+        assert dims == [2 * box.size, box.size]
+        assert coeff_diff(got, want) <= 1e-13 * want.max_abs()
+        assert not got.coeffs[[0, 1, 1, 2], [1, 0, 2, 1]].any()
+
+
+def test_block_calculus_floor_per_block(geom):
+    box = LatticeBox(2, 5)
+    two = alg.scale(AlgebraElement.identity(geom), 2.0)
+    zero = AlgebraElement.zeros(geom, 0)
+    # the second block's compressed spectrum reaches below the floor
+    h = TorusMatrix(geom, 2, [[two, zero], [zero, trig_pair(geom, 0)]])
+    for fn in ("log", "inv", ("pow", 0.5)):
+        with pytest.raises(SpectralFloorViolation):
+            calc.functional_calculus(h, fn, box)
+
+
+def test_coupled_matrix_compressed_whole(geom, rng, monkeypatch):
+    box = LatticeBox(2, 4)
+    x = alg.add(alg.scale(AlgebraElement.identity(geom), 2.0), trig_pair(geom, 0, 0.5))
+    zero = AlgebraElement.zeros(geom, 0)
+    # one nonzero off-diagonal entry, below the selfadjointness tolerance,
+    # and its zero mirror still join the two indices
+    tiny = alg.scale(AlgebraElement.identity(geom), 1e-14)
+    for h in (TorusMatrix(geom, 2, [[x, tiny], [zero, x]]),
+              random_hermitian_matrix(geom, 2, 1, rng)):
+        with monkeypatch.context() as patch:
+            dims = _compressed_dims(patch)
+            calc.functional_calculus(h, "log", box)
+        assert dims == [2 * box.size]
 
 
 def test_roundtrips_tighten_with_box(geom):
@@ -431,6 +540,18 @@ def test_determinant_hypothesis_violation(geom):
         calc.block_determinant_residual([h1, h2], box)
     # genuinely noncommuting
     assert coeff_diff(alg.multiply(v1, v2), alg.multiply(v2, v1)) > 0.1
+
+
+def test_compatibility_residual_over_distinct_entries(geom, rng):
+    # repeated entries are multiplied once; the residual is still the max
+    # commutator over every pair of entries
+    x, y = random_element(geom, 2, rng), random_element(geom, 1, rng)
+    zero = AlgebraElement.zeros(geom, 0)
+    a = TorusMatrix(geom, 2, [[x, zero], [zero, x]])
+    b = TorusMatrix(geom, 2, [[y, x], [y, zero]])
+    want = max(coeff_diff(alg.multiply(u, v), alg.multiply(v, u)) for u in (x,) for v in (x, y))
+    assert want > 0.1
+    assert abs(calc.compatibility_residual(a, b) - want) <= 1e-14 * want
 
 
 def test_self_compatible_leibniz(geom):
