@@ -41,7 +41,7 @@ from itertools import permutations
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .algebra import (
     AlgebraElement,
@@ -50,6 +50,7 @@ from .algebra import (
     _adjoint_coeffs,
     _check_same_geometry,
     _integer_power,
+    _pi_phase,
     _resize_table,
     _twisted_matmul,
     add,
@@ -70,22 +71,6 @@ SPECTRAL_FLOOR = 1e-8
 # a commutation or orthogonality hypothesis of an identity check holds when
 # its residual is at most this
 COMPAT_TOL = 1e-9
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_matrix(geometry, box):
-    """Read-only table [r, q] = exp(i pi q.theta r) over pairs of box modes."""
-    modes = box.modes().astype(float)
-    w = modes @ geometry.theta @ modes.T  # w[a, b] = a . theta b
-    # built in place in one complex buffer: w.T - w enforces the exact
-    # antisymmetry (zero diagonal) of q.theta r
-    phase = np.zeros(w.shape, dtype=complex)
-    np.subtract(w.T, w, out=phase.imag)
-    phase.imag *= 0.5
-    phase.imag *= np.pi
-    np.exp(phase, out=phase)
-    phase.setflags(write=False)
-    return phase
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -286,6 +271,107 @@ class CompressedOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale_
 
 
+def _phase_tables(geometry, radius):
+    """The cocycle phase of a compression to B_N in n small exact tables.
+
+    With r, q the row and column modes, u = r + q and v = r - q, antisymmetry
+    of theta gives q.theta r = u.theta v / 2, so exp(i pi q.theta r) is the
+    product over i of F_i = exp(i pi/2 u_i (theta v)_i).  Table i holds F_i
+    over u_i on axis i and v_j on every other axis j, each from -2N to 2N
+    (index + 2N): (4N + 1)^n entries, the product over j of the
+    (4N + 1)^2-entry tables exp(i pi theta_ij/2 u_i v_j), each reduced mod 2
+    exactly by _pi_phase.  It is None where row i of theta vanishes, and all
+    are None at theta = 0.  Swapping r and q negates v, which conjugates
+    every entry bit for bit.
+    """
+    n = geometry.n
+    span = np.arange(-2 * radius, 2 * radius + 1)
+    along = [span.reshape((-1,) + (1,) * (n - 1 - axis)) for axis in range(n)]
+    tables = []
+    for i in range(n):
+        pairs = [_pi_phase([(0.5 * geometry.theta[i, j], along[i] * along[j])]) for j in range(n)]
+        pairs = [p for j, p in enumerate(pairs) if j != i and p is not None]
+        table = functools.reduce(np.multiply, pairs) if pairs else None
+        tables.append(None if table is None else np.broadcast_to(table, (4 * radius + 1,) * n))
+    return tables
+
+
+def _pair_view(grid, kinds, width):
+    """Zero-copy view (a, b, rest) of a grid whose axis k < len(kinds) is
+    read at a_k + b_k (kind 1) or a_k - b_k + width - 1 (kind -1), for a_k,
+    b_k = 0 .. width - 1; its remaining axes are kept whole."""
+    k = len(kinds)
+    start = grid[tuple(slice(0 if kind > 0 else width - 1, None) for kind in kinds)]
+    steps = grid.strides
+    return as_strided(
+        start,
+        (width,) * (2 * k) + grid.shape[k:],
+        steps[:k] + tuple(kind * step for kind, step in zip(kinds, steps)) + steps[k:],
+        writeable=False,
+    )
+
+
+def _compressed_matrix(x, box):
+    """The writable dense matrix of compress(x, box), owned by the caller,
+    who may scale or factor it in place.
+
+    Let a and b be the row's and column's mode indices (mode + N), a' and b'
+    their first n - 1 coordinates.  Every coordinate of v = r - q but the
+    last, and every coordinate of u = r + q, is a' + b' or a' - b', so the
+    coefficient (a function of v) and every phase table but the last (u_i
+    with i < n) are functions of a', b' and v_n = a_n - b_n alone: their
+    product G is formed on that grid, a slice of rows at a time (the first
+    n - 2 coordinates of a' fixed, (2N + 1)^n (4N + 1) points per slice).
+    The last table depends on a', b' and u_n = a_n + b_n.  Both are read
+    through zero-copy strided views over the rows and columns, so each
+    entry costs one complex product, (coefficient * F_1 ... F_{n-1}) * F_n
+    in that order for every entry, which keeps the compression of a
+    selfadjoint element exactly Hermitian.
+    """
+    coeffs = x.coeffs if isinstance(x, TorusMatrix) else x.table[None, None]
+    m, n, s, shape = coeffs.shape[0], box.n, box.size, box.shape
+    width = box.width
+    tables = _resize_table(coeffs, 2 * box.radius, n)
+    *heads, last = _phase_tables(x.geometry, box.radius)
+    v_kinds = (-1,) * (n - 1)
+    heads = [
+        _pair_view(t, v_kinds[:i] + (1,) + v_kinds[i + 1 :], width)
+        for i, t in enumerate(heads) if t is not None
+    ]
+    if last is not None:
+        last = _pair_view(last, v_kinds + (1,), width)  # (a, b) -> F_n
+    entries = {
+        (i, j): _pair_view(tables[i, j], v_kinds, width)
+        for i in range(m) for j in range(m) if coeffs[i, j].any()
+    }
+    # every entry is written below, so the matrix is not zero-filled first
+    mat = np.empty((m * s, m * s), dtype=complex)
+    blocks = mat.reshape((m,) + shape + (m,) + shape)
+    for i, j in np.ndindex(m, m):
+        if (i, j) not in entries:
+            blocks[(i,) + (slice(None),) * n + (j,)] = 0.0
+    for at in np.ndindex(shape[: max(n - 2, 0)]):
+        phase = None  # F_1 ... F_{n-1} over (a', b', v_n) on the slice
+        for head in heads:
+            phase = head[at] if phase is None else phase * head[at]
+        for (i, j), entry in entries.items():
+            g = entry[at] if phase is None else entry[at] * phase
+            # (a', a_n, b', b_n) -> g at (a', b', a_n - b_n + 2N)
+            rows, steps = g.ndim - n, g.strides
+            g = as_strided(
+                g[..., width - 1 :],
+                (width,) * (rows + 1 + n),
+                steps[:rows] + steps[-1:] + steps[rows:-1] + (-steps[-1],),
+                writeable=False,
+            )
+            out = blocks[(i,) + at + (slice(None),) * (n - len(at)) + (j,)]
+            if last is None:
+                out[...] = g
+            else:
+                np.multiply(g, last[at], out=out)
+    return mat
+
+
 def compress(x, box):
     """Compressed left-multiplication operator of an element or matrix.
 
@@ -294,29 +380,16 @@ def compress(x, box):
     elements with row index in the interior are those of the full operator.
 
     Block (i, j) at [row, col] is entry (i, j)'s coefficient at mode(row) -
-    mode(col), a mode of the difference box B_{2N}.  With the entry's table
-    resized to B_{2N} (zero beyond its own radius), the windows of shape
-    B_N slid over it, read with the window axes reversed, are exactly that
-    block; it is copied in and multiplied by the cached phase table, so no
-    index table is built.
+    mode(col), a mode of the difference box B_{2N}, times the cocycle phase
+    exp(i pi q.theta r) of r = mode(row), q = mode(col).  The phase is the
+    product of n exact tables of (4N + 1)^n entries over r + q and r - q
+    (_phase_tables), built on every call; the entry's table resized to
+    B_{2N} and the phase tables are read through zero-copy strided views,
+    one slice of rows at a time.  No index table and no d x d phase table
+    is built or kept.
     """
-    coeffs = x.coeffs if isinstance(x, TorusMatrix) else x.table[None, None]
-    m, n, s, shape = coeffs.shape[0], box.n, box.size, box.shape
-    tables = _resize_table(coeffs, 2 * box.radius, n)
-    reversed_window = (Ellipsis,) + (slice(None, None, -1),) * n
-    phase = _phase_matrix(x.geometry, box)
-    mat = np.zeros((m * s, m * s), dtype=complex)
-    blocks = mat.reshape((m,) + shape + (m,) + shape)
-    for i in range(m):
-        for j in range(m):
-            if not coeffs[i, j].any():
-                continue
-            # window at offset mode(row) + N, position 2N - (mode(col) + N):
-            # the table's coefficient at mode(row) - mode(col)
-            windows = sliding_window_view(tables[i, j], shape)
-            blocks[(i,) + (slice(None),) * n + (j,)] = windows[reversed_window]
-            mat[i * s : (i + 1) * s, j * s : (j + 1) * s] *= phase
-    return CompressedOperator(x.geometry, box, m, mat)
+    mat = _compressed_matrix(x, box)
+    return CompressedOperator(x.geometry, box, mat.shape[0] // box.size, mat)
 
 
 def element_from_vector(geometry, box, vec):
@@ -493,22 +566,26 @@ def _components(h):
     return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
-def _block_calculus(h, box, name, f, needs_floor):
-    """Coefficient array (m, m, *box.shape) of f(h) read off the compression."""
-    mat = compress(h, box).matrix
-    # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
-    m = h.m
-    i0 = box.index_of(np.zeros(h.geometry.n, dtype=int))
+def _matrix_calculus(mat, m, box, name, f, needs_floor):
+    """Columns f(C) e_j, (m |B|) x m, at the cyclic rows e_j (x) V_0 of the
+    Hermitian compression C of an m x m matrix on the box: the floor test,
+    then the solve (the inverse) or the Lanczos readout."""
+    i0 = box.index_of(np.zeros(box.n, dtype=int))
     cyclic = np.arange(m) * box.size + i0
     if f is _reciprocal:  # the floor test's factor serves the solve
-        cols = _inverse_columns(mat, _require_floor(mat, name), cyclic)
-    else:  # the factor is dropped before the readout, which needs memory of its own
-        if needs_floor:
-            _require_floor(mat, name)
-        cols = _lanczos_columns(mat, cyclic, f)
-        if cols is None:
-            cols = _eigen_columns(mat, cyclic, f)
-    return cols.T.reshape((m, m) + box.shape).swapaxes(0, 1)
+        return _inverse_columns(mat, _require_floor(mat, name), cyclic)
+    # the factor is dropped before the readout, which needs memory of its own
+    if needs_floor:
+        _require_floor(mat, name)
+    cols = _lanczos_columns(mat, cyclic, f)
+    return _eigen_columns(mat, cyclic, f) if cols is None else cols
+
+
+def _block_calculus(h, box, name, f, needs_floor):
+    """Coefficient array (m, m, *box.shape) of f(h) read off the compression."""
+    cols = _matrix_calculus(compress(h, box).matrix, h.m, box, name, f, needs_floor)
+    # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
+    return cols.T.reshape((h.m, h.m) + box.shape).swapaxes(0, 1)
 
 
 def functional_calculus(x, fn, box):

@@ -9,7 +9,8 @@ other key is refused.  Literals are only read; the one file written here is
 the spectrum CSV.
 
 Positive elements in metric/density specs may be given three ways:
-a bare literal (positivity checked by compressed spectral bounds),
+a bare literal (positivity checked by the floor test of its compression,
+a Cholesky factorization),
 {"exp_of": literal} for exp of a selfadjoint element, or
 {"witness": literal, "constant": c} for w* w + c.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, exp_series, scale
-from .calculus import SPECTRAL_FLOOR, TorusMatrix, make_positive, spectral_bounds
-from .errors import BoxTooLarge, NCTorusError, PositivityViolation
+from .calculus import TorusMatrix, _require_floor, compress, make_positive
+from .errors import BoxTooLarge, NCTorusError
 from .metrics import (
     density_exp,
     density_from_element,
@@ -128,9 +129,9 @@ def positive_element_from_spec(geometry, spec, box):
         y = element_from_literal(geometry, spec["witness"])
         return make_positive(y, float(spec.get("constant", 1.0)))
     x = element_from_literal(geometry, spec)
-    lo, _ = spectral_bounds(scale(add(x, adjoint(x)), 0.5), box)
-    if lo < SPECTRAL_FLOOR:
-        raise PositivityViolation(f"element spec has compressed min {lo:.3e}")
+    # the floor test of the compression's Cholesky factor: a
+    # SpectralFloorViolation, which is a PositivityViolation, when it fails
+    _require_floor(compress(scale(add(x, adjoint(x)), 0.5), box).matrix, "element spec")
     return x
 
 

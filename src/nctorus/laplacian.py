@@ -12,15 +12,17 @@ nu^{1/2} moves the operator to the standard inner product, where it is
 symmetric up to truncation; the recorded asymmetry of T = S L S^{-1} is the
 truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
 
-On a box of d modes the spectrum path holds at most three d x d complex
-arrays at a time, besides the cached phase table of compress and, on the
-operator's own box, the assembled matrix.  Each compression is read from
-sliding windows over its coefficient table, with no index table.  The core
-sum_ij D_i M(a_ij) D_j accumulates through one reused term buffer.  T is
-solved in place in the buffer of S M, by one LU factorization of S^T.
-T - T* (for the asymmetry) and then (T + T*)/2 are formed in one more
-buffer: the operator keeps it, and on the stability box the eigensolver
-overwrites it.
+On the stability box, of d modes, the spectrum path holds at most two
+d x d complex arrays at a time (on the operator's own box a third, the
+assembled matrix it keeps).  The compressions it scales or factors are
+its own writable arrays, with no index table and no d x d phase table behind
+them.  Each multiplier's compression is scaled by D_i and D_j in place and subtracted
+from the core sum_ij D_i M(a_ij) D_j; M(nu^{-1}) and then S = M(nu^{1/2})
+multiply into the core in place, one block of columns at a time, which
+leaves S M there.  S^T is LU-factored in its own buffer, and T is solved in
+place in the buffer of S M.  T - T* (for the asymmetry) and then
+(T + T*)/2 are formed in one more buffer: the operator keeps it, and on the
+stability box the eigensolver overwrites it.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -48,13 +50,11 @@ from .algebra import (
     multiply,
     resize,
     scale,
-    trace,
 )
 from .calculus import (
     TorusMatrix,
     compress,
     element_from_vector,
-    functional_calculus,
     unit_ball_volume,
 )
 from .errors import BoxTooSmall, HypothesisViolated, WindowOutOfRange
@@ -113,30 +113,46 @@ class LaplaceBeltramiOperator:
         return scale(multiply(self.prefactor, div), -1.0)
 
 
+# columns per product when M(nu^{-1}) and then M(nu^{1/2}) multiply into the
+# core in place: one d x _COLUMN_BLOCK buffer at a time
+_COLUMN_BLOCK = 256
+
+
+def _multiply_into(left, right):
+    """right <- left @ right, one block of columns at a time."""
+    for lo in range(0, right.shape[1], _COLUMN_BLOCK):
+        cols = right[:, lo : lo + _COLUMN_BLOCK]
+        cols[...] = left @ cols
+
+
 def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     """M = -M(nu^{-1}) sum_ij D_i M(a_ij) D_j on the box (dropped before the
     solve and returned as None unless keep_matrix), the Hermitian part
     (T + T*)/2 of T = S M S^{-1} with S = M(nu^{1/2}), F-ordered so that
-    LAPACK reads it in place, and the asymmetry ||T - T*|| / ||T||."""
+    LAPACK reads it in place, and the asymmetry ||T - T*|| / ||T||.
+
+    Every compression is this function's own writable array, scaled or
+    factored in place, so at most two d x d arrays are live at a time
+    (three when the operator keeps M).
+    """
     n = prefactor.geometry.n
     modes = box.modes()
     core = np.zeros((box.size, box.size), dtype=complex)  # -sum_ij D_i M(a_ij) D_j
-    term = np.empty_like(core)
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
-            np.multiply(di[:, None], compress(multipliers[i][j], box).matrix, out=term)
+            term = calc._compressed_matrix(multipliers[i][j], box)
+            term *= di[:, None]
             term *= dj[None, :]
             core -= term
-    del term
-    mat = compress(prefactor, box).matrix @ core
-    del core
-    s_mat = compress(sqrt_factor, box).matrix
-    t = s_mat @ mat
-    if not keep_matrix:
-        mat = None
-    lu = scipy.linalg.lu_factor(s_mat.T, check_finite=False)
+            del term  # freed before the next compression is built
+    _multiply_into(calc._compressed_matrix(prefactor, box), core)
+    mat = core.copy() if keep_matrix else None
+    s_mat = calc._compressed_matrix(sqrt_factor, box)
+    _multiply_into(s_mat, core)
+    t = core  # S M, for now
+    lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
     del s_mat
     # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
     scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
@@ -380,11 +396,18 @@ def conformal_covariance_check(g, k_density, box, calc_box):
 # ---------------------------------------------------------------------------
 
 
-def _symbol(h_inv, xi):
-    """Selfadjoint part of sum_ij xi_i xi_j h^{ij}, the symbol (xi, xi)_{h^{-1}}."""
-    table = np.einsum("i,j,ij...->...", xi, xi, h_inv.coeffs)
-    s = AlgebraElement(h_inv.geometry, h_inv.box, table)
-    return scale(add(s, adjoint(s)), 0.5)
+def _symbol_parts(h_inv):
+    """The selfadjoint parts S_ij of h^{ii} (i = j) and of h^{ij} + h^{ji}
+    (i < j): the symbol (xi, xi)_{h^{-1}}, the selfadjoint part of
+    sum_ij xi_i xi_j h^{ij}, is sum_{i <= j} xi_i xi_j S_ij."""
+    n = h_inv.m
+    parts = {}
+    for i in range(n):
+        for j in range(i, n):
+            table = h_inv.coeffs[i, j] if i == j else h_inv.coeffs[i, j] + h_inv.coeffs[j, i]
+            s = AlgebraElement(h_inv.geometry, h_inv.box, table)
+            parts[i, j] = scale(add(s, adjoint(s)), 0.5)
+    return parts
 
 
 def _sphere_nodes(n, points):
@@ -425,7 +448,9 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     """Eigenvalue-counting constant of a RiemannianMetric by sphere quadrature.
 
     Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere, by the
-    spectral calculus on box, and divides by n.  dens is g's Riemannian
+    spectral calculus on box, and divides by n.  The n(n + 1)/2 selfadjoint
+    parts of the symbol are compressed once, and each node's compression is
+    their combination with real weights xi_i xi_j.  dens is g's Riemannian
     density when the caller already holds it (the assembled operator's nu),
     else None.  When g is self-compatible the closed form (2 pi)^{-n} |unit
     ball| volume(dens) is computed alongside, from riemannian_density(g)
@@ -433,10 +458,19 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
+    name, f, needs_floor = calc._resolve_function(("pow", -n / 2.0))
+    # the symbol is linear in its n(n + 1)/2 parts, and so is its compression:
+    # each node combines the parts' compressions, exactly Hermitian as they are
+    parts = [(ij, compress(s, box).matrix) for ij, s in _symbol_parts(g.inverse).items()]
+    zero = box.index_of(np.zeros(n, dtype=int))
     total = 0.0
     for xi, w in zip(nodes, weights):
-        val = functional_calculus(_symbol(g.inverse, xi), ("pow", -n / 2.0), box)
-        total += w * float(trace(val).real)
+        mat = np.zeros((box.size, box.size), dtype=complex)
+        for (i, j), part in parts:
+            mat += (xi[i] * xi[j]) * part
+        # tau of f(symbol): the zero mode of f(C) applied to V_0
+        cols = calc._matrix_calculus(mat, 1, box, name, f, needs_floor)
+        total += w * float(cols[zero, 0].real)
     quad = total / n
     closed = np.nan
     if g.is_self_compatible():

@@ -2,6 +2,7 @@ import functools
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,9 @@ def test_compress_basis_structure(geom):
 def _gathered(x, box):
     """The compression by an index gather: s x s tables of the raveled index
     of mode(row) - mode(col) in the entry's table (clipped into range) and of
-    the modes beyond the table, which read as zero."""
+    the modes beyond the table, which read as zero; then the phase tables
+    read at the explicit indices u + 2N and v + 2N, u = r + q, v = r - q,
+    multiplied in as (coefficient * F_1 ... F_{n-1}) * F_n."""
     h = calc._as_matrix(x)
     r, width, s = h.box.radius, h.box.width, box.size
     modes = box.modes()
@@ -59,7 +62,12 @@ def _gathered(x, box):
         diff = modes[:, None, axis] - modes[None, :, axis]
         outside |= np.abs(diff) > r
         flat = flat * width + np.clip(diff + r, 0, 2 * r)
-    phase = calc._phase_matrix(h.geometry, box)
+    u = modes[:, None] + modes[None, :] + 2 * box.radius
+    v = modes[:, None] - modes[None, :] + 2 * box.radius
+    factors = [
+        None if t is None else t[tuple(u[..., k] if k == i else v[..., k] for k in range(box.n))]
+        for i, t in enumerate(calc._phase_tables(h.geometry, box.radius))
+    ]
     mat = np.zeros((h.m * s, h.m * s), dtype=complex)
     for i in range(h.m):
         for j in range(h.m):
@@ -69,7 +77,11 @@ def _gathered(x, box):
             block = mat[i * s : (i + 1) * s, j * s : (j + 1) * s]
             np.take(table.ravel(), flat, out=block, mode="clip")
             block[outside] = 0.0
-            block *= phase
+            heads = [f for f in factors[:-1] if f is not None]
+            if heads:
+                block *= functools.reduce(np.multiply, heads)
+            if factors[-1] is not None:
+                block *= factors[-1]
     return mat
 
 
@@ -101,41 +113,63 @@ def test_compress_equals_index_gather(geometry, rng):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _old_phase_matrix(geometry, box):
-    """The phase table by the formula it was first written with."""
-    modes = box.modes().astype(float)
-    w = modes @ geometry.theta @ modes.T
-    w = 0.5 * (w - w.T)
-    return np.exp(1j * np.pi * w.T)
+def _exact_phase(geometry, box):
+    """exp(i pi q.theta r) over pairs of box modes, q.theta r taken exactly
+    as a Fraction of the float theta and reduced mod 2 before cos and sin."""
+    modes = box.modes()
+    pairs = [(i, j) for i in range(box.n) for j in range(i + 1, box.n)]
+    # q.theta r = sum_{i<j} theta_ij (q_i r_j - q_j r_i), with q the column
+    # and r the row mode: integer coefficients, few distinct combinations
+    k = np.stack(
+        [modes[None, :, i] * modes[:, None, j] - modes[None, :, j] * modes[:, None, i]
+         for i, j in pairs], axis=-1
+    )
+    combos, where = np.unique(k.reshape(-1, len(pairs)), axis=0, return_inverse=True)
+    theta = [Fraction(float(geometry.theta[i, j])) for i, j in pairs]
+    exact = [sum((t * int(c) for t, c in zip(theta, combo)), Fraction(0)) for combo in combos]
+    angle = np.array([float(x % 2) for x in exact])
+    return (np.cos(np.pi * angle) + 1j * np.sin(np.pi * angle))[where.ravel()].reshape(k.shape[:2])
 
 
-@pytest.mark.parametrize(
-    "geometry",
-    [TorusGeometry.two_torus(0.0), TorusGeometry.two_torus(1.0 / np.sqrt(2.0)),
-     TorusGeometry.from_upper(3, [0.0, 0.0, 0.0]), TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])],
-    ids=["n2-theta0", "n2", "n3-theta0", "n3"],
-)
-def test_phase_matrix_in_one_buffer(geometry):
-    """The in-place table has the old formula's bytes, in C order, and its
-    build peaks at 1.5 d x d complex tables (the old one at 2.5)."""
-    box = LatticeBox(geometry.n, 10 if geometry.n == 2 else 5)  # d = 441, 1331
-    build = calc._phase_matrix.__wrapped__  # past the cache
+def test_compress_phase_accuracy():
+    """The compression of the all-ones element is the phase table; it agrees
+    with the exact-rational phase to 4e-15 on a box where pi q.theta r
+    reaches about 640, which a table of exp(i pi q.theta r) in floats
+    misses by about 1e-13."""
+    geometry = TorusGeometry.two_torus(1.0 / np.sqrt(2.0))
+    box = LatticeBox(2, 12)
+    ones = AlgebraElement(geometry, LatticeBox(2, 24), np.ones((49, 49), dtype=complex))
+    got = calc.compress(ones, box).matrix
+    assert np.max(np.abs(got - _exact_phase(geometry, box))) <= 4e-15
+
+
+def test_compress_peak_memory():
+    """compress holds its d x d output and only small tables beside it."""
+    geometry = TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])
+    box = LatticeBox(3, 5)
+    x = random_selfadjoint(geometry, 3, np.random.default_rng(5))
     tracemalloc.start()
     try:
-        phase = build(geometry, box)
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        op = calc.compress(x, box)
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert phase.flags.c_contiguous
-    assert phase.tobytes() == _old_phase_matrix(geometry, box).tobytes()
-    assert peak <= 1.6 * 16 * box.size**2
+    assert box.size == 1331 and op.matrix.shape == (1331, 1331)
+    assert peak <= 1.1 * 16 * box.size**2
 
 
-def test_compress_hermitian_exactly(geom, rng):
-    box = LatticeBox(2, 5)
-    x = random_selfadjoint(geom, 2, rng)
-    op = calc.compress(x, box)
-    assert op.hermitian_residual() < 1e-15
+def test_compress_hermitian_exactly(rng):
+    """Selfadjoint inputs compress to exactly Hermitian matrices: swapping row
+    and column conjugates every factor of each entry bit for bit."""
+    for geometry, radius in ((TorusGeometry.two_torus(1.0 / np.sqrt(2.0)), 12),
+                             (TorusGeometry.from_upper(3, [0.3, 0.2, 0.1]), 5)):
+        box = LatticeBox(geometry.n, radius)
+        x = random_selfadjoint(geometry, 2, rng)
+        h = random_hermitian_matrix(geometry, 2, 1, rng)
+        for y in (x, (h + h.adjoint()).scale(0.5)):
+            mat = calc.compress(y, box).matrix
+            assert np.max(np.abs(mat - mat.conj().T)) == 0.0
 
 
 def test_compress_matches_multiplication(geom, rng):

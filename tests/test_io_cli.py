@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from nctorus import calculus as calc, cli, io as nio, metrics as met
@@ -65,6 +66,22 @@ def test_positive_element_specs(geom):
             geom, [{"k": [1, 0], "re": 1.0, "im": 0.0},
                    {"k": [-1, 0], "re": 1.0, "im": 0.0}], box
         )
+
+
+def test_positive_element_spec_floor(geom):
+    """A bare literal passes just above the spectral floor and is refused, as a
+    PositivityViolation, just below it."""
+    box = LatticeBox(2, 6)
+    wave = [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": [-1, 0], "re": 1.0, "im": 0.0}]
+    lam_min = np.linalg.eigvalsh(calc.compress(nio.element_from_literal(geom, wave), box).matrix)[0]
+    floor = calc.SPECTRAL_FLOOR
+
+    def shifted(margin):
+        return wave + [{"k": [0, 0], "re": floor + margin - lam_min, "im": 0.0}]
+
+    nio.positive_element_from_spec(geom, shifted(1e-9), box)
+    with pytest.raises(PositivityViolation):
+        nio.positive_element_from_spec(geom, shifted(-1e-9), box)
 
 
 def test_metric_specs(geom):
@@ -331,7 +348,7 @@ def test_cli_weyl_writes_strict_json(tmp_path):
 
 # inputs whose fault shows only when the metric is built: the file reads
 # fine, and an exponent of l1 norm 120 is refused by the series itself
-_BUILD_ERRORS = ("exp-of-not-converging",)
+_BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
 
 
 @pytest.mark.parametrize(
@@ -378,6 +395,9 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
         {"geometry": {"n": 2, "theta_upper": [float("inf")]}},
         {"metric": {"type": "conformal", "k": {"exp_of": [{"k": [1, 0], "re": float("nan")}]}}},
         {"tolerances": {"kernel": 10**400}},  # an integer beyond every float
+        # a bare literal whose compression dips below the spectral floor
+        {"metric": {"type": "conformal", "k": [
+            {"k": [1, 0], "re": 1.0, "im": 0}, {"k": [-1, 0], "re": 1.0, "im": 0}]}},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -389,7 +409,7 @@ _BUILD_ERRORS = ("exp-of-not-converging",)
          "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
          "stability-radius-equal", "stability-radius-below", "exp-of-not-converging",
          "window-unordered", "tolerance-nan", "theta-upper-infinity", "exp-of-nan",
-         "tolerance-huge-integer"],
+         "tolerance-huge-integer", "element-spec-not-positive"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

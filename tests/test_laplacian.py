@@ -189,13 +189,12 @@ def _solve_and_eigvalsh(op, box):
 
 
 def test_spectrum_working_set(geom3, rng):
-    """The stability pass holds about three d x d arrays, d = |B_stab|, and
+    """The stability pass holds about two d x d arrays, d = |B_stab|, and
     gives what the solve-and-eigvalsh formula gives."""
     h = random_hermitian_matrix(geom3, 3, 1, rng, amplitude=0.2)
     dens = random_density(geom3, rng, amplitude=0.15)
     box, big = LatticeBox(3, 3), LatticeBox(3, 4)
     op = lap.assemble(calc.matrix_inverse(h, LatticeBox(3, 2)), dens, box)
-    calc._phase_matrix(geom3, big)  # cached across calls: not part of the pass
     d = big.size
     assert d == 729
     tracemalloc.start()
@@ -205,7 +204,7 @@ def test_spectrum_working_set(geom3, rng):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 16 * d * d
+    assert peak <= 2.5 * 16 * d * d
     asym, lam = _solve_and_eigvalsh(op, box)
     asym2, _ = _solve_and_eigvalsh(op, big)
     assert abs(res.asymmetry - asym) <= 1e-14 * asym
@@ -293,6 +292,43 @@ def test_weyl_constant_conformal(geom):
     assert wc.residual < 1e-6
     expect = np.pi * alg.trace(alg.multiply(dk.nu, dk.nu)).real
     assert wc.closed_form == pytest.approx(expect, rel=1e-10)
+
+
+def _per_node_quadrature(g, box, points):
+    """weyl_constant's quadrature with each node's symbol compressed alone."""
+    n = g.n
+    nodes, weights = lap._sphere_nodes(n, points)
+    total = 0.0
+    for xi, w in zip(nodes, weights):
+        table = np.einsum("i,j,ij...->...", xi, xi, g.inverse.coeffs)
+        s = AlgebraElement(g.geometry, g.inverse.box, table)
+        symbol = alg.scale(alg.add(s, alg.adjoint(s)), 0.5)
+        val = calc.functional_calculus(symbol, ("pow", -n / 2.0), box)
+        total += w * float(alg.trace(val).real)
+    return total / n
+
+
+def test_weyl_constant_matches_per_node_compressions(geom, geom3):
+    """Combining the compressions of the symbol's parts at each node gives the
+    quadrature of compressing each node's symbol: on the conformal metric, on
+    a diagonal metric whose entries do not commute (not self-compatible), and
+    at n = 3 (Lanczos) on a conformal metric with off-diagonal entries."""
+    one = AlgebraElement.identity(geom)
+    rough = TorusMatrix(geom, 2, [
+        [alg.add(alg.scale(one, 2.0), trig_pair(geom, 0, 0.4)), AlgebraElement.zeros(geom, 0)],
+        [AlgebraElement.zeros(geom, 0), alg.add(alg.scale(one, 2.0), trig_pair(geom, 1, 0.4))],
+    ])
+    box2, box3 = LatticeBox(2, 6), LatticeBox(3, 2)
+    rough2 = met.validate_metric(rough, box2)
+    assert not rough2.is_self_compatible()
+    _, ct = _ct_metric(geom, calc_radius=6)
+    k3 = alg.add(AlgebraElement.identity(geom3), trig_pair(geom3, 2, 0.1))
+    base3 = met.metric_constant(geom3, [[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+    ct3 = met.metric_conformal(base3, k3, box3)
+    for g, box, points in ((ct, box2, 24), (rough2, box2, 24), (ct3, box3, 16)):
+        got = lap.weyl_constant(g, None, box, quadrature_points=points).quadrature
+        want = _per_node_quadrature(g, box, points)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_weyl_constant_refuses_a_non_elliptic_symbol(geom):

@@ -77,6 +77,19 @@ def test_conformal_rejects_nonpositive(geom):
         met.metric_conformal(met.metric_flat(geom), trig_pair(geom, 0), box)
 
 
+def test_conformal_factor_floor(geom):
+    """A conformal factor whose compressed spectrum sits just below the floor
+    is refused as a PositivityViolation, and one just above it is taken."""
+    box = LatticeBox(2, 6)
+    wave = trig_pair(geom, 0)
+    lam_min = np.linalg.eigvalsh(calc.compress(wave, box).matrix)[0]
+    one = AlgebraElement.identity(geom)
+    flat, floor = met.metric_flat(geom), calc.SPECTRAL_FLOOR
+    with pytest.raises(PositivityViolation):
+        met.metric_conformal(flat, alg.add(wave, alg.scale(one, floor - 1e-9 - lam_min)), box)
+    met.metric_conformal(flat, alg.add(wave, alg.scale(one, floor + 1e-9 - lam_min)), box)
+
+
 def test_conformally_flat_entries(geom):
     box = LatticeBox(2, 8)
     dk = _exp_density(geom)
