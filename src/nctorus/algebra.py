@@ -23,7 +23,6 @@ per nonzero row of the contracted operand.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ def _as_theta(n, theta):
         raise ValueError("theta must have zero diagonal")
     if not np.array_equal(t, -t.T):
         raise ValueError("theta must be antisymmetric")
+    t[t == 0.0] = 0.0  # -0.0 as +0.0: equal thetas have equal bytes, hence equal hashes
     t.setflags(write=False)
     return t
 
@@ -78,13 +78,6 @@ class TorusGeometry:
     def is_commutative(self):
         return not np.any(self.theta)
 
-    @property
-    def digest(self):
-        h = hashlib.sha1()
-        h.update(np.int64(self.n).tobytes())
-        h.update(np.ascontiguousarray(self.theta, dtype="<f8").tobytes())
-        return h.digest()
-
     def __eq__(self, other):
         return (
             isinstance(other, TorusGeometry)
@@ -93,13 +86,13 @@ class TorusGeometry:
         )
 
     def __hash__(self):
-        return hash((self.n, self.digest))
+        return hash((self.n, self.theta.tobytes()))
 
     def __repr__(self):
         return f"TorusGeometry(n={self.n}, theta={self.theta.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LatticeBox:
     """Lattice cube B_N = {k : |k_i| <= N} with a fixed linear enumeration.
 
@@ -143,16 +136,6 @@ class LatticeBox:
 
     def contains(self, k):
         return bool(np.all(np.abs(np.asarray(k, dtype=int)) <= self.radius))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeBox)
-            and self.n == other.n
-            and self.radius == other.radius
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.radius))
 
 
 def _check_same_geometry(u, v):

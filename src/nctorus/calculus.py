@@ -266,10 +266,6 @@ class CompressedOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def hermitian_residual(self):
-        scale_ = max(1.0, float(np.max(np.abs(self.matrix))))
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale_
-
 
 def _phase_tables(geometry, radius):
     """The cocycle phase of a compression to B_N in n small exact tables.
@@ -661,11 +657,15 @@ def make_positive(y, c):
 # ---------------------------------------------------------------------------
 
 
-def refine_inverse_sqrt(x, guess, radius, tol=1e-13, max_iter=60):
+_NEWTON_TOL = 1e-13
+
+
+def refine_inverse_sqrt(x, guess, radius, max_iter=60):
     """Polish an approximate inverse square root by Z <- Z(3 - xZ^2)/2.
 
     All iterates commute with x (they are series in the same element), so the
-    scalar Newton-Schulz map applies verbatim.  Returns (Z, residual) with
+    scalar Newton-Schulz map applies verbatim.  It stops at a residual of
+    _NEWTON_TOL, or when the residual grows.  Returns (Z, residual) with
     residual = max coefficient of xZ^2 - 1.
     """
     one = AlgebraElement.identity(x.geometry)
@@ -677,7 +677,7 @@ def refine_inverse_sqrt(x, guess, radius, tol=1e-13, max_iter=60):
         res = r.max_abs()
         if res < best_res:
             best, best_res = Z, res
-        if res <= tol or res >= best_res * 4.0:
+        if res <= _NEWTON_TOL or res >= best_res * 4.0:
             break
         Z = resize(add(Z, scale(multiply(Z, r), 0.5)), radius)
     xz2 = multiply(x, multiply(best, best))

@@ -2,7 +2,16 @@
 
 
 class NCTorusError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    residuals: the named values a refusal measured before it refused, such
+    as the residuals of a failed metric validation or of a failed
+    hypothesis; empty when it measured none.
+    """
+
+    def __init__(self, message, residuals=None):
+        super().__init__(message)
+        self.residuals = residuals or {}
 
 
 class GeometryMismatch(NCTorusError):
@@ -24,17 +33,9 @@ class SpectralFloorViolation(PositivityViolation):
 class HypothesisViolated(NCTorusError):
     """A compatibility/commutation hypothesis of an identity check failed."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals or {}
-
 
 class MetricValidationError(NCTorusError):
     """A candidate metric failed validation."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class SeriesNotConverged(NCTorusError):

@@ -203,7 +203,11 @@ class Tolerances:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
-        return cls(**{key: _number(value, f"tolerance {key}") for key, value in d.items()})
+        values = {key: _number(value, f"tolerance {key}") for key, value in d.items()}
+        for key, value in values.items():
+            if value < 0:  # a negative bound is a gate that no residual can pass
+                raise ValueError(f"tolerance {key} must be >= 0, got {value!r}")
+        return cls(**values)
 
 
 @dataclass

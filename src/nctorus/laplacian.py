@@ -432,18 +432,6 @@ def _sphere_nodes(n, points):
     raise ValueError(f"sphere quadrature not implemented for n={n}")
 
 
-@dataclass(frozen=True)
-class WeylConstantResult:
-    quadrature: float
-    closed_form: float = np.nan
-
-    @property
-    def residual(self):
-        if np.isnan(self.closed_form):
-            return np.nan
-        return abs(self.quadrature - self.closed_form)
-
-
 def weyl_constant(g, dens, box, quadrature_points=64):
     """Eigenvalue-counting constant of a RiemannianMetric by sphere quadrature.
 
@@ -454,7 +442,10 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     density when the caller already holds it (the assembled operator's nu),
     else None.  When g is self-compatible the closed form (2 pi)^{-n} |unit
     ball| volume(dens) is computed alongside, from riemannian_density(g)
-    when dens is None; otherwise the density is not needed.
+    when dens is None; otherwise the density is not needed.  Returns
+    {"c_n_quadrature", "c_n_closed_form", "c_n_residual"}: the closed form
+    and the residual |quadrature - closed form| are NaN when g is not
+    self-compatible.
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
@@ -476,18 +467,7 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     if g.is_self_compatible():
         dens = dens or riemannian_density(g)
         closed = (2.0 * np.pi) ** (-n) * unit_ball_volume(n) * volume(dens)
-    return WeylConstantResult(quad, closed)
-
-
-@dataclass(frozen=True)
-class WeylFitResult:
-    exponent: float
-    exponent_target: float
-    prefactor_ratio: float
-    counting_ratio_min: float
-    counting_ratio_max: float
-    counting_ratio_mean: float
-    window: tuple
+    return {"c_n_quadrature": quad, "c_n_closed_form": closed, "c_n_residual": abs(quad - closed)}
 
 
 def weyl_fit(result, c_n, window):
@@ -495,7 +475,10 @@ def weyl_fit(result, c_n, window):
 
     Fits log(lambda_l) against log(l) (target slope 2/n), compares the
     fitted prefactor with (1/c_n)^{2/n}, and reports the counting-function
-    ratio N(lambda)/(c_n lambda^{n/2}) over the window.
+    ratio N(lambda)/(c_n lambda^{n/2}) over the window.  Returns
+    {"exponent", "exponent_target", "prefactor_ratio", "counting_ratio",
+    "window"}, with counting_ratio the [min, mean, max] of the ratio and
+    window [lo, hi].
     """
     lo, hi = window
     lam = result.stable_eigenvalues
@@ -510,15 +493,13 @@ def weyl_fit(result, c_n, window):
     prefactor_ratio = float(np.exp(intercept) * c_n ** (2.0 / n))
     counting = np.searchsorted(lam, vals, side="right").astype(float)
     ratios = counting / (c_n * vals ** (n / 2.0))
-    return WeylFitResult(
-        float(slope),
-        2.0 / n,
-        prefactor_ratio,
-        float(ratios.min()),
-        float(ratios.max()),
-        float(ratios.mean()),
-        (lo, hi),
-    )
+    return {
+        "exponent": float(slope),
+        "exponent_target": 2.0 / n,
+        "prefactor_ratio": prefactor_ratio,
+        "counting_ratio": [float(ratios.min()), float(ratios.mean()), float(ratios.max())],
+        "window": [lo, hi],
+    }
 
 
 def lattice_eigenvalues(box):

@@ -105,7 +105,7 @@ def density_exp(w):
     return Density(nu, sq, isq, inv, _family_residual(nu, sq, isq, inv))
 
 
-def density_from_element(nu, box, refine_radius=None):
+def density_from_element(nu, box):
     """Density from an explicit positive invertible element.
 
     Validates selfadjointness, takes the inverse square root by spectral
@@ -113,15 +113,13 @@ def density_from_element(nu, box, refine_radius=None):
     SpectralFloorViolation, a PositivityViolation), and Newton-polishes it
     so the power family is mutually consistent to near the Newton
     tolerance (limited by the coefficient decay of nu^{-1/2} at the
-    refinement radius).
+    refinement radius, twice the box radius).
     """
     resid = selfadjoint_residual(nu)
     if resid > 1e-10 * (1.0 + nu.max_abs()):
         raise PositivityViolation(f"density not selfadjoint (residual {resid:.3e})")
-    if refine_radius is None:
-        refine_radius = 2 * box.radius
     guess = functional_calculus(nu, "inv_sqrt", box)
-    z, _ = calc.refine_inverse_sqrt(nu, guess, refine_radius)
+    z, _ = calc.refine_inverse_sqrt(nu, guess, 2 * box.radius)
 
     cut = 1e-17 * max(1.0, nu.max_abs())
     z = trim(z, cut)
@@ -134,13 +132,6 @@ def density_from_element(nu, box, refine_radius=None):
 # ---------------------------------------------------------------------------
 # metric validation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricValidationReport:
-    selfadjoint_residual: float
-    inverse_selfadjoint_residual: float
-    inverse_residual: float
 
 
 @dataclass(frozen=True)
@@ -196,46 +187,40 @@ def validate_metric(g, box, inverse=None):
     Checks, in order: selfadjoint entries, positive invertibility of the
     compression (the floor test of the inverse's Cholesky factor),
     selfadjoint entries of the computed inverse, and the interior residual
-    of g g^{-1} = 1.  Raises MetricValidationError with the measured report
-    on failure.  The inverse selfadjointness test is what rejects positive
-    matrices with selfadjoint entries whose inverse leaves the real
+    of g g^{-1} = 1.  On failure raises MetricValidationError whose
+    residuals dict holds what was measured up to the failed check, among
+    "selfadjoint_residual", "inverse_selfadjoint_residual" and
+    "inverse_residual".  The inverse selfadjointness test is what rejects
+    positive matrices with selfadjoint entries whose inverse leaves the real
     subspace.  A caller that supplies the inverse has tested positivity
     itself.  Size m < n is allowed (product-metric blocks); a full metric
     for the Laplacian must be n x n.  Self-compatibility and flatness are
     not recorded here: RiemannianMetric.is_self_compatible and is_flat read
     them off the matrix.  The returned metric keeps box, on which its
-    density is computed; the measured residuals are reported only on
-    failure.
+    density is computed.
     """
-    sa = _entry_selfadjoint_residual(g)
-    amp = 1.0 + g.max_abs()
-
-    def _report(inv_sa=np.nan, inv_res=np.nan):
-        return MetricValidationReport(sa, inv_sa, inv_res)
-
-    if sa > _SELFADJOINT_TOL * amp:
+    residuals = {}
+    sa = residuals["selfadjoint_residual"] = _entry_selfadjoint_residual(g)
+    if sa > _SELFADJOINT_TOL * (1.0 + g.max_abs()):
         raise MetricValidationError(
-            f"metric entries not selfadjoint (residual {sa:.3e})", _report()
+            f"metric entries not selfadjoint (residual {sa:.3e})", residuals
         )
     if inverse is None:
         try:
             inverse = calc.matrix_inverse(g, box)
         except SpectralFloorViolation as exc:
             raise MetricValidationError(
-                f"metric not positive invertible ({exc})", _report()
+                f"metric not positive invertible ({exc})", residuals
             ) from None
-    inv_sa = _entry_selfadjoint_residual(inverse)
-    inv_amp = 1.0 + inverse.max_abs()
-    if inv_sa > _SELFADJOINT_TOL * inv_amp:
+    inv_sa = residuals["inverse_selfadjoint_residual"] = _entry_selfadjoint_residual(inverse)
+    if inv_sa > _SELFADJOINT_TOL * (1.0 + inverse.max_abs()):
         raise MetricValidationError(
-            f"inverse entries not selfadjoint (residual {inv_sa:.3e})",
-            _report(inv_sa=inv_sa),
+            f"inverse entries not selfadjoint (residual {inv_sa:.3e})", residuals
         )
-    inv_res = _interior_identity_residual(g, inverse)
+    inv_res = residuals["inverse_residual"] = _interior_identity_residual(g, inverse)
     if inv_res > _INVERSE_TOL:
         raise MetricValidationError(
-            f"g g^-1 = 1 fails on interior modes (residual {inv_res:.3e})",
-            _report(inv_sa=inv_sa, inv_res=inv_res),
+            f"g g^-1 = 1 fails on interior modes (residual {inv_res:.3e})", residuals
         )
     return RiemannianMetric(g, inverse, box)
 

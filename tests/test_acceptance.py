@@ -235,16 +235,17 @@ def test_criterion_07_weyl_law():
     res = spectrum(op)
     wc = lap.weyl_constant(ct, op.nu, LatticeBox(2, 8), quadrature_points=64)
     window = (50, min(300, res.stable_count() - 1))
-    fit = lap.weyl_fit(res, wc.closed_form, window)
-    exp_dev = abs(fit.exponent - 1.0)
-    ratio_dev = max(abs(fit.counting_ratio_min - 1.0), abs(fit.counting_ratio_max - 1.0))
-    ok = exp_dev <= 0.05 and ratio_dev <= 0.15 and wc.residual <= 1e-6
+    fit = lap.weyl_fit(res, wc["c_n_closed_form"], window)
+    exp_dev = abs(fit["exponent"] - 1.0)
+    ratio_min, _, ratio_max = fit["counting_ratio"]
+    ratio_dev = max(abs(ratio_min - 1.0), abs(ratio_max - 1.0))
+    ok = exp_dev <= 0.05 and ratio_dev <= 0.15 and wc["c_n_residual"] <= 1e-6
     _verdict(
         7,
         ok,
-        f"window {window} of {res.stable_count()} stable: exponent {fit.exponent:.4f} "
+        f"window {window} of {res.stable_count()} stable: exponent {fit['exponent']:.4f} "
         f"(dev {exp_dev:.1%} <= 5%), counting ratio dev {ratio_dev:.1%} <= 15%, "
-        f"c_2 quadrature vs closed form {wc.residual:.2e} <= 1e-6",
+        f"c_2 quadrature vs closed form {wc['c_n_residual']:.2e} <= 1e-6",
     )
 
 
@@ -410,7 +411,7 @@ def test_criterion_10_validation_negative():
     h = y.adjoint().matmul(y)
     with pytest.raises(MetricValidationError) as err:
         met.validate_metric(h, box)
-    resid = err.value.report.inverse_selfadjoint_residual
+    resid = err.value.residuals["inverse_selfadjoint_residual"]
     _verdict(
         10,
         resid > 1e-3,

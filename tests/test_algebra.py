@@ -23,6 +23,16 @@ def test_geometry_invariants():
     assert g.theta[1, 0] == -0.3 and g.theta[2, 1] == -0.1
 
 
+def test_equal_geometries_and_boxes_hash_equal():
+    # from_upper writes -0.0 below the diagonal for a zero entry: -0.0 == 0.0,
+    # so the two geometries are equal, and a set must hold one of them
+    a, b = TorusGeometry.from_upper(2, [0.0]), TorusGeometry.from_upper(2, [-0.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert TorusGeometry.from_upper(2, [0.3]) != TorusGeometry.from_upper(2, [-0.3])
+    assert LatticeBox(2, 3) == LatticeBox(2, 3) and len({LatticeBox(2, 3), LatticeBox(2, 3)}) == 1
+    assert LatticeBox(2, 3) != LatticeBox(3, 3) and LatticeBox(2, 3) != LatticeBox(2, 4)
+
+
 @pytest.mark.parametrize("n,radius", [(2, 3), (3, 1)])
 def test_lattice_enumeration_bijection(n, radius):
     box = LatticeBox(n, radius)

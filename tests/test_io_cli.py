@@ -211,8 +211,7 @@ def test_cli_oracle_compare(tmp_path):
 
 
 def test_cli_oracle_compare_multiplier_radius_zero(tmp_path, capsys):
-    # an explicit 0 keeps the multipliers constant; it is not replaced by a
-    # default (box_radius // 4, which the box 3 refuses)
+    # an explicit 0 keeps the multipliers constant
     cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [0.0]}, box_radius=3,
                      multiplier_radius=0)
     assert cli.main(["oracle-compare", "--config", cfg,
@@ -220,6 +219,27 @@ def test_cli_oracle_compare_multiplier_radius_zero(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "oracle.json").read_text())
     assert report["algebraic"]["laplacian_matrix_interior"] < 1e-12
+
+
+_README_METRIC = {"type": "conformal", "base": {"type": "flat"}, "k": {"exp_of": [
+    {"k": [1, 0], "re": 0.15, "im": 0}, {"k": [-1, 0], "re": 0.15, "im": 0},
+    {"k": [0, 1], "re": 0.10, "im": 0}, {"k": [0, -1], "re": 0.10, "im": 0},
+]}}
+
+
+def test_cli_oracle_compare_small_box_default(tmp_path, capsys):
+    # without a multiplier radius the clip is box_radius // 4, which is 0 (the
+    # constant parts only) below box radius 4: the run reaches its gates.  At
+    # box radius 3 the spectral gates fail from truncation, exit 1, and the
+    # operator matches the oracle's on the interior rows
+    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [0.0]}, box_radius=3,
+                     stability_radius=12, metric=_README_METRIC)
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[PASS] laplacian_matrix_interior: " in captured.out
+    assert json.loads(out.read_text())["algebraic"]["laplacian_matrix_interior"] < 1e-12
 
 
 _NU = {"exp_of": [{"k": [1, 0], "re": 0.1}, {"k": [-1, 0], "re": 0.1}]}
@@ -395,6 +415,9 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
         {"geometry": {"n": 2, "theta_upper": [float("inf")]}},
         {"metric": {"type": "conformal", "k": {"exp_of": [{"k": [1, 0], "re": float("nan")}]}}},
         {"tolerances": {"kernel": 10**400}},  # an integer beyond every float
+        # a negative bound is a gate that no residual passes
+        {"tolerances": {"volume": -1.0}},
+        {"tolerances": {"kernel": -1}},
         # a bare literal whose compression dips below the spectral floor
         {"metric": {"type": "conformal", "k": [
             {"k": [1, 0], "re": 1.0, "im": 0}, {"k": [-1, 0], "re": 1.0, "im": 0}]}},
@@ -409,7 +432,8 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
          "geometry-key-typo", "geometry-theta-twice", "element-item-key-typo",
          "stability-radius-equal", "stability-radius-below", "exp-of-not-converging",
          "window-unordered", "tolerance-nan", "theta-upper-infinity", "exp-of-nan",
-         "tolerance-huge-integer", "element-spec-not-positive"],
+         "tolerance-huge-integer", "tolerance-negative", "tolerance-negative-integer",
+         "element-spec-not-positive"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
@@ -425,6 +449,24 @@ def test_cli_config_errors(tmp_path, capsys, request, overrides):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+def test_cli_weyl_refuses_dimension_without_quadrature(tmp_path, capsys, monkeypatch):
+    # the sphere quadrature exists for n = 2 and 3: at n = 4 weyl refuses
+    # before it assembles anything, exit 2 with one error line
+    from nctorus import laplacian as lap
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("weyl assembled an operator it cannot fit")
+
+    monkeypatch.setattr(lap, "assemble_riemannian", unreachable)
+    cfg = _write_cfg(tmp_path, geometry={"n": 4, "theta_upper": [0.0] * 6}, box_radius=1,
+                     metric={"type": "flat"})
+    assert cli.main(["weyl", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0] == "error: weyl supports n = 2 or 3, got n = 4"
     assert captured.out == ""
 
 

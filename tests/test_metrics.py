@@ -250,7 +250,11 @@ def test_validation_rejects_counterexample(geom):
     assert h.selfadjoint_residual() < 1e-14
     with pytest.raises(MetricValidationError) as err:
         met.validate_metric(h, box)
-    assert err.value.report.inverse_selfadjoint_residual > 1e-3
+    # the residuals measured up to the failed check, and no further
+    residuals = err.value.residuals
+    assert set(residuals) == {"selfadjoint_residual", "inverse_selfadjoint_residual"}
+    assert residuals["selfadjoint_residual"] < 1e-14
+    assert residuals["inverse_selfadjoint_residual"] > 1e-3
 
 
 def test_validation_rejects_nonselfadjoint_entries(geom):
@@ -280,7 +284,5 @@ def test_density_from_element_consistency(geom):
     nu_elem = calc.make_positive(trig_pair(geom, 0, 0.3), 1.0)
     dens = met.density_from_element(nu_elem, box)
     assert dens.consistency_residual < 1e-8
-    tight = met.density_from_element(nu_elem, box, refine_radius=26)
-    assert tight.consistency_residual < 1e-12
     with pytest.raises(PositivityViolation):
         met.density_from_element(trig_pair(geom, 0), box)
