@@ -14,16 +14,21 @@ generating unitaries.  The ordered-monomial convention (U_1^{k_1} ...
 U_n^{k_n}) differs from V_k by a per-mode phase; converters are provided.
 
 One kernel computes every product, of elements and of matrices over the
-algebra alike, as one GEMM over lattice rows (a row fixes every coordinate
-but the last).  Its multiply-adds are the nonzero rows of both operands,
-times the nonzero last-axis columns of the contracted operand, times the
-output's last-axis width, times the matrix sizes; its Python steps are one
-per nonzero row of the contracted operand.
+algebra alike, by whichever of two exact paths does less work.  The GEMM
+path contracts over lattice rows (a row fixes every coordinate but the
+last): its multiply-adds are the nonzero rows of both operands, times the
+nonzero last-axis columns of the contracted operand, times the output
+columns they reach, times the matrix sizes, and its Python steps are one
+per nonzero row of the contracted operand.  The pair path multiplies the
+nonzero modes pairwise, which costs their count's product times the matrix
+sizes, however widely the modes spread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,11 +320,19 @@ def scale(u, c):
     return AlgebraElement(u.geometry, u.box, u.table * complex(c))
 
 
-# the product kernel takes the rows of its Toeplitz operand in batches whose
+# the GEMM path takes the rows of its Toeplitz operand in batches whose
 # Toeplitz and product arrays hold about this many complex entries (16 MB):
 # on the n = 3 spectrum benchmark 2**22 raised the peak memory by 13 MB, and
-# 2**16 ran 15 % slower
+# 2**16 ran 15 % slower.  The pair path's batches hold half as many terms,
+# 12 MB with their int64 output offsets.
 _BATCH_ENTRIES = 2**20
+
+# a term of the pair path (its share of the GEMM over l, the cocycle, the
+# offset and the scatter-add) takes as long as 8 to 35 multiply-adds of the
+# GEMM path, by shape, on the n = 3 spectrum's products (one core, numpy 2.4,
+# OpenBLAS); near the top of that range, a product switches only where the
+# pair path wins clearly
+_PAIR_COST = 30
 
 
 def _adjoint_coeffs(coeffs, n):
@@ -347,19 +360,84 @@ def _pi_phase(terms):
 
 
 def _support(x, n):
-    """Nonzero rows of a coefficient array (m, l, *box), as flat indices and
-    as offsets on the first n - 1 box axes, and its nonzero last-axis columns."""
+    """Nonzero modes of a coefficient array (m, l, *box) as flat indices, its
+    nonzero rows as flat indices and as offsets on the first n - 1 box axes,
+    and its nonzero last-axis columns."""
     mask = x.any(axis=(0, 1))
     rows = mask.any(axis=-1)
     cols = np.flatnonzero(mask.any(axis=tuple(range(n - 1))))
-    return np.flatnonzero(rows), np.argwhere(rows), cols
+    return np.flatnonzero(mask), np.flatnonzero(rows), np.argwhere(rows), cols
 
 
 def _twisted_matmul(theta, a, b):
     """Twisted matrix product (m, l, *box_a) x (l, k, *box_b) -> (m, k, *box_{a+b}).
 
-    c_ik = sum_l a_il b_lk, each entry product kept on the grown box.  A
-    mode splits into its row p' (the first n - 1 axes) and its last-axis
+    c_ik = sum_l a_il b_lk, each entry product kept exactly on the grown box,
+    by whichever of two exact paths does less work.  Counted on the supports
+    and divided by m l k, the pair path does one term per pair of nonzero
+    modes, and the GEMM path P Q C (hi - lo) multiply-adds: both operands'
+    nonzero rows, the contracted operand's nonzero columns and the output
+    columns they reach.  A dense operand fills its box and its columns, so
+    the GEMM path wins; a sparse one whose modes spread over many rows and
+    columns (a series on a plane of the lattice, say) leaves most of that
+    box empty, and the pair path wins.
+    """
+    n = theta.shape[0]
+    sup_a, sup_b = _support(a, n), _support(b, n)
+    (modes_a, _, rows_a, cols_a), (modes_b, _, rows_b, cols_b) = sup_a, sup_b
+    if len(cols_a) and len(cols_b):
+        span = cols_a[-1] + cols_b[-1] - cols_a[0] - cols_b[0] + 1
+        gemm = len(rows_a) * len(rows_b) * min(len(cols_a), len(cols_b)) * span
+        if _PAIR_COST * len(modes_a) * len(modes_b) < gemm:
+            return _pair_matmul(theta, a, b, sup_a, sup_b)
+    return _gemm_matmul(theta, a, b, sup_a, sup_b)
+
+
+def _pair_matmul(theta, a, b, sup_a, sup_b):
+    """The product of _twisted_matmul from its nonzero terms, given both
+    operands' _support: for every nonzero mode p of a and q of b, the m x k
+    matrix a(p) b(q) sigma(p, q) is added at the output mode p + q.
+
+    The modes of a go in batches, each a GEMM over the matrix index l and
+    then one scatter-add.  The cocycle factors over the axes of p,
+    sigma(p, q) = prod_j exp(i*pi * p_j (q.theta_{.j})), so it is read from
+    one table over (p_j, q) per axis.
+    """
+    n = theta.shape[0]
+    (m, l), k = a.shape[:2], b.shape[1]
+    wa, wb = a.shape[-1], b.shape[-1]
+    width = wa + wb - 1
+    out = np.zeros(m * k * width**n, dtype=complex)
+    modes_a, modes_b = sup_a[0], sup_b[0]
+    p = np.stack(np.unravel_index(modes_a, (wa,) * n), axis=1)  # offsets from a's corner
+    q = np.stack(np.unravel_index(modes_b, (wb,) * n), axis=1)
+    lhs = a.reshape(m, l, -1).transpose(2, 0, 1)[modes_a]  # (Na, m, l)
+    rhs = b.reshape(l, k, -1)[:, :, modes_b].transpose(0, 2, 1).reshape(l, -1)  # (l, Nb k)
+    # the output mode p + q is the sum of the two modes' flat offsets in it,
+    # and entry (i, j) of the output lies i k + j output boxes further on
+    off_a = np.ravel_multi_index(p.T, (width,) * n)
+    entry = (np.arange(m)[:, None] * k + np.arange(k)) * width**n
+    off_b = entry[:, None, :] + np.ravel_multi_index(q.T, (width,) * n)[:, None]  # (m, Nb, k)
+    values, q_lattice = np.arange(wa) - (wa - 1) // 2, q - (wb - 1) // 2
+    phases = [_pi_phase([(theta[i, j], values[:, None] * q_lattice[:, i]) for i in range(n)])
+              for j in range(n)]  # (wa, Nb) each
+    tables = [(j, t) for j, t in enumerate(phases) if t is not None]
+    batch = max(1, _BATCH_ENTRIES // (2 * off_b.size))
+    for start in range(0, len(modes_a), batch):
+        part = slice(start, start + batch)
+        prod = (lhs[part].reshape(-1, l) @ rhs).reshape((-1,) + off_b.shape)
+        if tables:
+            sigma = functools.reduce(operator.mul, (t[p[part, j]] for j, t in tables))
+            prod *= sigma[:, None, :, None]
+        np.add.at(out, (off_a[part, None, None, None] + off_b).ravel(), prod.ravel())
+    return out.reshape((m, k) + (width,) * n)
+
+
+def _gemm_matmul(theta, a, b, sup_a, sup_b):
+    """The product of _twisted_matmul as GEMMs over lattice rows, given both
+    operands' _support.
+
+    A mode splits into its row p' (the first n - 1 axes) and its last-axis
     column p_n.  For every nonzero row q' of b, b's last axis is laid out as
     a Toeplitz matrix over the nonzero columns of a, so that one GEMM
     contracts the matrix index and p_n for all nonzero rows p' of a at
@@ -370,12 +448,10 @@ def _twisted_matmul(theta, a, b):
     ties); a right one goes through the exact identity (ab)* = b* a*.
     """
     n = theta.shape[0]
-    flat_a, rows_a, cols_a = _support(a, n)
-    flat_b, rows_b, cols_b = _support(b, n)
+    (_, flat_a, rows_a, cols_a), (_, flat_b, rows_b, cols_b) = sup_a, sup_b
     if (len(cols_b), len(rows_b)) < (len(cols_a), len(rows_a)):
-        return _adjoint_coeffs(
-            _twisted_matmul(theta, _adjoint_coeffs(b, n), _adjoint_coeffs(a, n)), n
-        )
+        a_, b_ = _adjoint_coeffs(b, n), _adjoint_coeffs(a, n)
+        return _adjoint_coeffs(_gemm_matmul(theta, a_, b_, _support(a_, n), _support(b_, n)), n)
     (m, l), k = a.shape[:2], b.shape[1]
     wa, wb = a.shape[-1], b.shape[-1]
     width = wa + wb - 1

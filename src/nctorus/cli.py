@@ -9,8 +9,10 @@ residual gates configured for it pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,10 +59,28 @@ def _finite(x):
     return x
 
 
+def _check_out(out_path):
+    """Refuse an --out target in no directory, or that is one, before any work."""
+    folder = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(folder):
+        raise NCTorusError(f"--out {out_path}: no directory {folder}")
+    if os.path.isdir(out_path):
+        raise NCTorusError(f"--out {out_path}: is a directory")
+
+
+@contextlib.contextmanager
+def _writing(out_path):
+    """An OSError while writing the --out file, as a refusal (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise NCTorusError(f"--out {out_path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _emit(report, out_path):
     text = json.dumps(_finite(report), indent=2, default=float)
     if out_path:
-        with open(out_path, "w", encoding="utf8") as f:
+        with _writing(out_path), open(out_path, "w", encoding="utf8") as f:
             f.write(text + "\n")
     print(text)
 
@@ -108,7 +128,8 @@ def cmd_spectrum(cfg, args):
     metric, op = _assembled(cfg)
     result, gates = _spectrum(cfg, op)
     if args.out:
-        nio.write_spectrum_csv(args.out, result)
+        with _writing(args.out):
+            nio.write_spectrum_csv(args.out, result)
         print(f"wrote {args.out}")
     stable = result.stable_eigenvalues
     print(
@@ -333,6 +354,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         cfg = nio.load_config(args.config)
         ok = _COMMANDS[args.command](cfg, args)
     except NCTorusError as exc:

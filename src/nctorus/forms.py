@@ -41,6 +41,7 @@ from .algebra import (
 )
 from .calculus import TorusMatrix
 from .errors import GeometryMismatch
+from .metrics import density_one
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +155,14 @@ def twisted_dual_vector_field(omega, h_inv, dens):
 
 
 def adjointness_residual(omega, u, h_inv, dens):
-    """|<-delta(omega), u>_nu^o - <omega, du>_h,nu^o| for one instance."""
-    delta = divergence_one_form(omega, h_inv, dens)
+    """|<-delta(omega), u>_nu^o - <omega, du>_h,nu^o| for one instance.
+
+    Both sides read (h, nu) through the multipliers a = nu^{1/2} h nu^{1/2},
+    computed here once: <omega, zeta>_h,nu^o is <omega, zeta>_a,1^o at the
+    unit density, and delta(omega) is nu^{-1} times the divergence at (a, 1).
+    """
+    a, one = _multipliers(dens, h_inv), density_one(omega.geometry)
+    delta = multiply(dens.inv_nu, divergence_one_form(omega, a, one))
     lhs = weighted_inner_product_opp(scale(delta, -1.0), u, dens.nu)
-    rhs = form_inner_product(omega, differential(u), h_inv, dens)
+    rhs = form_inner_product(omega, differential(u), a, one)
     return abs(lhs - rhs)

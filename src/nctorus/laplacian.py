@@ -436,16 +436,19 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     """Eigenvalue-counting constant of a RiemannianMetric by sphere quadrature.
 
     Integrates tau((xi, xi)_{g^{-1}}^{-n/2}) over the unit sphere, by the
-    spectral calculus on box, and divides by n.  The n(n + 1)/2 selfadjoint
-    parts of the symbol are compressed once, and each node's compression is
-    their combination with real weights xi_i xi_j.  dens is g's Riemannian
-    density when the caller already holds it (the assembled operator's nu),
-    else None.  When g is self-compatible the closed form (2 pi)^{-n} |unit
-    ball| volume(dens) is computed alongside, from riemannian_density(g)
-    when dens is None; otherwise the density is not needed.  Returns
-    {"c_n_quadrature", "c_n_closed_form", "c_n_residual"}: the closed form
-    and the residual |quadrature - closed form| are NaN when g is not
-    self-compatible.
+    spectral calculus on box, and divides by n.  quadrature_points p sets the
+    nodes: p equally spaced angles at n = 2, and at n = 3 a Gauss-Legendre
+    product rule of floor(sqrt p) polar by 2 floor(sqrt p) azimuthal nodes,
+    2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  The n(n + 1)/2
+    selfadjoint parts of the symbol are compressed once, and each node's
+    compression is their combination with real weights xi_i xi_j.  dens is
+    g's Riemannian density when the caller already holds it (the assembled
+    operator's nu), else None.  When g is self-compatible the closed form
+    (2 pi)^{-n} |unit ball| volume(dens) is computed alongside, from
+    riemannian_density(g) when dens is None; otherwise the density is not
+    needed.  Returns {"c_n_quadrature", "c_n_closed_form", "c_n_residual"}:
+    the closed form and the residual |quadrature - closed form| are NaN when
+    g is not self-compatible.
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ def _extended_product(theta, a, b):
     return out
 
 
+def _planar_ball(n, m, k, radius, rng):
+    """Random (m, k) coefficients on the modes of the box with sum(k) = 0 and
+    |k|_1 <= 2 radius: the shape of nu^{1/2} and h^{ij} of a witness metric
+    w*w + c at n = 3, series in the modes e_j - e_i."""
+    lattice = np.indices((2 * radius + 1,) * n) - radius
+    keep = (lattice.sum(axis=0) == 0) & (np.abs(lattice).sum(axis=0) <= 2 * radius)
+    shape = (m, k) + keep.shape
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep
+
+
 def _kernel_operands(n, case, rng):
     def dense(m, k, radius):
         shape = (m, k) + (2 * radius + 1,) * n
@@ -145,6 +156,12 @@ def _kernel_operands(n, case, rng):
 
     small, large = (3, 14) if n == 2 else (1, 3)
     return {
+        "planar-ball": lambda: (_planar_ball(n, 1, 1, large + 1, rng),
+                                _planar_ball(n, 1, 1, large + 1, rng)),
+        # the second product of the multipliers' sandwich, a column of
+        # h^{ij} nu^{1/2} against nu^{1/2}
+        "sparse-sandwich": lambda: (_planar_ball(n, 4, 1, large + 2, rng),
+                                    _planar_ball(n, 1, 1, large + 1, rng)),
         "element": lambda: (dense(1, 1, small), dense(1, 1, large)),
         "right-sparser": lambda: (dense(1, 1, large), dense(1, 1, small)),
         "matrix": lambda: (dense(2, 2, 2), dense(2, 2, small)),
@@ -156,19 +173,76 @@ def _kernel_operands(n, case, rng):
     }[case]()
 
 
-@pytest.mark.parametrize("case", ["element", "right-sparser", "matrix", "row-times-matrix",
-                                  "one-mode-per-row", "zero", "radius-0", "both-radius-0"])
-@pytest.mark.parametrize("geometry", [
+def _path(name):
+    """The product kernel as the name says: the path it picks, or one path forced."""
+    if name == "picked":
+        return alg._twisted_matmul
+    forced = {"gemm": alg._gemm_matmul, "pairs": alg._pair_matmul}[name]
+    return lambda theta, a, b: forced(
+        theta, a, b, alg._support(a, theta.shape[0]), alg._support(b, theta.shape[0]))
+
+
+_KERNEL_CASES = pytest.mark.parametrize("case", [
+    "element", "right-sparser", "matrix", "row-times-matrix", "one-mode-per-row", "zero",
+    "radius-0", "both-radius-0", "planar-ball", "sparse-sandwich"])
+_KERNEL_GEOMETRIES = pytest.mark.parametrize("geometry", [
     TorusGeometry.two_torus(1.0 / math.sqrt(2.0)),
     TorusGeometry.from_upper(3, [0.3, 0.2, 0.1]),
     TorusGeometry.two_torus(0.0),
 ], ids=["n2", "n3", "theta0"])
-def test_kernel_matches_extended_precision_sum(geometry, case, rng):
+
+
+def _check_kernel(path, geometry, case, rng):
     a, b = _kernel_operands(geometry.n, case, rng)
     expect = _extended_product(geometry.theta, a, b)
-    got = alg._twisted_matmul(geometry.theta, a, b)
+    got = _path(path)(geometry.theta, a, b)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@_KERNEL_CASES
+@_KERNEL_GEOMETRIES
+def test_kernel_matches_extended_precision_sum(geometry, case, rng):
+    _check_kernel("picked", geometry, case, rng)
+
+
+@pytest.mark.parametrize("path", ["gemm", "pairs"])
+@_KERNEL_CASES
+@_KERNEL_GEOMETRIES
+def test_each_kernel_path_matches_extended_precision_sum(geometry, case, path, rng):
+    _check_kernel(path, geometry, case, rng)
+
+
+def test_kernel_picks_the_path_that_does_less_work(monkeypatch, rng):
+    geometry = TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])
+    taken = []
+    for name in ("_gemm_matmul", "_pair_matmul"):
+        path = getattr(alg, name)
+        monkeypatch.setattr(alg, name, lambda *args, p=path, n=name: taken.append(n) or p(*args))
+    for case, expect in (("element", "_gemm_matmul"), ("matrix", "_gemm_matmul"),
+                         ("planar-ball", "_pair_matmul"), ("sparse-sandwich", "_pair_matmul")):
+        alg._twisted_matmul(geometry.theta, *_kernel_operands(3, case, rng))
+        assert taken.pop() == expect, case
+
+
+def test_pair_path_memory_within_gemm_path(rng):
+    """On the costly product of spectrum-sized n = 3 multipliers, a column of
+    h^{ij} nu^{1/2} (9 entries, box radius 12) against nu^{1/2} (box radius 9),
+    the pair path's peak allocation stays within the GEMM path's."""
+    geometry = TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])
+    a, b = _planar_ball(3, 9, 1, 12, rng), _planar_ball(3, 1, 1, 9, rng)
+    peaks, outs = {}, {}
+    tracemalloc.start()
+    try:
+        for name in ("gemm", "pairs"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            outs[name] = _path(name)(geometry.theta, a, b)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks["pairs"] <= peaks["gemm"], peaks
+    assert np.max(np.abs(outs["pairs"] - outs["gemm"])) <= 1e-14 * np.max(np.abs(outs["gemm"]))
 
 
 def test_multiply_geometry_mismatch(geom, geom0, rng):

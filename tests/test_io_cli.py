@@ -303,6 +303,34 @@ def test_cli_failure_paths(tmp_path):
     assert cli.main(["adjoint-check", "--config", cfg_strict, "--count", "2"]) == 1
 
 
+@pytest.mark.parametrize("command, name", [("spectrum", "spec.csv"), ("volume", "vol.json")],
+                         ids=["csv", "json"])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, name):
+    cfg = _write_cfg(tmp_path, box_radius=4, stability_radius=6, count=5)
+    # a missing directory, or a directory as the file, is refused before any work
+    for out in (tmp_path / "missing" / name, tmp_path):
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --out ")
+        assert captured.err.count("\n") == 1
+    # a directory that goes away during the run: the write's OSError is one
+    # error line and exit 2, not a traceback
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    load = nio.load_config
+
+    def load_then_remove(path):
+        config = load(path)
+        folder.rmdir()
+        return config
+
+    monkeypatch.setattr(nio, "load_config", load_then_remove)
+    assert cli.main([command, "--config", cfg, "--out", str(folder / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and "FileNotFoundError" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "tolerances, command, gate",
     [
