@@ -12,17 +12,35 @@ nu^{1/2} moves the operator to the standard inner product, where it is
 symmetric up to truncation; the recorded asymmetry of T = S L S^{-1} is the
 truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
 
-On the stability box, of d modes, the spectrum path holds at most two
-d x d complex arrays at a time (on the operator's own box a third, the
-assembled matrix it keeps).  The compressions it scales or factors are
-its own writable arrays, with no index table and no d x d phase table behind
-them.  Each multiplier's compression is scaled by D_i and D_j in place and subtracted
-from the core sum_ij D_i M(a_ij) D_j; M(nu^{-1}) and then S = M(nu^{1/2})
-multiply into the core in place, one block of columns at a time, which
-leaves S M there.  S^T is LU-factored in its own buffer, and T is solved in
-place in the buffer of S M.  T - T* (for the asymmetry) and then
-(T + T*)/2 are formed in one more buffer: the operator keeps it, and on the
-stability box the eigensolver overwrites it.
+The build and the eigensolve run once per class of lattice modes that the
+coefficients couple: p and q are joined when p - q lies in the support of
+nu^{-1}, of nu^{1/2} or of a multiplier a_ij, and the classes are the
+connected components (read off the coefficient tables on the difference
+box, with no d x d array).  Entry (p, q) of every compression is the
+coefficient at p - q times a phase, so every matrix of the build is block
+diagonal over the classes with exact zeros between blocks; products,
+partially pivoted LU and triangular solves keep those zeros, so the
+spectrum is the union of the blocks' spectra.  A metric whose coefficients
+are fixed by a subgroup of the T^n action (a conformal factor w* w + c with
+w in the modes e_i keeps every coefficient in the plane sum(k) = 0) splits
+the box into many small blocks; a generic one leaves a single class, and
+then every block is the whole d x d matrix, with nothing gathered or
+copied.
+
+Per class, each multiplier's block is scaled by D_i and D_j in place and
+subtracted from the core sum_ij D_i M(a_ij) D_j; M(nu^{-1}) and then
+S = M(nu^{1/2}) multiply into the core in place, one block of columns at a
+time, which leaves S M there.  S^T is LU-factored in its own buffer, and T
+is solved in place in the buffer of S M.  T - T* (for the asymmetry) and
+then (T + T*)/2 are formed in one more buffer: the operator keeps it, and
+on the stability box the eigensolver overwrites it.  Each d x d compression
+is built in turn, a writable array with no index table and no d x d phase
+table behind it, and its blocks are gathered from it.  On the stability
+box, of d modes, the spectrum path thus holds at most two d x d complex
+arrays at a time with one class, and one next to the blocks with several.
+On its own box the operator also keeps the assembled matrix and
+(T + T*)/2, dense, scattered from the blocks with exact zeros between
+them.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -35,6 +53,7 @@ the only leakage is the product of two coefficient tails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +64,7 @@ from .algebra import (
     AlgebraElement,
     LatticeBox,
     _integer_power,
+    _resize_table,
     add,
     adjoint,
     multiply,
@@ -95,10 +115,11 @@ class LaplaceBeltramiOperator:
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
     matrix: np.ndarray
     symmetrized: np.ndarray  # (T + T*)/2 of T = S matrix S^{-1}, S = M(nu^{1/2})
+    blocks: tuple  # (idx, symmetrized[idx, idx]) over the classes of coupled modes
     asymmetry: float
 
     def __post_init__(self):
-        for a in (self.matrix, self.symmetrized):
+        for a in (self.matrix, self.symmetrized, *(blk for _, blk in self.blocks)):
             a.setflags(write=False)
 
     def apply(self, u):
@@ -125,49 +146,137 @@ def _multiply_into(left, right):
         cols[...] = left @ cols
 
 
+def _mode_classes(box, elements):
+    """Index arrays of the classes of box modes that the elements couple.
+
+    Modes p and q are joined when p - q or q - p lies in the support of one
+    of the elements, read on the difference box B_{2N}, where every p - q
+    lies; the classes are the connected components.  Each is ascending, and
+    they are ordered by their first index.  When the support holds a unit
+    step along every axis, the box is one class.  Otherwise every mode takes
+    the least index over its neighbours, sweep after sweep, until no label
+    changes: each label is then its class's first index.
+    """
+    n, r = box.n, box.radius
+    support = np.zeros((4 * r + 1,) * n, dtype=bool)
+    for x in elements:
+        support |= _resize_table(x.table, 2 * r, n) != 0
+    support |= support[(slice(None, None, -1),) * n]  # joined both ways
+    units = 2 * r + np.eye(n, dtype=int)  # e_i on the difference box
+    if r == 0 or all(support[tuple(e)] for e in units):
+        return [np.arange(box.size)]
+    steps = np.argwhere(support) - 2 * r
+    # one of each pair +-s: the first nonzero coordinate positive
+    lead = steps[np.arange(steps.shape[0]), np.argmax(steps != 0, axis=1)]
+    steps = steps[lead > 0]
+    w = box.width
+    pairs = [
+        (tuple(slice(max(0, -o), w - max(0, o)) for o in s),  # p, with p + s in the box
+         tuple(slice(max(0, o), w - max(0, -o)) for o in s))  # p + s
+        for s in steps
+    ]
+    labels = np.arange(box.size).reshape(box.shape)
+    while True:
+        before = labels.copy()
+        for at, shifted in pairs:
+            a, b = labels[at], labels[shifted]
+            np.minimum(a, b, out=a)
+            np.minimum(a, b, out=b)
+        if np.array_equal(before, labels):
+            break
+    labels = labels.ravel()
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _diagonal_block(mat, idx):
+    """The block of mat on the rows and columns idx: mat itself, not a copy,
+    when idx is every index."""
+    return mat if idx.size == mat.shape[0] else mat[idx[:, None], idx]
+
+
+def _scatter(blocks):
+    """The d x d matrix with the diagonal blocks of the (idx, block) pairs
+    and exact zeros between them: the one block itself when a single class
+    holds every mode."""
+    if len(blocks) == 1:
+        return blocks[0][1]
+    d = sum(idx.size for idx, _ in blocks)
+    mat = np.zeros((d, d), dtype=complex)
+    for idx, blk in blocks:
+        mat[idx[:, None], idx] = blk
+    return mat
+
+
 def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     """M = -M(nu^{-1}) sum_ij D_i M(a_ij) D_j on the box (dropped before the
     solve and returned as None unless keep_matrix), the Hermitian part
-    (T + T*)/2 of T = S M S^{-1} with S = M(nu^{1/2}), F-ordered so that
-    LAPACK reads it in place, and the asymmetry ||T - T*|| / ||T||.
+    (T + T*)/2 of T = S M S^{-1} with S = M(nu^{1/2}) block by block, and
+    the asymmetry ||T - T*|| / ||T||.
 
-    Every compression is this function's own writable array, scaled or
-    factored in place, so at most two d x d arrays are live at a time
-    (three when the operator keeps M).
+    The blocks are (idx, H) pairs, one per class of modes that the
+    coefficients couple (_mode_classes), with H the class's block of
+    (T + T*)/2, F-ordered so that LAPACK reads it in place.  Entry (p, q) of
+    every compression is a coefficient at p - q times a phase, so each is
+    block diagonal over the classes with exact zeros between blocks, and so
+    are the products, the LU factors and the solves built from them: each
+    class's block is built from the classes' blocks of the compressions
+    alone, and the asymmetry from the sums of squared block norms.  M is
+    scattered from its blocks, with exact zeros between them.
+
+    Each d x d compression is built in turn and its blocks gathered from it;
+    with one class it is the block itself, scaled or factored in place, so
+    at most two d x d arrays are live at a time (three when M is kept).
+    With several classes one compression is live next to the blocks.
     """
     n = prefactor.geometry.n
     modes = box.modes()
-    core = np.zeros((box.size, box.size), dtype=complex)  # -sum_ij D_i M(a_ij) D_j
+    classes = _mode_classes(
+        box, [prefactor, sqrt_factor] + [a for row in multipliers for a in row]
+    )
+    # -sum_ij D_i M(a_ij) D_j, class by class
+    core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in classes]
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
-            term = calc._compressed_matrix(multipliers[i][j], box)
-            term *= di[:, None]
-            term *= dj[None, :]
-            core -= term
-            del term  # freed before the next compression is built
-    _multiply_into(calc._compressed_matrix(prefactor, box), core)
-    mat = core.copy() if keep_matrix else None
-    s_mat = calc._compressed_matrix(sqrt_factor, box)
-    _multiply_into(s_mat, core)
-    t = core  # S M, for now
-    lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
-    del s_mat
-    # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
-    scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
-    del lu
-    # buf's rows are T's columns: both norms sum column by column
-    buf = np.empty_like(t)
-    np.copyto(buf, t.T)
-    denom = float(np.linalg.norm(buf)) or 1.0
-    np.subtract(t.T.real, t.real, out=buf.real)  # buf = (T - T*)^T
-    np.add(t.T.imag, t.imag, out=buf.imag)
-    asym = float(np.linalg.norm(buf)) / denom
-    np.add(t.T.real, t.real, out=buf.real)  # buf = ((T + T*) / 2)^T
-    np.subtract(t.T.imag, t.imag, out=buf.imag)
-    buf *= 0.5
-    return mat, buf.T, asym
+            full = calc._compressed_matrix(multipliers[i][j], box)
+            for idx, blk in zip(classes, core):
+                term = _diagonal_block(full, idx)
+                term *= di[idx, None]
+                term *= dj[None, idx]
+                blk -= term
+            del full, term  # freed before the next compression is built
+    full = calc._compressed_matrix(prefactor, box)
+    for idx, blk in zip(classes, core):
+        _multiply_into(_diagonal_block(full, idx), blk)
+    del full
+    mat = None
+    if keep_matrix:
+        mat = core[0].copy() if len(core) == 1 else _scatter(list(zip(classes, core)))
+    full = calc._compressed_matrix(sqrt_factor, box)
+    for idx, t in zip(classes, core):  # t is S M, for now
+        s_mat = _diagonal_block(full, idx)
+        _multiply_into(s_mat, t)
+        lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
+        # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
+        scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
+    del full, s_mat, lu  # the last factor too, before the buffers below
+    blocks, norms, skews = [], [], []
+    for idx, t in zip(classes, core):
+        # buf's rows are T's columns: both norms sum column by column
+        buf = np.empty_like(t)
+        np.copyto(buf, t.T)
+        norms.append(float(np.linalg.norm(buf)))
+        np.subtract(t.T.real, t.real, out=buf.real)  # buf = (T - T*)^T
+        np.add(t.T.imag, t.imag, out=buf.imag)
+        skews.append(float(np.linalg.norm(buf)))
+        np.add(t.T.real, t.real, out=buf.real)  # buf = ((T + T*) / 2)^T
+        np.subtract(t.T.imag, t.imag, out=buf.imag)
+        buf *= 0.5
+        blocks.append((idx, buf.T))
+    asym = math.hypot(*skews) / (math.hypot(*norms) or 1.0)
+    return mat, blocks, asym
 
 
 def assemble(h_inv, dens, box, mult_radius=None):
@@ -190,9 +299,10 @@ def assemble(h_inv, dens, box, mult_radius=None):
     sqrt_f = _clip(dens.sqrt_nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
-    mat, sym, asym = _build_matrices(pref, sqrt_f, mult, box, True)
+    mat, blocks, asym = _build_matrices(pref, sqrt_f, mult, box, True)
+    sym = _scatter(blocks)
     return LaplaceBeltramiOperator(
-        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, sym, asym
+        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, sym, tuple(blocks), asym
     )
 
 
@@ -215,7 +325,8 @@ def assemble_riemannian(g, box, mult_radius=None, density=None):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted eigenvalues with stability flags from a two-box comparison."""
+    """Sorted eigenvalues with stability flags from a two-box comparison, and
+    the sizes of the blocks each box's eigensolve ran on."""
 
     geometry: object
     box: LatticeBox
@@ -225,6 +336,8 @@ class SpectrumResult:
     multiplicity_group: np.ndarray
     asymmetry: float
     stability_asymmetry: float
+    block_sizes: tuple
+    stability_block_sizes: tuple
 
     def __post_init__(self):
         for a in (self.eigenvalues, self.stable, self.multiplicity_group):
@@ -253,12 +366,32 @@ def _group_multiplicities(lam, tol):
     return group
 
 
-def _eigenvalues(sym, in_place):
-    """Ascending eigenvalues of an F-ordered Hermitian matrix, by the
-    divide-and-conquer LAPACK driver; in place when allowed."""
-    return scipy.linalg.eigh(
-        sym, eigvals_only=True, overwrite_a=in_place, driver="evd", check_finite=False
-    )
+def _stable_prefix(lam, lam2, rel_tol):
+    """Flags of the sorted eigenvalues lam that their index partners in lam2
+    match to rel_tol, up to the first that does not."""
+    m = min(lam.size, lam2.size)
+    stable = np.zeros(lam.shape, dtype=bool)
+    pair_diff = np.abs(lam[:m] - lam2[:m])
+    stable[:m] = pair_diff <= rel_tol * (1.0 + np.maximum(np.abs(lam[:m]), np.abs(lam2[:m])))
+    # stability is a prefix property: past the first mismatch the index
+    # pairing of the two sorted lists is no longer meaningful
+    bad = np.where(~stable)[0]
+    if bad.size:
+        stable[bad[0]:] = False
+    return stable
+
+
+def _eigenvalues(blocks, in_place):
+    """Ascending eigenvalues of a matrix from its (idx, H) blocks, each H
+    F-ordered and Hermitian, by the divide-and-conquer LAPACK driver on each
+    block; in place when allowed."""
+    lam = [
+        scipy.linalg.eigh(
+            blk, eigvals_only=True, overwrite_a=in_place, driver="evd", check_finite=False
+        )
+        for _, blk in blocks
+    ]
+    return lam[0] if len(lam) == 1 else np.sort(np.concatenate(lam))
 
 
 def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
@@ -267,9 +400,13 @@ def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
     The same multiplier family is recompressed on a larger box (default
     radius + 2) and the sorted spectra are paired by index; an eigenvalue is
     stable when the pair agrees to rel_tol relative accuracy.  Only
-    eigenvalues are computed, on both boxes.  The result records what was
-    measured (the stable count and both boxes' asymmetries) and judges none
-    of it: callers gate it.  Raises BoxTooSmall when stability_radius does
+    eigenvalues are computed, on both boxes, one block at a time: each box's
+    (T + T*)/2 is block diagonal over the classes of modes that the
+    coefficients couple (_build_matrices), so its eigenvalues are the union
+    of its blocks', sorted.  The stability box's blocks are built here and
+    overwritten by their eigensolves; the operator's own blocks are copied.
+    The result records what was measured (the stable count, both boxes'
+    asymmetries and block sizes) and judges none of it: callers gate it.  Raises BoxTooSmall when stability_radius does
     not exceed the box radius, since the comparison would then pair the
     spectrum with itself or a smaller box's.
     """
@@ -280,24 +417,18 @@ def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
             f"stability radius {stability_radius} must exceed box radius {op.box.radius}"
         )
     big_box = LatticeBox(op.geometry.n, stability_radius)
-    _, sym2, asym2 = _build_matrices(
+    _, blocks2, asym2 = _build_matrices(
         op.prefactor, op.sqrt_factor, op.multipliers, big_box, False
     )
-    lam2 = _eigenvalues(sym2, True)
-    del sym2
-    lam = _eigenvalues(op.symmetrized, False)
-    m = min(lam.size, lam2.size)
-    stable = np.zeros(lam.shape, dtype=bool)
-    pair_diff = np.abs(lam[:m] - lam2[:m])
-    stable[:m] = pair_diff <= rel_tol * (1.0 + np.maximum(np.abs(lam[:m]), np.abs(lam2[:m])))
-    # stability is a prefix property: past the first mismatch the index
-    # pairing of the two sorted lists is no longer meaningful
-    bad = np.where(~stable)[0]
-    if bad.size:
-        stable[bad[0]:] = False
+    sizes2 = tuple(idx.size for idx, _ in blocks2)
+    lam2 = _eigenvalues(blocks2, True)
+    del blocks2
+    lam = _eigenvalues(op.blocks, False)
+    stable = _stable_prefix(lam, lam2, rel_tol)
     groups = _group_multiplicities(lam, multiplicity_tol)
+    sizes = tuple(idx.size for idx, _ in op.blocks)
     return SpectrumResult(
-        op.geometry, op.box, big_box, lam, stable, groups, op.asymmetry, asym2
+        op.geometry, op.box, big_box, lam, stable, groups, op.asymmetry, asym2, sizes, sizes2
     )
 
 

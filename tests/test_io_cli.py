@@ -1,15 +1,30 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nctorus
 from nctorus import calculus as calc, cli, io as nio, metrics as met
 from nctorus.algebra import LatticeBox
 from nctorus.errors import BoxTooLarge, NCTorusError, PositivityViolation
 from nctorus.forms import OneForm
 
 from conftest import coeff_diff, spectrum
+
+
+def test_cli_import_loads_no_sparse_module():
+    """Every subcommand process imports the command line first; scipy.sparse
+    would add tens of milliseconds to each, and nothing there needs it."""
+    code = "import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    path = [str(Path(nctorus.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_geometry_literal_roundtrip(geom):

@@ -25,7 +25,8 @@ def test_operator_and_spectrum_arrays_read_only(geom):
     op = lap.assemble_riemannian(met.metric_flat(geom), box)
     res = spectrum(op)
     arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
-              op.matrix, op.symmetrized, res.eigenvalues, res.stable, res.multiplicity_group]
+              op.matrix, op.symmetrized, res.eigenvalues, res.stable, res.multiplicity_group,
+              *(blk for _, blk in op.blocks)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -180,12 +181,113 @@ def test_spectrum_stability_flags_flat(geom):
 
 def _solve_and_eigvalsh(op, box):
     """Asymmetry and eigenvalues of the symmetrized conjugated operator on the
-    box, by a plain solve for T = S M S^{-1} and eigvalsh of (T + T*)/2."""
-    mat = lap._build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, box, True)[0]
+    box, from its dense compressions, by a plain solve for T = S M S^{-1}
+    and eigvalsh of (T + T*)/2."""
+    deriv = 1j * box.modes().astype(float)
+    core = sum(
+        calc.compress(a, box).matrix * deriv[:, i, None] * deriv[None, :, j]
+        for i, row in enumerate(op.multipliers) for j, a in enumerate(row)
+    )
+    mat = -calc.compress(op.prefactor, box).matrix @ core
     s_mat = calc.compress(op.sqrt_factor, box).matrix
     t = np.linalg.solve(s_mat.T, (s_mat @ mat).T).T
     asym = np.linalg.norm(t - t.conj().T) / np.linalg.norm(t)
     return asym, np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+
+
+def _witness_metric(geom3, calc_radius):
+    """The metric of the n = 3 spectrum benchmark: k g0 k with k = w* w + 1
+    for a witness w in the modes e_i, so that every coefficient of the
+    operator lies in the plane sum(k) = 0."""
+    w = AlgebraElement.from_modes(geom3, {(1, 0, 0): 0.15, (0, 1, 0): 0.10, (0, 0, 1): 0.08})
+    g0 = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+    box = LatticeBox(3, calc_radius)
+    return met.metric_conformal(
+        met.metric_constant(geom3, g0, box=box), calc.make_positive(w, 1.0), box
+    )
+
+
+def _even_conformal_metric(geom):
+    """k^2 delta with k = exp of the modes (+-2, 0) and (0, +-2): every
+    coefficient lies in 2Z^2."""
+    w = AlgebraElement.from_modes(geom, {(2, 0): 0.15, (-2, 0): 0.15, (0, 2): 0.1, (0, -2): 0.1})
+    return met.metric_conformal(met.metric_flat(geom), met.density_exp(w).nu, LatticeBox(2, 8))
+
+
+@pytest.mark.parametrize("case", ["n3-sectors", "n2-cosets"])
+def test_block_spectrum_matches_dense_solve(geom, geom3, case):
+    """A metric whose coefficients lie in a sublattice splits the box into
+    classes of modes (the sectors sum(k) = s of a rank-2 sublattice, the
+    four cosets of 2Z^2); the blocks' spectra and asymmetries are the dense
+    solve's, and so are the flags and the multiplicity groups."""
+    if case == "n3-sectors":
+        g, box, big = _witness_metric(geom3, 2), LatticeBox(3, 2), LatticeBox(3, 3)
+        counts = (13, 19)  # 2 n R + 1 values of sum(k) on B_R
+    else:
+        g, box, big = _even_conformal_metric(geom), LatticeBox(2, 4), LatticeBox(2, 6)
+        counts = (4, 4)
+    op = lap.assemble_riemannian(g, box)
+    res = lap.spectrum(op, stability_radius=big.radius)
+    assert (len(res.block_sizes), len(res.stability_block_sizes)) == counts
+    assert sum(res.block_sizes) == box.size and sum(res.stability_block_sizes) == big.size
+    asym, lam = _solve_and_eigvalsh(op, box)
+    asym2, lam2 = _solve_and_eigvalsh(op, big)
+    blocks2 = lap._build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, big, False)[1]
+    for got, want in ((res.eigenvalues, lam), (lap._eigenvalues(blocks2, True), lam2)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(res.asymmetry - asym) <= 1e-12 * asym
+    assert abs(res.stability_asymmetry - asym2) <= 1e-12 * asym2
+    assert np.array_equal(res.stable, lap._stable_prefix(lam, lam2, 1e-3))
+    assert np.array_equal(res.multiplicity_group, lap._group_multiplicities(lam, 1e-6))
+    # the dense matrices the operator keeps are exactly zero between classes
+    label = np.empty(box.size, dtype=int)
+    for c, (idx, _) in enumerate(op.blocks):
+        label[idx] = c
+    apart = label[:, None] != label[None, :]
+    assert not op.matrix[apart].any() and not op.symmetrized[apart].any()
+
+
+def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
+    """The README metric couples every mode of its box; the flat metric
+    none, so each mode is a class of its own."""
+    _, ct = _ct_metric(geom)
+    for g, box in ((ct, LatticeBox(2, 10)), (met.metric_flat(geom3), LatticeBox(3, 4))):
+        op = lap.assemble_riemannian(g, box)
+        elements = [op.prefactor, op.sqrt_factor] + [a for row in op.multipliers for a in row]
+        classes = lap._mode_classes(box, elements)
+        assert [idx.size for idx, _ in op.blocks] == [idx.size for idx in classes]
+        if g is ct:
+            assert len(classes) == 1
+        else:
+            assert [idx.tolist() for idx in classes] == [[i] for i in range(box.size)]
+
+
+@pytest.fixture(scope="module")
+def witness_operator(geom3):
+    """The operator of the n = 3 spectrum benchmark's metric on its box."""
+    return lap.assemble_riemannian(_witness_metric(geom3, 3), LatticeBox(3, 4))
+
+
+def test_spectrum_block_sizes_of_the_witness_metric(witness_operator):
+    """The sectors sum(k) = s: 25 classes on B_4 and 31 on B_5."""
+    res = lap.spectrum(witness_operator, stability_radius=5)
+    assert len(res.block_sizes) == 25 and max(res.block_sizes) == 61
+    assert len(res.stability_block_sizes) == 31 and max(res.stability_block_sizes) == 91
+    assert sum(res.stability_block_sizes) == LatticeBox(3, 5).size
+
+
+def test_decoupled_spectrum_working_set(witness_operator):
+    """On an operator that splits into classes, the stability pass holds one
+    d x d compression at a time next to the blocks, d = |B_stab|."""
+    d = LatticeBox(3, 5).size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lap.spectrum(witness_operator, stability_radius=5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * d * d
 
 
 def test_spectrum_working_set(geom3, rng):
