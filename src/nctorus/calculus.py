@@ -10,6 +10,20 @@ and evaluated alone, with exact zeros between blocks; within one call a
 block equal to an earlier one takes its result, as f(y (x) I_m) = f(y) (x)
 I_m.  The conformal metric k^2 I_n is n equal 1 x 1 blocks, so its
 functions cost one compression of dimension |B_N|, not one of n |B_N|.
+
+The modes of the box are then split into the classes that the entries'
+coefficients couple (_mode_classes: p and q joined when p - q lies in the
+union of the supports).  Entry (p, q) of a compression is a coefficient at
+p - q times a phase, so C is block diagonal over the classes, and so is
+f(C).  When there are several, the blocks are built directly
+(_class_blocks, bit for bit the dense compression's, from index arrays and
+phases that one _class_plan per box holds for every element) and no dense
+C is built; every block is floor-tested, f runs on the block of the class
+that holds mode 0 alone, and f(x) is exactly zero off that class.  A
+metric fixed by a subgroup of the T^n action (coefficients in the plane
+sum(k) = 0, say) splits this way; when one class holds every mode, C is
+the whole compression.
+
 Inverses solve C for those m right-hand sides with the Cholesky factor
 that the floor test computes (of C minus the floor), refined against C.
 Every other function runs block Lanczos on the m cyclic vectors and
@@ -388,6 +402,140 @@ def compress(x, box):
     return CompressedOperator(x.geometry, box, mat.shape[0] // box.size, mat)
 
 
+def _mode_classes(box, tables):
+    """Index arrays of the classes of box modes that coefficient tables couple.
+
+    Each table's last n axes are a box table; an m x m matrix's array counts
+    as the union of its entries' supports.  Modes p and q are joined when
+    p - q or q - p lies in the support of one of the tables, read on the
+    difference box B_{2N}, where every p - q lies; the classes are the
+    connected components.  Each is ascending, and they are ordered by their
+    first index.  When the support holds a unit step along every axis, the
+    box is one class.  Otherwise every mode takes the least index over its
+    neighbours, sweep after sweep, until no label changes: each label is
+    then its class's first index.
+    """
+    n, r = box.n, box.radius
+    support = np.zeros((4 * r + 1,) * n, dtype=bool)
+    for table in tables:
+        grown = _resize_table(table, 2 * r, n) != 0
+        support |= grown.any(axis=tuple(range(grown.ndim - n)))
+    support |= support[(slice(None, None, -1),) * n]  # joined both ways
+    units = 2 * r + np.eye(n, dtype=int)  # e_i on the difference box
+    if r == 0 or all(support[tuple(e)] for e in units):
+        return [np.arange(box.size)]
+    steps = np.argwhere(support) - 2 * r
+    # one of each pair +-s: the first nonzero coordinate positive
+    lead = steps[np.arange(steps.shape[0]), np.argmax(steps != 0, axis=1)]
+    steps = steps[lead > 0]
+    w = box.width
+    pairs = [
+        (tuple(slice(max(0, -o), w - max(0, o)) for o in s),  # p, with p + s in the box
+         tuple(slice(max(0, o), w - max(0, -o)) for o in s))  # p + s
+        for s in steps
+    ]
+    labels = np.arange(box.size).reshape(box.shape)
+    while True:
+        before = labels.copy()
+        for at, shifted in pairs:
+            a, b = labels[at], labels[shifted]
+            np.minimum(a, b, out=a)
+            np.minimum(a, b, out=b)
+        if np.array_equal(before, labels):
+            break
+    labels = labels.ravel()
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassPlan:
+    """What the class blocks of every element on one box share.
+
+    Over the pairs (p, q) of modes of one class, class after class and each
+    class's pairs row-major: index, the raveled v + 2N (v = p - q) on the
+    difference box, where the coefficient of entry (p, q) is read; head, the
+    phase factors F_1 ... F_{n-1} of _phase_tables multiplied in their
+    order; last, F_n.  head or last is None where its tables are, and all
+    three are None when one class holds every mode.
+    """
+
+    box: LatticeBox
+    classes: list
+    index: object
+    head: object
+    last: object
+
+
+def _class_plan(geometry, box, classes):
+    """The _ClassPlan of the classes of modes of the box.
+
+    Each phase table is read at its own raveled index: table i holds u_i on
+    axis i where the others hold v, and u_i - v_i = 2 q_i.
+    """
+    if len(classes) == 1:
+        return _ClassPlan(box, classes, None, None, None)
+    n, r = box.n, box.radius
+    modes = box.modes()
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx in classes])
+    cols = np.concatenate([np.tile(idx, idx.size) for idx in classes])
+    steps = (4 * r + 1) ** np.arange(n - 1, -1, -1)
+    index = np.full(rows.size, 2 * r * steps.sum())
+    for axis in range(n):  # one axis at a time, to keep the temporaries small
+        index += (modes[rows, axis] - modes[cols, axis]) * steps[axis]
+    del rows
+    factors = [
+        None if t is None
+        else np.ascontiguousarray(t).ravel()[index + 2 * steps[i] * modes[cols, i]]
+        for i, t in enumerate(_phase_tables(geometry, r))
+    ]
+    heads = [f for f in factors[:-1] if f is not None]
+    head = functools.reduce(np.multiply, heads) if heads else None
+    return _ClassPlan(box, classes, index, head, factors[-1])
+
+
+def _class_blocks(x, plan):
+    """The diagonal blocks of the compression of an element or matrix over
+    the classes of the plan, writable and owned by the caller.
+
+    The block of a class of modes P is the compression's block on the rows
+    e_i (x) V_p, p in P, with i slowest: bit for bit the same entries, each
+    entry's coefficient at p - q times the phase, multiplied as
+    (coefficient * F_1 ... F_{n-1}) * F_n, and 0 for an entry that is
+    identically zero.  With one class it is the whole _compressed_matrix.
+    """
+    if plan.index is None:
+        return [_compressed_matrix(x, plan.box)]
+    coeffs = x.coeffs if isinstance(x, TorusMatrix) else x.table[None, None]
+    m, box = coeffs.shape[0], plan.box
+    tables = _resize_table(coeffs, 2 * box.radius, box.n).reshape(m, m, -1)
+    flat = np.zeros((m, m, plan.index.size), dtype=complex)
+    for i, j in np.ndindex(m, m):
+        if coeffs[i, j].any():
+            entry = np.take(tables[i, j], plan.index, out=flat[i, j])
+            if plan.head is not None:
+                entry *= plan.head
+            if plan.last is not None:
+                entry *= plan.last
+    blocks, at = [], 0
+    for idx in plan.classes:
+        b = idx.size
+        part = flat[:, :, at : at + b * b].reshape(m, m, b, b)
+        blocks.append(part[0, 0] if m == 1 else part.transpose(0, 2, 1, 3).reshape(m * b, m * b))
+        at += b * b
+    return blocks
+
+
+def _class_compressions(xs, box, classes):
+    """The class blocks of each element or matrix of xs on the box, one plan
+    for all: [compress(x, box).matrix], read-only, when one class holds
+    every mode."""
+    if len(classes) == 1:
+        return [[compress(x, box).matrix] for x in xs]
+    plan = _class_plan(xs[0].geometry, box, classes)
+    return [_class_blocks(x, plan) for x in xs]
+
+
 def element_from_vector(geometry, box, vec):
     return AlgebraElement(geometry, box, np.asarray(vec, dtype=complex).reshape(box.shape))
 
@@ -437,21 +585,24 @@ def _floor_violation(name, lam_min):
     )
 
 
-def _require_floor(mat, name):
-    """Refuse C unless its spectrum lies above SPECTRAL_FLOOR; else return the
-    Cholesky factor of C - floor I.
+def _require_floor(mats, name):
+    """Refuse unless the spectrum of every Hermitian matrix of mats lies above
+    SPECTRAL_FLOOR; else return the Cholesky factor of the last one minus
+    floor I.
 
     Factoring C - floor I is the test: it succeeds exactly when the spectrum
-    of C lies above the floor.  lambda_min is computed only for the
-    refusal's message.
+    of C lies above the floor.  lambda_min, the least over all of mats, is
+    computed only for the refusal's message.
     """
-    shifted = np.array(mat, order="F")  # factored in place by LAPACK
-    shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
-    try:
-        return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(mat)[0])
-        raise _floor_violation(name, lam_min) from None
+    for mat in mats:
+        shifted = np.array(mat, order="F")  # factored in place by LAPACK
+        shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
+        try:
+            factor = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            lam_min = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+            raise _floor_violation(name, lam_min) from None
+    return factor
 
 
 def _unit_columns(d, cyclic):
@@ -562,24 +713,45 @@ def _components(h):
     return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
-def _matrix_calculus(mat, m, box, name, f, needs_floor):
+def _home_columns(blocks, classes, m, box, name, f, needs_floor):
     """Columns f(C) e_j, (m |B|) x m, at the cyclic rows e_j (x) V_0 of the
-    Hermitian compression C of an m x m matrix on the box: the floor test,
-    then the solve (the inverse) or the Lanczos readout."""
+    Hermitian compression C of an m x m matrix on the box, from its blocks
+    over the classes of modes (blocks[c] on the rows e_i (x) V_p, p in
+    classes[c], i slowest; _class_blocks).
+
+    Every block is floor-tested; then the solve (the inverse) or the Lanczos
+    readout runs on the block of the class that holds mode 0 alone, at its
+    rows of the cyclic vectors.  C is block diagonal, so f(C) is, and each
+    e_j (x) V_0 lies in that class: its columns hold every nonzero of
+    f(C) e_j, and the other rows are exactly zero.
+    """
     i0 = box.index_of(np.zeros(box.n, dtype=int))
-    cyclic = np.arange(m) * box.size + i0
+    home = next(c for c, idx in enumerate(classes) if i0 in idx)
+    idx, mat = classes[home], blocks[home]
+    cyclic = np.arange(m) * idx.size + np.searchsorted(idx, i0)
+    tested = blocks[:home] + blocks[home + 1 :] + [mat]  # the home block's factor last
     if f is _reciprocal:  # the floor test's factor serves the solve
-        return _inverse_columns(mat, _require_floor(mat, name), cyclic)
-    # the factor is dropped before the readout, which needs memory of its own
-    if needs_floor:
-        _require_floor(mat, name)
-    cols = _lanczos_columns(mat, cyclic, f)
-    return _eigen_columns(mat, cyclic, f) if cols is None else cols
+        cols = _inverse_columns(mat, _require_floor(tested, name), cyclic)
+    else:
+        # the factor is dropped before the readout, which needs memory of its own
+        if needs_floor:
+            _require_floor(tested, name)
+        cols = _lanczos_columns(mat, cyclic, f)
+        if cols is None:
+            cols = _eigen_columns(mat, cyclic, f)
+    if len(classes) == 1:
+        return cols
+    out = np.zeros((m * box.size, m), dtype=complex)
+    out[(np.arange(m)[:, None] * box.size + idx).ravel()] = cols
+    return out
 
 
 def _block_calculus(h, box, name, f, needs_floor):
-    """Coefficient array (m, m, *box.shape) of f(h) read off the compression."""
-    cols = _matrix_calculus(compress(h, box).matrix, h.m, box, name, f, needs_floor)
+    """Coefficient array (m, m, *box.shape) of f(h) read off the compression,
+    class by class over the modes that h's entries couple."""
+    classes = _mode_classes(box, [h.coeffs])
+    (blocks,) = _class_compressions([h], box, classes)
+    cols = _home_columns(blocks, classes, h.m, box, name, f, needs_floor)
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     return cols.T.reshape((h.m, h.m) + box.shape).swapaxes(0, 1)
 
@@ -595,14 +767,17 @@ def functional_calculus(x, fn, box):
     identically zero); f acts on each diagonal block alone, the entries
     between blocks of f(x) are exactly zero, and a block equal to an earlier
     one of the same call takes that block's result (f(y (x) I) = f(y) (x) I).
-    Functions singular at 0 refuse inputs whose compressed spectrum dips
-    below SPECTRAL_FLOOR, tested by a Cholesky factorization of the block's
-    compression minus the floor.  The inverse (also ("pow", -1)) solves for
-    the cyclic columns with that factor, refined against the compression;
-    every other function runs block Lanczos on the cyclic vectors, with the
-    dense eigendecomposition of the compression as the fallback when
-    Lanczos has not converged.  The result lives on the compression box;
-    callers clip as needed.
+    Each block's compression is split further over the classes of modes its
+    coefficients couple, and f is read on the class of mode 0 alone: f(x) is
+    exactly zero on the modes of every other class.  Functions singular at 0
+    refuse inputs whose compressed spectrum dips below SPECTRAL_FLOOR,
+    tested by a Cholesky factorization of every class block minus the floor;
+    the refusal names the least eigenvalue over all of them.  The inverse
+    (also ("pow", -1)) solves for the cyclic columns with that factor,
+    refined against the compression; every other function runs block
+    Lanczos on the cyclic vectors, with the dense eigendecomposition of the
+    class block as the fallback when Lanczos has not converged.  The result
+    lives on the compression box; callers clip as needed.
     """
     name, f, needs_floor = _resolve_function(fn)
     h = _as_matrix(x)

@@ -131,7 +131,7 @@ def positive_element_from_spec(geometry, spec, box):
     x = element_from_literal(geometry, spec)
     # the floor test of the compression's Cholesky factor: a
     # SpectralFloorViolation, which is a PositivityViolation, when it fails
-    _require_floor(compress(scale(add(x, adjoint(x)), 0.5), box).matrix, "element spec")
+    _require_floor([compress(scale(add(x, adjoint(x)), 0.5), box).matrix], "element spec")
     return x
 
 

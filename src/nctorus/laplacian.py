@@ -15,16 +15,19 @@ truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
 The build and the eigensolve run once per class of lattice modes that the
 coefficients couple: p and q are joined when p - q lies in the support of
 nu^{-1}, of nu^{1/2} or of a multiplier a_ij, and the classes are the
-connected components (read off the coefficient tables on the difference
-box, with no d x d array).  Entry (p, q) of every compression is the
-coefficient at p - q times a phase, so every matrix of the build is block
-diagonal over the classes with exact zeros between blocks; products,
-partially pivoted LU and triangular solves keep those zeros, so the
-spectrum is the union of the blocks' spectra.  A metric whose coefficients
-are fixed by a subgroup of the T^n action (a conformal factor w* w + c with
-w in the modes e_i keeps every coefficient in the plane sum(k) = 0) splits
-the box into many small blocks; a generic one leaves a single class, and
-then every block is the whole d x d matrix, with nothing gathered or
+connected components (calculus._mode_classes, read off the coefficient
+tables on the difference box, with no d x d array).  Entry (p, q) of every
+compression is the coefficient at p - q times a phase, so every matrix of
+the build is block diagonal over the classes with exact zeros between
+blocks; products, partially pivoted LU and triangular solves keep those
+zeros, so the spectrum is the union of the blocks' spectra.  A metric whose
+coefficients are fixed by a subgroup of the T^n action (a conformal factor
+w* w + c with w in the modes e_i keeps every coefficient in the plane
+sum(k) = 0) splits the box into many small blocks, and each element's
+blocks are built directly (calculus._class_blocks), bit for bit those of
+its dense compression, from index arrays and phases made once per box: no
+d x d compression is built.  A generic metric leaves a single class, and
+then every block is the whole d x d compression, with nothing gathered or
 copied.
 
 Per class, each multiplier's block is scaled by D_i and D_j in place and
@@ -33,14 +36,11 @@ S = M(nu^{1/2}) multiply into the core in place, one block of columns at a
 time, which leaves S M there.  S^T is LU-factored in its own buffer, and T
 is solved in place in the buffer of S M.  T - T* (for the asymmetry) and
 then (T + T*)/2 are formed in one more buffer: the operator keeps it, and
-on the stability box the eigensolver overwrites it.  Each d x d compression
-is built in turn, a writable array with no index table and no d x d phase
-table behind it, and its blocks are gathered from it.  On the stability
-box, of d modes, the spectrum path thus holds at most two d x d complex
-arrays at a time with one class, and one next to the blocks with several.
-On its own box the operator also keeps the assembled matrix and
-(T + T*)/2, dense, scattered from the blocks with exact zeros between
-them.
+on the stability box the eigensolver overwrites it.  On the stability box,
+of d modes, the spectrum path thus holds at most two d x d complex arrays
+at a time with one class; with several it holds only blocks.  On its own
+box the operator also keeps the assembled matrix and (T + T*)/2, dense,
+scattered from the blocks with exact zeros between them.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -64,7 +64,6 @@ from .algebra import (
     AlgebraElement,
     LatticeBox,
     _integer_power,
-    _resize_table,
     add,
     adjoint,
     multiply,
@@ -146,55 +145,6 @@ def _multiply_into(left, right):
         cols[...] = left @ cols
 
 
-def _mode_classes(box, elements):
-    """Index arrays of the classes of box modes that the elements couple.
-
-    Modes p and q are joined when p - q or q - p lies in the support of one
-    of the elements, read on the difference box B_{2N}, where every p - q
-    lies; the classes are the connected components.  Each is ascending, and
-    they are ordered by their first index.  When the support holds a unit
-    step along every axis, the box is one class.  Otherwise every mode takes
-    the least index over its neighbours, sweep after sweep, until no label
-    changes: each label is then its class's first index.
-    """
-    n, r = box.n, box.radius
-    support = np.zeros((4 * r + 1,) * n, dtype=bool)
-    for x in elements:
-        support |= _resize_table(x.table, 2 * r, n) != 0
-    support |= support[(slice(None, None, -1),) * n]  # joined both ways
-    units = 2 * r + np.eye(n, dtype=int)  # e_i on the difference box
-    if r == 0 or all(support[tuple(e)] for e in units):
-        return [np.arange(box.size)]
-    steps = np.argwhere(support) - 2 * r
-    # one of each pair +-s: the first nonzero coordinate positive
-    lead = steps[np.arange(steps.shape[0]), np.argmax(steps != 0, axis=1)]
-    steps = steps[lead > 0]
-    w = box.width
-    pairs = [
-        (tuple(slice(max(0, -o), w - max(0, o)) for o in s),  # p, with p + s in the box
-         tuple(slice(max(0, o), w - max(0, -o)) for o in s))  # p + s
-        for s in steps
-    ]
-    labels = np.arange(box.size).reshape(box.shape)
-    while True:
-        before = labels.copy()
-        for at, shifted in pairs:
-            a, b = labels[at], labels[shifted]
-            np.minimum(a, b, out=a)
-            np.minimum(a, b, out=b)
-        if np.array_equal(before, labels):
-            break
-    labels = labels.ravel()
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
-def _diagonal_block(mat, idx):
-    """The block of mat on the rows and columns idx: mat itself, not a copy,
-    when idx is every index."""
-    return mat if idx.size == mat.shape[0] else mat[idx[:, None], idx]
-
-
 def _scatter(blocks):
     """The d x d matrix with the diagonal blocks of the (idx, block) pairs
     and exact zeros between them: the one block itself when a single class
@@ -215,53 +165,50 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     the asymmetry ||T - T*|| / ||T||.
 
     The blocks are (idx, H) pairs, one per class of modes that the
-    coefficients couple (_mode_classes), with H the class's block of
-    (T + T*)/2, F-ordered so that LAPACK reads it in place.  Entry (p, q) of
-    every compression is a coefficient at p - q times a phase, so each is
+    coefficients couple (calculus._mode_classes), with H the class's block
+    of (T + T*)/2, F-ordered so that LAPACK reads it in place.  Entry (p, q)
+    of every compression is a coefficient at p - q times a phase, so each is
     block diagonal over the classes with exact zeros between blocks, and so
     are the products, the LU factors and the solves built from them: each
     class's block is built from the classes' blocks of the compressions
-    alone, and the asymmetry from the sums of squared block norms.  M is
-    scattered from its blocks, with exact zeros between them.
+    alone (calculus._class_blocks, with one plan of index arrays and phases
+    for all 2 + n^2 elements), and the asymmetry from the sums of squared
+    block norms.  M is scattered from its blocks, with exact zeros between
+    them.
 
-    Each d x d compression is built in turn and its blocks gathered from it;
-    with one class it is the block itself, scaled or factored in place, so
-    at most two d x d arrays are live at a time (three when M is kept).
-    With several classes one compression is live next to the blocks.
+    With several classes no d x d compression is built.  With one class each
+    element's block is its whole compression, scaled or factored in place,
+    so at most two d x d arrays are live at a time (three when M is kept).
     """
     n = prefactor.geometry.n
     modes = box.modes()
-    classes = _mode_classes(
-        box, [prefactor, sqrt_factor] + [a for row in multipliers for a in row]
+    classes = calc._mode_classes(
+        box, [prefactor.table, sqrt_factor.table] + [a.table for row in multipliers for a in row]
     )
+    plan = calc._class_plan(prefactor.geometry, box, classes)
     # -sum_ij D_i M(a_ij) D_j, class by class
     core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in classes]
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
-            full = calc._compressed_matrix(multipliers[i][j], box)
-            for idx, blk in zip(classes, core):
-                term = _diagonal_block(full, idx)
+            for idx, blk, term in zip(classes, core, calc._class_blocks(multipliers[i][j], plan)):
                 term *= di[idx, None]
                 term *= dj[None, idx]
                 blk -= term
-            del full, term  # freed before the next compression is built
-    full = calc._compressed_matrix(prefactor, box)
-    for idx, blk in zip(classes, core):
-        _multiply_into(_diagonal_block(full, idx), blk)
-    del full
+            del term  # freed before the next element's blocks are built
+    for blk, p_mat in zip(core, calc._class_blocks(prefactor, plan)):
+        _multiply_into(p_mat, blk)
+    del p_mat
     mat = None
     if keep_matrix:
         mat = core[0].copy() if len(core) == 1 else _scatter(list(zip(classes, core)))
-    full = calc._compressed_matrix(sqrt_factor, box)
-    for idx, t in zip(classes, core):  # t is S M, for now
-        s_mat = _diagonal_block(full, idx)
+    for t, s_mat in zip(core, calc._class_blocks(sqrt_factor, plan)):  # t is S M, for now
         _multiply_into(s_mat, t)
         lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
         # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
         scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
-    del full, s_mat, lu  # the last factor too, before the buffers below
+    del s_mat, lu  # the last factor too, before the buffers below
     blocks, norms, skews = [], [], []
     for idx, t in zip(classes, core):
         # buf's rows are T's columns: both norms sum column by column
@@ -571,8 +518,10 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     nodes: p equally spaced angles at n = 2, and at n = 3 a Gauss-Legendre
     product rule of floor(sqrt p) polar by 2 floor(sqrt p) azimuthal nodes,
     2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  The n(n + 1)/2
-    selfadjoint parts of the symbol are compressed once, and each node's
-    compression is their combination with real weights xi_i xi_j.  dens is
+    selfadjoint parts of the symbol are compressed once, block by block over
+    the classes of modes their supports couple, and each node's blocks are
+    their combination with real weights xi_i xi_j; every block is
+    floor-tested, and the readout runs on mode 0's class alone.  dens is
     g's Riemannian density when the caller already holds it (the assembled
     operator's nu), else None.  When g is self-compatible the closed form
     (2 pi)^{-n} |unit ball| volume(dens) is computed alongside, from
@@ -585,16 +534,21 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     nodes, weights = _sphere_nodes(n, quadrature_points)
     name, f, needs_floor = calc._resolve_function(("pow", -n / 2.0))
     # the symbol is linear in its n(n + 1)/2 parts, and so is its compression:
-    # each node combines the parts' compressions, exactly Hermitian as they are
-    parts = [(ij, compress(s, box).matrix) for ij, s in _symbol_parts(g.inverse).items()]
+    # each node combines the parts' class blocks, exactly Hermitian as they are
+    parts = _symbol_parts(g.inverse)
+    classes = calc._mode_classes(box, [s.table for s in parts.values()])
+    parts = list(zip(parts, calc._class_compressions(list(parts.values()), box, classes)))
     zero = box.index_of(np.zeros(n, dtype=int))
     total = 0.0
     for xi, w in zip(nodes, weights):
-        mat = np.zeros((box.size, box.size), dtype=complex)
-        for (i, j), part in parts:
-            mat += (xi[i] * xi[j]) * part
+        blocks = []
+        for c, idx in enumerate(classes):
+            mat = np.zeros((idx.size, idx.size), dtype=complex)
+            for (i, j), part in parts:
+                mat += (xi[i] * xi[j]) * part[c]
+            blocks.append(mat)
         # tau of f(symbol): the zero mode of f(C) applied to V_0
-        cols = calc._matrix_calculus(mat, 1, box, name, f, needs_floor)
+        cols = calc._home_columns(blocks, classes, 1, box, name, f, needs_floor)
         total += w * float(cols[zero, 0].real)
     quad = total / n
     closed = np.nan

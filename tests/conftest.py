@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nctorus import laplacian as lap
-from nctorus.algebra import AlgebraElement, TorusGeometry, add, scale
+from nctorus import calculus as calc, laplacian as lap, metrics as met
+from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry, add, scale
 
 
 IRRATIONAL = 1.0 / np.sqrt(2.0)
@@ -54,3 +54,15 @@ def spectrum(op, **kwargs):
     res = lap.spectrum(op, **kwargs)
     assert res.asymmetry <= 0.1
     return res
+
+
+def witness_metric(geom3, calc_radius):
+    """The metric of the n = 3 spectrum benchmark: k g0 k with k = w* w + 1
+    for a witness w in the modes e_i, so that every coefficient of the
+    operator lies in the plane sum(k) = 0."""
+    w = AlgebraElement.from_modes(geom3, {(1, 0, 0): 0.15, (0, 1, 0): 0.10, (0, 0, 1): 0.08})
+    g0 = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+    box = LatticeBox(3, calc_radius)
+    return met.metric_conformal(
+        met.metric_constant(geom3, g0, box=box), calc.make_positive(w, 1.0), box
+    )

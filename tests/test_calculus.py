@@ -24,7 +24,7 @@ from nctorus.sampling import (
     random_selfadjoint,
 )
 
-from conftest import coeff_diff, trig_pair
+from conftest import coeff_diff, trig_pair, witness_metric
 
 
 def test_compress_identity(geom):
@@ -111,6 +111,45 @@ def test_compress_equals_index_gather(geometry, rng):
         for h in (x, TorusMatrix(geometry, 2, [[x, zero], [y, x]])):
             got, want = calc.compress(h, box).matrix, _gathered(h, box)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _on_sublattice(x):
+    """x with every coefficient off a sublattice cleared: the modes in 2Z^2 at
+    n = 2, the plane sum(k) = 0 at n = 3."""
+    modes = x.box.modes()
+    keep = (modes % 2 == 0).all(axis=1) if x.geometry.n == 2 else modes.sum(axis=1) == 0
+    return AlgebraElement(x.geometry, x.box, x.table * keep.reshape(x.box.shape))
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [TorusGeometry.two_torus(1.0 / np.sqrt(2.0)), TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])],
+    ids=["n2", "n3"],
+)
+def test_class_blocks_equal_dense_blocks(geometry, rng):
+    """Elements on a sublattice split the box into classes of modes, and the
+    compression of an element or a 3 x 3 matrix over them into blocks: each
+    class block is bit for bit the dense compression's block on its rows,
+    for tables inside and beyond the difference box, and the dense
+    compression is zero between classes."""
+    box = LatticeBox(geometry.n, 3 if geometry.n == 2 else 2)
+    zero = AlgebraElement.zeros(geometry, 0)
+    for radius in (2, box.radius + 1, 2 * box.radius + 1):
+        x = _on_sublattice(random_element(geometry, radius, rng))
+        y = _on_sublattice(random_element(geometry, 2, rng))
+        for h in (x, TorusMatrix(geometry, 3, [[x, zero, y], [y, x, zero], [zero, y, x]])):
+            h = calc._as_matrix(h)
+            classes = calc._mode_classes(box, [h.coeffs])
+            assert len(classes) == (4 if geometry.n == 2 else 6 * box.radius + 1)
+            mat = calc.compress(h, box).matrix
+            blocks = calc._class_blocks(h, calc._class_plan(geometry, box, classes))
+            label = np.empty(h.m * box.size, dtype=int)
+            for c, (idx, blk) in enumerate(zip(classes, blocks)):
+                rows = (np.arange(h.m)[:, None] * box.size + idx).ravel()
+                label[rows] = c
+                want = mat[np.ix_(rows, rows)]
+                assert blk.shape == want.shape and blk.tobytes() == want.tobytes()
+            assert not mat[label[:, None] != label[None, :]].any()
 
 
 def _exact_phase(geometry, box):
@@ -275,7 +314,7 @@ def test_inverse_refines_the_floor_factor(geom):
     cyclic = np.arange(2) * box.size + box.index_of([0, 0])
     e = calc._unit_columns(882, cyclic)
     exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), e)
-    cols = calc._inverse_columns(mat, calc._require_floor(mat, "inv"), cyclic)
+    cols = calc._inverse_columns(mat, calc._require_floor([mat], "inv"), cyclic)
     assert np.max(np.abs(cols - exact)) <= 1e-14 * np.max(np.abs(exact))
     # 1e-9 above the floor the refinement cannot settle, and C itself is solved
     x = trig_pair(geom, 0)
@@ -285,7 +324,7 @@ def test_inverse_refines_the_floor_factor(geom):
     mat = calc.compress(alg.add(x, alg.scale(AlgebraElement.identity(geom), shift)), small).matrix
     cyclic = np.array([small.index_of([0, 0])])
     exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), calc._unit_columns(121, cyclic))
-    cols = calc._inverse_columns(mat, calc._require_floor(mat, "inv"), cyclic)
+    cols = calc._inverse_columns(mat, calc._require_floor([mat], "inv"), cyclic)
     assert np.array_equal(cols, exact)
 
 
@@ -313,13 +352,32 @@ def test_lanczos_matches_dense_readout(n, m, upper, seed):
             assert coeff_diff(got, want) <= 1e-13 * want.max_abs()
 
 
+def _home_eigen_readout(x, box, f):
+    """f(C) V_0 for an element, read off the eigenvectors of the block of its
+    dense compression on the class of modes that holds mode 0, with exact
+    zeros off that class."""
+    zero = box.index_of(np.zeros(box.n, dtype=int))
+    idx = next(c for c in calc._mode_classes(box, [x.table]) if zero in c)
+    lam, vecs = np.linalg.eigh(calc.compress(x, box).matrix[np.ix_(idx, idx)])
+    fvals = np.asarray(f(lam), dtype=complex)
+    col = np.zeros((box.size, 1), dtype=complex)
+    col[idx, 0] = vecs @ (fvals * vecs[np.searchsorted(idx, zero)].conj())
+    out = TorusMatrix.from_coeffs(x.geometry, col.T.reshape((1, 1) + box.shape))
+    return (out + out.adjoint()).scale(0.5).entries[0][0]
+
+
 def test_lanczos_falls_back_to_dense_readout(geom, monkeypatch):
     x = alg.add(alg.scale(AlgebraElement.identity(geom), 2.0), trig_pair(geom, 0, 0.5))
     h = TorusMatrix(geom, 1, [[x]])
     box = LatticeBox(2, 6)
-    dense = _eigen_readout(h, box, np.log).entries[0][0]
+    whole = _eigen_readout(h, box, np.log).entries[0][0]
     lanczos = calc.functional_calculus(x, "log", box)
+    assert 0.0 < coeff_diff(lanczos, whole) <= 1e-13 * whole.max_abs()
+    # x couples only modes that differ along e_1: the readout runs on the
+    # block of the modes (k_1, 0), and the result is exactly zero elsewhere
+    dense = _home_eigen_readout(x, box, np.log)
     assert 0.0 < coeff_diff(lanczos, dense) <= 1e-13 * dense.max_abs()
+    assert not lanczos.table[:, np.arange(box.width) != box.radius].any()
     # on the whole compression of a block-diagonal matrix, the constant
     # entry closes its column's Krylov space after one block, before the
     # other column's: Lanczos hands over to the dense readout at once
@@ -335,22 +393,66 @@ def test_lanczos_falls_back_to_dense_readout(geom, monkeypatch):
                   for y in (two, x)]
         got = calc.functional_calculus(split, "log", box)
     assert coeff_diff(got, TorusMatrix.block_diag(blocks)) == 0.0
-    # one block cannot settle the readout, so the dense one comes back, bit for bit
+    # one block cannot settle the readout, so the block's dense one comes
+    # back, bit for bit
     monkeypatch.setattr(calc, "_LANCZOS_MAX_BLOCKS", 1)
     assert coeff_diff(calc.functional_calculus(x, "log", box), dense) == 0.0
 
 
+def test_functional_calculus_on_classes_matches_dense_readout(geom3):
+    """Every coefficient of the witness metric lies in the plane sum(k) = 0,
+    so each function is read off the block of mode 0's class alone: within
+    1e-13 of the dense readout, and exactly zero off the plane."""
+    g = witness_metric(geom3, 2).matrix
+    box = LatticeBox(3, 2)
+    assert len(calc._mode_classes(box, [g.coeffs])) == 13
+    off = box.modes().sum(axis=1).reshape(box.shape) != 0
+    for fn in ("log", "exp", "inv_sqrt", "inv", ("pow", 0.5)):
+        got = calc.functional_calculus(g, fn, box)
+        want = _eigen_readout(g, box, _resolved(fn))
+        assert coeff_diff(got, want) <= 1e-13 * want.max_abs()
+        assert not got.coeffs[:, :, off].any()
+
+
+def test_floor_test_covers_every_class(geom):
+    """x = 0.5 + 0.3 (V_2e1 + V_-2e1) + 0.3 (V_e2 + V_-e2) on B_1 splits the
+    modes by the parity of k_1.  Mode 0's class (k_1 = 0) lies above the
+    floor, but the class k_1 = +-1 reaches below it, so the inverse is
+    refused, and the refusal names the least eigenvalue over both blocks:
+    the dense compression's."""
+    x = AlgebraElement.from_modes(
+        geom, {(0, 0): 0.5, (2, 0): 0.3, (-2, 0): 0.3, (0, 1): 0.3, (0, -1): 0.3}
+    )
+    box = LatticeBox(2, 1)
+    mat = calc.compress(x, box).matrix
+    classes = calc._mode_classes(box, [x.table])
+    lows = [np.linalg.eigvalsh(mat[np.ix_(idx, idx)])[0] for idx in classes]
+    assert [idx.tolist() for idx in classes] == [[0, 1, 2, 6, 7, 8], [3, 4, 5]]
+    assert f"{lows[0]:.3e} {lows[1]:.3e}" == "-4.847e-02 7.574e-02"
+    assert f"{np.linalg.eigvalsh(mat)[0]:.3e}" == "-4.847e-02"
+    for fn in ("inv", "log", ("pow", 0.5)):
+        with pytest.raises(SpectralFloorViolation, match=re.escape("reaches -4.847e-02 <")):
+            calc.functional_calculus(x, fn, box)
+
+
 def _compressed_dims(monkeypatch):
-    """The dimensions of the compressions made from here on, in call order."""
+    """The dimensions of the compressions made from here on, in call order:
+    of each class block when the modes split into several classes."""
     dims = []
-    compress = calc.compress
+    compress, class_blocks = calc.compress, calc._class_blocks
 
     def spy(x, box):
         op = compress(x, box)
         dims.append(op.matrix.shape[0])
         return op
 
+    def block_spy(x, plan):
+        blocks = class_blocks(x, plan)
+        dims.extend(blk.shape[0] for blk in blocks)
+        return blocks
+
     monkeypatch.setattr(calc, "compress", spy)
+    monkeypatch.setattr(calc, "_class_blocks", block_spy)
     return dims
 
 
@@ -405,12 +507,14 @@ def test_coupled_matrix_compressed_whole(geom, rng, monkeypatch):
     # one nonzero off-diagonal entry, below the selfadjointness tolerance,
     # and its zero mirror still join the two indices
     tiny = alg.scale(AlgebraElement.identity(geom), 1e-14)
-    for h in (TorusMatrix(geom, 2, [[x, tiny], [zero, x]]),
-              random_hermitian_matrix(geom, 2, 1, rng)):
+    # x couples only modes that differ along e_1: 9 classes of 9 modes, each
+    # a block of both indices; the random matrix couples the whole box
+    for h, want in ((TorusMatrix(geom, 2, [[x, tiny], [zero, x]]), [2 * box.width] * box.width),
+                    (random_hermitian_matrix(geom, 2, 1, rng), [2 * box.size])):
         with monkeypatch.context() as patch:
             dims = _compressed_dims(patch)
             calc.functional_calculus(h, "log", box)
-        assert dims == [2 * box.size]
+        assert dims == want
 
 
 def test_roundtrips_tighten_with_box(geom):

@@ -9,7 +9,7 @@ from nctorus.calculus import TorusMatrix
 from nctorus.errors import BoxTooSmall, SpectralFloorViolation, WindowOutOfRange
 from nctorus.sampling import random_density, random_element, random_hermitian_matrix
 
-from conftest import coeff_diff, spectrum, trig_pair
+from conftest import coeff_diff, spectrum, trig_pair, witness_metric
 
 
 def _ct_metric(geom, calc_radius=10, a0=0.15, a1=0.1):
@@ -195,18 +195,6 @@ def _solve_and_eigvalsh(op, box):
     return asym, np.linalg.eigvalsh(0.5 * (t + t.conj().T))
 
 
-def _witness_metric(geom3, calc_radius):
-    """The metric of the n = 3 spectrum benchmark: k g0 k with k = w* w + 1
-    for a witness w in the modes e_i, so that every coefficient of the
-    operator lies in the plane sum(k) = 0."""
-    w = AlgebraElement.from_modes(geom3, {(1, 0, 0): 0.15, (0, 1, 0): 0.10, (0, 0, 1): 0.08})
-    g0 = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
-    box = LatticeBox(3, calc_radius)
-    return met.metric_conformal(
-        met.metric_constant(geom3, g0, box=box), calc.make_positive(w, 1.0), box
-    )
-
-
 def _even_conformal_metric(geom):
     """k^2 delta with k = exp of the modes (+-2, 0) and (0, +-2): every
     coefficient lies in 2Z^2."""
@@ -221,7 +209,7 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     four cosets of 2Z^2); the blocks' spectra and asymmetries are the dense
     solve's, and so are the flags and the multiplicity groups."""
     if case == "n3-sectors":
-        g, box, big = _witness_metric(geom3, 2), LatticeBox(3, 2), LatticeBox(3, 3)
+        g, box, big = witness_metric(geom3, 2), LatticeBox(3, 2), LatticeBox(3, 3)
         counts = (13, 19)  # 2 n R + 1 values of sum(k) on B_R
     else:
         g, box, big = _even_conformal_metric(geom), LatticeBox(2, 4), LatticeBox(2, 6)
@@ -254,7 +242,7 @@ def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
     for g, box in ((ct, LatticeBox(2, 10)), (met.metric_flat(geom3), LatticeBox(3, 4))):
         op = lap.assemble_riemannian(g, box)
         elements = [op.prefactor, op.sqrt_factor] + [a for row in op.multipliers for a in row]
-        classes = lap._mode_classes(box, elements)
+        classes = calc._mode_classes(box, [e.table for e in elements])
         assert [idx.size for idx, _ in op.blocks] == [idx.size for idx in classes]
         if g is ct:
             assert len(classes) == 1
@@ -265,7 +253,7 @@ def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
 @pytest.fixture(scope="module")
 def witness_operator(geom3):
     """The operator of the n = 3 spectrum benchmark's metric on its box."""
-    return lap.assemble_riemannian(_witness_metric(geom3, 3), LatticeBox(3, 4))
+    return lap.assemble_riemannian(witness_metric(geom3, 3), LatticeBox(3, 4))
 
 
 def test_spectrum_block_sizes_of_the_witness_metric(witness_operator):
@@ -277,8 +265,9 @@ def test_spectrum_block_sizes_of_the_witness_metric(witness_operator):
 
 
 def test_decoupled_spectrum_working_set(witness_operator):
-    """On an operator that splits into classes, the stability pass holds one
-    d x d compression at a time next to the blocks, d = |B_stab|."""
+    """On an operator that splits into classes, the stability pass holds at
+    most one d x d array's worth next to the blocks, d = |B_stab|; with the
+    blocks built directly it holds much less (the test below)."""
     d = LatticeBox(3, 5).size
     tracemalloc.start()
     try:
@@ -288,6 +277,34 @@ def test_decoupled_spectrum_working_set(witness_operator):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 16 * d * d
+
+
+def test_witness_metric_build_makes_no_dense_compression(geom3):
+    """Validating the witness metric inverts it class by class: no
+    compression of the 3 x 3 metric on its calc box, d = 3 |B_3|, is built."""
+    d = 3 * LatticeBox(3, 3).size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        witness_metric(geom3, 3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * d * d
+
+
+def test_witness_spectrum_makes_no_dense_compression(witness_operator):
+    """The stability pass on the witness operator builds its class blocks
+    directly, with no d x d compression to gather them from, d = |B_stab|."""
+    d = LatticeBox(3, 5).size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lap.spectrum(witness_operator, stability_radius=5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * d * d
 
 
 def test_spectrum_working_set(geom3, rng):
@@ -397,24 +414,29 @@ def test_weyl_constant_conformal(geom):
 
 
 def _per_node_quadrature(g, box, points):
-    """weyl_constant's quadrature with each node's symbol compressed alone."""
+    """weyl_constant's quadrature with each node's symbol compressed alone and
+    diagonalized whole: tau(f(C)) = sum_k f(lambda_k) |v_k(0)|^2."""
     n = g.n
     nodes, weights = lap._sphere_nodes(n, points)
+    zero = box.index_of(np.zeros(n, dtype=int))
     total = 0.0
     for xi, w in zip(nodes, weights):
         table = np.einsum("i,j,ij...->...", xi, xi, g.inverse.coeffs)
         s = AlgebraElement(g.geometry, g.inverse.box, table)
         symbol = alg.scale(alg.add(s, alg.adjoint(s)), 0.5)
-        val = calc.functional_calculus(symbol, ("pow", -n / 2.0), box)
-        total += w * float(alg.trace(val).real)
+        lam, vecs = np.linalg.eigh(calc.compress(symbol, box).matrix)
+        total += w * float(np.sum(lam ** (-n / 2.0) * np.abs(vecs[zero]) ** 2))
     return total / n
 
 
 def test_weyl_constant_matches_per_node_compressions(geom, geom3):
     """Combining the compressions of the symbol's parts at each node gives the
-    quadrature of compressing each node's symbol: on the conformal metric, on
-    a diagonal metric whose entries do not commute (not self-compatible), and
-    at n = 3 (Lanczos) on a conformal metric with off-diagonal entries."""
+    quadrature of compressing and diagonalizing each node's symbol: on the
+    conformal metric, on a diagonal metric whose entries do not commute (not
+    self-compatible), and at n = 3 (Lanczos) on a conformal metric with
+    off-diagonal entries and on the witness metric, whose symbol couples the
+    modes of each plane sum(k) = s alone: each node is floor-tested on all
+    13 class blocks and read on mode 0's."""
     one = AlgebraElement.identity(geom)
     rough = TorusMatrix(geom, 2, [
         [alg.add(alg.scale(one, 2.0), trig_pair(geom, 0, 0.4)), AlgebraElement.zeros(geom, 0)],
@@ -427,7 +449,11 @@ def test_weyl_constant_matches_per_node_compressions(geom, geom3):
     k3 = alg.add(AlgebraElement.identity(geom3), trig_pair(geom3, 2, 0.1))
     base3 = met.metric_constant(geom3, [[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
     ct3 = met.metric_conformal(base3, k3, box3)
-    for g, box, points in ((ct, box2, 24), (rough2, box2, 24), (ct3, box3, 16)):
+    witness = witness_metric(geom3, 2)
+    parts = lap._symbol_parts(witness.inverse).values()
+    assert len(calc._mode_classes(box3, [s.table for s in parts])) == 13
+    for g, box, points in ((ct, box2, 24), (rough2, box2, 24), (ct3, box3, 16),
+                           (witness, box3, 16)):
         got = lap.weyl_constant(g, None, box, quadrature_points=points)["c_n_quadrature"]
         want = _per_node_quadrature(g, box, points)
         assert abs(got - want) <= 1e-13 * abs(want)
