@@ -15,14 +15,17 @@ The modes of the box are then split into the classes that the entries'
 coefficients couple (_mode_classes: p and q joined when p - q lies in the
 union of the supports).  Entry (p, q) of a compression is a coefficient at
 p - q times a phase, so C is block diagonal over the classes, and so is
-f(C).  When there are several, the blocks are built directly
-(_class_blocks, bit for bit the dense compression's, from index arrays and
-phases that one _class_plan per box holds for every element) and no dense
-C is built; every block is floor-tested, f runs on the block of the class
-that holds mode 0 alone, and f(x) is exactly zero off that class.  A
-metric fixed by a subgroup of the T^n action (coefficients in the plane
-sum(k) = 0, say) splits this way; when one class holds every mode, C is
-the whole compression.
+f(C).  _class_plan finds the classes, and when there are several it holds
+the index arrays and phases from which _class_blocks builds the blocks of
+every element on the box directly, bit for bit the dense compression's, so
+that no dense C is built; when one class holds every mode, its block is
+the whole compression.  Every block is floor-tested, f runs on the block of
+the class that holds mode 0 alone, and f(x) is exactly zero off that
+class.  A metric fixed by a subgroup of the T^n action (coefficients in
+the plane sum(k) = 0, say) splits this way.  The Laplacian's build and
+eigensolve (laplacian._build_matrices) run on the same class blocks, and
+the Weyl quadrature (laplacian.weyl_constant) reads each node through
+functional_calculus.
 
 Inverses solve C for those m right-hand sides with the Cholesky factor
 that the floor test computes (of C minus the floor), refined against C.
@@ -467,12 +470,14 @@ class _ClassPlan:
     last: object
 
 
-def _class_plan(geometry, box, classes):
-    """The _ClassPlan of the classes of modes of the box.
+def _class_plan(geometry, box, tables):
+    """The _ClassPlan of the classes of modes of the box that the coefficient
+    tables couple (_mode_classes).
 
     Each phase table is read at its own raveled index: table i holds u_i on
     axis i where the others hold v, and u_i - v_i = 2 q_i.
     """
+    classes = _mode_classes(box, tables)
     if len(classes) == 1:
         return _ClassPlan(box, classes, None, None, None)
     n, r = box.n, box.radius
@@ -524,16 +529,6 @@ def _class_blocks(x, plan):
         blocks.append(part[0, 0] if m == 1 else part.transpose(0, 2, 1, 3).reshape(m * b, m * b))
         at += b * b
     return blocks
-
-
-def _class_compressions(xs, box, classes):
-    """The class blocks of each element or matrix of xs on the box, one plan
-    for all: [compress(x, box).matrix], read-only, when one class holds
-    every mode."""
-    if len(classes) == 1:
-        return [[compress(x, box).matrix] for x in xs]
-    plan = _class_plan(xs[0].geometry, box, classes)
-    return [_class_blocks(x, plan) for x in xs]
 
 
 def element_from_vector(geometry, box, vec):
@@ -713,21 +708,24 @@ def _components(h):
     return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
-def _home_columns(blocks, classes, m, box, name, f, needs_floor):
-    """Columns f(C) e_j, (m |B|) x m, at the cyclic rows e_j (x) V_0 of the
-    Hermitian compression C of an m x m matrix on the box, from its blocks
-    over the classes of modes (blocks[c] on the rows e_i (x) V_p, p in
-    classes[c], i slowest; _class_blocks).
+def _block_calculus(h, box, name, f, needs_floor):
+    """Coefficient array (m, m, *box.shape) of f(h) read off the Hermitian
+    compression C of h on the box, class by class over the modes that h's
+    entries couple: the blocks of C over the classes (_class_blocks), or
+    C itself when one class holds every mode.
 
     Every block is floor-tested; then the solve (the inverse) or the Lanczos
     readout runs on the block of the class that holds mode 0 alone, at its
-    rows of the cyclic vectors.  C is block diagonal, so f(C) is, and each
-    e_j (x) V_0 lies in that class: its columns hold every nonzero of
-    f(C) e_j, and the other rows are exactly zero.
+    rows of the cyclic vectors e_j (x) V_0.  C is block diagonal, so f(C)
+    is, and each e_j (x) V_0 lies in that class: its columns hold every
+    nonzero of f(C) e_j, and the other rows are exactly zero.
     """
+    m = h.m
+    plan = _class_plan(h.geometry, box, [h.coeffs])
+    blocks = [compress(h, box).matrix] if plan.index is None else _class_blocks(h, plan)
     i0 = box.index_of(np.zeros(box.n, dtype=int))
-    home = next(c for c, idx in enumerate(classes) if i0 in idx)
-    idx, mat = classes[home], blocks[home]
+    home = next(c for c, idx in enumerate(plan.classes) if i0 in idx)
+    idx, mat = plan.classes[home], blocks[home]
     cyclic = np.arange(m) * idx.size + np.searchsorted(idx, i0)
     tested = blocks[:home] + blocks[home + 1 :] + [mat]  # the home block's factor last
     if f is _reciprocal:  # the floor test's factor serves the solve
@@ -739,21 +737,10 @@ def _home_columns(blocks, classes, m, box, name, f, needs_floor):
         cols = _lanczos_columns(mat, cyclic, f)
         if cols is None:
             cols = _eigen_columns(mat, cyclic, f)
-    if len(classes) == 1:
-        return cols
+    # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     out = np.zeros((m * box.size, m), dtype=complex)
     out[(np.arange(m)[:, None] * box.size + idx).ravel()] = cols
-    return out
-
-
-def _block_calculus(h, box, name, f, needs_floor):
-    """Coefficient array (m, m, *box.shape) of f(h) read off the compression,
-    class by class over the modes that h's entries couple."""
-    classes = _mode_classes(box, [h.coeffs])
-    (blocks,) = _class_compressions([h], box, classes)
-    cols = _home_columns(blocks, classes, h.m, box, name, f, needs_floor)
-    # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
-    return cols.T.reshape((h.m, h.m) + box.shape).swapaxes(0, 1)
+    return out.T.reshape((m, m) + box.shape).swapaxes(0, 1)
 
 
 def functional_calculus(x, fn, box):

@@ -231,6 +231,7 @@ def cmd_adjoint_check(cfg, args):
         omega = random_one_form(geometry, interior, rng)
         u = random_element(geometry, interior, rng)
         worst = max(worst, adjointness_residual(omega, u, h_inv, dens))
+    _emit({"instances": count, "worst_residual": worst}, args.out)
     print(f"adjoint-check: {count} instances, worst residual {worst:.3e}")
     return _gate_lines({"adjointness": (worst, cfg.tolerances.adjointness)})
 

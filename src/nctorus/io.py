@@ -231,7 +231,8 @@ class RunConfig:
 
     @property
     def calc_box(self):
-        return LatticeBox(self.geometry.n, self.calc_radius or self.box_radius)
+        radius = self.box_radius if self.calc_radius is None else self.calc_radius
+        return LatticeBox(self.geometry.n, radius)
 
     def build_metric(self):
         return metric_from_spec(self.geometry, self.metric_spec, self.calc_box)

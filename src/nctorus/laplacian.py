@@ -15,32 +15,33 @@ truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
 The build and the eigensolve run once per class of lattice modes that the
 coefficients couple: p and q are joined when p - q lies in the support of
 nu^{-1}, of nu^{1/2} or of a multiplier a_ij, and the classes are the
-connected components (calculus._mode_classes, read off the coefficient
-tables on the difference box, with no d x d array).  Entry (p, q) of every
-compression is the coefficient at p - q times a phase, so every matrix of
-the build is block diagonal over the classes with exact zeros between
-blocks; products, partially pivoted LU and triangular solves keep those
-zeros, so the spectrum is the union of the blocks' spectra.  A metric whose
-coefficients are fixed by a subgroup of the T^n action (a conformal factor
-w* w + c with w in the modes e_i keeps every coefficient in the plane
-sum(k) = 0) splits the box into many small blocks, and each element's
-blocks are built directly (calculus._class_blocks), bit for bit those of
-its dense compression, from index arrays and phases made once per box: no
-d x d compression is built.  A generic metric leaves a single class, and
-then every block is the whole d x d compression, with nothing gathered or
-copied.
+connected components (found by calculus._class_plan, read off the
+coefficient tables on the difference box, with no d x d array).  Entry
+(p, q) of every compression is the coefficient at p - q times a phase, so
+every matrix of the build is block diagonal over the classes with exact
+zeros between blocks; products, partially pivoted LU and triangular solves
+keep those zeros, so the spectrum is the union of the blocks' spectra.  A
+metric whose coefficients are fixed by a subgroup of the T^n action (a
+conformal factor w* w + c with w in the modes e_i keeps every coefficient
+in the plane sum(k) = 0) splits the box into many small blocks, and each
+element's blocks are built directly (calculus._class_blocks), bit for bit
+those of its dense compression, from index arrays and phases made once per
+box: no d x d compression is built.  A generic metric leaves a single
+class, and then every block is the whole d x d compression, with nothing
+gathered or copied.
 
 Per class, each multiplier's block is scaled by D_i and D_j in place and
 subtracted from the core sum_ij D_i M(a_ij) D_j; M(nu^{-1}) and then
 S = M(nu^{1/2}) multiply into the core in place, one block of columns at a
 time, which leaves S M there.  S^T is LU-factored in its own buffer, and T
 is solved in place in the buffer of S M.  T - T* (for the asymmetry) and
-then (T + T*)/2 are formed in one more buffer: the operator keeps it, and
-on the stability box the eigensolver overwrites it.  On the stability box,
-of d modes, the spectrum path thus holds at most two d x d complex arrays
-at a time with one class; with several it holds only blocks.  On its own
-box the operator also keeps the assembled matrix and (T + T*)/2, dense,
-scattered from the blocks with exact zeros between them.
+then (T + T*)/2 are formed in one more buffer: the operator keeps these
+blocks, and on the stability box the eigensolver overwrites them.  On the
+stability box, of d modes, the spectrum path thus holds at most two d x d
+complex arrays at a time with one class; with several it holds only
+blocks.  On its own box the operator keeps (T + T*)/2 as its blocks alone,
+and the assembled matrix dense, scattered from its blocks with exact zeros
+between them.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -53,6 +54,7 @@ the only leakage is the product of two coefficient tails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +71,13 @@ from .algebra import (
     multiply,
     resize,
     scale,
+    trace,
 )
 from .calculus import (
     TorusMatrix,
     compress,
     element_from_vector,
+    functional_calculus,
     unit_ball_volume,
 )
 from .errors import BoxTooSmall, HypothesisViolated, WindowOutOfRange
@@ -102,8 +106,9 @@ def interior_indices(box, inner_radius):
 @dataclass(frozen=True, eq=False)
 class LaplaceBeltramiOperator:
     """Assembled operator: its two inputs, the inverse metric (h^{ij}) and the
-    Density, the multiplier family read from them, and the matrix with the
-    Hermitian part of its conjugated form, which the eigensolve reads."""
+    Density, the multiplier family read from them, the matrix, and the class
+    blocks of the Hermitian part of its conjugated form, which the
+    eigensolve reads."""
 
     geometry: object
     box: LatticeBox
@@ -113,12 +118,13 @@ class LaplaceBeltramiOperator:
     sqrt_factor: AlgebraElement  # nu^{1/2}, clipped per policy
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
     matrix: np.ndarray
-    symmetrized: np.ndarray  # (T + T*)/2 of T = S matrix S^{-1}, S = M(nu^{1/2})
-    blocks: tuple  # (idx, symmetrized[idx, idx]) over the classes of coupled modes
+    # (idx, H) over the classes of coupled modes, H the class's block of
+    # (T + T*)/2 of T = S matrix S^{-1}, S = M(nu^{1/2})
+    blocks: tuple
     asymmetry: float
 
     def __post_init__(self):
-        for a in (self.matrix, self.symmetrized, *(blk for _, blk in self.blocks)):
+        for a in (self.matrix, *(blk for _, blk in self.blocks)):
             a.setflags(write=False)
 
     def apply(self, u):
@@ -147,10 +153,7 @@ def _multiply_into(left, right):
 
 def _scatter(blocks):
     """The d x d matrix with the diagonal blocks of the (idx, block) pairs
-    and exact zeros between them: the one block itself when a single class
-    holds every mode."""
-    if len(blocks) == 1:
-        return blocks[0][1]
+    and exact zeros between them, in a buffer of its own."""
     d = sum(idx.size for idx, _ in blocks)
     mat = np.zeros((d, d), dtype=complex)
     for idx, blk in blocks:
@@ -165,7 +168,7 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     the asymmetry ||T - T*|| / ||T||.
 
     The blocks are (idx, H) pairs, one per class of modes that the
-    coefficients couple (calculus._mode_classes), with H the class's block
+    coefficients couple (calculus._class_plan), with H the class's block
     of (T + T*)/2, F-ordered so that LAPACK reads it in place.  Entry (p, q)
     of every compression is a coefficient at p - q times a phase, so each is
     block diagonal over the classes with exact zeros between blocks, and so
@@ -173,8 +176,8 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     class's block is built from the classes' blocks of the compressions
     alone (calculus._class_blocks, with one plan of index arrays and phases
     for all 2 + n^2 elements), and the asymmetry from the sums of squared
-    block norms.  M is scattered from its blocks, with exact zeros between
-    them.
+    block norms.  M is scattered from its blocks into a buffer of its own,
+    with exact zeros between them, before the blocks are overwritten.
 
     With several classes no d x d compression is built.  With one class each
     element's block is its whole compression, scaled or factored in place,
@@ -182,10 +185,9 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     """
     n = prefactor.geometry.n
     modes = box.modes()
-    classes = calc._mode_classes(
-        box, [prefactor.table, sqrt_factor.table] + [a.table for row in multipliers for a in row]
-    )
-    plan = calc._class_plan(prefactor.geometry, box, classes)
+    tables = [prefactor.table, sqrt_factor.table] + [a.table for row in multipliers for a in row]
+    plan = calc._class_plan(prefactor.geometry, box, tables)
+    classes = plan.classes
     # -sum_ij D_i M(a_ij) D_j, class by class
     core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in classes]
     for i in range(n):
@@ -200,9 +202,7 @@ def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
     for blk, p_mat in zip(core, calc._class_blocks(prefactor, plan)):
         _multiply_into(p_mat, blk)
     del p_mat
-    mat = None
-    if keep_matrix:
-        mat = core[0].copy() if len(core) == 1 else _scatter(list(zip(classes, core)))
+    mat = _scatter(list(zip(classes, core))) if keep_matrix else None
     for t, s_mat in zip(core, calc._class_blocks(sqrt_factor, plan)):  # t is S M, for now
         _multiply_into(s_mat, t)
         lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
@@ -247,9 +247,8 @@ def assemble(h_inv, dens, box, mult_radius=None):
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
     mat, blocks, asym = _build_matrices(pref, sqrt_f, mult, box, True)
-    sym = _scatter(blocks)
     return LaplaceBeltramiOperator(
-        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, sym, tuple(blocks), asym
+        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, tuple(blocks), asym
     )
 
 
@@ -338,7 +337,7 @@ def _eigenvalues(blocks, in_place):
         )
         for _, blk in blocks
     ]
-    return lam[0] if len(lam) == 1 else np.sort(np.concatenate(lam))
+    return np.sort(np.concatenate(lam))
 
 
 def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
@@ -517,11 +516,12 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     spectral calculus on box, and divides by n.  quadrature_points p sets the
     nodes: p equally spaced angles at n = 2, and at n = 3 a Gauss-Legendre
     product rule of floor(sqrt p) polar by 2 floor(sqrt p) azimuthal nodes,
-    2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  The n(n + 1)/2
-    selfadjoint parts of the symbol are compressed once, block by block over
-    the classes of modes their supports couple, and each node's blocks are
-    their combination with real weights xi_i xi_j; every block is
-    floor-tested, and the readout runs on mode 0's class alone.  dens is
+    2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  At each node
+    the symbol sum_{i <= j} xi_i xi_j S_ij is formed from its selfadjoint
+    parts (_symbol_parts) and tau(symbol^{-n/2}) is read by
+    functional_calculus: its compression is floor-tested class by class, the
+    ellipticity check, and read on mode 0's class alone, so one node's
+    compression and its floor test's copy are live at a time.  dens is
     g's Riemannian density when the caller already holds it (the assembled
     operator's nu), else None.  When g is self-compatible the closed form
     (2 pi)^{-n} |unit ball| volume(dens) is computed alongside, from
@@ -532,24 +532,12 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     """
     n = g.n
     nodes, weights = _sphere_nodes(n, quadrature_points)
-    name, f, needs_floor = calc._resolve_function(("pow", -n / 2.0))
-    # the symbol is linear in its n(n + 1)/2 parts, and so is its compression:
-    # each node combines the parts' class blocks, exactly Hermitian as they are
     parts = _symbol_parts(g.inverse)
-    classes = calc._mode_classes(box, [s.table for s in parts.values()])
-    parts = list(zip(parts, calc._class_compressions(list(parts.values()), box, classes)))
-    zero = box.index_of(np.zeros(n, dtype=int))
     total = 0.0
     for xi, w in zip(nodes, weights):
-        blocks = []
-        for c, idx in enumerate(classes):
-            mat = np.zeros((idx.size, idx.size), dtype=complex)
-            for (i, j), part in parts:
-                mat += (xi[i] * xi[j]) * part[c]
-            blocks.append(mat)
-        # tau of f(symbol): the zero mode of f(C) applied to V_0
-        cols = calc._home_columns(blocks, classes, 1, box, name, f, needs_floor)
-        total += w * float(cols[zero, 0].real)
+        symbol = functools.reduce(add, [scale(s, xi[i] * xi[j]) for (i, j), s in parts.items()])
+        # tau of f(symbol), exactly real: functional_calculus returns (y + y*)/2
+        total += w * trace(functional_calculus(symbol, ("pow", -n / 2.0), box)).real
     quad = total / n
     closed = np.nan
     if g.is_self_compatible():

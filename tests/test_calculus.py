@@ -139,10 +139,11 @@ def test_class_blocks_equal_dense_blocks(geometry, rng):
         y = _on_sublattice(random_element(geometry, 2, rng))
         for h in (x, TorusMatrix(geometry, 3, [[x, zero, y], [y, x, zero], [zero, y, x]])):
             h = calc._as_matrix(h)
-            classes = calc._mode_classes(box, [h.coeffs])
+            plan = calc._class_plan(geometry, box, [h.coeffs])
+            classes = plan.classes
             assert len(classes) == (4 if geometry.n == 2 else 6 * box.radius + 1)
             mat = calc.compress(h, box).matrix
-            blocks = calc._class_blocks(h, calc._class_plan(geometry, box, classes))
+            blocks = calc._class_blocks(h, plan)
             label = np.empty(h.m * box.size, dtype=int)
             for c, (idx, blk) in enumerate(zip(classes, blocks)):
                 rows = (np.arange(h.m)[:, None] * box.size + idx).ravel()

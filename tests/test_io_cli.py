@@ -217,6 +217,28 @@ def test_cli_checks(tmp_path):
     assert report["two_dim_residual"] < 1e-8
 
 
+def test_cli_adjoint_check_writes_its_report(tmp_path):
+    """--out holds the instance count and the worst residual, whether the
+    gate passes (exit 0) or fails (exit 1)."""
+    for tolerance, code in ((1e-10, 0), (1e-18, 1)):
+        cfg = _write_cfg(tmp_path, box_radius=6, tolerances={"adjointness": tolerance})
+        out = tmp_path / "adjoint.json"
+        assert cli.main(["adjoint-check", "--config", cfg, "--count", "2",
+                         "--out", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert set(report) == {"instances", "worst_residual"}
+        assert report["instances"] == 2
+        assert 1e-18 < report["worst_residual"] <= 1e-10
+        out.unlink()
+
+
+def test_calc_radius_zero_is_kept(tmp_path):
+    """calc_radius 0 is the box B_0, not the working box; null is B_N."""
+    for calc_radius, want in ((0, 0), (None, 8)):
+        run = nio.load_config(_write_cfg(tmp_path, calc_radius=calc_radius))
+        assert run.calc_box == LatticeBox(2, want)
+
+
 def test_cli_oracle_compare(tmp_path):
     cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [0.0]})
     assert cli.main(["oracle-compare", "--config", cfg,

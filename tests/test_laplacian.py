@@ -25,7 +25,7 @@ def test_operator_and_spectrum_arrays_read_only(geom):
     op = lap.assemble_riemannian(met.metric_flat(geom), box)
     res = spectrum(op)
     arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
-              op.matrix, op.symmetrized, res.eigenvalues, res.stable, res.multiplicity_group,
+              op.matrix, res.eigenvalues, res.stable, res.multiplicity_group,
               *(blk for _, blk in op.blocks)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -227,12 +227,12 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     assert abs(res.stability_asymmetry - asym2) <= 1e-12 * asym2
     assert np.array_equal(res.stable, lap._stable_prefix(lam, lam2, 1e-3))
     assert np.array_equal(res.multiplicity_group, lap._group_multiplicities(lam, 1e-6))
-    # the dense matrices the operator keeps are exactly zero between classes
+    # the dense matrix the operator keeps is exactly zero between classes
     label = np.empty(box.size, dtype=int)
     for c, (idx, _) in enumerate(op.blocks):
         label[idx] = c
     apart = label[:, None] != label[None, :]
-    assert not op.matrix[apart].any() and not op.symmetrized[apart].any()
+    assert not op.matrix[apart].any()
 
 
 def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
@@ -264,21 +264,6 @@ def test_spectrum_block_sizes_of_the_witness_metric(witness_operator):
     assert sum(res.stability_block_sizes) == LatticeBox(3, 5).size
 
 
-def test_decoupled_spectrum_working_set(witness_operator):
-    """On an operator that splits into classes, the stability pass holds at
-    most one d x d array's worth next to the blocks, d = |B_stab|; with the
-    blocks built directly it holds much less (the test below)."""
-    d = LatticeBox(3, 5).size
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        lap.spectrum(witness_operator, stability_radius=5)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 16 * d * d
-
-
 def test_witness_metric_build_makes_no_dense_compression(geom3):
     """Validating the witness metric inverts it class by class: no
     compression of the 3 x 3 metric on its calc box, d = 3 |B_3|, is built."""
@@ -305,6 +290,27 @@ def test_witness_spectrum_makes_no_dense_compression(witness_operator):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 16 * d * d
+
+
+def test_witness_operator_keeps_one_dense_matrix(geom3):
+    """Beyond its coefficient tables, the assembled witness operator keeps the
+    dense d x d matrix M and the small class blocks of (T + T*)/2 alone,
+    d = |B_4|: no dense (T + T*)/2 beside them."""
+    g = witness_metric(geom3, 3)
+    dens = met.riemannian_density(g)
+    box = LatticeBox(3, 4)
+    d = box.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = lap.assemble(g.inverse, dens, box)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    tables = [op.prefactor, op.sqrt_factor] + [a for row in op.multipliers for a in row]
+    kept -= sum(e.table.nbytes for e in tables)
+    assert op.matrix.shape == (d, d)
+    assert kept <= 1.1 * 16 * d * d
 
 
 def test_spectrum_working_set(geom3, rng):
@@ -430,8 +436,8 @@ def _per_node_quadrature(g, box, points):
 
 
 def test_weyl_constant_matches_per_node_compressions(geom, geom3):
-    """Combining the compressions of the symbol's parts at each node gives the
-    quadrature of compressing and diagonalizing each node's symbol: on the
+    """Reading each node's symbol through the functional calculus gives the
+    quadrature of compressing and diagonalizing it whole: on the
     conformal metric, on a diagonal metric whose entries do not commute (not
     self-compatible), and at n = 3 (Lanczos) on a conformal metric with
     off-diagonal entries and on the witness metric, whose symbol couples the
@@ -457,6 +463,23 @@ def test_weyl_constant_matches_per_node_compressions(geom, geom3):
         got = lap.weyl_constant(g, None, box, quadrature_points=points)["c_n_quadrature"]
         want = _per_node_quadrature(g, box, points)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_weyl_constant_working_set(geom):
+    """On the README metric, weyl_constant holds one node's compression on
+    the calc box and its floor test's copy at a time: within the n^2 dense
+    arrays of 16 |B|^2 bytes that BoxTooLarge budgets, n = 2."""
+    _, ct = _ct_metric(geom)
+    dens = met.riemannian_density(ct)
+    box = LatticeBox(2, 10)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lap.weyl_constant(ct, dens, box, quadrature_points=16)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**2 * 16 * box.size**2
 
 
 def test_weyl_constant_refuses_a_non_elliptic_symbol(geom):
