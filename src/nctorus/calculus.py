@@ -22,9 +22,10 @@ that no dense C is built; when one class holds every mode, its block is
 the whole compression.  Every block is floor-tested, f runs on the block of
 the class that holds mode 0 alone, and f(x) is exactly zero off that
 class.  A metric fixed by a subgroup of the T^n action (coefficients in
-the plane sum(k) = 0, say) splits this way.  The Laplacian's build and
-eigensolve (laplacian._build_matrices) run on the same class blocks, and
-the Weyl quadrature (laplacian.weyl_constant) reads each node through
+the plane sum(k) = 0, say) splits this way.  The Laplacian's stiffness
+and Gram matrices, and so its matrix and its generalized eigensolve
+(laplacian._stiffness), are built from the same class blocks, and the
+Weyl quadrature (laplacian.weyl_constant) reads each node through
 functional_calculus.
 
 Inverses solve C for those m right-hand sides with the Cholesky factor

@@ -48,7 +48,8 @@ _METRIC_KEYS = {
     "functional": (("h", "poly"), ()),
     "explicit": (("entries",), ()),
 }
-# integer config keys; the radii after box_radius may be null, their default
+# integer config keys, each >= 0 but count and quadrature_points >= 1; the
+# radii after box_radius may be null, their default
 _RADIUS_KEYS = ("box_radius", "multiplier_radius", "calc_radius", "stability_radius")
 _INTEGER_KEYS = _RADIUS_KEYS + ("seed", "count", "quadrature_points")
 _CONFIG_KEYS = _INTEGER_KEYS + ("geometry", "metric", "nu", "tolerances", "window")
@@ -183,7 +184,7 @@ def metric_from_spec(geometry, spec, box):
 class Tolerances:
     stability_rel: float = 1e-3
     multiplicity: float = 1e-6
-    asymmetry_threshold: float = 0.1
+    asymmetry_threshold: float = 1e-8
     kernel: float = 1e-8
     adjointness: float = 1e-10
     conformal: float = 1e-8
@@ -353,10 +354,9 @@ def _parse_config(raw):
     for key in _INTEGER_KEYS:
         if key not in raw or (raw[key] is None and key in _RADIUS_KEYS[1:]):
             continue
-        if _integer(raw[key], key) < 0 and key in _RADIUS_KEYS:
-            raise ValueError(f"{key} must be >= 0, got {raw[key]}")
-    if raw.get("count", 1) < 1:
-        raise ValueError(f"count must be >= 1, got {raw['count']}")
+        least = 1 if key in ("count", "quadrature_points") else 0
+        if _integer(raw[key], key) < least:
+            raise ValueError(f"{key} must be >= {least}, got {raw[key]}")
     mult = raw.get("multiplier_radius")
     if mult is not None and 4 * mult > raw["box_radius"]:
         raise ValueError(f"multiplier_radius {mult} breaks 4 M <= box_radius {raw['box_radius']}")

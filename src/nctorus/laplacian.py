@@ -4,44 +4,32 @@ The operator associated with a Hermitian metric h and a density nu is
 
     L(u) = -nu^{-1} sum_ij d_i( nu^{1/2} h^{ij} nu^{1/2} d_j(u) ),
 
-assembled as the dense composition  -M(nu^{-1}) . sum_ij D_i M(a_ij) D_j
-with D_j the diagonal derivation matrix (i k_j) and a_ij the composite
-multipliers nu^{1/2} h^{ij} nu^{1/2}.  Every term ends in a derivation, so
-constants are killed exactly.  Conjugating by left multiplication with
-nu^{1/2} moves the operator to the standard inner product, where it is
-symmetric up to truncation; the recorded asymmetry of T = S L S^{-1} is the
-truncation-health metric, and the Hermitian eigensolve runs on (T + T*)/2.
+assembled as the dense composition  M = M(nu^{-1}) K  with
+K = -sum_ij D_i M(a_ij) D_j, D_j the diagonal derivation matrix (i k_j) and
+a_ij the composite multipliers nu^{1/2} h^{ij} nu^{1/2}.  Every term ends in
+a derivation, so constants are killed exactly.  Since -delta is the adjoint
+of d, L is the selfadjoint operator of the form q(u, v) = <du, dv>_{h,nu}
+on <u, v>_nu = tau(v* nu u).  On span{V_p : p in B_N} that form's
+stiffness matrix is K, K_pq = sum_ij p_i q_j M(a_ij)_pq, and its Gram
+matrix M(nu), so the spectrum is that of the Rayleigh-Ritz pencil
+K v = lambda M(nu) v: each eigenvalue is an upper bound that cannot rise as
+the box grows (Courant-Fischer).  K is Hermitian exactly when
+a_ji = a_ij*; its asymmetry ||K - K*||/||K|| is recorded before the
+eigensolve runs on its Hermitian part.
 
-The build and the eigensolve run once per class of lattice modes that the
-coefficients couple: p and q are joined when p - q lies in the support of
-nu^{-1}, of nu^{1/2} or of a multiplier a_ij, and the classes are the
-connected components (found by calculus._class_plan, read off the
-coefficient tables on the difference box, with no d x d array).  Entry
-(p, q) of every compression is the coefficient at p - q times a phase, so
-every matrix of the build is block diagonal over the classes with exact
-zeros between blocks; products, partially pivoted LU and triangular solves
-keep those zeros, so the spectrum is the union of the blocks' spectra.  A
-metric whose coefficients are fixed by a subgroup of the T^n action (a
-conformal factor w* w + c with w in the modes e_i keeps every coefficient
-in the plane sum(k) = 0) splits the box into many small blocks, and each
-element's blocks are built directly (calculus._class_blocks), bit for bit
-those of its dense compression, from index arrays and phases made once per
-box: no d x d compression is built.  A generic metric leaves a single
-class, and then every block is the whole d x d compression, with nothing
-gathered or copied.
-
-Per class, each multiplier's block is scaled by D_i and D_j in place and
-subtracted from the core sum_ij D_i M(a_ij) D_j; M(nu^{-1}) and then
-S = M(nu^{1/2}) multiply into the core in place, one block of columns at a
-time, which leaves S M there.  S^T is LU-factored in its own buffer, and T
-is solved in place in the buffer of S M.  T - T* (for the asymmetry) and
-then (T + T*)/2 are formed in one more buffer: the operator keeps these
-blocks, and on the stability box the eigensolver overwrites them.  On the
-stability box, of d modes, the spectrum path thus holds at most two d x d
-complex arrays at a time with one class; with several it holds only
-blocks.  On its own box the operator keeps (T + T*)/2 as its blocks alone,
-and the assembled matrix dense, scattered from its blocks with exact zeros
-between them.
+Everything is built once per class of lattice modes that the coefficients
+couple: p and q are joined when p - q lies in the support of nu^{-1}, nu or
+a multiplier (calculus._class_plan).  Entry (p, q) of every compression is
+the coefficient at p - q times a phase, so every matrix here is block
+diagonal over the classes with exact zeros between blocks, and the
+spectrum is the union of the blocks' spectra.  A metric fixed by a
+subgroup of the T^n action (a conformal factor w* w + c with w in the modes
+e_i keeps every coefficient in the plane sum(k) = 0) splits the box into
+many small blocks, each built directly (calculus._class_blocks), with no
+d x d compression; a generic metric leaves one class, the whole box.  The
+operator keeps M alone.  The spectrum builds K and M(nu) on each of its two
+boxes and hands them to LAPACK, which overwrites them: with one class it
+holds two d x d arrays of the stability box, with several only blocks.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -80,7 +68,7 @@ from .calculus import (
     functional_calculus,
     unit_ball_volume,
 )
-from .errors import BoxTooSmall, HypothesisViolated, WindowOutOfRange
+from .errors import BoxTooSmall, HypothesisViolated, PositivityViolation, WindowOutOfRange
 from .forms import _divergence, _multipliers, _product, _stack, differential
 from .metrics import (
     Density,
@@ -106,26 +94,21 @@ def interior_indices(box, inner_radius):
 @dataclass(frozen=True, eq=False)
 class LaplaceBeltramiOperator:
     """Assembled operator: its two inputs, the inverse metric (h^{ij}) and the
-    Density, the multiplier family read from them, the matrix, and the class
-    blocks of the Hermitian part of its conjugated form, which the
-    eigensolve reads."""
+    Density, the elements read from them, the matrix, and the asymmetry of
+    its stiffness matrix."""
 
     geometry: object
     box: LatticeBox
     h_inv: TorusMatrix
     nu: Density
     prefactor: AlgebraElement  # nu^{-1}, clipped per policy
-    sqrt_factor: AlgebraElement  # nu^{1/2}, clipped per policy
+    gram: AlgebraElement  # nu, clipped per policy: M(nu) is the Gram matrix
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
     matrix: np.ndarray
-    # (idx, H) over the classes of coupled modes, H the class's block of
-    # (T + T*)/2 of T = S matrix S^{-1}, S = M(nu^{1/2})
-    blocks: tuple
-    asymmetry: float
+    asymmetry: float  # ||K - K*|| / ||K|| of the stiffness matrix K on box
 
     def __post_init__(self):
-        for a in (self.matrix, *(blk for _, blk in self.blocks)):
-            a.setflags(write=False)
+        self.matrix.setflags(write=False)
 
     def apply(self, u):
         vec = self.matrix @ resize(u, self.box.radius).vector()
@@ -139,16 +122,9 @@ class LaplaceBeltramiOperator:
         return scale(multiply(self.prefactor, div), -1.0)
 
 
-# columns per product when M(nu^{-1}) and then M(nu^{1/2}) multiply into the
-# core in place: one d x _COLUMN_BLOCK buffer at a time
-_COLUMN_BLOCK = 256
-
-
-def _multiply_into(left, right):
-    """right <- left @ right, one block of columns at a time."""
-    for lo in range(0, right.shape[1], _COLUMN_BLOCK):
-        cols = right[:, lo : lo + _COLUMN_BLOCK]
-        cols[...] = left @ cols
+# columns per strip of _hermitian_part: its temporaries are a few
+# d x _STRIP arrays
+_STRIP = 64
 
 
 def _scatter(blocks):
@@ -161,69 +137,80 @@ def _scatter(blocks):
     return mat
 
 
-def _build_matrices(prefactor, sqrt_factor, multipliers, box, keep_matrix):
-    """M = -M(nu^{-1}) sum_ij D_i M(a_ij) D_j on the box (dropped before the
-    solve and returned as None unless keep_matrix), the Hermitian part
-    (T + T*)/2 of T = S M S^{-1} with S = M(nu^{1/2}) block by block, and
-    the asymmetry ||T - T*|| / ||T||.
+def _stiffness(prefactor, gram, multipliers, box):
+    """The class plan of the box and the class blocks of the stiffness matrix
+    K = -sum_ij D_i M(a_ij) D_j, K_pq = sum_ij p_i q_j M(a_ij)_pq.
 
-    The blocks are (idx, H) pairs, one per class of modes that the
-    coefficients couple (calculus._class_plan), with H the class's block
-    of (T + T*)/2, F-ordered so that LAPACK reads it in place.  Entry (p, q)
-    of every compression is a coefficient at p - q times a phase, so each is
-    block diagonal over the classes with exact zeros between blocks, and so
-    are the products, the LU factors and the solves built from them: each
-    class's block is built from the classes' blocks of the compressions
-    alone (calculus._class_blocks, with one plan of index arrays and phases
-    for all 2 + n^2 elements), and the asymmetry from the sums of squared
-    block norms.  M is scattered from its blocks into a buffer of its own,
-    with exact zeros between them, before the blocks are overwritten.
-
-    With several classes no d x d compression is built.  With one class each
-    element's block is its whole compression, scaled or factored in place,
-    so at most two d x d arrays are live at a time (three when M is kept).
+    The classes are those of modes that nu^{-1}, nu and the multipliers
+    couple (calculus._class_plan), one plan for all 2 + n^2 elements.  Each
+    multiplier's block is built directly (calculus._class_blocks), scaled by
+    D_i and D_j in place and subtracted from K's, so at most two blocks of
+    each class are live at a time.
     """
     n = prefactor.geometry.n
     modes = box.modes()
-    tables = [prefactor.table, sqrt_factor.table] + [a.table for row in multipliers for a in row]
+    tables = [prefactor.table, gram.table] + [a.table for row in multipliers for a in row]
     plan = calc._class_plan(prefactor.geometry, box, tables)
-    classes = plan.classes
-    # -sum_ij D_i M(a_ij) D_j, class by class
-    core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in classes]
+    core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in plan.classes]
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
         for j in range(n):
             dj = 1j * modes[:, j].astype(float)
-            for idx, blk, term in zip(classes, core, calc._class_blocks(multipliers[i][j], plan)):
+            for idx, blk, term in zip(plan.classes, core, calc._class_blocks(multipliers[i][j], plan)):
                 term *= di[idx, None]
                 term *= dj[None, idx]
                 blk -= term
             del term  # freed before the next element's blocks are built
-    for blk, p_mat in zip(core, calc._class_blocks(prefactor, plan)):
-        _multiply_into(p_mat, blk)
-    del p_mat
-    mat = _scatter(list(zip(classes, core))) if keep_matrix else None
-    for t, s_mat in zip(core, calc._class_blocks(sqrt_factor, plan)):  # t is S M, for now
-        _multiply_into(s_mat, t)
-        lu = scipy.linalg.lu_factor(s_mat.T, overwrite_a=True, check_finite=False)
-        # S^T X = (S M)^T for X = T^T, solved in the F-ordered view of S M: t is T
-        scipy.linalg.lu_solve(lu, t.T, overwrite_b=True, check_finite=False)
-    del s_mat, lu  # the last factor too, before the buffers below
-    blocks, norms, skews = [], [], []
-    for idx, t in zip(classes, core):
-        # buf's rows are T's columns: both norms sum column by column
-        buf = np.empty_like(t)
-        np.copyto(buf, t.T)
-        norms.append(float(np.linalg.norm(buf)))
-        np.subtract(t.T.real, t.real, out=buf.real)  # buf = (T - T*)^T
-        np.add(t.T.imag, t.imag, out=buf.imag)
-        skews.append(float(np.linalg.norm(buf)))
-        np.add(t.T.real, t.real, out=buf.real)  # buf = ((T + T*) / 2)^T
-        np.subtract(t.T.imag, t.imag, out=buf.imag)
-        buf *= 0.5
-        blocks.append((idx, buf.T))
-    asym = math.hypot(*skews) / (math.hypot(*norms) or 1.0)
-    return mat, blocks, asym
+    return plan, core
+
+
+def _squared_norm(x):
+    """The squared Frobenius norm of an array, summed pairwise by np.sum,
+    to a few units of roundoff at any size."""
+    return float(np.sum(np.square(x.real)) + np.sum(np.square(x.imag)))
+
+
+def _hermitian_part(blocks):
+    """Overwrite each square block K with its Hermitian part (K + K*)/2,
+    exactly Hermitian, one strip of columns at a time; return the asymmetry
+    ||K - K*|| / ||K|| over all blocks, in Frobenius norms of K as given.
+
+    The strip of columns lo:hi is read from row lo down, and so is the
+    mirror strip of rows lo:hi from column lo right, as K* there; both are
+    then overwritten, and no later strip reads either.  The entries of the
+    strip's square count once in the norms, and those below and right of
+    it once each.
+    """
+    norm2 = skew2 = 0.0
+    for k in blocks:
+        for lo in range(0, k.shape[0], _STRIP):
+            w = min(_STRIP, k.shape[0] - lo)
+            col = k[lo:, lo : lo + w]
+            star = k[lo : lo + w, lo:].conj().T  # K* on col, a copy
+            norm2 += _squared_norm(col) + _squared_norm(star[w:])
+            skew = col - star
+            skew2 += _squared_norm(skew[:w]) + 2.0 * _squared_norm(skew[w:])
+            star += col
+            star *= 0.5
+            col[...] = star
+            np.conjugate(star.T, out=k[lo : lo + w, lo:])
+    return math.sqrt(skew2) / (math.sqrt(norm2) or 1.0)
+
+
+def _build_matrices(prefactor, gram, multipliers, box):
+    """M = M(nu^{-1}) K on the box, and the asymmetry of K (_hermitian_part).
+
+    Each class's block of M is that of M(nu^{-1}) times K's
+    (_stiffness): every compression's entry (p, q) is a coefficient at p - q
+    times a phase, so both are block diagonal over the classes with exact
+    zeros between blocks, and so is M.  With one class its block is M,
+    formed by one product; with several, M is scattered from the blocks
+    into a buffer of its own, and no d x d compression is built.
+    """
+    plan, k = _stiffness(prefactor, gram, multipliers, box)
+    mat = [p_mat @ blk for p_mat, blk in zip(calc._class_blocks(prefactor, plan), k)]
+    mat = mat[0] if len(mat) == 1 else _scatter(list(zip(plan.classes, mat)))
+    return mat, _hermitian_part(k)
 
 
 def assemble(h_inv, dens, box, mult_radius=None):
@@ -243,13 +230,11 @@ def assemble(h_inv, dens, box, mult_radius=None):
     n = h_inv.geometry.n
     if h_inv.m != n:
         raise ValueError(f"metric for the Laplacian must be {n} x {n}")
-    sqrt_f = _clip(dens.sqrt_nu, mult_radius)
+    gram = _clip(dens.nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
-    mat, blocks, asym = _build_matrices(pref, sqrt_f, mult, box, True)
-    return LaplaceBeltramiOperator(
-        h_inv.geometry, box, h_inv, dens, pref, sqrt_f, mult, mat, tuple(blocks), asym
-    )
+    mat, asym = _build_matrices(pref, gram, mult, box)
+    return LaplaceBeltramiOperator(h_inv.geometry, box, h_inv, dens, pref, gram, mult, mat, asym)
 
 
 def assemble_riemannian(g, box, mult_radius=None, density=None):
@@ -327,34 +312,46 @@ def _stable_prefix(lam, lam2, rel_tol):
     return stable
 
 
-def _eigenvalues(blocks, in_place):
-    """Ascending eigenvalues of a matrix from its (idx, H) blocks, each H
-    F-ordered and Hermitian, by the divide-and-conquer LAPACK driver on each
-    block; in place when allowed."""
-    lam = [
-        scipy.linalg.eigh(
-            blk, eigvals_only=True, overwrite_a=in_place, driver="evd", check_finite=False
-        )
-        for _, blk in blocks
-    ]
-    return np.sort(np.concatenate(lam))
+def _pencil(op, box):
+    """Ascending eigenvalues of K v = lambda M(nu) v on the box, the
+    asymmetry of K and the sizes of the classes of modes.
+
+    K and the Gram matrix M(nu) are block diagonal over the classes
+    (_stiffness), so the eigenvalues are the union of the blocks' pencils',
+    sorted.  Each pair of blocks is handed to LAPACK's divide-and-conquer
+    generalized solver (hegvd) transposed, F-ordered, and overwritten: K and
+    M(nu) are Hermitian, so the transposes are their conjugates, with the
+    same eigenvalues.  A Gram block that is not positive definite (a clipped
+    nu that is not positive) is refused.
+    """
+    plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, box)
+    asym = _hermitian_part(k)
+    lam = []
+    for blk, g_blk in zip(k, calc._class_blocks(op.gram, plan)):
+        try:
+            lam.append(scipy.linalg.eigh(
+                blk.T, g_blk.T, eigvals_only=True, overwrite_a=True, overwrite_b=True,
+                check_finite=False,
+            ))
+        except np.linalg.LinAlgError as exc:
+            raise PositivityViolation(
+                f"Gram matrix M(nu) on the box of radius {box.radius}: {exc}"
+            ) from None
+    return np.sort(np.concatenate(lam)), asym, tuple(idx.size for idx in plan.classes)
 
 
 def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
-    """Eigenvalues of the symmetrized conjugated operator, with stability flags.
+    """Eigenvalues of the operator's pencil K v = lambda M(nu) v, with
+    stability flags.
 
-    The same multiplier family is recompressed on a larger box (default
-    radius + 2) and the sorted spectra are paired by index; an eigenvalue is
-    stable when the pair agrees to rel_tol relative accuracy.  Only
-    eigenvalues are computed, on both boxes, one block at a time: each box's
-    (T + T*)/2 is block diagonal over the classes of modes that the
-    coefficients couple (_build_matrices), so its eigenvalues are the union
-    of its blocks', sorted.  The stability box's blocks are built here and
-    overwritten by their eigensolves; the operator's own blocks are copied.
-    The result records what was measured (the stable count, both boxes'
-    asymmetries and block sizes) and judges none of it: callers gate it.  Raises BoxTooSmall when stability_radius does
-    not exceed the box radius, since the comparison would then pair the
-    spectrum with itself or a smaller box's.
+    The same elements are recompressed on a larger box (default radius + 2)
+    and the sorted spectra (_pencil) are paired by index; an eigenvalue is
+    stable when the pair agrees to rel_tol relative accuracy.  The result
+    records what was measured (the stable count, both boxes' asymmetries of
+    K and class sizes) and judges none of it: callers gate it.  Raises
+    BoxTooSmall when stability_radius does not exceed the box radius, since
+    the comparison would then pair the spectrum with itself or a smaller
+    box's.
     """
     if stability_radius is None:
         stability_radius = op.box.radius + 2
@@ -363,34 +360,13 @@ def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
             f"stability radius {stability_radius} must exceed box radius {op.box.radius}"
         )
     big_box = LatticeBox(op.geometry.n, stability_radius)
-    _, blocks2, asym2 = _build_matrices(
-        op.prefactor, op.sqrt_factor, op.multipliers, big_box, False
-    )
-    sizes2 = tuple(idx.size for idx, _ in blocks2)
-    lam2 = _eigenvalues(blocks2, True)
-    del blocks2
-    lam = _eigenvalues(op.blocks, False)
+    lam2, asym2, sizes2 = _pencil(op, big_box)
+    lam, asym, sizes = _pencil(op, op.box)
     stable = _stable_prefix(lam, lam2, rel_tol)
     groups = _group_multiplicities(lam, multiplicity_tol)
-    sizes = tuple(idx.size for idx, _ in op.blocks)
     return SpectrumResult(
-        op.geometry, op.box, big_box, lam, stable, groups, op.asymmetry, asym2, sizes, sizes2
+        op.geometry, op.box, big_box, lam, stable, groups, asym, asym2, sizes, sizes2
     )
-
-
-def generalized_spectrum(op):
-    """Cross-check path: solve M(L) v = lambda G v with Gram matrix G = M(nu).
-
-    The Gram matrix of the basis in the density-twisted inner product is the
-    compression of left multiplication by nu, so the operator's symmetry is
-    equivalent to the Hermitianness of G M(L); both are spoiled only near
-    the box boundary.
-    """
-    g_mat = compress(op.nu.nu, op.box).matrix
-    g_mat = 0.5 * (g_mat + g_mat.conj().T)
-    a = g_mat @ op.matrix
-    a = 0.5 * (a + a.conj().T)
-    return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +375,22 @@ def generalized_spectrum(op):
 
 
 def conformally_deformed_flat_matrix(k_density, box):
-    """Hermitian matrix of k^{-1} (flat Laplacian) k^{-1} on the box.
+    """Hermitian matrix with the eigenvalues of the Rayleigh-Ritz pencil of
+    the conformally deformed flat operator on the box, built from k alone.
 
-    This is the conformally deformed flat operator on the plain Hilbert
-    space; for the metric k^2 delta_ij it is unitarily equivalent to the
-    Laplace-Beltrami operator, so stable spectra must match.  k_density is
-    the Density of k, whose inv_nu is read.
+    For the metric k^2 delta_ij at n = 2 the multipliers are k k^{-2} k = 1
+    and the density is k^2, so the operator's pencil is D v = lambda M(k^2) v
+    with D = diag(|p|^2): stable spectra must match.  Returned as
+    L^{-1} D L^{-H} with M(k^2) = L L^H, which has the pencil's
+    eigenvalues.  k_density is the Density of k, whose nu is read.
     """
-    k_inv_mat = compress(k_density.inv_nu, box).matrix
-    k2 = (np.abs(box.modes()) ** 2).sum(axis=1).astype(float)
-    return k_inv_mat @ (k2[:, None] * k_inv_mat)
+    k = k_density.nu
+    chol = scipy.linalg.cholesky(
+        compress(multiply(k, k), box).matrix, lower=True, check_finite=False
+    )
+    p2 = (box.modes() ** 2).sum(axis=1).astype(float)
+    y = scipy.linalg.solve_triangular(chol, np.diag(np.sqrt(p2)), lower=True, check_finite=False)
+    return y @ y.conj().T
 
 
 def conformal_covariance_check(g, k_density, box, calc_box):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nctorus import calculus as calc, laplacian as lap, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry, add, scale
@@ -49,11 +50,25 @@ def trig_pair(geometry, axis, amplitude=1.0):
 
 
 def spectrum(op, **kwargs):
-    """laplacian.spectrum of an operator whose recorded asymmetry is at most 0.1,
+    """laplacian.spectrum of an operator whose recorded asymmetry is at most 1e-8,
     the default asymmetry gate of the command line."""
     res = lap.spectrum(op, **kwargs)
-    assert res.asymmetry <= 0.1
+    assert res.asymmetry <= 1e-8
     return res
+
+
+def generalized_spectrum(op):
+    """Reference eigenvalues of the assembled matrix M: the generalized
+    eigensolve of G M v = lambda G v with the Gram matrix G = M(nu), both
+    symmetrized.  G M is the stiffness matrix K only up to the truncation
+    of M(nu) M(nu^{-1}) = 1 near the box boundary, so it agrees with the
+    spectrum's pencil (K, M(nu)) on the lowest modes, which the box
+    resolves."""
+    g_mat = calc.compress(op.nu.nu, op.box).matrix
+    g_mat = 0.5 * (g_mat + g_mat.conj().T)
+    a = g_mat @ op.matrix
+    a = 0.5 * (a + a.conj().T)
+    return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
 
 
 def witness_metric(geom3, calc_radius):

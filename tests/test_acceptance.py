@@ -21,7 +21,7 @@ from nctorus.sampling import (
     random_vector_field,
 )
 
-from conftest import IRRATIONAL, coeff_diff, spectrum, trig_pair
+from conftest import IRRATIONAL, coeff_diff, generalized_spectrum, spectrum, trig_pair
 
 
 def _verdict(criterion, ok, detail):
@@ -183,10 +183,10 @@ def test_criterion_05_kernel_and_nonnegativity():
         kernel_counts.append(int(np.sum(np.abs(stable) <= 1e-8)))
         worst_zero = max(worst_zero, abs(float(stable[0])))
         worst_neg = min(worst_neg, float(stable.min()))
-        # the generalized eigensolve M(L) v = lambda M(nu) v, on the lowest
+        # the generalized eigensolve of the assembled matrix, on the lowest
         # modes, which the box resolves
         low = stable[:26]
-        gen = lap.generalized_spectrum(op)[: low.size]
+        gen = generalized_spectrum(op)[: low.size]
         worst_gen = max(worst_gen, float(np.max(np.abs(low - gen) / (1.0 + np.abs(gen)))))
     ok = all(c == 1 for c in kernel_counts) and worst_neg >= -1e-8 and worst_gen <= 1e-6
     _verdict(

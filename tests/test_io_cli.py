@@ -391,6 +391,20 @@ def test_cli_spectral_gates_fail_with_exit_1(tmp_path, capsys, tolerances, comma
     assert f"[FAIL] {gate}: " in captured.out
 
 
+@pytest.mark.parametrize("command", ["spectrum", "weyl"])
+def test_cli_refuses_a_gram_matrix_that_is_not_positive(tmp_path, capsys, command):
+    # nu = exp(2 cos x_1) clipped to radius 1 is I_0(2) + 2 I_1(2) cos x_1,
+    # not positive: the pencil's Gram matrix M(nu) is refused, exit 2
+    nu = {"exp_of": [{"k": [1, 0], "re": 1.0}, {"k": [-1, 0], "re": 1.0}]}
+    cfg = _write_cfg(tmp_path, box_radius=4, multiplier_radius=1, count=5,
+                     quadrature_points=16, metric={"type": "flat"}, nu=nu)
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Gram matrix M(nu)")
+    assert captured.out == ""
+
+
 def test_cli_weyl_gates_the_stable_count(tmp_path, capsys):
     # with nothing stable, neither the default window nor a given one can be
     # fitted: a failed gate, exit 1; a malformed window is still invalid input
@@ -486,6 +500,10 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
         # a bare literal whose compression dips below the spectral floor
         {"metric": {"type": "conformal", "k": [
             {"k": [1, 0], "re": 1.0, "im": 0}, {"k": [-1, 0], "re": 1.0, "im": 0}]}},
+        # no sphere nodes, or a negative count of them; a seed numpy refuses
+        {"quadrature_points": 0},
+        {"quadrature_points": -3},
+        {"seed": -1},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -498,7 +516,8 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
          "stability-radius-equal", "stability-radius-below", "exp-of-not-converging",
          "window-unordered", "tolerance-nan", "theta-upper-infinity", "exp-of-nan",
          "tolerance-huge-integer", "tolerance-negative", "tolerance-negative-integer",
-         "element-spec-not-positive"],
+         "element-spec-not-positive", "quadrature-points-zero", "quadrature-points-negative",
+         "seed-negative"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)

@@ -1,15 +1,22 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nctorus import algebra as alg, calculus as calc, forms, laplacian as lap, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox
 from nctorus.calculus import TorusMatrix
-from nctorus.errors import BoxTooSmall, SpectralFloorViolation, WindowOutOfRange
+from nctorus.errors import (
+    BoxTooSmall,
+    PositivityViolation,
+    SpectralFloorViolation,
+    WindowOutOfRange,
+)
 from nctorus.sampling import random_density, random_element, random_hermitian_matrix
 
-from conftest import coeff_diff, spectrum, trig_pair, witness_metric
+from conftest import coeff_diff, generalized_spectrum, spectrum, trig_pair, witness_metric
 
 
 def _ct_metric(geom, calc_radius=10, a0=0.15, a1=0.1):
@@ -25,8 +32,7 @@ def test_operator_and_spectrum_arrays_read_only(geom):
     op = lap.assemble_riemannian(met.metric_flat(geom), box)
     res = spectrum(op)
     arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
-              op.matrix, res.eigenvalues, res.stable, res.multiplicity_group,
-              *(blk for _, blk in op.blocks)]
+              op.matrix, res.eigenvalues, res.stable, res.multiplicity_group]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -118,7 +124,7 @@ def test_self_compatible_commuted_form(geom):
     box = LatticeBox(2, 10)
     op = lap.assemble_riemannian(ct, box)
     b = TorusMatrix.scalar(op.nu.nu, 2).matmul(ct.inverse)
-    commuted, _, _ = lap._build_matrices(op.prefactor, op.sqrt_factor, b.entries, box, True)
+    commuted, _ = lap._build_matrices(op.prefactor, op.gram, b.entries, box)
     rows = lap.interior_indices(box, box.radius // 2)
     assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
 
@@ -146,14 +152,50 @@ def test_matrix_application_matches_exact_path(geom, rng):
     assert coeff_diff(alg.resize(via_matrix, 5), alg.resize(via_elements, 5)) < 1e-11
 
 
-def test_asymmetry_decreases_with_box(geom):
-    dk, ct = _ct_metric(geom)
-    dens = met.riemannian_density(ct)
-    values = []
-    for radius in (6, 8, 10, 12):
-        op = lap.assemble_riemannian(ct, LatticeBox(2, radius), density=dens)
-        values.append(op.asymmetry)
-    assert all(a > b for a, b in zip(values, values[1:]))
+@pytest.mark.parametrize("case", ["n2-readme", "n3-witness"])
+def test_spectrum_is_monotone_in_the_box(geom, geom3, case):
+    """The pencil on a box is the stability box's restricted to its modes, so
+    by Courant-Fischer each eigenvalue is at or above its index partner on
+    the larger box, at theta != 0, at n = 2 (README metric, B_6 against B_8)
+    and n = 3 (witness metric, B_3 against B_4)."""
+    if case == "n2-readme":
+        g, box, big = _ct_metric(geom)[1], LatticeBox(2, 6), LatticeBox(2, 8)
+    else:
+        g, box, big = witness_metric(geom3, 3), LatticeBox(3, 3), LatticeBox(3, 4)
+    op = lap.assemble_riemannian(g, box)
+    lam = lap.spectrum(op, stability_radius=big.radius).eigenvalues
+    lam2 = lap._pencil(op, big)[0][: lam.size]
+    assert np.all(lam >= lam2 - 1e-10 * np.maximum(1.0, np.abs(lam2)))
+    assert np.max(lam - lam2) > 1e-6  # the larger box lowers the upper part
+
+
+def test_asymmetry_of_a_non_selfadjoint_inverse_metric(geom, rng):
+    """An h_inv whose entries (0, 1) and (1, 0) are not adjoints, by 1e-6,
+    gives a stiffness matrix K that is not Hermitian: the asymmetry reads it
+    on both boxes, above the default gate of 1e-8."""
+    box = LatticeBox(2, 6)
+    h = random_hermitian_matrix(geom, 2, 1, rng, amplitude=0.2)
+    h_inv = calc.matrix_inverse(h, box)
+    entries = [list(row) for row in h_inv.entries]
+    entries[0][1] = alg.add(entries[0][1], alg.scale(AlgebraElement.basis(geom, (1, 0)), 1e-6))
+    skewed = TorusMatrix(geom, 2, entries)
+    dens = random_density(geom, rng, amplitude=0.15)
+    assert lap.assemble(h_inv, dens, box).asymmetry <= 1e-13
+    op = lap.assemble(skewed, dens, box)
+    res = lap.spectrum(op)
+    assert res.asymmetry == op.asymmetry
+    assert min(res.asymmetry, res.stability_asymmetry) > 1e-8
+
+
+def test_spectrum_refuses_a_gram_element_that_is_not_positive(geom):
+    """nu = 1 + 1.5 (V_e1 + V_-e1) is not positive: its Gram matrix M(nu) is
+    not positive definite, and the spectrum refuses it."""
+    nu = alg.add(AlgebraElement.identity(geom), trig_pair(geom, 0, 1.5))
+    dens = dataclasses.replace(met.density_one(geom), nu=nu)
+    op = lap.assemble(calc.matrix_inverse(TorusMatrix.identity(geom, 2), LatticeBox(2, 4)),
+                      dens, LatticeBox(2, 4))
+    with pytest.raises(PositivityViolation, match="Gram matrix"):
+        lap.spectrum(op)
 
 
 def test_kernel_and_nonnegativity(geom, rng):
@@ -179,20 +221,20 @@ def test_spectrum_stability_flags_flat(geom):
     assert res.stable_count() < box.size
 
 
-def _solve_and_eigvalsh(op, box):
-    """Asymmetry and eigenvalues of the symmetrized conjugated operator on the
-    box, from its dense compressions, by a plain solve for T = S M S^{-1}
-    and eigvalsh of (T + T*)/2."""
+def _dense_pencil(op, box):
+    """Asymmetry and eigenvalues of the operator's pencil on the box, from its
+    dense compressions: the stiffness matrix K = -sum_ij D_i M(a_ij) D_j,
+    ||K - K*|| / ||K|| (Frobenius norms, their squares summed pairwise by
+    np.sum, to roundoff at any size), and one eigh of (K + K*)/2 against
+    M(nu)."""
     deriv = 1j * box.modes().astype(float)
-    core = sum(
+    k = -sum(
         calc.compress(a, box).matrix * deriv[:, i, None] * deriv[None, :, j]
         for i, row in enumerate(op.multipliers) for j, a in enumerate(row)
     )
-    mat = -calc.compress(op.prefactor, box).matrix @ core
-    s_mat = calc.compress(op.sqrt_factor, box).matrix
-    t = np.linalg.solve(s_mat.T, (s_mat @ mat).T).T
-    asym = np.linalg.norm(t - t.conj().T) / np.linalg.norm(t)
-    return asym, np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+    asym = np.sqrt(np.sum(np.abs(k - k.conj().T) ** 2) / np.sum(np.abs(k) ** 2))
+    gram = calc.compress(op.gram, box).matrix
+    return asym, scipy.linalg.eigh(0.5 * (k + k.conj().T), gram, eigvals_only=True)
 
 
 def _even_conformal_metric(geom):
@@ -207,7 +249,7 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     """A metric whose coefficients lie in a sublattice splits the box into
     classes of modes (the sectors sum(k) = s of a rank-2 sublattice, the
     four cosets of 2Z^2); the blocks' spectra and asymmetries are the dense
-    solve's, and so are the flags and the multiplicity groups."""
+    pencil's, and so are the flags and the multiplicity groups."""
     if case == "n3-sectors":
         g, box, big = witness_metric(geom3, 2), LatticeBox(3, 2), LatticeBox(3, 3)
         counts = (13, 19)  # 2 n R + 1 values of sum(k) on B_R
@@ -218,10 +260,9 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     res = lap.spectrum(op, stability_radius=big.radius)
     assert (len(res.block_sizes), len(res.stability_block_sizes)) == counts
     assert sum(res.block_sizes) == box.size and sum(res.stability_block_sizes) == big.size
-    asym, lam = _solve_and_eigvalsh(op, box)
-    asym2, lam2 = _solve_and_eigvalsh(op, big)
-    blocks2 = lap._build_matrices(op.prefactor, op.sqrt_factor, op.multipliers, big, False)[1]
-    for got, want in ((res.eigenvalues, lam), (lap._eigenvalues(blocks2, True), lam2)):
+    asym, lam = _dense_pencil(op, box)
+    asym2, lam2 = _dense_pencil(op, big)
+    for got, want in ((res.eigenvalues, lam), (lap._pencil(op, big)[0], lam2)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(res.asymmetry - asym) <= 1e-12 * asym
     assert abs(res.stability_asymmetry - asym2) <= 1e-12 * asym2
@@ -229,7 +270,8 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     assert np.array_equal(res.multiplicity_group, lap._group_multiplicities(lam, 1e-6))
     # the dense matrix the operator keeps is exactly zero between classes
     label = np.empty(box.size, dtype=int)
-    for c, (idx, _) in enumerate(op.blocks):
+    plan, _ = lap._stiffness(op.prefactor, op.gram, op.multipliers, box)
+    for c, idx in enumerate(plan.classes):
         label[idx] = c
     apart = label[:, None] != label[None, :]
     assert not op.matrix[apart].any()
@@ -241,9 +283,9 @@ def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
     _, ct = _ct_metric(geom)
     for g, box in ((ct, LatticeBox(2, 10)), (met.metric_flat(geom3), LatticeBox(3, 4))):
         op = lap.assemble_riemannian(g, box)
-        elements = [op.prefactor, op.sqrt_factor] + [a for row in op.multipliers for a in row]
+        elements = [op.prefactor, op.gram] + [a for row in op.multipliers for a in row]
         classes = calc._mode_classes(box, [e.table for e in elements])
-        assert [idx.size for idx, _ in op.blocks] == [idx.size for idx in classes]
+        assert list(lap._pencil(op, box)[2]) == [idx.size for idx in classes]
         if g is ct:
             assert len(classes) == 1
         else:
@@ -294,8 +336,8 @@ def test_witness_spectrum_makes_no_dense_compression(witness_operator):
 
 def test_witness_operator_keeps_one_dense_matrix(geom3):
     """Beyond its coefficient tables, the assembled witness operator keeps the
-    dense d x d matrix M and the small class blocks of (T + T*)/2 alone,
-    d = |B_4|: no dense (T + T*)/2 beside them."""
+    dense d x d matrix M alone, d = |B_4|: no stiffness or Gram blocks
+    beside it."""
     g = witness_metric(geom3, 3)
     dens = met.riemannian_density(g)
     box = LatticeBox(3, 4)
@@ -307,7 +349,7 @@ def test_witness_operator_keeps_one_dense_matrix(geom3):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    tables = [op.prefactor, op.sqrt_factor] + [a for row in op.multipliers for a in row]
+    tables = [op.prefactor, op.gram] + [a for row in op.multipliers for a in row]
     kept -= sum(e.table.nbytes for e in tables)
     assert op.matrix.shape == (d, d)
     assert kept <= 1.1 * 16 * d * d
@@ -315,7 +357,7 @@ def test_witness_operator_keeps_one_dense_matrix(geom3):
 
 def test_spectrum_working_set(geom3, rng):
     """The stability pass holds about two d x d arrays, d = |B_stab|, and
-    gives what the solve-and-eigvalsh formula gives."""
+    gives what one dense eigh of the pencil gives."""
     h = random_hermitian_matrix(geom3, 3, 1, rng, amplitude=0.2)
     dens = random_density(geom3, rng, amplitude=0.15)
     box, big = LatticeBox(3, 3), LatticeBox(3, 4)
@@ -330,8 +372,8 @@ def test_spectrum_working_set(geom3, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 16 * d * d
-    asym, lam = _solve_and_eigvalsh(op, box)
-    asym2, _ = _solve_and_eigvalsh(op, big)
+    asym, lam = _dense_pencil(op, box)
+    asym2, _ = _dense_pencil(op, big)
     assert abs(res.asymmetry - asym) <= 1e-14 * asym
     assert abs(res.stability_asymmetry - asym2) <= 1e-14 * asym2
     assert np.max(np.abs(res.eigenvalues - lam)) <= 1e-14 * np.max(np.abs(lam))
@@ -341,11 +383,11 @@ def test_generalized_eigensolve_agrees(geom):
     dk, ct = _ct_metric(geom)
     op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
     lam = spectrum(op).stable_eigenvalues[:26]
-    lam_gen = lap.generalized_spectrum(op)[:26]
+    lam_gen = generalized_spectrum(op)[:26]
     assert lam.size == 26
-    # the two paths agree to roundoff on the lowest modes, which the box
-    # resolves; higher stable ones differ by the boundary truncation, which
-    # they treat apart (about 6e-6 across all stable eigenvalues)
+    # the pencil and the assembled matrix agree on the lowest modes, which
+    # the box resolves; higher stable ones differ by the boundary truncation
+    # of M(nu) M(nu^{-1}) = 1, which only the assembled matrix carries
     diffs = np.abs(lam - lam_gen) / (1.0 + np.abs(lam_gen))
     assert diffs.max() < 1e-6
 
