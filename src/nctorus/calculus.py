@@ -28,8 +28,9 @@ and Gram matrices, and so its matrix and its generalized eigensolve
 Weyl quadrature (laplacian.weyl_constant) reads each node through
 functional_calculus.
 
-Inverses solve C for those m right-hand sides with the Cholesky factor
-that the floor test computes (of C minus the floor), refined against C.
+Inverses solve C for those m right-hand sides with the lower Cholesky
+factor that the floor test computes (of C minus the floor; _cholesky, on
+numpy's LAPACK and BLAS), 64 rows at a time, refined against C.
 Every other function runs block Lanczos on the m cyclic vectors and
 applies the function to the small block-tridiagonal matrix it builds; when
 that readout has not settled within a fixed number of blocks, C is
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .algebra import (
@@ -583,22 +583,94 @@ def _floor_violation(name, lam_min):
 
 def _require_floor(mats, name):
     """Refuse unless the spectrum of every Hermitian matrix of mats lies above
-    SPECTRAL_FLOOR; else return the Cholesky factor of the last one minus
-    floor I.
+    SPECTRAL_FLOOR; else return the lower Cholesky factor L of the last one
+    minus floor I, C - floor I = L L*.
 
-    Factoring C - floor I is the test: it succeeds exactly when the spectrum
-    of C lies above the floor.  lambda_min, the least over all of mats, is
-    computed only for the refusal's message.
+    Factoring C - floor I (_cholesky) is the test: it succeeds exactly when
+    the spectrum of C lies above the floor.  Each matrix is factored in a
+    shifted copy of its own, and each factor but the last is dropped at
+    once, so one copy is live beside mats at a time.  lambda_min, the least
+    over all of mats, is computed only for the refusal's message.
     """
-    for mat in mats:
-        shifted = np.array(mat, order="F")  # factored in place by LAPACK
-        shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
-        try:
-            factor = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            lam_min = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
-            raise _floor_violation(name, lam_min) from None
-    return factor
+    *others, last = mats
+    try:
+        for mat in others:
+            _shifted_factor(mat)
+        return _shifted_factor(last)
+    except np.linalg.LinAlgError:
+        lam_min = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+        raise _floor_violation(name, lam_min) from None
+
+
+def _shifted_factor(mat):
+    """The lower Cholesky factor of mat - floor I, factored in a copy of mat."""
+    shifted = np.array(mat)
+    shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
+    return _cholesky(shifted)
+
+
+# columns per block of _cholesky, and the least order it factors by blocks:
+# below it numpy's potrf alone is faster
+_FACTOR_COLS = 32
+_BLOCKED_ORDER = 256
+
+
+def _cholesky(a):
+    """The lower Cholesky factor L of a Hermitian matrix, a = L L*; a
+    numpy.linalg.LinAlgError when a is not positive definite.
+
+    Below order _BLOCKED_ORDER it is numpy's potrf (numpy.linalg.cholesky),
+    a new array.  numpy's potrf copies its input, and at orders 441 and 882
+    it takes 1.4 to 2 times as long as scipy's, so a larger a is overwritten
+    by its factor, left-looking, _FACTOR_COLS columns at a time: each block
+    column takes off the product of its rows of the factor found so far
+    with the block's own rows of it (one matrix product); its diagonal block
+    is factored by numpy's potrf, which fails when a is not positive
+    definite; the rows below are multiplied by the inverse of that factor's
+    adjoint; and the entries right of the block, above the diagonal, are
+    zeroed.
+    """
+    d = a.shape[0]
+    if d < _BLOCKED_ORDER:
+        return np.linalg.cholesky(a)
+    for lo in range(0, d, _FACTOR_COLS):
+        hi = min(lo + _FACTOR_COLS, d)
+        col = a[lo:, lo:hi]
+        col -= a[lo:, :lo] @ a[lo:hi, :lo].conj().T
+        diag = np.linalg.cholesky(col[: hi - lo])
+        col[: hi - lo] = diag
+        col[hi - lo :] = col[hi - lo :] @ np.linalg.inv(diag).conj().T
+        a[lo:hi, hi:] = 0.0
+    return a
+
+
+# rows per block of _cholesky_solve
+_SOLVE_ROWS = 64
+
+
+def _cholesky_solve(low, rhs):
+    """C^{-1} rhs from the lower Cholesky factor of C = L L*.
+
+    L z = rhs is solved forward and L* x = z backward, _SOLVE_ROWS rows at a
+    time: each block of rows takes off the product of its part of the factor
+    with the part of the solution already found (one matrix product), then
+    solves its own diagonal block (numpy.linalg.solve).  L* is read through
+    the transposed view of L, conjugating only the small vectors, so no
+    d x d temporary is made.
+    """
+    x = np.array(rhs, dtype=complex)
+    d = low.shape[0]
+    starts = range(0, d, _SOLVE_ROWS)
+    for lo in starts:
+        hi = min(lo + _SOLVE_ROWS, d)
+        x[lo:hi] -= low[lo:hi, :lo] @ x[:lo]
+        x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi], x[lo:hi])
+    for lo in reversed(starts):
+        hi = min(lo + _SOLVE_ROWS, d)
+        # (L*)[lo:hi, hi:] x[hi:] is the conjugate of L[hi:, lo:hi]^T conj(x[hi:])
+        x[lo:hi] -= (low[hi:, lo:hi].T @ x[hi:].conj()).conj()
+        x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi].conj().T, x[lo:hi])
+    return x
 
 
 def _unit_columns(d, cyclic):
@@ -613,7 +685,8 @@ _REFINE_STEPS = 8
 
 
 def _inverse_columns(mat, shifted_factor, cyclic):
-    """Columns y = C^{-1} e_j at the cyclic rows, from the factor of C - floor I.
+    """Columns y = C^{-1} e_j at the cyclic rows, from the lower Cholesky
+    factor of C - floor I that _require_floor returns (_cholesky_solve).
 
     C y = e is (C - floor I) y = e - floor y, so y <- (C - floor I)^{-1}(e -
     floor y) cuts the error by floor / (lambda_min - floor) per step: two
@@ -621,17 +694,14 @@ def _inverse_columns(mat, shifted_factor, cyclic):
     floor.  Stops once a step moves y by at most its roundoff; when that
     has not happened in _REFINE_STEPS steps, C is factored and solved.
     """
-    def solve(factor, rhs):
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
     e = _unit_columns(mat.shape[0], cyclic)
-    y = solve(shifted_factor, e)
+    y = _cholesky_solve(shifted_factor, e)
     for _ in range(_REFINE_STEPS):
-        step = solve(shifted_factor, e - SPECTRAL_FLOOR * y) - y
+        step = _cholesky_solve(shifted_factor, e - SPECTRAL_FLOOR * y) - y
         y += step
         if np.max(np.abs(step)) <= np.finfo(float).eps * np.max(np.abs(y)):
             return y
-    return solve(scipy.linalg.cho_factor(mat, check_finite=False), e)
+    return _cholesky_solve(_cholesky(np.array(mat)), e)
 
 
 def _eigen_columns(mat, cyclic, f):

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import calculus as calc
 from .algebra import (
@@ -322,8 +321,13 @@ def _pencil(op, box):
     generalized solver (hegvd) transposed, F-ordered, and overwritten: K and
     M(nu) are Hermitian, so the transposes are their conjugates, with the
     same eigenvalues.  A Gram block that is not positive definite (a clipped
-    nu that is not positive) is refused.
+    nu that is not positive) is refused.  scipy is imported here and in
+    conformally_deformed_flat_matrix alone (numpy has no generalized
+    Hermitian eigensolver), so a process that solves no pencil never loads
+    it.
     """
+    import scipy.linalg
+
     plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, box)
     asym = _hermitian_part(k)
     lam = []
@@ -384,6 +388,8 @@ def conformally_deformed_flat_matrix(k_density, box):
     L^{-1} D L^{-H} with M(k^2) = L L^H, which has the pencil's
     eigenvalues.  k_density is the Density of k, whose nu is read.
     """
+    import scipy.linalg
+
     k = k_density.nu
     chol = scipy.linalg.cholesky(
         compress(multiply(k, k), box).matrix, lower=True, check_finite=False
@@ -470,13 +476,26 @@ def _symbol_parts(h_inv):
 
 
 def _sphere_nodes(n, points):
-    """Quadrature nodes and weights on the unit sphere S^{n-1}."""
+    """Quadrature nodes and weights on the unit sphere S^{n-1}, one node of
+    each antipodal pair with twice its weight when the rule is antipodal.
+
+    At n = 2 the p equally spaced angles are antipodal when p is even: node k
+    pairs with node k + p/2.  At n = 3 the Gauss-Legendre product rule always
+    is: numpy's Legendre nodes z are exactly antisymmetric and their weights
+    symmetric, and the azimuthal count is even, so the node (z_i, phi_j)
+    pairs with (z_{-1-i}, phi_j + pi), which carries the same weight.  In
+    both the first half of the rule, in its order, holds one node of each
+    pair, so each kept node is the rule's own, bit for bit.  The Weyl
+    integrand is even in xi, so the folded rule integrates it exactly as
+    the whole rule does.
+    """
     if n == 2:
         angles = 2.0 * np.pi * np.arange(points) / points
         nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         weights = np.full(points, 2.0 * np.pi / points)
-        return nodes, weights
-    if n == 3:
+        if points % 2:
+            return nodes, weights
+    elif n == 3:
         n_polar = max(2, int(np.sqrt(points)))
         n_azim = max(4, 2 * n_polar)
         z, wz = np.polynomial.legendre.leggauss(n_polar)
@@ -487,8 +506,11 @@ def _sphere_nodes(n, points):
             for p in phi:
                 nodes.append([r * np.cos(p), r * np.sin(p), zi])
                 weights.append(wi * 2.0 * np.pi / n_azim)
-        return np.array(nodes), np.array(weights)
-    raise ValueError(f"sphere quadrature not implemented for n={n}")
+        nodes, weights = np.array(nodes), np.array(weights)
+    else:
+        raise ValueError(f"sphere quadrature not implemented for n={n}")
+    half = weights.size // 2
+    return nodes[:half], 2.0 * weights[:half]
 
 
 def weyl_constant(g, dens, box, quadrature_points=64):
@@ -498,7 +520,11 @@ def weyl_constant(g, dens, box, quadrature_points=64):
     spectral calculus on box, and divides by n.  quadrature_points p sets the
     nodes: p equally spaced angles at n = 2, and at n = 3 a Gauss-Legendre
     product rule of floor(sqrt p) polar by 2 floor(sqrt p) azimuthal nodes,
-    2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  At each node
+    2 floor(sqrt p)^2 in all (128 for p = 64, 8 for p < 4).  The integrand
+    is even in xi, so one node of each antipodal pair is evaluated, with
+    twice its weight (_sphere_nodes): p/2 nodes at n = 2 when p is even (p
+    when it is odd), and half of 2 floor(sqrt p)^2 at n = 3 (64 for
+    p = 64, 4 for p < 4).  At each node
     the symbol sum_{i <= j} xi_i xi_j S_ij is formed from its selfadjoint
     parts (_symbol_parts) and tau(symbol^{-n/2}) is read by
     functional_calculus: its compression is floor-tested class by class, the

@@ -329,6 +329,78 @@ def test_inverse_refines_the_floor_factor(geom):
     assert np.array_equal(cols, exact)
 
 
+def _leading_block(geometry, radius, d, rng):
+    """The leading d x d block of the compression of a positive element,
+    theta != 0, on the box of the radius."""
+    x = calc.make_positive(random_element(geometry, 2, rng, 0.2), 0.5)
+    return np.ascontiguousarray(calc.compress(x, LatticeBox(geometry.n, radius)).matrix[:d, :d])
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 130, 441])
+def test_cholesky_solve_matches_scipy(geom, geom3, d):
+    """The factor and the solve, 64 rows at a time, against scipy's
+    cho_factor and cho_solve on the leading d x d block of a theta != 0
+    compression at n = 2 and at n = 3, with 1 to 3 right-hand sides: one
+    block, the edges of the first, and several."""
+    rng = np.random.default_rng(d)
+    for geometry, radius in ((geom, 10), (geom3, 4)):
+        mat = _leading_block(geometry, radius, d, rng)
+        low = calc._cholesky(np.array(mat))
+        factor = scipy.linalg.cho_factor(mat)
+        for m in (1, 2, 3):
+            rhs = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+            exact = scipy.linalg.cho_solve(factor, rhs)
+            got = calc._cholesky_solve(low, rhs)
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("d", [255, 256, 257, 300, 882])
+def test_blocked_cholesky_matches_scipy(geom, geom3, d):
+    """From order 256 on the factor is built by blocks of 32 columns, in
+    place: lower triangular, within 1e-14 of scipy's (LAPACK potrf) at
+    n = 2 and n = 3, theta != 0; and a matrix whose least eigenvalue is
+    not positive is refused as numpy's potrf refuses it, wherever in the
+    blocks its failure shows: a negative diagonal entry at row r leaves the
+    leading minors of orders up to r positive and fails at r."""
+    rng = np.random.default_rng(d)
+    for geometry, radius in ((geom, 15), (geom3, 5)):
+        mat = _leading_block(geometry, radius, d, rng)
+        a = np.array(mat)
+        low = calc._cholesky(a)
+        assert (low is a) == (d >= calc._BLOCKED_ORDER)
+        want = scipy.linalg.cholesky(mat, lower=True)
+        assert np.array_equal(np.triu(low, 1), np.zeros_like(low))
+        assert np.max(np.abs(low - want)) <= 1e-14 * np.max(np.abs(want))
+        for at in (0, d // 2, d - 1):
+            bad = np.array(mat)
+            bad[at, at] = -1.0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(bad)
+            with pytest.raises(np.linalg.LinAlgError):
+                calc._cholesky(np.array(bad))
+
+
+def test_inverse_refinement_near_the_floor_matches_scipy(geom, geom3):
+    """A compression whose spectrum lies within a few orders of the floor,
+    in [0.5e-5, 1.5e-5], but is well conditioned: the refinement against C
+    takes several steps, settles without factoring C, and gives scipy's
+    solve of C itself, not of C - floor I, which differs by 1e-3."""
+    rng = np.random.default_rng(11)
+    for geometry, radius in ((geom, 6), (geom3, 3)):
+        one = AlgebraElement.identity(geometry)
+        x = alg.scale(alg.add(one, random_selfadjoint(geometry, 1, rng, 0.05)), 1e-5)
+        box = LatticeBox(geometry.n, radius)
+        mat = calc.compress(x, box).matrix
+        lam = np.linalg.eigvalsh(mat)
+        assert 0.5e-5 <= lam[0] and lam[-1] <= 1.5e-5
+        cyclic = np.array([box.index_of(np.zeros(geometry.n, dtype=int))])
+        with mock.patch.object(calc, "_cholesky_solve", wraps=calc._cholesky_solve) as solve:
+            cols = calc._inverse_columns(mat, calc._require_floor([mat], "inv"), cyclic)
+        assert 3 <= solve.call_count <= calc._REFINE_STEPS  # refined, no fallback
+        exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), calc._unit_columns(box.size, cyclic))
+        assert np.max(np.abs(cols - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 _LANCZOS_FUNCTIONS = ("log", "sqrt", "inv_sqrt", "exp", ("pow", 0.5))
 
 

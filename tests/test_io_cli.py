@@ -17,14 +17,46 @@ from nctorus.forms import OneForm
 from conftest import coeff_diff, spectrum
 
 
-def test_cli_import_loads_no_sparse_module():
-    """Every subcommand process imports the command line first; scipy.sparse
-    would add tens of milliseconds to each, and nothing there needs it."""
-    code = "import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+def _fresh_interpreter(code):
+    """The stdout of code run in a new Python process that imports this nctorus."""
     path = [str(Path(nctorus.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_import_loads_no_scipy_module():
+    """Every subcommand process imports the command line first; scipy would
+    add about 0.4 s and 27 MB to each, and only the pencil solvers need it."""
+    code = "import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_only_a_pencil_loads_scipy(tmp_path):
+    """det-check, volume, oracle-compare (theta = 0) and adjoint-check run on
+    numpy's LAPACK alone and leave scipy out of the process; spectrum, which
+    solves the Laplacian's pencil, loads it.  Each command runs to its gates
+    (exit 0 or 1, no refusal)."""
+    small = {"box_radius": 6, "stability_radius": 8, "count": 2}
+    cfg = _write_cfg(tmp_path, **small)
+    (tmp_path / "zero").mkdir()
+    zero = _write_cfg(tmp_path / "zero", **small, geometry={"n": 2, "theta_upper": [0.0]})
+    commands = [["det-check", "--config", cfg], ["volume", "--config", cfg],
+                ["oracle-compare", "--config", zero], ["adjoint-check", "--config", cfg],
+                ["spectrum", "--config", cfg]]
+    code = (
+        "import json, sys\n"
+        "from nctorus import cli\n"
+        "seen = []\n"
+        f"for argv in {commands!r}:\n"
+        "    rc = cli.main(argv)\n"
+        "    seen.append([argv[0], rc, any(m.split('.')[0] == 'scipy' for m in sys.modules)])\n"
+        "print(json.dumps(seen))\n"
+    )
+    seen = json.loads(_fresh_interpreter(code).splitlines()[-1])
+    assert [name for name, _, _ in seen] == [argv[0] for argv in commands]
+    assert all(rc in (0, 1) for _, rc, _ in seen), seen
+    assert [loaded for _, _, loaded in seen] == [False, False, False, False, True], seen
 
 
 def test_geometry_literal_roundtrip(geom):

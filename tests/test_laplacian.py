@@ -461,11 +461,29 @@ def test_weyl_constant_conformal(geom):
     assert wc["c_n_closed_form"] == pytest.approx(expect, rel=1e-10)
 
 
+def _whole_sphere_rule(n, points):
+    """Every node and weight of weyl_constant's sphere rule, before one node
+    of each antipodal pair is dropped: p equally spaced angles at n = 2,
+    and at n = 3 the Gauss-Legendre product rule, ring by ring."""
+    if n == 2:
+        angles = 2.0 * np.pi * np.arange(points) / points
+        return (np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                np.full(points, 2.0 * np.pi / points))
+    n_polar = max(2, int(np.sqrt(points)))
+    n_azim = max(4, 2 * n_polar)
+    z, wz = np.polynomial.legendre.leggauss(n_polar)
+    phi = 2.0 * np.pi * np.arange(n_azim) / n_azim
+    nodes = [[np.sqrt(max(0.0, 1.0 - zi * zi)) * f(p) for f in (np.cos, np.sin)] + [zi]
+             for zi in z for p in phi]
+    return np.array(nodes), np.repeat(wz * 2.0 * np.pi / n_azim, n_azim)
+
+
 def _per_node_quadrature(g, box, points):
-    """weyl_constant's quadrature with each node's symbol compressed alone and
-    diagonalized whole: tau(f(C)) = sum_k f(lambda_k) |v_k(0)|^2."""
+    """weyl_constant's quadrature over the whole sphere rule, each node's
+    symbol compressed alone and diagonalized whole:
+    tau(f(C)) = sum_k f(lambda_k) |v_k(0)|^2."""
     n = g.n
-    nodes, weights = lap._sphere_nodes(n, points)
+    nodes, weights = _whole_sphere_rule(n, points)
     zero = box.index_of(np.zeros(n, dtype=int))
     total = 0.0
     for xi, w in zip(nodes, weights):
@@ -500,11 +518,38 @@ def test_weyl_constant_matches_per_node_compressions(geom, geom3):
     witness = witness_metric(geom3, 2)
     parts = lap._symbol_parts(witness.inverse).values()
     assert len(calc._mode_classes(box3, [s.table for s in parts])) == 13
-    for g, box, points in ((ct, box2, 24), (rough2, box2, 24), (ct3, box3, 16),
+    for g, box, points in ((ct, box2, 24), (ct, box2, 25), (rough2, box2, 24),
+                           (rough2, box2, 7), (ct3, box3, 16), (ct3, box3, 10),
                            (witness, box3, 16)):
         got = lap.weyl_constant(g, None, box, quadrature_points=points)["c_n_quadrature"]
         want = _per_node_quadrature(g, box, points)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n, points, kept", [
+    (2, 64, 32), (2, 24, 12), (2, 25, 25), (2, 7, 7), (2, 1, 1),
+    (3, 64, 64), (3, 10, 9), (3, 16, 16), (3, 50, 49), (3, 1, 4),
+])
+def test_sphere_nodes_keep_one_node_of_each_antipodal_pair(n, points, kept):
+    """The rule keeps one node of each antipodal pair with twice its weight,
+    the node bit for bit the whole rule's; at n = 2 with p odd no node's
+    antipode is in the rule, and every node is kept."""
+    nodes, weights = lap._sphere_nodes(n, points)
+    whole, whole_weights = _whole_sphere_rule(n, points)
+    assert len(weights) == kept
+    assert weights.sum() == pytest.approx(2.0 * np.pi if n == 2 else 4.0 * np.pi, rel=1e-14)
+    # no kept node's antipode is also kept
+    sums = np.linalg.norm(nodes[:, None, :] + nodes[None, :, :], axis=2)
+    assert np.min(sums) > 1e-6
+    for xi, w in zip(nodes, weights):
+        at = np.flatnonzero((whole == xi).all(axis=1))
+        assert at.size == 1  # the whole rule's node, bit for bit
+        if kept == len(whole_weights):
+            assert w == whole_weights[at[0]]
+        else:  # twice the weight, which its antipode in the whole rule carries too
+            opposite = np.argmin(np.linalg.norm(whole + xi, axis=1))
+            assert np.linalg.norm(whole[opposite] + xi) <= 1e-14
+            assert w == 2.0 * whole_weights[at[0]] == 2.0 * whole_weights[opposite]
 
 
 def test_weyl_constant_working_set(geom):
