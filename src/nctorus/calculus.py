@@ -30,7 +30,9 @@ functional_calculus.
 
 Inverses solve C for those m right-hand sides with the lower Cholesky
 factor that the floor test computes (of C minus the floor; _cholesky, on
-numpy's LAPACK and BLAS), 64 rows at a time, refined against C.
+numpy's LAPACK and BLAS), 64 rows at a time, refined against C; the
+Laplacian's pencil is reduced to standard form by the same factorization
+of its Gram matrix (_reduced_pencil).
 Every other function runs block Lanczos on the m cyclic vectors and
 applies the function to the small block-tridiagonal matrix it builds; when
 that readout has not settled within a fixed number of blocks, C is
@@ -671,6 +673,44 @@ def _cholesky_solve(low, rhs):
         x[lo:hi] -= (low[hi:, lo:hi].T @ x[hi:].conj()).conj()
         x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi].conj().T, x[lo:hi])
     return x
+
+
+def _reduced_pencil(k, g):
+    """The standard form L^{-1} K L^{-*} of the Hermitian pencil
+    K v = lambda G v, G = L L* (_cholesky), written over k: a Hermitian
+    matrix with the pencil's eigenvalues; a numpy.linalg.LinAlgError when g
+    is not positive definite.
+
+    This is the reduction of LAPACK's hegvd (hegst), which numpy lacks.
+    From order _BLOCKED_ORDER, g is overwritten by L.  K is overwritten by
+    L^{-1} K, _SOLVE_ROWS rows at a time, and then by L^{-1} K L^{-*},
+    _SOLVE_ROWS columns at a time, both forward: each block takes off the
+    product of its part of L with the part already reduced, and is
+    multiplied by the inverse of its diagonal block of L, so both passes are
+    matrix products, and no d x d temporary is made.  The result is
+    Hermitian, so the column pass reduces each block column from its
+    diagonal block down, which needs only rows already reduced, and mirrors
+    the part below into the block row right of the diagonal, which cuts the
+    reduction's products by a third.
+
+    _cholesky_solve keeps a loop of its own that solves each diagonal block
+    instead, since its fallback must give scipy's cho_solve bit for bit,
+    which the inverted blocks do not.
+    """
+    low = _cholesky(g)
+    starts = range(0, k.shape[0], _SOLVE_ROWS)
+    inverses = [np.linalg.inv(low[lo : lo + _SOLVE_ROWS, lo : lo + _SOLVE_ROWS]) for lo in starts]
+    for lo, inv in zip(starts, inverses):
+        hi = lo + inv.shape[0]
+        k[lo:hi] -= low[lo:hi, :lo] @ k[:lo]
+        k[lo:hi] = inv @ k[lo:hi]
+    for lo, inv in zip(starts, inverses):
+        hi = lo + inv.shape[0]
+        col = k[lo:, lo:hi]
+        col -= k[lo:, :lo] @ low[lo:hi, :lo].conj().T
+        col[...] = col @ inv.conj().T
+        k[lo:hi, hi:] = col[hi - lo :].conj().T
+    return k
 
 
 def _unit_columns(d, cyclic):

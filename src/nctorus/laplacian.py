@@ -28,8 +28,9 @@ e_i keeps every coefficient in the plane sum(k) = 0) splits the box into
 many small blocks, each built directly (calculus._class_blocks), with no
 d x d compression; a generic metric leaves one class, the whole box.  The
 operator keeps M alone.  The spectrum builds K and M(nu) on each of its two
-boxes and hands them to LAPACK, which overwrites them: with one class it
-holds two d x d arrays of the stability box, with several only blocks.
+boxes and reduces the pencil in place to L^{-1} K L^{-*}, M(nu) = L L*
+(calculus._reduced_pencil), for numpy's eigvalsh: with one class it holds
+two d x d arrays of the stability box, with several only blocks.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -317,30 +318,26 @@ def _pencil(op, box):
 
     K and the Gram matrix M(nu) are block diagonal over the classes
     (_stiffness), so the eigenvalues are the union of the blocks' pencils',
-    sorted.  Each pair of blocks is handed to LAPACK's divide-and-conquer
-    generalized solver (hegvd) transposed, F-ordered, and overwritten: K and
-    M(nu) are Hermitian, so the transposes are their conjugates, with the
-    same eigenvalues.  A Gram block that is not positive definite (a clipped
-    nu that is not positive) is refused.  scipy is imported here and in
-    conformally_deformed_flat_matrix alone (numpy has no generalized
-    Hermitian eigensolver), so a process that solves no pencil never loads
-    it.
+    sorted.  Each pair of blocks is reduced in place to the standard form
+    L^{-1} K L^{-*}, M(nu) = L L* (calculus._reduced_pencil, the reduction
+    of LAPACK's hegvd), whose eigenvalues numpy's eigvalsh finds; L, written
+    over the Gram block, is dropped before the eigensolve.  A Gram block
+    that is not positive definite (a clipped nu that is not positive) is
+    refused.
     """
-    import scipy.linalg
-
     plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, box)
     asym = _hermitian_part(k)
+    grams = calc._class_blocks(op.gram, plan)
     lam = []
-    for blk, g_blk in zip(k, calc._class_blocks(op.gram, plan)):
+    for i, blk in enumerate(k):
         try:
-            lam.append(scipy.linalg.eigh(
-                blk.T, g_blk.T, eigvals_only=True, overwrite_a=True, overwrite_b=True,
-                check_finite=False,
-            ))
+            reduced = calc._reduced_pencil(blk, grams[i])
         except np.linalg.LinAlgError as exc:
             raise PositivityViolation(
                 f"Gram matrix M(nu) on the box of radius {box.radius}: {exc}"
             ) from None
+        grams[i] = None
+        lam.append(np.linalg.eigvalsh(reduced))
     return np.sort(np.concatenate(lam)), asym, tuple(idx.size for idx in plan.classes)
 
 
@@ -385,18 +382,15 @@ def conformally_deformed_flat_matrix(k_density, box):
     For the metric k^2 delta_ij at n = 2 the multipliers are k k^{-2} k = 1
     and the density is k^2, so the operator's pencil is D v = lambda M(k^2) v
     with D = diag(|p|^2): stable spectra must match.  Returned as
-    L^{-1} D L^{-H} with M(k^2) = L L^H, which has the pencil's
-    eigenvalues.  k_density is the Density of k, whose nu is read.
+    L^{-1} D L^{-*} with M(k^2) = L L* (calculus._reduced_pencil), which
+    has the pencil's eigenvalues.  k_density is the Density of k, whose nu
+    is read.
     """
-    import scipy.linalg
-
     k = k_density.nu
-    chol = scipy.linalg.cholesky(
-        compress(multiply(k, k), box).matrix, lower=True, check_finite=False
-    )
-    p2 = (box.modes() ** 2).sum(axis=1).astype(float)
-    y = scipy.linalg.solve_triangular(chol, np.diag(np.sqrt(p2)), lower=True, check_finite=False)
-    return y @ y.conj().T
+    # a copy: the compression is read-only, and the factor is written over it
+    gram = np.array(compress(multiply(k, k), box).matrix)
+    p2 = (box.modes() ** 2).sum(axis=1).astype(complex)
+    return calc._reduced_pencil(np.diag(p2), gram)
 
 
 def conformal_covariance_check(g, k_density, box, calc_box):

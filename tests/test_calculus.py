@@ -380,6 +380,28 @@ def test_blocked_cholesky_matches_scipy(geom, geom3, d):
                 calc._cholesky(np.array(bad))
 
 
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 130, 441])
+def test_reduced_pencil_matches_scipy(geom, geom3, d):
+    """The standard form of the pencil K v = lambda G v, reduced in place 64
+    rows and then 64 columns at a time, has the eigenvalues of scipy's
+    eigh(K, G) (LAPACK hegvd) to 1e-13 of the largest: G and a Hermitian K
+    are the leading d x d blocks of theta != 0 compressions at n = 2 and at
+    n = 3, so d covers one block, the edges of the first, several, and the
+    blocked factor.  A G with a negative eigenvalue is refused."""
+    rng = np.random.default_rng(d)
+    for geometry, radius in ((geom, 10), (geom3, 4)):
+        gram = _leading_block(geometry, radius, d, rng)
+        x = random_selfadjoint(geometry, 2, rng)
+        k = np.ascontiguousarray(calc.compress(x, LatticeBox(geometry.n, radius)).matrix[:d, :d])
+        want = scipy.linalg.eigh(k, gram, eigvals_only=True)
+        got = np.linalg.eigvalsh(calc._reduced_pencil(np.array(k), np.array(gram)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        bad = np.array(gram)
+        bad[d // 2, d // 2] = -1.0  # e* G e < 0 there: G has a negative eigenvalue
+        with pytest.raises(np.linalg.LinAlgError):
+            calc._reduced_pencil(np.array(k), bad)
+
+
 def test_inverse_refinement_near_the_floor_matches_scipy(geom, geom3):
     """A compression whose spectrum lies within a few orders of the floor,
     in [0.5e-5, 1.5e-5], but is well conditioned: the refinement against C

@@ -27,23 +27,23 @@ def _fresh_interpreter(code):
 
 def test_cli_import_loads_no_scipy_module():
     """Every subcommand process imports the command line first; scipy would
-    add about 0.4 s and 27 MB to each, and only the pencil solvers need it."""
+    add about 0.2 s and 26 MB to each, and no subcommand needs it."""
     code = "import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _fresh_interpreter(code).strip() == "[]"
 
 
-def test_only_a_pencil_loads_scipy(tmp_path):
-    """det-check, volume, oracle-compare (theta = 0) and adjoint-check run on
-    numpy's LAPACK alone and leave scipy out of the process; spectrum, which
-    solves the Laplacian's pencil, loads it.  Each command runs to its gates
-    (exit 0 or 1, no refusal)."""
+def test_no_subcommand_loads_scipy(tmp_path):
+    """Every subcommand runs on numpy's LAPACK alone, the Laplacian's pencil
+    included, and leaves scipy out of the process: all seven run in one
+    fresh interpreter, each to its gates (exit 0 or 1, no refusal)."""
     small = {"box_radius": 6, "stability_radius": 8, "count": 2}
     cfg = _write_cfg(tmp_path, **small)
     (tmp_path / "zero").mkdir()
     zero = _write_cfg(tmp_path / "zero", **small, geometry={"n": 2, "theta_upper": [0.0]})
     commands = [["det-check", "--config", cfg], ["volume", "--config", cfg],
                 ["oracle-compare", "--config", zero], ["adjoint-check", "--config", cfg],
-                ["spectrum", "--config", cfg]]
+                ["spectrum", "--config", cfg], ["weyl", "--config", cfg],
+                ["conformal-check", "--config", cfg]]
     code = (
         "import json, sys\n"
         "from nctorus import cli\n"
@@ -56,7 +56,7 @@ def test_only_a_pencil_loads_scipy(tmp_path):
     seen = json.loads(_fresh_interpreter(code).splitlines()[-1])
     assert [name for name, _, _ in seen] == [argv[0] for argv in commands]
     assert all(rc in (0, 1) for _, rc, _ in seen), seen
-    assert [loaded for _, _, loaded in seen] == [False, False, False, False, True], seen
+    assert not any(loaded for _, _, loaded in seen), seen
 
 
 def test_geometry_literal_roundtrip(geom):

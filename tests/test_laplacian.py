@@ -198,6 +198,19 @@ def test_spectrum_refuses_a_gram_element_that_is_not_positive(geom):
         lap.spectrum(op)
 
 
+def test_pencil_refuses_a_blocked_gram_factor_that_fails(geom):
+    """nu = 1 + 1.5 (V_e1 + V_-e1) + 0.1 (V_e2 + V_-e2) is not positive, and
+    its modes on a box form one class: the Gram block of the stability box
+    (d = 441) fails in the factor built by blocks, and the spectrum refuses
+    it as it refuses a small block."""
+    nu = alg.add(alg.add(AlgebraElement.identity(geom), trig_pair(geom, 0, 1.5)), trig_pair(geom, 1, 0.1))
+    dens = dataclasses.replace(met.density_one(geom), nu=nu)
+    box = LatticeBox(2, 8)
+    op = lap.assemble(calc.matrix_inverse(TorusMatrix.identity(geom, 2), box), dens, box)
+    with pytest.raises(PositivityViolation, match="Gram matrix M\\(nu\\) on the box of radius 10"):
+        lap.spectrum(op)
+
+
 def test_kernel_and_nonnegativity(geom, rng):
     box = LatticeBox(2, 10)
     for _ in range(3):
