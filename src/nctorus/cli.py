@@ -163,7 +163,7 @@ def cmd_weyl(cfg, args):
         return _gate_lines(gates)
     # the closed form reads the metric's own density, whatever nu the config
     # sets: with nu set, weyl_constant computes it, and only if it needs it
-    dens = op.nu if cfg.nu_spec is None else None
+    dens = op.nu if cfg.nu is None else None
     wc = lap.weyl_constant(metric, dens, cfg.calc_box, quadrature_points=cfg.quadrature_points)
     closed = wc["c_n_closed_form"]
     fit = lap.weyl_fit(result, wc["c_n_quadrature"] if np.isnan(closed) else closed, window)
@@ -184,7 +184,7 @@ def cmd_weyl(cfg, args):
 
 
 def cmd_conformal_check(cfg, args):
-    spec = cfg.metric_spec
+    spec = cfg.metric
     if spec.get("type") != "conformal":
         raise NCTorusError("conformal-check requires a conformal metric spec")
     base = nio.metric_from_spec(cfg.geometry, spec.get("base", {"type": "flat"}), cfg.calc_box)

@@ -13,6 +13,14 @@ a bare literal (positivity checked by the floor test of its compression,
 a Cholesky factorization),
 {"exp_of": literal} for exp of a selfadjoint element, or
 {"witness": literal, "constant": c} for w* w + c.
+
+One walker reads each format: _metric_spec for a metric spec and
+_positive_spec for a positive element.  Each checks every key and value and
+returns the spec's size with a build(box) that makes the object.
+load_config calls the walkers for their checks alone, so a malformed spec
+is refused before any numerical work; metric_from_spec and
+density_from_spec call them and build.  What needs the box (a bare
+literal's floor test, an exp series, a compression) runs only at build.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ _METRIC_KEYS = {
 # radii after box_radius may be null, their default
 _RADIUS_KEYS = ("box_radius", "multiplier_radius", "calc_radius", "stability_radius")
 _INTEGER_KEYS = _RADIUS_KEYS + ("seed", "count", "quadrature_points")
-_CONFIG_KEYS = _INTEGER_KEYS + ("geometry", "metric", "nu", "tolerances", "window")
 # key sets of the object forms of a positive element spec (a bare literal is a list)
 _POSITIVE_SPEC_KEYS = ({"exp_of"}, {"witness"}, {"witness", "constant"})
 
@@ -121,58 +128,90 @@ def matrix_from_literal(geometry, literal):
     return TorusMatrix(geometry, len(entries), entries)
 
 
-def positive_element_from_spec(geometry, spec, box):
-    """Positive invertible element from a config spec (see module docstring)."""
-    if isinstance(spec, dict) and "exp_of" in spec:
-        w = element_from_literal(geometry, spec["exp_of"])
-        return exp_series(scale(add(w, adjoint(w)), 0.5))
-    if isinstance(spec, dict) and "witness" in spec:
-        y = element_from_literal(geometry, spec["witness"])
-        return make_positive(y, float(spec.get("constant", 1.0)))
-    x = element_from_literal(geometry, spec)
-    # the floor test of the compression's Cholesky factor: a
-    # SpectralFloorViolation, which is a PositivityViolation, when it fails
-    _require_floor([compress(scale(add(x, adjoint(x)), 0.5), box).matrix], "element spec")
-    return x
+def _selfadjoint_part(x):
+    return scale(add(x, adjoint(x)), 0.5)
+
+
+def _positive_spec(geometry, spec):
+    """Check a positive element spec; return (w, build): w the selfadjoint
+    exponent of an exp_of spec, else None, and build(box) the element."""
+    if not isinstance(spec, dict):
+        x = element_from_literal(geometry, spec)
+
+        def floor_tested(box):
+            # the floor test of the compression's Cholesky factor: a
+            # SpectralFloorViolation, which is a PositivityViolation, when it fails
+            _require_floor([compress(_selfadjoint_part(x), box).matrix], "element spec")
+            return x
+
+        return None, floor_tested
+    if set(spec) not in _POSITIVE_SPEC_KEYS:
+        raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
+    if "exp_of" in spec:
+        w = _selfadjoint_part(element_from_literal(geometry, spec["exp_of"]))
+        return w, lambda box: exp_series(w)
+    y = element_from_literal(geometry, spec["witness"])
+    constant = _number(spec.get("constant", 1.0), "witness constant")
+    if constant <= 0:
+        raise ValueError(f"witness constant must be positive, got {spec['constant']}")
+    return None, lambda box: make_positive(y, constant)
+
+
+def _metric_spec(geometry, spec):
+    """Check a metric spec's keys and values; return (m, build): the size m of
+    its m x m matrix, and build(box) the validated metric."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"metric spec must be an object, got {spec!r}")
+    kind = spec.get("type", "flat")
+    if kind not in _METRIC_KEYS:
+        raise ValueError(f"unknown metric spec type {kind!r}")
+    required, optional = _METRIC_KEYS[kind]
+    keys = set(spec) - {"type"}
+    if not set(required) <= keys <= set(required + optional):
+        raise ValueError(
+            f"{kind} metric spec has keys {sorted(keys)}, takes {list(required)}"
+            + (f" and optionally {list(optional)}" if optional else "")
+        )
+    n = geometry.n
+    if kind == "flat":
+        return n, lambda box: metric_flat(geometry)
+    if kind == "constant":
+        mat = _numbers(spec["matrix"], "constant metric matrix")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"constant metric matrix has shape {mat.shape}, not m x m")
+        return mat.shape[0], lambda box: metric_constant(geometry, mat, box=box)
+    if kind == "conformal":
+        _, k = _positive_spec(geometry, spec["k"])
+        m, base = _metric_spec(geometry, spec.get("base", {"type": "flat"}))
+        return m, lambda box: metric_conformal(base(box), k(box), box)
+    if kind == "product":
+        blocks = [_metric_spec(geometry, block) for block in spec["blocks"]]
+        return sum(m for m, _ in blocks), lambda box: metric_product(
+            [build(box) for _, build in blocks], box)[0]
+    if kind == "functional":
+        h = _selfadjoint_part(element_from_literal(geometry, spec["h"]))
+        poly = _numbers(spec["poly"], "functional metric poly")  # (n, n, deg+1)
+        if poly.ndim != 3 or poly.shape[:2] != (n, n):
+            raise ValueError(f"functional metric poly is not an {n} x {n} x (deg + 1) array")
+
+        def profile(t):
+            return np.einsum("ijd,d->ij", poly, t ** np.arange(poly.shape[2]))
+
+        return n, lambda box: metric_functional(h, profile, box)
+    matrix = matrix_from_literal(geometry, spec["entries"])  # explicit
+    return matrix.m, lambda box: validate_metric(matrix, box)
 
 
 def density_from_spec(geometry, spec, box):
-    if isinstance(spec, dict) and "exp_of" in spec:
-        w = element_from_literal(geometry, spec["exp_of"])
-        w = scale(add(w, adjoint(w)), 0.5)
-        return density_exp(w)
-    nu = positive_element_from_spec(geometry, spec, box)
-    return density_from_element(nu, box)
+    """The Density of a positive element spec: exp_of by its series, else the
+    built element's inverse square root."""
+    w, build = _positive_spec(geometry, spec)
+    return density_from_element(build(box), box) if w is None else density_exp(w)
 
 
 def metric_from_spec(geometry, spec, box):
     """Build and validate a metric from its JSON spec."""
-    kind = spec.get("type", "flat")
-    if kind == "flat":
-        return metric_flat(geometry)
-    if kind == "constant":
-        return metric_constant(geometry, spec["matrix"], box=box)
-    if kind == "conformal":
-        base = metric_from_spec(geometry, spec.get("base", {"type": "flat"}), box)
-        k = positive_element_from_spec(geometry, spec["k"], box)
-        return metric_conformal(base, k, box)
-    if kind == "product":
-        blocks = [metric_from_spec(geometry, b, box) for b in spec["blocks"]]
-        metric, _ = metric_product(blocks, box)
-        return metric
-    if kind == "functional":
-        h = element_from_literal(geometry, spec["h"])
-        h = scale(add(h, adjoint(h)), 0.5)
-        poly = np.asarray(spec["poly"], dtype=float)  # (n, n, deg+1)
-
-        def profile(t):
-            powers = t ** np.arange(poly.shape[2])
-            return np.einsum("ijd,d->ij", poly, powers)
-
-        return metric_functional(h, profile, box)
-    if kind == "explicit":
-        return validate_metric(matrix_from_literal(geometry, spec["entries"]), box)
-    raise ValueError(f"unknown metric spec type {kind!r}")
+    return _metric_spec(geometry, spec)[1](box)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +257,8 @@ class RunConfig:
     multiplier_radius: object = None  # int or None
     calc_radius: object = None  # defaults to box_radius
     stability_radius: object = None  # defaults to box_radius + 2
-    metric_spec: dict = field(default_factory=lambda: {"type": "flat"})
-    nu_spec: object = None
+    metric: dict = field(default_factory=lambda: {"type": "flat"})
+    nu: object = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0
     count: int = 100
@@ -236,12 +275,12 @@ class RunConfig:
         return LatticeBox(self.geometry.n, radius)
 
     def build_metric(self):
-        return metric_from_spec(self.geometry, self.metric_spec, self.calc_box)
+        return metric_from_spec(self.geometry, self.metric, self.calc_box)
 
     def build_density(self):
-        if self.nu_spec is None:
+        if self.nu is None:
             return None
-        return density_from_spec(self.geometry, self.nu_spec, self.calc_box)
+        return density_from_spec(self.geometry, self.nu, self.calc_box)
 
 
 def parse_window(text):
@@ -258,52 +297,6 @@ def _ordered_window(lo, hi):
     if not 1 <= lo < hi:
         raise NCTorusError(f"window must have 1 <= lo < hi, got {lo}:{hi}")
     return lo, hi
-
-
-def _check_positive_spec(geometry, spec):
-    if not isinstance(spec, dict):
-        element_from_literal(geometry, spec)
-        return
-    if set(spec) not in _POSITIVE_SPEC_KEYS:
-        raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
-    element_from_literal(geometry, spec.get("exp_of", spec.get("witness")))
-    if _number(spec.get("constant", 1.0), "witness constant") <= 0:
-        raise ValueError(f"witness constant must be positive, got {spec['constant']}")
-
-
-def _check_metric_spec(geometry, spec):
-    """Check a metric spec's keys and values; return the size m of its m x m matrix."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"metric spec must be an object, got {spec!r}")
-    kind = spec.get("type", "flat")
-    if kind not in _METRIC_KEYS:
-        raise ValueError(f"unknown metric spec type {kind!r}")
-    required, optional = _METRIC_KEYS[kind]
-    keys = set(spec) - {"type"}
-    if not set(required) <= keys <= set(required + optional):
-        raise ValueError(
-            f"{kind} metric spec has keys {sorted(keys)}, takes {list(required)}"
-            + (f" and optionally {list(optional)}" if optional else "")
-        )
-    n = geometry.n
-    if kind == "constant":
-        mat = _numbers(spec["matrix"], "constant metric matrix")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-            raise ValueError(f"constant metric matrix has shape {mat.shape}, not m x m")
-        return mat.shape[0]
-    if kind == "conformal":
-        _check_positive_spec(geometry, spec["k"])
-        return _check_metric_spec(geometry, spec.get("base", {"type": "flat"}))
-    if kind == "product":
-        return sum(_check_metric_spec(geometry, block) for block in spec["blocks"])
-    if kind == "functional":
-        element_from_literal(geometry, spec["h"])
-        poly = _numbers(spec["poly"], "functional metric poly")
-        if poly.ndim != 3 or poly.shape[:2] != (n, n):
-            raise ValueError(f"functional metric poly is not an {n} x {n} x (deg + 1) array")
-    if kind == "explicit":
-        return matrix_from_literal(geometry, spec["entries"]).m
-    return n
 
 
 def load_config(path):
@@ -347,7 +340,9 @@ def _check_dense_size(path, config):
 
 
 def _parse_config(raw):
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    """The RunConfig of a config's dict, each key and value checked; a key
+    the config leaves out takes the RunConfig field's default."""
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     geometry = geometry_from_literal(raw["geometry"])
@@ -363,13 +358,6 @@ def _parse_config(raw):
     stab = raw.get("stability_radius")
     if stab is not None and stab <= raw["box_radius"]:
         raise ValueError(f"stability_radius {stab} must exceed box_radius {raw['box_radius']}")
-    metric = raw.get("metric", {"type": "flat"})
-    size = _check_metric_spec(geometry, metric)
-    if size != geometry.n:
-        raise ValueError(f"metric is {size} x {size}, the {geometry.n}-torus needs "
-                         f"{geometry.n} x {geometry.n}")
-    if raw.get("nu") is not None:
-        _check_positive_spec(geometry, raw["nu"])
     window = raw.get("window")
     if isinstance(window, str):
         window = parse_window(window)
@@ -377,20 +365,15 @@ def _parse_config(raw):
         if not isinstance(window, list) or len(window) != 2:
             raise ValueError(f"window must be [lo, hi] or \"lo:hi\", got {window!r}")
         window = _ordered_window(*(_integer(w, "window bound") for w in window))
-    return RunConfig(
-        geometry=geometry,
-        box_radius=raw["box_radius"],
-        multiplier_radius=mult,
-        calc_radius=raw.get("calc_radius"),
-        stability_radius=raw.get("stability_radius"),
-        metric_spec=metric,
-        nu_spec=raw.get("nu"),
-        tolerances=Tolerances.from_dict(raw.get("tolerances", {})),
-        seed=raw.get("seed", 0),
-        count=raw.get("count", 100),
-        quadrature_points=raw.get("quadrature_points", 64),
-        window=window,
-    )
+    config = RunConfig(**{**raw, "geometry": geometry, "window": window,
+                          "tolerances": Tolerances.from_dict(raw.get("tolerances", {}))})
+    size, _ = _metric_spec(geometry, config.metric)
+    if size != geometry.n:
+        raise ValueError(f"metric is {size} x {size}, the {geometry.n}-torus needs "
+                         f"{geometry.n} x {geometry.n}")
+    if config.nu is not None:
+        _positive_spec(geometry, config.nu)
+    return config
 
 
 # ---------------------------------------------------------------------------
