@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, exp_series, scale
+from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
 from .calculus import TorusMatrix, _require_floor, compress, make_positive
 from .errors import BoxTooLarge, NCTorusError
 from .metrics import (
@@ -149,7 +149,7 @@ def _positive_spec(geometry, spec):
         raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
     if "exp_of" in spec:
         w = _selfadjoint_part(element_from_literal(geometry, spec["exp_of"]))
-        return w, lambda box: exp_series(w)
+        return w, lambda box: density_exp(w).nu
     y = element_from_literal(geometry, spec["witness"])
     constant = _number(spec.get("constant", 1.0), "witness constant")
     if constant <= 0:
@@ -186,8 +186,8 @@ def _metric_spec(geometry, spec):
         return m, lambda box: metric_conformal(base(box), k(box), box)
     if kind == "product":
         blocks = [_metric_spec(geometry, block) for block in spec["blocks"]]
-        return sum(m for m, _ in blocks), lambda box: metric_product(
-            [build(box) for _, build in blocks], box)[0]
+        size = sum(m for m, _ in blocks)
+        return size, lambda box: metric_product([build(box) for _, build in blocks], box)[0]
     if kind == "functional":
         h = _selfadjoint_part(element_from_literal(geometry, spec["h"]))
         poly = _numbers(spec["poly"], "functional metric poly")  # (n, n, deg+1)
@@ -252,6 +252,9 @@ class Tolerances:
 
 @dataclass
 class RunConfig:
+    """A run configuration: one field per config key, named as the key, with
+    the key's default."""
+
     geometry: TorusGeometry
     box_radius: int
     multiplier_radius: object = None  # int or None
@@ -302,8 +305,8 @@ def _ordered_window(lo, hi):
 def load_config(path):
     """Read a run configuration; a missing file or a bad entry raises NCTorusError.
 
-    A config whose largest dense matrix would not fit in physical memory
-    raises BoxTooLarge before anything is allocated.
+    A config whose largest dense matrix or sphere rule would not fit in
+    physical memory raises BoxTooLarge before anything is allocated.
     """
     try:
         with open(path, encoding="utf8") as f:
@@ -320,7 +323,12 @@ def _check_dense_size(path, config):
 
     Bounded by an n x n matrix over the algebra (the metric) compressed on
     the largest of the box, calc and stability boxes, radius R: dimension
-    d = n (2R + 1)^n, 16 d^2 bytes of complex entries.
+    d = n (2R + 1)^n, 16 d^2 bytes of complex entries.  And the sphere rule
+    of weyl's p = quadrature_points, whose peak tracemalloc measures at 40 p
+    bytes at n = 2 (the p angles, their cosines and sines, the nodes and
+    the weights) and at about 470 s^2 bytes at n = 3, s = max(2, floor(sqrt
+    p)): the 2 s^2 nodes are built as Python lists of three floats, which
+    take far more than the s x s companion matrix of the Legendre rule.
     """
     n = config.geometry.n
     stability = config.stability_radius
@@ -336,6 +344,14 @@ def _check_dense_size(path, config):
         raise BoxTooLarge(
             f"config {path}: the largest dense matrix (d = {d}, radius {radius}) needs "
             f"{nbytes} bytes, more than the {physical} bytes of physical memory"
+        )
+    p = config.quadrature_points
+    s = max(2, math.isqrt(p))
+    rule = {2: 40 * p, 3: 480 * s * s}.get(n, 0)
+    if rule > physical:
+        raise BoxTooLarge(
+            f"config {path}: the sphere rule of {p} quadrature points at n = {n} needs "
+            f"{rule} bytes, more than the {physical} bytes of physical memory"
         )
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from nctorus import calculus as calc, laplacian as lap, metrics as met
 from nctorus.algebra import AlgebraElement, LatticeBox, TorusGeometry, add, scale
@@ -63,7 +62,10 @@ def generalized_spectrum(op):
     symmetrized.  G M is the stiffness matrix K only up to the truncation
     of M(nu) M(nu^{-1}) = 1 near the box boundary, so it agrees with the
     spectrum's pencil (K, M(nu)) on the lowest modes, which the box
-    resolves."""
+    resolves.  scipy is imported here, not with the module, so that the
+    tests that never call this run with numpy alone."""
+    import scipy.linalg
+
     g_mat = calc.compress(op.nu.nu, op.box).matrix
     g_mat = 0.5 * (g_mat + g_mat.conj().T)
     a = g_mat @ op.matrix

@@ -540,6 +540,11 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
         {"quadrature_points": 0},
         {"quadrature_points": -3},
         {"seed": -1},
+        # a sphere rule beyond any address space: p angles at n = 2, and at
+        # n = 3 a Legendre companion matrix of 10^16 entries
+        {"quadrature_points": 10**16},
+        {"geometry": {"n": 3, "theta_upper": [0.3, 0.2, 0.1]}, "box_radius": 2,
+         "metric": {"type": "flat"}, "quadrature_points": 10**16},
     ],
     ids=["missing-file", "tolerance-typo", "removed-tolerances", "removed-spectral-floor",
          "metric-type", "base-metric-type", "negative-radius", "top-level-typo",
@@ -553,7 +558,8 @@ _BUILD_ERRORS = ("exp-of-not-converging", "element-spec-not-positive")
          "window-unordered", "tolerance-nan", "theta-upper-infinity", "exp-of-nan",
          "tolerance-huge-integer", "tolerance-negative", "tolerance-negative-integer",
          "element-spec-not-positive", "quadrature-points-zero", "quadrature-points-negative",
-         "seed-negative"],
+         "seed-negative", "quadrature-points-beyond-memory-n2",
+         "quadrature-points-beyond-memory-n3"],
 )
 def test_cli_config_errors(tmp_path, capsys, request, overrides):
     # invalid input exits 2 with one error line, never 1 (a failed gate)
@@ -611,6 +617,54 @@ def test_cli_flag_errors(tmp_path, capsys, argv):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("geometry", [{"n": 2, "theta_upper": [0.5]},
+                                      {"n": 3, "theta_upper": [0.3, 0.2, 0.1]}],
+                         ids=["n2", "n3"])
+def test_cli_weyl_refuses_a_sphere_rule_beyond_memory(tmp_path, capsys, geometry):
+    # the sphere rule of 10^16 points cannot be allocated: weyl refuses it
+    # at load, exit 2 with one error line, not a MemoryError traceback
+    cfg = _write_cfg(tmp_path, geometry=geometry, box_radius=2, metric={"type": "flat"},
+                     count=2, quadrature_points=10**16)
+    assert cli.main(["weyl", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "sphere rule" in err[0]
+    assert captured.out == ""
+
+
+_W = [{"k": [1, 0], "re": 0.1}, {"k": [-1, 0], "re": 0.1}]
+
+
+@pytest.mark.parametrize(
+    "key, spec",
+    [("metric", {"type": "conformal"}),
+     ("metric", {"type": "constant", "matrix": [[1, 0], [0, 1]], "k": 1}),
+     ("nu", {"exp_of": _W, "witness": _W})],
+    ids=["conformal-without-k", "constant-extra-key", "exp-of-and-witness"],
+)
+def test_library_refuses_what_load_config_refuses(tmp_path, geom, key, spec):
+    # metric_from_spec and density_from_spec read a spec as load_config does:
+    # the same ValueError, not a KeyError or a key silently ignored
+    with pytest.raises(NCTorusError) as at_load:
+        nio.load_config(_write_cfg(tmp_path, **{key: spec}))
+    build = nio.metric_from_spec if key == "metric" else nio.density_from_spec
+    with pytest.raises(ValueError) as in_library:
+        build(geom, spec, LatticeBox(2, 2))
+    assert str(at_load.value).endswith(f": ValueError: {in_library.value}")
+
+
+def test_exp_of_is_one_element_in_every_subcommand(tmp_path, capsys):
+    # k = exp(w) is density_exp(w).nu wherever it is read: with the scalar
+    # part -7, which the plain series of exp(w) refuses for its cancellation,
+    # spectrum, volume and conformal-check all build the metric
+    w = [{"k": [0, 0], "re": -7.0}, *_W]
+    cfg = _write_cfg(tmp_path, box_radius=4, stability_radius=6, count=5,
+                     metric={"type": "conformal", "k": {"exp_of": w}})
+    for command in ("spectrum", "volume", "conformal-check"):
+        assert cli.main([command, "--config", cfg]) in (0, 1), command
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_refuses_dense_matrix_beyond_memory(tmp_path, capsys):
