@@ -655,11 +655,13 @@ def test_library_refuses_what_load_config_refuses(tmp_path, geom, key, spec):
     assert str(at_load.value).endswith(f": ValueError: {in_library.value}")
 
 
-def test_exp_of_is_one_element_in_every_subcommand(tmp_path, capsys):
+def test_exp_of_is_one_element_in_every_subcommand(tmp_path, capsys, geom):
     # k = exp(w) is density_exp(w).nu wherever it is read: with the scalar
     # part -7, which the plain series of exp(w) refuses for its cancellation,
     # spectrum, volume and conformal-check all build the metric
     w = [{"k": [0, 0], "re": -7.0}, *_W]
+    spec, box = {"exp_of": w}, LatticeBox(2, 4)
+    assert coeff_diff(_positive(geom, spec, box), nio.density_from_spec(geom, spec, box).nu) == 0.0
     cfg = _write_cfg(tmp_path, box_radius=4, stability_radius=6, count=5,
                      metric={"type": "conformal", "k": {"exp_of": w}})
     for command in ("spectrum", "volume", "conformal-check"):
