@@ -28,11 +28,11 @@ and Gram matrices, and so its matrix and its generalized eigensolve
 Weyl quadrature (laplacian.weyl_constant) reads each node through
 functional_calculus.
 
-Inverses solve C for those m right-hand sides with the lower Cholesky
-factor that the floor test computes (of C minus the floor; _cholesky, on
-numpy's LAPACK and BLAS), 64 rows at a time, refined against C; the
-Laplacian's pencil is reduced to standard form by the same factorization
-of its Gram matrix (_reduced_pencil).
+Inverses solve C for those m right-hand sides with the factor that the
+floor test computes of C minus the floor (_cholesky, on numpy's LAPACK and
+BLAS): L and the inverses of its diagonal blocks, so each solve is matrix
+products; the solution is refined against C.  The Laplacian's pencil is
+reduced to standard form with the same factor of its Gram matrix.
 Every other function runs block Lanczos on the m cyclic vectors and
 applies the function to the small block-tridiagonal matrix it builds; when
 that readout has not settled within a fixed number of blocks, C is
@@ -585,8 +585,8 @@ def _floor_violation(name, lam_min):
 
 def _require_floor(mats, name):
     """Refuse unless the spectrum of every Hermitian matrix of mats lies above
-    SPECTRAL_FLOOR; else return the lower Cholesky factor L of the last one
-    minus floor I, C - floor I = L L*.
+    SPECTRAL_FLOOR; else return the factor (_cholesky) of the last one minus
+    floor I, C - floor I = L L*.
 
     Factoring C - floor I (_cholesky) is the test: it succeeds exactly when
     the spectrum of C lies above the floor.  Each matrix is factored in a
@@ -605,73 +605,78 @@ def _require_floor(mats, name):
 
 
 def _shifted_factor(mat):
-    """The lower Cholesky factor of mat - floor I, factored in a copy of mat."""
+    """The factor (_cholesky) of mat - floor I, factored in a copy of mat."""
     shifted = np.array(mat)
     shifted.flat[:: mat.shape[0] + 1] -= SPECTRAL_FLOOR
     return _cholesky(shifted)
 
 
-# columns per block of _cholesky, and the least order it factors by blocks:
-# below it numpy's potrf alone is faster
+# rows and columns per diagonal block of a factor, and the least order that
+# _cholesky factors by blocks: below it numpy's potrf alone is faster
 _FACTOR_COLS = 32
 _BLOCKED_ORDER = 256
 
 
 def _cholesky(a):
-    """The lower Cholesky factor L of a Hermitian matrix, a = L L*; a
+    """The factor (L, blocks) of a Hermitian matrix a = L L*: its lower
+    Cholesky factor L, and (lo, hi, inverse of L[lo:hi, lo:hi]) for each
+    diagonal block of _FACTOR_COLS rows, in order; a
     numpy.linalg.LinAlgError when a is not positive definite.
 
-    Below order _BLOCKED_ORDER it is numpy's potrf (numpy.linalg.cholesky),
-    a new array.  numpy's potrf copies its input, and at orders 441 and 882
-    it takes 1.4 to 2 times as long as scipy's, so a larger a is overwritten
-    by its factor, left-looking, _FACTOR_COLS columns at a time: each block
-    column takes off the product of its rows of the factor found so far
-    with the block's own rows of it (one matrix product); its diagonal block
-    is factored by numpy's potrf, which fails when a is not positive
-    definite; the rows below are multiplied by the inverse of that factor's
-    adjoint; and the entries right of the block, above the diagonal, are
-    zeroed.
+    Below order _BLOCKED_ORDER L is numpy's potrf (numpy.linalg.cholesky),
+    a new array, whose blocks are then inverted.  numpy's potrf copies its
+    input, and at orders 441 and 882 it takes 1.4 to 2 times as long as
+    scipy's, so a larger a is overwritten by L, left-looking, a block of
+    columns at a time: each takes off the product of its rows of the factor
+    found so far with the block's own rows of it (one matrix product); its
+    diagonal block is factored by numpy's potrf, which fails when a is not
+    positive definite, and inverted; the rows below are multiplied by the
+    adjoint of that inverse; and the entries right of the block, above the
+    diagonal, are zeroed.
     """
     d = a.shape[0]
-    if d < _BLOCKED_ORDER:
-        return np.linalg.cholesky(a)
+    low = np.linalg.cholesky(a) if d < _BLOCKED_ORDER else a
+    blocks = []
     for lo in range(0, d, _FACTOR_COLS):
         hi = min(lo + _FACTOR_COLS, d)
-        col = a[lo:, lo:hi]
-        col -= a[lo:, :lo] @ a[lo:hi, :lo].conj().T
-        diag = np.linalg.cholesky(col[: hi - lo])
-        col[: hi - lo] = diag
-        col[hi - lo :] = col[hi - lo :] @ np.linalg.inv(diag).conj().T
-        a[lo:hi, hi:] = 0.0
-    return a
+        if low is a:
+            col = a[lo:, lo:hi]
+            col -= a[lo:, :lo] @ a[lo:hi, :lo].conj().T
+            col[: hi - lo] = np.linalg.cholesky(col[: hi - lo])
+        inv = np.linalg.inv(low[lo:hi, lo:hi])
+        blocks.append((lo, hi, inv))
+        if low is a:
+            col[hi - lo :] = col[hi - lo :] @ inv.conj().T
+            a[lo:hi, hi:] = 0.0
+    return low, blocks
 
 
-# rows per block of _cholesky_solve
-_SOLVE_ROWS = 64
-
-
-def _cholesky_solve(low, rhs):
-    """C^{-1} rhs from the lower Cholesky factor of C = L L*.
-
-    L z = rhs is solved forward and L* x = z backward, _SOLVE_ROWS rows at a
-    time: each block of rows takes off the product of its part of the factor
-    with the part of the solution already found (one matrix product), then
-    solves its own diagonal block (numpy.linalg.solve).  L* is read through
-    the transposed view of L, conjugating only the small vectors, so no
-    d x d temporary is made.
-    """
-    x = np.array(rhs, dtype=complex)
-    d = low.shape[0]
-    starts = range(0, d, _SOLVE_ROWS)
-    for lo in starts:
-        hi = min(lo + _SOLVE_ROWS, d)
+def _forward(factor, x):
+    """Overwrite x by L^{-1} x for the factor (L, blocks) of _cholesky, a
+    block of rows at a time: each takes off the product of its part of L
+    with the part of the solution already found, and is multiplied by the
+    inverse of its diagonal block, so the solve is matrix products."""
+    low, blocks = factor
+    for lo, hi, inv in blocks:
         x[lo:hi] -= low[lo:hi, :lo] @ x[:lo]
-        x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi], x[lo:hi])
-    for lo in reversed(starts):
-        hi = min(lo + _SOLVE_ROWS, d)
+        x[lo:hi] = inv @ x[lo:hi]
+    return x
+
+
+def _cholesky_solve(factor, rhs):
+    """C^{-1} rhs from the factor (L, blocks) of C = L L* (_cholesky).
+
+    L z = rhs is solved forward (_forward) and L* x = z backward, by the
+    same blocks, each multiplied by the adjoint of its inverse.  L* is read
+    through the transposed view of L, conjugating only the small vectors,
+    so no d x d temporary is made.
+    """
+    low, blocks = factor
+    x = _forward(factor, np.array(rhs, dtype=complex))
+    for lo, hi, inv in reversed(blocks):
         # (L*)[lo:hi, hi:] x[hi:] is the conjugate of L[hi:, lo:hi]^T conj(x[hi:])
         x[lo:hi] -= (low[hi:, lo:hi].T @ x[hi:].conj()).conj()
-        x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi].conj().T, x[lo:hi])
+        x[lo:hi] = inv.conj().T @ x[lo:hi]
     return x
 
 
@@ -683,29 +688,18 @@ def _reduced_pencil(k, g):
 
     This is the reduction of LAPACK's hegvd (hegst), which numpy lacks.
     From order _BLOCKED_ORDER, g is overwritten by L.  K is overwritten by
-    L^{-1} K, _SOLVE_ROWS rows at a time, and then by L^{-1} K L^{-*},
-    _SOLVE_ROWS columns at a time, both forward: each block takes off the
-    product of its part of L with the part already reduced, and is
-    multiplied by the inverse of its diagonal block of L, so both passes are
-    matrix products, and no d x d temporary is made.  The result is
+    L^{-1} K (_forward), and then by L^{-1} K L^{-*}, by the same blocks of
+    columns, forward: each takes off the product of its part of L with the
+    part already reduced, and is multiplied by the adjoint of its diagonal
+    block's inverse, so no d x d temporary is made.  The result is
     Hermitian, so the column pass reduces each block column from its
     diagonal block down, which needs only rows already reduced, and mirrors
     the part below into the block row right of the diagonal, which cuts the
     reduction's products by a third.
-
-    _cholesky_solve keeps a loop of its own that solves each diagonal block
-    instead, since its fallback must give scipy's cho_solve bit for bit,
-    which the inverted blocks do not.
     """
-    low = _cholesky(g)
-    starts = range(0, k.shape[0], _SOLVE_ROWS)
-    inverses = [np.linalg.inv(low[lo : lo + _SOLVE_ROWS, lo : lo + _SOLVE_ROWS]) for lo in starts]
-    for lo, inv in zip(starts, inverses):
-        hi = lo + inv.shape[0]
-        k[lo:hi] -= low[lo:hi, :lo] @ k[:lo]
-        k[lo:hi] = inv @ k[lo:hi]
-    for lo, inv in zip(starts, inverses):
-        hi = lo + inv.shape[0]
+    low, blocks = factor = _cholesky(g)
+    _forward(factor, k)
+    for lo, hi, inv in blocks:
         col = k[lo:, lo:hi]
         col -= k[lo:, :lo] @ low[lo:hi, :lo].conj().T
         col[...] = col @ inv.conj().T
@@ -725,14 +719,15 @@ _REFINE_STEPS = 8
 
 
 def _inverse_columns(mat, shifted_factor, cyclic):
-    """Columns y = C^{-1} e_j at the cyclic rows, from the lower Cholesky
-    factor of C - floor I that _require_floor returns (_cholesky_solve).
+    """Columns y = C^{-1} e_j at the cyclic rows, from the factor of
+    C - floor I that _require_floor returns (_cholesky_solve).
 
     C y = e is (C - floor I) y = e - floor y, so y <- (C - floor I)^{-1}(e -
     floor y) cuts the error by floor / (lambda_min - floor) per step: two
     steps reach roundoff unless lambda_min is within a few orders of the
     floor.  Stops once a step moves y by at most its roundoff; when that
-    has not happened in _REFINE_STEPS steps, C is factored and solved.
+    has not happened in _REFINE_STEPS steps, C itself is factored by
+    _cholesky and solved the same way.
     """
     e = _unit_columns(mat.shape[0], cyclic)
     y = _cholesky_solve(shifted_factor, e)
@@ -833,6 +828,7 @@ def _block_calculus(h, box, name, f, needs_floor):
     """
     m = h.m
     plan = _class_plan(h.geometry, box, [h.coeffs])
+    # the public compress: forms-n2's required calculus.compress span fires only here
     blocks = [compress(h, box).matrix] if plan.index is None else _class_blocks(h, plan)
     i0 = box.index_of(np.zeros(box.n, dtype=int))
     home = next(c for c, idx in enumerate(plan.classes) if i0 in idx)

@@ -317,16 +317,24 @@ def test_inverse_refines_the_floor_factor(geom):
     exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), e)
     cols = calc._inverse_columns(mat, calc._require_floor([mat], "inv"), cyclic)
     assert np.max(np.abs(cols - exact)) <= 1e-14 * np.max(np.abs(exact))
-    # 1e-9 above the floor the refinement cannot settle, and C itself is solved
+    # 1e-9 above the floor the refinement cannot settle, and C itself is
+    # solved: the first solve, every refinement step and the fallback
     x = trig_pair(geom, 0)
     small = LatticeBox(2, 5)
     lam_min = np.linalg.eigvalsh(calc.compress(x, small).matrix)[0]
     shift = calc.SPECTRAL_FLOOR + 1e-9 - lam_min
     mat = calc.compress(alg.add(x, alg.scale(AlgebraElement.identity(geom), shift)), small).matrix
     cyclic = np.array([small.index_of([0, 0])])
-    exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), calc._unit_columns(121, cyclic))
-    cols = calc._inverse_columns(mat, calc._require_floor([mat], "inv"), cyclic)
-    assert np.array_equal(cols, exact)
+    e = calc._unit_columns(121, cyclic)
+    exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), e)
+    shifted = calc._require_floor([mat], "inv")
+    with mock.patch.object(calc, "_cholesky_solve", wraps=calc._cholesky_solve) as solve:
+        cols = calc._inverse_columns(mat, shifted, cyclic)
+    assert solve.call_count == calc._REFINE_STEPS + 2
+    assert np.max(np.abs(cols - exact)) <= 1e-14 * np.max(np.abs(exact))
+    # the bound tells C from C - floor I, whose solve lies far from C's
+    wrong = calc._cholesky_solve(shifted, e)
+    assert np.max(np.abs(wrong - exact)) >= np.max(np.abs(exact))
 
 
 def _leading_block(geometry, radius, d, rng):
@@ -336,12 +344,13 @@ def _leading_block(geometry, radius, d, rng):
     return np.ascontiguousarray(calc.compress(x, LatticeBox(geometry.n, radius)).matrix[:d, :d])
 
 
-@pytest.mark.parametrize("d", [1, 63, 64, 65, 130, 441])
+@pytest.mark.parametrize("d", [1, 31, 32, 33, 63, 64, 65, 130, 255, 256, 257, 441])
 def test_cholesky_solve_matches_scipy(geom, geom3, d):
-    """The factor and the solve, 64 rows at a time, against scipy's
+    """The factor and the solve, by blocks of 32 rows, against scipy's
     cho_factor and cho_solve on the leading d x d block of a theta != 0
     compression at n = 2 and at n = 3, with 1 to 3 right-hand sides: one
-    block, the edges of the first, and several."""
+    block, the edges of the first, several, and block inverses from numpy's
+    potrf (below order 256) and from the blocked factor (from 256)."""
     rng = np.random.default_rng(d)
     for geometry, radius in ((geom, 10), (geom3, 4)):
         mat = _leading_block(geometry, radius, d, rng)
@@ -366,7 +375,7 @@ def test_blocked_cholesky_matches_scipy(geom, geom3, d):
     for geometry, radius in ((geom, 15), (geom3, 5)):
         mat = _leading_block(geometry, radius, d, rng)
         a = np.array(mat)
-        low = calc._cholesky(a)
+        low, _ = calc._cholesky(a)
         assert (low is a) == (d >= calc._BLOCKED_ORDER)
         want = scipy.linalg.cholesky(mat, lower=True)
         assert np.array_equal(np.triu(low, 1), np.zeros_like(low))
@@ -380,10 +389,10 @@ def test_blocked_cholesky_matches_scipy(geom, geom3, d):
                 calc._cholesky(np.array(bad))
 
 
-@pytest.mark.parametrize("d", [1, 63, 64, 65, 130, 441])
+@pytest.mark.parametrize("d", [1, 31, 32, 33, 63, 64, 65, 130, 441])
 def test_reduced_pencil_matches_scipy(geom, geom3, d):
-    """The standard form of the pencil K v = lambda G v, reduced in place 64
-    rows and then 64 columns at a time, has the eigenvalues of scipy's
+    """The standard form of the pencil K v = lambda G v, reduced in place by
+    blocks of 32 rows and then of 32 columns, has the eigenvalues of scipy's
     eigh(K, G) (LAPACK hegvd) to 1e-13 of the largest: G and a Hermitian K
     are the leading d x d blocks of theta != 0 compressions at n = 2 and at
     n = 3, so d covers one block, the edges of the first, several, and the

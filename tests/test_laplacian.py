@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -589,6 +592,43 @@ def test_weyl_constant_refuses_a_non_elliptic_symbol(geom):
     g = met.RiemannianMetric(indefinite, indefinite, LatticeBox(2, 2))
     with pytest.raises(SpectralFloorViolation):
         lap.weyl_constant(g, None, LatticeBox(2, 4), quadrature_points=8)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_operator_is_safe_to_share_across_threads(geom, geom3, n):
+    """README: operators, metrics and densities are safe to share across
+    threads.  Four threads, started together, share one assembled operator
+    at theta != 0: the README metric at n = 2 and the n = 3 spectrum
+    benchmark's metric, on small boxes, switching often.  Each thread's
+    spectrum and Weyl constant equal the serial ones bit for bit."""
+    if n == 2:
+        g, box, stability = _ct_metric(geom, 6)[1], LatticeBox(2, 6), 8
+    else:
+        g, box, stability = witness_metric(geom3, 3), LatticeBox(3, 3), 4
+    dens = met.riemannian_density(g)
+    op = lap.assemble_riemannian(g, box, density=dens)
+
+    def run():
+        lam = lap.spectrum(op, stability_radius=stability).eigenvalues
+        return lam, lap.weyl_constant(g, dens, box, 16)
+
+    lam, wc = run()
+    start = threading.Barrier(4, timeout=60)
+
+    def shared():
+        start.wait()
+        return run()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a race shows
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(shared) for _ in range(4)]
+            for done in runs:
+                got_lam, got_wc = done.result(timeout=120)
+                assert np.array_equal(got_lam, lam) and got_wc == wc
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_weyl_fit_flat(geom):
