@@ -219,9 +219,6 @@ class AlgebraElement:
     def norm_l1(self):
         return float(np.sum(np.abs(self.table)))
 
-    def norm_l2(self):
-        return float(np.sqrt(np.sum(np.abs(self.table) ** 2)))
-
     def support_radius(self):
         """Radius of the smallest box holding all nonzero coefficients."""
         nz = np.argwhere(np.abs(self.table) > 0.0)
@@ -533,13 +530,9 @@ def adjoint(u):
     return AlgebraElement(u.geometry, u.box, table)
 
 
-def selfadjoint_residual(u):
-    """Max coefficient deviation from u = u*."""
-    return float(np.max(np.abs(u.table - adjoint(u).table)))
-
-
-def is_selfadjoint(u, tol=1e-12):
-    return selfadjoint_residual(u) <= tol * (1.0 + u.max_abs())
+def selfadjoint_part(u):
+    """(u + u*) / 2, the selfadjoint part of u."""
+    return scale(add(u, adjoint(u)), 0.5)
 
 
 def derivation(u, axis):

@@ -91,6 +91,9 @@ SPECTRAL_FLOOR = 1e-8
 # a commutation or orthogonality hypothesis of an identity check holds when
 # its residual is at most this
 COMPAT_TOL = 1e-9
+# an element or matrix x is selfadjoint when max|x - x*| is at most this times
+# max|x|; the metric's entry checks (metrics.validate_metric) read it too
+SELFADJOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -571,10 +574,23 @@ def _resolve_function(fn):
     return fn, table[fn], fn in _SINGULAR_AT_ZERO
 
 
-def _require_selfadjoint(h):
+def _require_selfadjoint(x, what):
+    """Refuse an element or matrix x unless max|x - x*| <= SELFADJOINT_TOL max|x|."""
+    h = _as_matrix(x)
     resid = h.selfadjoint_residual()
-    if resid > 1e-11 * (1.0 + h.max_abs()):
-        raise NonSelfadjointInput(f"selfadjointness residual {resid:.3e}")
+    if resid > SELFADJOINT_TOL * h.max_abs():
+        raise NonSelfadjointInput(
+            f"{what} not selfadjoint (residual {resid:.3e})", {"selfadjoint_residual": resid}
+        )
+
+
+def _require_commuting(k, g):
+    """max|[k, g]| of an element k and a matrix g; HypothesisViolated above
+    COMPAT_TOL max|k| max|g|."""
+    comm = compatibility_residual(TorusMatrix.scalar(k, 1), g)
+    if comm > COMPAT_TOL * k.max_abs() * g.max_abs():
+        raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
+    return comm
 
 
 def _floor_violation(name, lam_min):
@@ -875,7 +891,7 @@ def functional_calculus(x, fn, box):
     """
     name, f, needs_floor = _resolve_function(fn)
     h = _as_matrix(x)
-    _require_selfadjoint(h)
+    _require_selfadjoint(h, f"{name} input")
     coeffs = np.zeros((h.m, h.m) + box.shape, dtype=complex)
     done = []  # (block, its result) of each distinct block computed so far
     for component in _components(h):
@@ -902,7 +918,7 @@ def spectral_bounds(x, box):
     is a diagnostic, not a proof of positivity.
     """
     h = _as_matrix(x)
-    _require_selfadjoint(h)
+    _require_selfadjoint(h, "spectral bounds input")
     lam = np.linalg.eigvalsh(compress(h, box).matrix)
     return float(lam[0]), float(lam[-1])
 

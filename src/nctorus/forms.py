@@ -58,10 +58,6 @@ class _Components:
                 raise GeometryMismatch("component on a different torus")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def from_components(cls, comps):
-        return cls(comps[0].geometry, tuple(comps))
-
     def max_abs(self):
         return max(c.max_abs() for c in self.components)
 

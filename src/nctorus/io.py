@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import AlgebraElement, LatticeBox, TorusGeometry, add, adjoint, scale
+from .algebra import AlgebraElement, LatticeBox, TorusGeometry, selfadjoint_part
 from .calculus import TorusMatrix, _require_floor, compress, make_positive
 from .errors import BoxTooLarge, NCTorusError
 from .metrics import (
@@ -128,10 +128,6 @@ def matrix_from_literal(geometry, literal):
     return TorusMatrix(geometry, len(entries), entries)
 
 
-def _selfadjoint_part(x):
-    return scale(add(x, adjoint(x)), 0.5)
-
-
 def _positive_spec(geometry, spec):
     """Check a positive element spec; return (w, build): w the selfadjoint
     exponent of an exp_of spec, else None, and build(box) the element."""
@@ -141,14 +137,14 @@ def _positive_spec(geometry, spec):
         def floor_tested(box):
             # the floor test of the compression's Cholesky factor: a
             # SpectralFloorViolation, which is a PositivityViolation, when it fails
-            _require_floor([compress(_selfadjoint_part(x), box).matrix], "element spec")
+            _require_floor([compress(selfadjoint_part(x), box).matrix], "element spec")
             return x
 
         return None, floor_tested
     if set(spec) not in _POSITIVE_SPEC_KEYS:
         raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
     if "exp_of" in spec:
-        w = _selfadjoint_part(element_from_literal(geometry, spec["exp_of"]))
+        w = selfadjoint_part(element_from_literal(geometry, spec["exp_of"]))
         return w, lambda box: density_exp(w).nu
     y = element_from_literal(geometry, spec["witness"])
     constant = _number(spec.get("constant", 1.0), "witness constant")
@@ -189,7 +185,7 @@ def _metric_spec(geometry, spec):
         size = sum(m for m, _ in blocks)
         return size, lambda box: metric_product([build(box) for _, build in blocks], box)[0]
     if kind == "functional":
-        h = _selfadjoint_part(element_from_literal(geometry, spec["h"]))
+        h = selfadjoint_part(element_from_literal(geometry, spec["h"]))
         poly = _numbers(spec["poly"], "functional metric poly")  # (n, n, deg+1)
         if poly.ndim != 3 or poly.shape[:2] != (n, n):
             raise ValueError(f"functional metric poly is not an {n} x {n} x (deg + 1) array")

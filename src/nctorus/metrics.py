@@ -3,7 +3,9 @@
 A metric is a positive invertible n x n matrix over the algebra whose
 entries, and those of its inverse, are selfadjoint.  Truncation breaks the
 exact identities, so validation is tolerance-based, and a metric that
-fails it is refused with its measured residuals.
+fails it is refused with its measured residuals.  Every x = x* test reads
+calculus.SELFADJOINT_TOL relative to max|x| alone, and every [k, g] = 0
+test is calculus._require_commuting, so rescaling moves no verdict.
 
 A density is a positive invertible element nu together with an internally
 consistent family of powers (nu^{1/2}, nu^{-1/2}, nu^{-1}).  The family is
@@ -29,10 +31,8 @@ from .algebra import (
     _sandwich,
     add,
     exp_series,
-    is_selfadjoint,
     multiply,
     scale,
-    selfadjoint_residual,
     trace,
     trim,
 )
@@ -91,13 +91,13 @@ def _family_residual(nu, sqrt_nu, inv_sqrt_nu, inv_nu):
 def density_exp(w):
     """Density nu = exp(w) for selfadjoint w, with all powers from the series.
 
-    Only nu^{+-1/2} = exp(+-w/2) are summed; nu and nu^{-1} are their exact
-    squares, trimmed at the series' own cutoff.  A half exponent halves the
-    cancellation of the inverse series, so exp_series accepts a scalar
-    exponent up to |a| of about 11.5 rather than 5.8.
+    A w that is not selfadjoint is a NonSelfadjointInput.  Only nu^{+-1/2} =
+    exp(+-w/2) are summed; nu and nu^{-1} are their exact squares, trimmed
+    at the series' own cutoff.  A half exponent halves the cancellation of
+    the inverse series, so exp_series accepts a scalar exponent up to |a| of
+    about 11.5 rather than 5.8.
     """
-    if not is_selfadjoint(w, tol=1e-12):
-        raise PositivityViolation("exponent must be selfadjoint")
+    calc._require_selfadjoint(w, "density exponent")
     sq = exp_series(scale(w, 0.5))
     isq = exp_series(scale(w, -0.5))
     nu = trim(multiply(sq, sq), _EXP_TOL * 1e-2)
@@ -108,16 +108,15 @@ def density_exp(w):
 def density_from_element(nu, box):
     """Density from an explicit positive invertible element.
 
-    Validates selfadjointness, takes the inverse square root by spectral
-    calculus (which refuses a compressed spectrum below the floor with a
-    SpectralFloorViolation, a PositivityViolation), and Newton-polishes it
-    so the power family is mutually consistent to near the Newton
-    tolerance (limited by the coefficient decay of nu^{-1/2} at the
-    refinement radius, twice the box radius).
+    Refuses a nu that is not selfadjoint (NonSelfadjointInput), takes the
+    inverse square root by spectral calculus (which refuses a compressed
+    spectrum below the floor with a SpectralFloorViolation, a
+    PositivityViolation), and Newton-polishes it so the power family is
+    mutually consistent to near the Newton tolerance (limited by the
+    coefficient decay of nu^{-1/2} at the refinement radius, twice the box
+    radius).
     """
-    resid = selfadjoint_residual(nu)
-    if resid > 1e-10 * (1.0 + nu.max_abs()):
-        raise PositivityViolation(f"density not selfadjoint (residual {resid:.3e})")
+    calc._require_selfadjoint(nu, "density")
     guess = functional_calculus(nu, "inv_sqrt", box)
     z, _ = calc.refine_inverse_sqrt(nu, guess, 2 * box.radius)
 
@@ -163,9 +162,7 @@ class RiemannianMetric:
         return self_compatibility_residual(self.matrix) <= 1e-10 * (1.0 + self.matrix.max_abs())
 
 
-# validation tolerances: entry selfadjointness (relative to 1 + max coefficient)
-# and the interior residual of g g^{-1} = 1
-_SELFADJOINT_TOL = 1e-10
+# validation tolerance of the interior residual of g g^{-1} = 1
 _INVERSE_TOL = 1e-9
 
 
@@ -187,21 +184,22 @@ def validate_metric(g, box, inverse=None):
     Checks, in order: selfadjoint entries, positive invertibility of the
     compression (the floor test of the inverse's Cholesky factor),
     selfadjoint entries of the computed inverse, and the interior residual
-    of g g^{-1} = 1.  On failure raises MetricValidationError whose
-    residuals dict holds what was measured up to the failed check, among
-    "selfadjoint_residual", "inverse_selfadjoint_residual" and
-    "inverse_residual".  The inverse selfadjointness test is what rejects
-    positive matrices with selfadjoint entries whose inverse leaves the real
-    subspace.  A caller that supplies the inverse has tested positivity
-    itself.  Size m < n is allowed (product-metric blocks); a full metric
-    for the Laplacian must be n x n.  Self-compatibility and flatness are
-    not recorded here: RiemannianMetric.is_self_compatible and is_flat read
-    them off the matrix.  The returned metric keeps box, on which its
-    density is computed.
+    of g g^{-1} = 1.  An entry check of h (g or its inverse) passes when
+    max|h_ij - h_ij*| <= calculus.SELFADJOINT_TOL max|h|.  On failure raises
+    MetricValidationError whose residuals dict holds what was measured up to
+    the failed check, among "selfadjoint_residual",
+    "inverse_selfadjoint_residual" and "inverse_residual".  The inverse
+    selfadjointness test is what rejects positive matrices with selfadjoint
+    entries whose inverse leaves the real subspace.  A caller that supplies
+    the inverse has tested positivity itself.  Size m < n is allowed
+    (product-metric blocks); a full metric for the Laplacian must be n x n.
+    Self-compatibility and flatness are not recorded here:
+    RiemannianMetric.is_self_compatible and is_flat read them off the
+    matrix.  The returned metric keeps box, on which its density is computed.
     """
     residuals = {}
     sa = residuals["selfadjoint_residual"] = _entry_selfadjoint_residual(g)
-    if sa > _SELFADJOINT_TOL * (1.0 + g.max_abs()):
+    if sa > calc.SELFADJOINT_TOL * g.max_abs():
         raise MetricValidationError(
             f"metric entries not selfadjoint (residual {sa:.3e})", residuals
         )
@@ -213,7 +211,7 @@ def validate_metric(g, box, inverse=None):
                 f"metric not positive invertible ({exc})", residuals
             ) from None
     inv_sa = residuals["inverse_selfadjoint_residual"] = _entry_selfadjoint_residual(inverse)
-    if inv_sa > _SELFADJOINT_TOL * (1.0 + inverse.max_abs()):
+    if inv_sa > calc.SELFADJOINT_TOL * inverse.max_abs():
         raise MetricValidationError(
             f"inverse entries not selfadjoint (residual {inv_sa:.3e})", residuals
         )
@@ -255,9 +253,10 @@ def metric_constant(geometry, mat, box=None):
 
 
 def metric_conformal(base, k, box):
-    """Conformal deformation: entries k g_ij k for positive invertible k."""
-    if not is_selfadjoint(k, tol=1e-10):
-        raise PositivityViolation("conformal factor must be selfadjoint")
+    """Conformal deformation: entries k g_ij k for positive invertible k; a k
+    that is not selfadjoint is a NonSelfadjointInput, one below the floor a
+    PositivityViolation."""
+    calc._require_selfadjoint(k, "conformal factor")
     lo, _ = spectral_bounds(k, box)
     if lo < SPECTRAL_FLOOR:
         raise PositivityViolation(f"conformal factor compressed min {lo:.3e}")
@@ -383,12 +382,11 @@ def orthogonal_invariance_check(g, u, box):
 
 def conformal_density_residual(g, k, box):
     """Residual of nu(k^2 g) = k^n nu(g) for a RiemannianMetric g commuting
-    with k; k^2 g is validated on box."""
+    with k; k^2 g is validated on box.  Raises HypothesisViolated when
+    max|[k, g]| exceeds calculus.COMPAT_TOL max|k| max|g|."""
     mat = g.matrix
     n = mat.geometry.n
-    comm = compatibility_residual(TorusMatrix.scalar(k, 1), mat)
-    if comm > 1e-9 * (1.0 + k.max_abs() * mat.max_abs()):
-        raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
+    calc._require_commuting(k, mat)
     one = AlgebraElement.identity(k.geometry)
     scaled = TorusMatrix.from_coeffs(k.geometry, _sandwich(multiply(k, k), mat.coeffs, one))
     nu_scaled = riemannian_density(validate_metric(scaled, box))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, LatticeBox, add, adjoint, scale
+from .algebra import AlgebraElement, LatticeBox, selfadjoint_part
 from .calculus import TorusMatrix, make_positive
 from .forms import OneForm, VectorField
 from .metrics import density_exp
@@ -15,8 +15,7 @@ def random_element(geometry, radius, rng, amplitude=1.0):
 
 
 def random_selfadjoint(geometry, radius, rng, amplitude=1.0):
-    u = random_element(geometry, radius, rng, amplitude)
-    return scale(add(u, adjoint(u)), 0.5)
+    return selfadjoint_part(random_element(geometry, radius, rng, amplitude))
 
 
 def random_density(geometry, rng, radius=1, amplitude=0.15):

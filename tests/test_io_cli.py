@@ -92,7 +92,7 @@ def test_matrix_and_form_literals(geom):
     assert m.entries[1][1].coefficient((0, 0)) == 2.0
     assert m.selfadjoint_residual() == 0.0
     # a form literal is a list of n element literals, one per component
-    omega = OneForm.from_components([nio.element_from_literal(geom, c) for c in lit[0]])
+    omega = OneForm(geom, tuple(nio.element_from_literal(geom, c) for c in lit[0]))
     for i in range(2):
         assert coeff_diff(omega.components[i], m.entries[0][i]) == 0.0
 

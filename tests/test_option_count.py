@@ -11,7 +11,7 @@ from pathlib import Path
 
 import nctorus
 
-MAX_DEFAULTED_PARAMETERS = 22
+MAX_DEFAULTED_PARAMETERS = 21
 
 
 def _defaulted_parameters():
