@@ -28,6 +28,17 @@ and Gram matrices, and so its matrix and its generalized eigensolve
 Weyl quadrature (laplacian.weyl_constant) reads each node through
 functional_calculus.
 
+V_p -> V_{-p} is an automorphism at every theta, and it maps every box onto
+itself, mode -p at flat index d - 1 - index(p).  When every table that a
+plan is built from is even to roundoff (_is_even, against
+SELFADJOINT_TOL), each compression commutes with that mode reversal J, and
+each class block that J maps onto itself is split into the even and odd
+halves of its even part (X + JXJ)/2 (_fold), each of about half its
+modes: every dense factor and eigensolve on such a block runs on the
+halves, at about a quarter of the block's cost in all.  The cyclic
+vectors e_j (x) V_0 are even, so f is read on the even half alone.  Any
+other block, and every block of a plan that is not even, runs whole.
+
 Inverses solve C for those m right-hand sides with the factor that the
 floor test computes of C minus the floor (_cholesky, on numpy's LAPACK and
 BLAS): L and the inverses of its diagonal blocks, so each solve is matrix
@@ -466,7 +477,9 @@ class _ClassPlan:
     difference box, where the coefficient of entry (p, q) is read; head, the
     phase factors F_1 ... F_{n-1} of _phase_tables multiplied in their
     order; last, F_n.  head or last is None where its tables are, and all
-    three are None when one class holds every mode.
+    three are None when one class holds every mode.  even: every table of
+    the plan is even (_is_even), so every compression built on it commutes
+    with the mode reversal p -> -p.
     """
 
     box: LatticeBox
@@ -474,18 +487,91 @@ class _ClassPlan:
     index: object
     head: object
     last: object
+    even: bool
+
+    def halves(self, c, block, m):
+        """The blocks that dense work on the block of class c runs on: its
+        even and odd halves (_fold) when the plan is even and p -> -p maps
+        the class onto itself, else [block]."""
+        idx = self.classes[c]
+        if self.even and np.array_equal(idx[::-1], self.box.size - 1 - idx):
+            return _fold(block, m)
+        return [block]
+
+
+def _is_even(tables, n):
+    """Whether every table, whose last n axes are a box table, is even to
+    roundoff: max|t - t(-.)| <= SELFADJOINT_TOL max|t|."""
+    flip = (Ellipsis,) + (slice(None, None, -1),) * n
+    return all(
+        np.max(np.abs(t - t[flip]), initial=0.0) <= SELFADJOINT_TOL * np.max(np.abs(t), initial=0.0)
+        for t in tables
+    )
+
+
+_HALF = math.sqrt(0.5)
+
+
+def _fold(block, m):
+    """[E, O]: the even and odd halves of the even part S = (X + JXJ)/2 of
+    an m b x m b block X over a class that p -> -p maps onto itself, with
+    J = I_m (x) the reversal of the class's b modes; [E] when b = 1.
+
+    On a centred box mode -p sits at flat index d - 1 - index(p), so in an
+    ascending class it sits at b - 1 - i when p sits at i.  In the
+    orthonormal bases (e_i + e_{b-1-i})/sqrt 2, i < h = b // 2, with e_h
+    when b is odd (the class of mode 0, which sits at h), and
+    (e_i - e_{b-1-i})/sqrt 2, i < h, of each entry, S is E (+) O:
+    E[i, j] = S[i, j] + S[i, b-1-j] with row and column h divided by
+    sqrt 2, and O[i, j] = S[i, j] - S[i, b-1-j].  Both are read off the
+    quarters A = X[i, j], B = X[i, b-1-j], C = X[b-1-i, j] and
+    D = X[b-1-i, b-1-j] of X as ((B + C) + A) + D and (A - (B + C)) + D,
+    halved.  At (j, i) of a Hermitian X the quarters are the conjugates of
+    A, C, B and D at (i, j), and B + C = C + B bit for bit, so both are
+    exactly Hermitian.  They are new arrays, built in O(b^2) with no other
+    temporary.
+    """
+    b = block.shape[0] // m
+    h, e = b // 2, (b + 1) // 2
+    x = block.reshape(m, b, m, b)
+    flip = x[:, ::-1, :, ::-1]
+    a, d = x[:, :e, :, :e], flip[:, :e, :, :e]
+    even = x[:, :e, :, ::-1][..., :e] + flip[:, :e, :, ::-1][..., :e]  # B + C
+    odd = np.subtract(a[:, :h, :, :h], even[:, :h, :, :h])
+    odd += d[:, :h, :, :h]
+    even += a
+    even += d
+    even *= 0.5
+    odd *= 0.5
+    if b % 2:
+        even[:, h] *= _HALF
+        even[..., h] *= _HALF
+    return [even.reshape(m * e, m * e), odd.reshape(m * h, m * h)][: 1 + (h > 0)]
+
+
+def _unfold_even(cols, m, b):
+    """The columns on the m b modes of a class of the columns cols on its
+    even half's basis (_fold): entry i, b - 1 - i gets cols[i] / sqrt 2
+    each, and the centre of an odd class its own."""
+    h, e = b // 2, (b + 1) // 2
+    out = np.empty((m, b, cols.shape[1]), dtype=complex)
+    out[:, :e] = cols.reshape(m, e, -1)
+    out[:, :h] *= _HALF
+    out[:, e:] = out[:, :h][:, ::-1]
+    return out.reshape(m * b, -1)
 
 
 def _class_plan(geometry, box, tables):
     """The _ClassPlan of the classes of modes of the box that the coefficient
-    tables couple (_mode_classes).
+    tables couple (_mode_classes), even when every table is (_is_even).
 
     Each phase table is read at its own raveled index: table i holds u_i on
     axis i where the others hold v, and u_i - v_i = 2 q_i.
     """
     classes = _mode_classes(box, tables)
+    even = _is_even(tables, box.n)
     if len(classes) == 1:
-        return _ClassPlan(box, classes, None, None, None)
+        return _ClassPlan(box, classes, None, None, None, even)
     n, r = box.n, box.radius
     modes = box.modes()
     rows = np.concatenate([np.repeat(idx, idx.size) for idx in classes])
@@ -502,7 +588,7 @@ def _class_plan(geometry, box, tables):
     ]
     heads = [f for f in factors[:-1] if f is not None]
     head = functools.reduce(np.multiply, heads) if heads else None
-    return _ClassPlan(box, classes, index, head, factors[-1])
+    return _ClassPlan(box, classes, index, head, factors[-1], even)
 
 
 def _class_blocks(x, plan):
@@ -840,7 +926,12 @@ def _block_calculus(h, box, name, f, needs_floor):
     readout runs on the block of the class that holds mode 0 alone, at its
     rows of the cyclic vectors e_j (x) V_0.  C is block diagonal, so f(C)
     is, and each e_j (x) V_0 lies in that class: its columns hold every
-    nonzero of f(C) e_j, and the other rows are exactly zero.
+    nonzero of f(C) e_j, and the other rows are exactly zero.  When h's
+    entries are even (_ClassPlan.halves), each block that p -> -p maps onto
+    itself is split into its even and odd halves (_fold), and both are
+    floor-tested; each e_j (x) V_0 is even, so the solve or the readout
+    runs on the even half of mode 0's block alone, and its columns are
+    unfolded onto the class (_unfold_even).
     """
     m = h.m
     plan = _class_plan(h.geometry, box, [h.coeffs])
@@ -848,9 +939,15 @@ def _block_calculus(h, box, name, f, needs_floor):
     blocks = [compress(h, box).matrix] if plan.index is None else _class_blocks(h, plan)
     i0 = box.index_of(np.zeros(box.n, dtype=int))
     home = next(c for c, idx in enumerate(plan.classes) if i0 in idx)
-    idx, mat = plan.classes[home], blocks[home]
-    cyclic = np.arange(m) * idx.size + np.searchsorted(idx, i0)
-    tested = blocks[:home] + blocks[home + 1 :] + [mat]  # the home block's factor last
+    idx = plan.classes[home]
+    halves = [plan.halves(c, blk, m) for c, blk in enumerate(blocks)]
+    del blocks
+    # the even half, or the whole block, holds the cyclic vectors; mode 0
+    # sits at the same place in it and in the class
+    mat = halves[home][0]
+    cyclic = np.arange(m) * (mat.shape[0] // m) + np.searchsorted(idx, i0)
+    tested = [x for c, pair in enumerate(halves) if c != home for x in pair]
+    tested += halves[home][::-1]  # mat's factor last
     if f is _reciprocal:  # the floor test's factor serves the solve
         cols = _inverse_columns(mat, _require_floor(tested, name), cyclic)
     else:
@@ -860,6 +957,8 @@ def _block_calculus(h, box, name, f, needs_floor):
         cols = _lanczos_columns(mat, cyclic, f)
         if cols is None:
             cols = _eigen_columns(mat, cyclic, f)
+    if mat.shape[0] < m * idx.size:
+        cols = _unfold_even(cols, m, idx.size)
     # f(C) applied to the cyclic vector e_j (x) V_0 is column j: the entries (., j)
     out = np.zeros((m * box.size, m), dtype=complex)
     out[(np.arange(m)[:, None] * box.size + idx).ravel()] = cols
@@ -915,12 +1014,16 @@ def spectral_bounds(x, box):
 
     The compressed minimum can only overestimate the true one (compression
     to a subspace raises the bottom of the spectrum), so a positive value
-    is a diagnostic, not a proof of positivity.
+    is a diagnostic, not a proof of positivity.  When the input's entries
+    are even (_is_even), the compression is split into its even and odd
+    halves (_fold) and each runs one eigvalsh; otherwise it runs whole.
     """
     h = _as_matrix(x)
     _require_selfadjoint(h, "spectral bounds input")
-    lam = np.linalg.eigvalsh(compress(h, box).matrix)
-    return float(lam[0]), float(lam[-1])
+    mat = compress(h, box).matrix
+    halves = _fold(mat, h.m) if _is_even([h.coeffs], box.n) else [mat]
+    lam = np.concatenate([np.linalg.eigvalsh(half) for half in halves])
+    return float(lam.min()), float(lam.max())
 
 
 def matrix_inverse(h, box):

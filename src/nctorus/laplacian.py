@@ -30,7 +30,11 @@ d x d compression; a generic metric leaves one class, the whole box.  The
 operator keeps M alone.  The spectrum builds K and M(nu) on each of its two
 boxes and reduces the pencil in place to L^{-1} K L^{-*}, M(nu) = L L*
 (calculus._reduced_pencil), for numpy's eigvalsh: with one class it holds
-two d x d arrays of the stability box, with several only blocks.
+two d x d arrays of the stability box, with several only blocks.  When
+nu^{-1}, nu and every multiplier are even (V_p -> V_{-p} fixes them, as
+it does the README metric's), the blocks of each class that p -> -p maps
+onto itself are first split into their even and odd halves, and each half
+is a pencil of its own, at about an eighth of the block's cost.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -257,7 +261,9 @@ def assemble_riemannian(g, box, mult_radius=None, density=None):
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted eigenvalues with stability flags from a two-box comparison, and
-    the sizes of the blocks each box's eigensolve ran on."""
+    the sizes of the classes of modes of each box, whose blocks the
+    eigensolves ran on (a class split into even and odd halves counts
+    once, at its full size)."""
 
     geometry: object
     box: LatticeBox
@@ -318,26 +324,32 @@ def _pencil(op, box):
 
     K and the Gram matrix M(nu) are block diagonal over the classes
     (_stiffness), so the eigenvalues are the union of the blocks' pencils',
-    sorted.  Each pair of blocks is reduced in place to the standard form
-    L^{-1} K L^{-*}, M(nu) = L L* (calculus._reduced_pencil, the reduction
-    of LAPACK's hegvd), whose eigenvalues numpy's eigvalsh finds; L, written
-    over the Gram block, is dropped before the eigensolve.  A Gram block
-    that is not positive definite (a clipped nu that is not positive) is
-    refused.
+    sorted.  When every table of the plan is even, the two blocks of each
+    class that p -> -p maps onto itself are split together into their even
+    and odd halves (calculus._ClassPlan.halves), each a pencil of its own.
+    Each pair is reduced in place to the standard form L^{-1} K L^{-*},
+    M(nu) = L L* (calculus._reduced_pencil, the reduction of LAPACK's
+    hegvd), whose eigenvalues numpy's eigvalsh finds.  A Gram block that is
+    not positive definite (a clipped nu that is not positive) is refused.
     """
     plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, box)
     asym = _hermitian_part(k)
+    # K's blocks are split and dropped before the Gram blocks are built, so
+    # that the working set stays that of two blocks
+    k = [plan.halves(c, blk, 1) for c, blk in enumerate(k)]
     grams = calc._class_blocks(op.gram, plan)
     lam = []
-    for i, blk in enumerate(k):
-        try:
-            reduced = calc._reduced_pencil(blk, grams[i])
-        except np.linalg.LinAlgError as exc:
-            raise PositivityViolation(
-                f"Gram matrix M(nu) on the box of radius {box.radius}: {exc}"
-            ) from None
-        grams[i] = None
-        lam.append(np.linalg.eigvalsh(reduced))
+    for c in range(len(k)):
+        pairs = zip(k[c], plan.halves(c, grams[c], 1))
+        k[c] = grams[c] = None
+        for stiff, gram in pairs:
+            try:
+                reduced = calc._reduced_pencil(stiff, gram)
+            except np.linalg.LinAlgError as exc:
+                raise PositivityViolation(
+                    f"Gram matrix M(nu) on the box of radius {box.radius}: {exc}"
+                ) from None
+            lam.append(np.linalg.eigvalsh(reduced))
     return np.sort(np.concatenate(lam)), asym, tuple(idx.size for idx in plan.classes)
 
 

@@ -382,13 +382,14 @@ def orthogonal_invariance_check(g, u, box):
 
 def conformal_density_residual(g, k, box):
     """Residual of nu(k^2 g) = k^n nu(g) for a RiemannianMetric g commuting
-    with k; k^2 g is validated on box.  Raises HypothesisViolated when
-    max|[k, g]| exceeds calculus.COMPAT_TOL max|k| max|g|."""
+    with k; k^2 g is built as k g k, which equals it when k and g commute
+    and whose entries are selfadjoint when g's are, and is validated on
+    box.  Raises HypothesisViolated when max|[k, g]| exceeds
+    calculus.COMPAT_TOL max|k| max|g|."""
     mat = g.matrix
     n = mat.geometry.n
     calc._require_commuting(k, mat)
-    one = AlgebraElement.identity(k.geometry)
-    scaled = TorusMatrix.from_coeffs(k.geometry, _sandwich(multiply(k, k), mat.coeffs, one))
+    scaled = TorusMatrix.from_coeffs(k.geometry, _sandwich(k, mat.coeffs, k))
     nu_scaled = riemannian_density(validate_metric(scaled, box))
     nu_g = riemannian_density(g)
     return (nu_scaled.nu - multiply(_integer_power(k, n), nu_g.nu)).max_abs()

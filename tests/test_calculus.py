@@ -498,9 +498,17 @@ def test_lanczos_falls_back_to_dense_readout(geom, monkeypatch):
         got = calc.functional_calculus(split, "log", box)
     assert coeff_diff(got, TorusMatrix.block_diag(blocks)) == 0.0
     # one block cannot settle the readout, so the block's dense one comes
-    # back, bit for bit
+    # back: bit for bit on a copy whose coefficients are odd, and on the
+    # even half of the block (calculus._fold) for x, whose are even
     monkeypatch.setattr(calc, "_LANCZOS_MAX_BLOCKS", 1)
-    assert coeff_diff(calc.functional_calculus(x, "log", box), dense) == 0.0
+    odd = alg.add(alg.scale(AlgebraElement.identity(geom), 2.0),
+                  AlgebraElement.from_modes(geom, {(1, 0): 0.5j, (-1, 0): -0.5j}))
+    got = calc.functional_calculus(odd, "log", box)
+    assert coeff_diff(got, _home_eigen_readout(odd, box, np.log)) == 0.0
+    with mock.patch.object(calc, "_eigen_columns", wraps=calc._eigen_columns) as eigen:
+        got = calc.functional_calculus(x, "log", box)
+    assert eigen.call_count == 1
+    assert coeff_diff(got, dense) <= 1e-13 * dense.max_abs()
 
 
 def test_functional_calculus_on_classes_matches_dense_readout(geom3):
@@ -688,6 +696,16 @@ def test_spectral_bounds(geom):
         assert hi > prev_hi  # compression bounds tighten toward (-2, 2)
         prev_hi = hi
     assert hi > 1.98
+    # an even element's compression runs as its even and odd halves
+    # (calculus._fold); here the least eigenvalue lies in the odd one
+    y = AlgebraElement.from_modes(
+        geom, {(1, 0): 0.5, (-1, 0): 0.5, (1, 1): 0.3, (-1, -1): 0.3, (0, 2): -0.4, (0, -2): -0.4}
+    )
+    lam = np.linalg.eigvalsh(calc.compress(y, box).matrix)
+    with mock.patch.object(calc, "_fold", wraps=calc._fold) as fold:
+        got = calc.spectral_bounds(y, box)
+    assert fold.call_count == 1
+    assert np.max(np.abs(np.array(got) - lam[[0, -1]])) <= 1e-13 * np.max(np.abs(lam))
 
 
 def test_matrix_trace(geom, rng):
