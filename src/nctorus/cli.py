@@ -195,8 +195,8 @@ def cmd_conformal_check(cfg, args):
     if cfg.geometry.n == 2 and base.is_flat:
         res, spectrum_gates = _spectrum(cfg, op)
         gates.update(spectrum_gates)
-        a = lap.conformally_deformed_flat_matrix(dk, cfg.box)
-        lam = np.linalg.eigvalsh(a)
+        halves = lap.conformally_deformed_flat_matrix(dk, cfg.box)
+        lam = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))
         stable = res.stable_eigenvalues
         rel = np.abs(stable - lam[: stable.size]) / (1.0 + np.abs(stable))
         # with no stable eigenvalue there is nothing to match, and the gate fails

@@ -34,7 +34,12 @@ two d x d arrays of the stability box, with several only blocks.  When
 nu^{-1}, nu and every multiplier are even (V_p -> V_{-p} fixes them, as
 it does the README metric's), the blocks of each class that p -> -p maps
 onto itself are first split into their even and odd halves, and each half
-is a pencil of its own, at about an eighth of the block's cost.
+is a pencil of its own, at about an eighth of the block's cost.  Where the
+reflection of the last axis composed with conjugation fixes both halves
+of a pair (calculus._ClassPlan.real_forms), the pair runs in real
+arithmetic; K takes the sign of p_i q_n under the reflection, so a base
+that couples the last axis to another keeps the pencil complex.  The
+deformed-flat reference of the conformal check splits the same way.
 
 Truncation error is measured, not assumed: every spectrum is computed at
 two box radii and only eigenvalues matched across both (monotone pairing of
@@ -326,8 +331,9 @@ def _pencil(op, box):
     (_stiffness), so the eigenvalues are the union of the blocks' pencils',
     sorted.  When every table of the plan is even, the two blocks of each
     class that p -> -p maps onto itself are split together into their even
-    and odd halves (calculus._ClassPlan.halves), each a pencil of its own.
-    Each pair is reduced in place to the standard form L^{-1} K L^{-*},
+    and odd halves (calculus._ClassPlan.halves), each a pencil of its own,
+    in real arithmetic when both of a pair are real (_standard_forms).  Each
+    pair is reduced in place to the standard form L^{-1} K L^{-*},
     M(nu) = L L* (calculus._reduced_pencil, the reduction of LAPACK's
     hegvd), whose eigenvalues numpy's eigvalsh finds.  A Gram block that is
     not positive definite (a clipped nu that is not positive) is refused.
@@ -340,17 +346,26 @@ def _pencil(op, box):
     grams = calc._class_blocks(op.gram, plan)
     lam = []
     for c in range(len(k)):
-        pairs = zip(k[c], plan.halves(c, grams[c], 1))
+        forms = _standard_forms(plan, c, k[c], grams[c])
         k[c] = grams[c] = None
-        for stiff, gram in pairs:
-            try:
-                reduced = calc._reduced_pencil(stiff, gram)
-            except np.linalg.LinAlgError as exc:
-                raise PositivityViolation(
-                    f"Gram matrix M(nu) on the box of radius {box.radius}: {exc}"
-                ) from None
-            lam.append(np.linalg.eigvalsh(reduced))
+        lam += [np.linalg.eigvalsh(x) for x in forms]
     return np.sort(np.concatenate(lam)), asym, tuple(idx.size for idx in plan.classes)
+
+
+def _standard_forms(plan, c, stiff, gram):
+    """The standard form (calculus._reduced_pencil) of each pencil of class
+    c: each half of stiff, the halves (calculus._ClassPlan.halves) of the
+    stiffness block, with the same half of the Gram block gram, in real
+    arithmetic when both are real (calculus._ClassPlan.real_forms), one at a
+    time.  A Gram half that is not positive definite is refused."""
+    gram = plan.halves(c, gram, 1)  # the block itself is dropped here
+    for pair in zip(stiff, gram):
+        try:
+            yield calc._reduced_pencil(*plan.real_forms(c, list(pair), 1))
+        except np.linalg.LinAlgError as exc:
+            raise PositivityViolation(
+                f"Gram matrix M(nu) on the box of radius {plan.box.radius}: {exc}"
+            ) from None
 
 
 def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
@@ -388,21 +403,25 @@ def spectrum(op, stability_radius=None, rel_tol=1e-3, multiplicity_tol=1e-6):
 
 
 def conformally_deformed_flat_matrix(k_density, box):
-    """Hermitian matrix with the eigenvalues of the Rayleigh-Ritz pencil of
-    the conformally deformed flat operator on the box, built from k alone.
+    """Hermitian matrices whose eigenvalues, together, are those of the
+    Rayleigh-Ritz pencil of the conformally deformed flat operator on the
+    box, built from k alone.
 
     For the metric k^2 delta_ij at n = 2 the multipliers are k k^{-2} k = 1
     and the density is k^2, so the operator's pencil is D v = lambda M(k^2) v
-    with D = diag(|p|^2): stable spectra must match.  Returned as
-    L^{-1} D L^{-*} with M(k^2) = L L* (calculus._reduced_pencil), which
-    has the pencil's eigenvalues.  k_density is the Density of k, whose nu
-    is read.
+    with D = diag(|p|^2): stable spectra must match.  D is even, so when
+    k^2 is, the pencil splits into its even and odd halves as the
+    operator's does, in real arithmetic where both are real
+    (_standard_forms).  Returned as the list of L^{-1} D L^{-*} with
+    M(k^2) = L L* (calculus._reduced_pencil) over the halves, or of the one
+    whole pencil: callers take the sorted union of their eigenvalues.
+    k_density is the Density of k, whose nu is read.
     """
-    k = k_density.nu
-    # a copy: the compression is read-only, and the factor is written over it
-    gram = np.array(compress(multiply(k, k), box).matrix)
+    k2 = multiply(k_density.nu, k_density.nu)
+    plan = calc._whole_plan(k2.geometry, box, [k2.table])
     p2 = (box.modes() ** 2).sum(axis=1).astype(complex)
-    return calc._reduced_pencil(np.diag(p2), gram)
+    gram = calc._class_blocks(k2, plan)[0]  # writable: a whole pencil is reduced over it
+    return list(_standard_forms(plan, 0, plan.halves(0, np.diag(p2), 1), gram))
 
 
 def conformal_covariance_check(g, k_density, box, calc_box):

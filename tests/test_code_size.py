@@ -15,7 +15,7 @@ from pathlib import Path
 
 import nctorus
 
-MAX_CODE_LINES = 2438
+MAX_CODE_LINES = 2502
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

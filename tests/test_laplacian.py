@@ -413,12 +413,34 @@ def test_deformed_flat_spectrum_match(geom):
     box = LatticeBox(2, 10)
     op = lap.assemble_riemannian(ct, box)
     res = spectrum(op)
-    a = lap.conformally_deformed_flat_matrix(dk, box)
-    assert np.max(np.abs(a - a.conj().T)) < 1e-12
-    lam = np.linalg.eigvalsh(a)
+    halves = lap.conformally_deformed_flat_matrix(dk, box)
+    for a in halves:
+        assert np.max(np.abs(a - a.conj().T)) < 1e-12
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))
     stable = res.stable_eigenvalues
     rel = np.abs(stable - lam[: stable.size]) / (1.0 + np.abs(stable))
     assert rel.max() < 1e-3
+
+
+@pytest.mark.parametrize("odd", [0.0, 0.05])
+def test_deformed_flat_forms_match_the_generalized_eigensolve(geom, odd):
+    """The standard forms that conformally_deformed_flat_matrix returns,
+    the real halves of an even k or, with i odd (V_e1 - V_-e1) added, the
+    one complex pencil, have together the eigenvalues of scipy's
+    generalized eigensolve of diag(|p|^2) v = lambda M(k^2) v, on a box
+    (d = 289) where the Gram matrix is factored in place by blocks."""
+    box = LatticeBox(2, 8)
+    w = trig_pair(geom, 0, 0.15) + trig_pair(geom, 1, 0.1)
+    w = w + AlgebraElement.from_modes(geom, {(1, 0): 1j * odd, (-1, 0): -1j * odd})
+    dk = met.density_exp(w)
+    forms = lap.conformally_deformed_flat_matrix(dk, box)
+    assert len(forms) == (1 if odd else 2)
+    assert {a.dtype.kind for a in forms} == ({"c"} if odd else {"f"})
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in forms]))
+    gram = calc.compress(alg.multiply(dk.nu, dk.nu), box).matrix
+    want = scipy.linalg.eigh(np.diag((box.modes() ** 2).sum(axis=1)).astype(complex), gram,
+                             eigvals_only=True)
+    assert np.max(np.abs(lam - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_product_metric_expanded_operator(geom, rng):

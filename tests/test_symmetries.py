@@ -6,8 +6,10 @@ at every a.  The gauge action V_k -> e^{ik.t} V_k is an automorphism at every
 theta and maps each box onto itself: the compression of the gauged operator
 is D C D* with D diagonal unitary, so its spectrum is the same up to roundoff.
 It makes even real coefficients complex and not even, so a gauged copy of
-an even input runs the unfolded path of the class blocks, and the two paths
-must agree.  A signed permutation A acts by V_k -> V_{Ak}, from the torus of
+an even input runs the unfolded path of the class blocks, in complex
+arithmetic, and the paths must agree: the folded one, and where the
+reflection of the last axis composed with conjugation fixes the halves,
+the real one.  A signed permutation A acts by V_k -> V_{Ak}, from the torus of
 theta onto that of A theta A^T, and maps each box onto itself; the metric's
 axes are moved with it, g -> A g A^T, and the spectrum is unchanged.
 """
@@ -119,30 +121,181 @@ def _readme_factor(geometry):
 
 
 FOLD_FUNCTIONS = ("inv", ("pow", -1), "log", "exp", "inv_sqrt")
+# the solve, the Lanczos readout, its dense fallback and the pencil's
+# reduction: the first argument of each is the matrix that LAPACK gets
+DENSE_KERNELS = ("_inverse_columns", "_lanczos_columns", "_eigen_columns", "_reduced_pencil")
+
+
+class _Spies:
+    """Spies on _fold and on the dense kernels of calculus: which ran, on
+    what dtype."""
+
+    def __enter__(self):
+        names = ("_fold", "_real_form") + DENSE_KERNELS
+        self._patches = [mock.patch.object(calc, name, wraps=getattr(calc, name)) for name in names]
+        self.spies = dict(zip(names, (p.start() for p in self._patches)))
+        return self
+
+    def __exit__(self, *exc):
+        for p in self._patches:
+            p.stop()
+
+    def calls(self, name):
+        return self.spies[name].call_count
+
+    def kinds(self, *names):
+        """The dtype kinds of the matrices the named kernels ran on: "f"
+        real, "c" complex; then every spy is reset."""
+        found = {c.args[0].dtype.kind for n in names for c in self.spies[n].call_args_list}
+        for spy in self.spies.values():
+            spy.reset_mock()
+        return found
 
 
 @pytest.mark.parametrize("theta", [1.0 / math.sqrt(2.0), 0.0])
 def test_folded_calculus_matches_the_gauged_unfolded_one(theta):
     """The README factor k is even, so its class blocks are folded into
-    even and odd halves; a gauged copy is not, and runs whole.  f(k) equals
-    the inverse gauge of f(gauged k), and so does the Weyl constant."""
+    even and odd halves, and the reflection of the last axis composed with
+    conjugation fixes them, so they run real; a gauged copy is not even,
+    and runs whole and complex.  f(k) equals the inverse gauge of
+    f(gauged k), and the Weyl constant and the spectrum match."""
     geometry = TorusGeometry.two_torus(theta)
     box, t = LatticeBox(2, 6), (0.3, 1.1)
     k = _readme_factor(geometry)
     gauged = _gauge(k, t)
-    with mock.patch.object(calc, "_fold", wraps=calc._fold) as fold:
+    with _Spies() as spy:
         for fn in FOLD_FUNCTIONS:
             want = calc.functional_calculus(k, fn, box)
-            assert fold.call_count > 0
-            fold.reset_mock()
+            assert spy.calls("_fold") > 0
+            assert spy.kinds(*DENSE_KERNELS) == {"f"}
             got = _gauge(calc.functional_calculus(gauged, fn, box), tuple(-s for s in t))
-            assert fold.call_count == 0
+            assert spy.calls("_fold") == 0
+            assert spy.kinds(*DENSE_KERNELS) == {"c"}
             assert (got - want).max_abs() <= 1e-13 * want.max_abs()
-    g = met.metric_conformal(met.metric_flat(geometry), k, box)
-    g_gauged = met.validate_metric(_gauge(g.matrix, t), box)
-    want = lap.weyl_constant(g, None, box, quadrature_points=16)["c_n_quadrature"]
-    got = lap.weyl_constant(g_gauged, None, box, quadrature_points=16)["c_n_quadrature"]
-    assert abs(got - want) <= 1e-13 * abs(want)
+        g = met.metric_conformal(met.metric_flat(geometry), k, box)
+        g_gauged = met.validate_metric(_gauge(g.matrix, t), box)
+        spy.kinds()
+        want = lap.weyl_constant(g, None, box, quadrature_points=16)["c_n_quadrature"]
+        assert spy.kinds("_inverse_columns") == {"f"}
+        got = lap.weyl_constant(g_gauged, None, box, quadrature_points=16)["c_n_quadrature"]
+        assert spy.kinds("_inverse_columns") == {"c"}
+        assert abs(got - want) <= 1e-13 * abs(want)
+        plain = _spectrum(geometry, README_METRIC, 6, 8)
+        assert spy.kinds("_reduced_pencil") == {"f"}
+        image = _spectrum(geometry, _gauged(README_METRIC, t), 6, 8)
+        assert spy.kinds("_reduced_pencil") == {"c"}
+    lam = plain.eigenvalues
+    assert np.max(np.abs(image.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+    assert image.stable_count() == plain.stable_count() > 0
+
+
+# README's factor on a constant base that couples the axes
+OFF_DIAGONAL_METRIC = dict(README_METRIC,
+                           base={"type": "constant", "matrix": [[1.3, 0.2], [0.2, 1.0]]})
+
+
+def test_a_pencil_with_a_reflected_sign_stays_complex():
+    """Every table of the off-diagonal base's metric is even and has
+    t(Rv) = conj t(v), R the reflection of the last axis, but the
+    stiffness K = sum_ij p_i q_j M(a_ij) takes the sign of p_1 q_2 under R:
+    its halves carry an imaginary share of 0.17 on the real basis, so the
+    pencil stays complex.  Each Weyl node's symbol is a sum of the tables
+    with real weights, and its halves run real.  The spectrum and the Weyl
+    constant match a gauged copy's, which runs complex and unfolded."""
+    geometry = TorusGeometry.two_torus(1.0 / math.sqrt(2.0))
+    box, t = LatticeBox(2, 6), (0.3, 1.1)
+    with _Spies() as spy:
+        metric = nio.metric_from_spec(geometry, OFF_DIAGONAL_METRIC, box)
+        spy.kinds()
+        plain = lap.spectrum(lap.assemble_riemannian(metric, box), stability_radius=8)
+        assert spy.calls("_fold") > 0 and spy.calls("_real_form") > 0
+        assert spy.kinds("_reduced_pencil") == {"c"}
+        want = lap.weyl_constant(metric, None, box, quadrature_points=16)["c_n_quadrature"]
+        assert spy.kinds("_inverse_columns") == {"f"}
+        gauged = nio.metric_from_spec(geometry, _gauged(OFF_DIAGONAL_METRIC, t), box)
+        image = lap.spectrum(lap.assemble_riemannian(gauged, box), stability_radius=8)
+        got = lap.weyl_constant(gauged, None, box, quadrature_points=16)["c_n_quadrature"]
+        assert spy.calls("_fold") == 0
+        assert spy.kinds("_reduced_pencil", "_inverse_columns") == {"c"}
+    lam = plain.eigenvalues
+    assert np.max(np.abs(image.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+    assert image.stable_count() == plain.stable_count() > 0
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_real_form_of_a_matrix_whose_functions_have_complex_coefficients():
+    """An even, selfadjoint element has real coefficients, and so do its
+    functions; an off-diagonal entry of a matrix need not.  b = i (V_(1,1)
+    + V_(-1,-1) - V_(1,-1) - V_(-1,1)) is even and has t(Rv) = conj t(v),
+    so the 2 x 2 matrix [[a, 0.2 b], [0.2 b*, a]] runs real, and its
+    functions' off-diagonal coefficients, imaginary, are read back through
+    the real basis: they match a gauged copy's, which runs complex."""
+    geometry = TorusGeometry.two_torus(1.0 / math.sqrt(2.0))
+    box, t = LatticeBox(2, 5), (0.3, 1.1)
+    a = alg.add(alg.scale(AlgebraElement.identity(geometry), 2.0), trig_pair(geometry, 0, 0.3))
+    b = AlgebraElement.from_modes(geometry, {(1, 1): 0.2j, (-1, -1): 0.2j, (1, -1): -0.2j, (-1, 1): -0.2j})
+    h = TorusMatrix(geometry, 2, [[a, b], [alg.adjoint(b), a]])
+    with _Spies() as spy:
+        for fn in FOLD_FUNCTIONS:
+            want = calc.functional_calculus(h, fn, box)
+            assert spy.kinds(*DENSE_KERNELS) == {"f"}
+            assert np.max(np.abs(want.coeffs[0, 1].imag)) > 1e-3 * want.max_abs()
+            got = _gauge(calc.functional_calculus(_gauge(h, t), fn, box), tuple(-s for s in t))
+            assert spy.kinds(*DENSE_KERNELS) == {"c"}
+            assert (got - want).max_abs() <= 1e-13 * want.max_abs()
+
+
+# ROADMAP's metric that stays one block at n = 3: k = exp(w) on a constant base
+ONE_BLOCK_N3_METRIC = {
+    "type": "conformal",
+    "base": SPECTRUM_N3_METRIC["base"],
+    "k": {"exp_of": _literal([((1, 0, 0), 0.15), ((-1, 0, 0), 0.15), ((0, 1, 0), 0.10),
+                              ((0, -1, 0), 0.10), ((0, 0, 1), 0.08), ((0, 0, -1), 0.08)])},
+}
+
+
+def test_one_block_n3_calculus_runs_real_at_theta_zero():
+    """At theta = 0 the one-block n = 3 metric is even with one class, and
+    the reflection of the last axis fixes its halves: the functions of k
+    and of the 3 x 3 matrix g run real and match a gauged copy's, which
+    runs complex and unfolded; so does the spectrum, whose pencil stays
+    complex (the base couples axis 3 to axes 1 and 2)."""
+    geometry = TorusGeometry.from_upper(3, [0.0, 0.0, 0.0])
+    box, t = LatticeBox(3, 2), (0.3, 1.1, -0.7)
+    with _Spies() as spy:
+        g = nio.metric_from_spec(geometry, ONE_BLOCK_N3_METRIC, box)
+        gauged = _gauge(g.matrix, t)
+        for x, image in ((g.matrix, gauged), (g.matrix.entries[0][0], gauged.entries[0][0])):
+            for fn in FOLD_FUNCTIONS:
+                spy.kinds()
+                want = calc.functional_calculus(x, fn, box)
+                assert spy.kinds(*DENSE_KERNELS) == {"f"}
+                got = _gauge(calc.functional_calculus(image, fn, box), tuple(-s for s in t))
+                assert spy.calls("_fold") == 0
+                assert spy.kinds(*DENSE_KERNELS) == {"c"}
+                assert (got - want).max_abs() <= 1e-13 * want.max_abs()
+        plain = lap.spectrum(lap.assemble_riemannian(g, box), stability_radius=3)
+        assert spy.calls("_fold") > 0 and spy.kinds("_reduced_pencil") == {"c"}
+        image = lap.spectrum(lap.assemble_riemannian(met.validate_metric(gauged, box), box),
+                             stability_radius=3)
+    assert plain.block_sizes == (box.size,)
+    lam = plain.eigenvalues
+    assert np.max(np.abs(image.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+    assert image.stable_count() == plain.stable_count() > 0
+
+
+def test_the_real_form_is_not_tried_where_theta_couples_the_first_axes():
+    """At spectrum-n3's theta, theta_12 != 0, and the reflection of the
+    last axis maps theta to no multiple of itself: the one-block metric's
+    blocks are even and folded, and the real form is never tried."""
+    geometry = TorusGeometry.from_upper(3, [0.3, 0.2, 0.1])
+    box = LatticeBox(3, 2)
+    with _Spies() as spy:
+        g = nio.metric_from_spec(geometry, ONE_BLOCK_N3_METRIC, box)
+        calc.functional_calculus(g.matrix, "inv", box)
+        lap.spectrum(lap.assemble_riemannian(g, box), stability_radius=3)
+        assert spy.calls("_fold") > 0 and spy.calls("_real_form") == 0
+        assert spy.kinds(*DENSE_KERNELS) == {"c"}
 
 
 def test_folded_matrix_calculus_matches_the_gauged_unfolded_one():
