@@ -741,10 +741,6 @@ def _class_blocks(x, plan):
     return blocks
 
 
-def element_from_vector(geometry, box, vec):
-    return AlgebraElement(geometry, box, np.asarray(vec, dtype=complex).reshape(box.shape))
-
-
 # ---------------------------------------------------------------------------
 # functional calculus
 # ---------------------------------------------------------------------------

@@ -96,11 +96,7 @@ def _gate_lines(gates):
 
 def _assembled(cfg):
     metric = cfg.build_metric()
-    nu = cfg.build_density()
-    if nu is None:
-        op = lap.assemble_riemannian(metric, cfg.box, cfg.multiplier_radius)
-    else:
-        op = lap.assemble(metric.inverse, nu, cfg.box, cfg.multiplier_radius)
+    op = lap.assemble_riemannian(metric, cfg.box, cfg.multiplier_radius, cfg.build_density())
     return metric, op
 
 
@@ -311,7 +307,7 @@ def cmd_oracle_compare(cfg, args):
     m_orc = orc.oracle_laplacian_matrix(op.prefactor, op.multipliers, cfg.box)
     rows = lap.interior_indices(cfg.box, cfg.box_radius - 2 * mult_radius)
     algebraic["laplacian_matrix_interior"] = float(
-        np.max(np.abs((op.matrix - m_orc)[rows]))
+        np.max(np.abs((lap.operator_matrix(op)[0] - m_orc)[rows]))
     )
 
     report = {"algebraic": algebraic, "spectral": spectral}

@@ -4,10 +4,13 @@ The operator associated with a Hermitian metric h and a density nu is
 
     L(u) = -nu^{-1} sum_ij d_i( nu^{1/2} h^{ij} nu^{1/2} d_j(u) ),
 
-assembled as the dense composition  M = M(nu^{-1}) K  with
+whose matrix on a box is the composition  M = M(nu^{-1}) K  with
 K = -sum_ij D_i M(a_ij) D_j, D_j the diagonal derivation matrix (i k_j) and
 a_ij the composite multipliers nu^{1/2} h^{ij} nu^{1/2}.  Every term ends in
-a derivation, so constants are killed exactly.  Since -delta is the adjoint
+a derivation, so constants are killed exactly.  The assembled operator is
+its inputs: nu^{-1}, nu and the multipliers, clipped, with h^{-1} and the
+density.  M is formed (operator_matrix) only where it is read, by the
+conformal check and the oracle comparison.  Since -delta is the adjoint
 of d, L is the selfadjoint operator of the form q(u, v) = <du, dv>_{h,nu}
 on <u, v>_nu = tau(v* nu u).  On span{V_p : p in B_N} that form's
 stiffness matrix is K, K_pq = sum_ij p_i q_j M(a_ij)_pq, and its Gram
@@ -27,7 +30,7 @@ subgroup of the T^n action (a conformal factor w* w + c with w in the modes
 e_i keeps every coefficient in the plane sum(k) = 0) splits the box into
 many small blocks, each built directly (calculus._class_blocks), with no
 d x d compression; a generic metric leaves one class, the whole box.  The
-operator keeps M alone.  The spectrum builds K and M(nu) on each of its two
+operator keeps no matrix.  The spectrum builds K and M(nu) on each of its two
 boxes and reduces the pencil in place to L^{-1} K L^{-*}, M(nu) = L L*
 (calculus._reduced_pencil), for numpy's eigvalsh: with one class it holds
 two d x d arrays of the stability box, with several only blocks.  When
@@ -73,7 +76,6 @@ from .algebra import (
 from .calculus import (
     TorusMatrix,
     compress,
-    element_from_vector,
     functional_calculus,
     unit_ball_volume,
 )
@@ -102,9 +104,10 @@ def interior_indices(box, inner_radius):
 
 @dataclass(frozen=True, eq=False)
 class LaplaceBeltramiOperator:
-    """Assembled operator: its two inputs, the inverse metric (h^{ij}) and the
-    Density, the elements read from them, the matrix, and the asymmetry of
-    its stiffness matrix."""
+    """Assembled operator on a box: its two inputs, the inverse metric
+    (h^{ij}) and the Density, and the elements read from them, clipped per
+    policy.  It holds no matrix: the spectrum builds its pencil from the
+    elements, and operator_matrix forms M = M(nu^{-1}) K where it is read."""
 
     geometry: object
     box: LatticeBox
@@ -113,15 +116,6 @@ class LaplaceBeltramiOperator:
     prefactor: AlgebraElement  # nu^{-1}, clipped per policy
     gram: AlgebraElement  # nu, clipped per policy: M(nu) is the Gram matrix
     multipliers: tuple  # a_ij = nu^{1/2} h^{ij} nu^{1/2}, clipped per policy
-    matrix: np.ndarray
-    asymmetry: float  # ||K - K*|| / ||K|| of the stiffness matrix K on box
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def apply(self, u):
-        vec = self.matrix @ resize(u, self.box.radius).vector()
-        return element_from_vector(self.geometry, self.box, vec)
 
     def apply_exact(self, u):
         """Element-level application via exact products of the multipliers."""
@@ -206,18 +200,20 @@ def _hermitian_part(blocks):
     return math.sqrt(skew2) / (math.sqrt(norm2) or 1.0)
 
 
-def _build_matrices(prefactor, gram, multipliers, box):
-    """M = M(nu^{-1}) K on the box, and the asymmetry of K (_hermitian_part).
+def operator_matrix(op):
+    """M = M(nu^{-1}) K on op.box, a new d x d array, and the asymmetry
+    ||K - K*|| / ||K|| of the stiffness matrix K (_hermitian_part).
 
-    Each class's block of M is that of M(nu^{-1}) times K's
-    (_stiffness): every compression's entry (p, q) is a coefficient at p - q
-    times a phase, so both are block diagonal over the classes with exact
-    zeros between blocks, and so is M.  With one class its block is M,
-    formed by one product; with several, M is scattered from the blocks
-    into a buffer of its own, and no d x d compression is built.
+    Each class's block of M is that of M(nu^{-1}) times K's, K as built
+    (_stiffness), not its Hermitian part: every compression's entry (p, q)
+    is a coefficient at p - q times a phase, so both are block diagonal
+    over the classes with exact zeros between blocks, and so is M.  With
+    one class its block is M, formed by one product; with several, M is
+    scattered from the blocks into a buffer of its own, and no d x d
+    compression is built.
     """
-    plan, k = _stiffness(prefactor, gram, multipliers, box)
-    mat = [p_mat @ blk for p_mat, blk in zip(calc._class_blocks(prefactor, plan), k)]
+    plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, op.box)
+    mat = [p_mat @ blk for p_mat, blk in zip(calc._class_blocks(op.prefactor, plan), k)]
     mat = mat[0] if len(mat) == 1 else _scatter(list(zip(plan.classes, mat)))
     return mat, _hermitian_part(k)
 
@@ -242,8 +238,7 @@ def assemble(h_inv, dens, box, mult_radius=None):
     gram = _clip(dens.nu, mult_radius)
     pref = _clip(dens.inv_nu, mult_radius)
     mult = _clip(_multipliers(dens, h_inv), mult_radius).entries
-    mat, asym = _build_matrices(pref, gram, mult, box)
-    return LaplaceBeltramiOperator(h_inv.geometry, box, h_inv, dens, pref, gram, mult, mat, asym)
+    return LaplaceBeltramiOperator(h_inv.geometry, box, h_inv, dens, pref, gram, mult)
 
 
 def assemble_riemannian(g, box, mult_radius=None, density=None):
@@ -450,16 +445,18 @@ def conformal_covariance_check(g, k_density, box, calc_box):
 
     op_g = assemble_riemannian(g, box)
     op_hat = assemble_riemannian(ghat, box)
+    m_g, asym_g = operator_matrix(op_g)
+    m_hat, asym_hat = operator_matrix(op_hat)
 
     k_inv_2 = multiply(k_density.inv_nu, k_density.inv_nu)
-    rhs = compress(k_inv_2, box).matrix @ op_g.matrix
+    rhs = compress(k_inv_2, box).matrix @ m_g
 
-    report = {"commutator": comm, "asymmetry_g": op_g.asymmetry, "asymmetry_ghat": op_hat.asymmetry}
+    report = {"commutator": comm, "asymmetry_g": asym_g, "asymmetry_ghat": asym_hat}
     margin = box.radius // 2
     rows = interior_indices(box, margin)
     if n == 2:
         report["two_dim_residual"] = float(
-            np.max(np.abs((op_hat.matrix - rhs)[rows]))
+            np.max(np.abs((m_hat - rhs)[rows]))
         )
         return report, op_hat
 
@@ -474,7 +471,7 @@ def conformal_covariance_check(g, k_density, box, calc_box):
         dj = 1j * modes[:, j].astype(float)
         corr += compress(multiply(pref, c), box).matrix * dj[None, :]
     report["full_law_residual"] = float(
-        np.max(np.abs((op_hat.matrix - (rhs - corr))[rows]))
+        np.max(np.abs((m_hat - (rhs - corr))[rows]))
     )
     return report, op_hat
 

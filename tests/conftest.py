@@ -57,10 +57,11 @@ def spectrum(op, **kwargs):
 
 
 def generalized_spectrum(op):
-    """Reference eigenvalues of the assembled matrix M: the generalized
-    eigensolve of G M v = lambda G v with the Gram matrix G = M(nu), both
-    symmetrized.  G M is the stiffness matrix K only up to the truncation
-    of M(nu) M(nu^{-1}) = 1 near the box boundary, so it agrees with the
+    """Reference eigenvalues of the operator's matrix M
+    (laplacian.operator_matrix): the generalized eigensolve of
+    G M v = lambda G v with the Gram matrix G = M(nu), both symmetrized.
+    G M is the stiffness matrix K only up to the truncation of
+    M(nu) M(nu^{-1}) = 1 near the box boundary, so it agrees with the
     spectrum's pencil (K, M(nu)) on the lowest modes, which the box
     resolves.  scipy is imported here, not with the module, so that the
     tests that never call this run with numpy alone."""
@@ -68,7 +69,7 @@ def generalized_spectrum(op):
 
     g_mat = calc.compress(op.nu.nu, op.box).matrix
     g_mat = 0.5 * (g_mat + g_mat.conj().T)
-    a = g_mat @ op.matrix
+    a = g_mat @ lap.operator_matrix(op)[0]
     a = 0.5 * (a + a.conj().T)
     return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
 

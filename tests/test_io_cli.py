@@ -356,6 +356,35 @@ def test_cli_computes_the_density_once(tmp_path, monkeypatch, command, overrides
     assert len(calls) == computed
 
 
+@pytest.mark.parametrize(
+    "command, theta, built",
+    [("spectrum", 0.7071067811865476, 0), ("weyl", 0.7071067811865476, 0),
+     ("conformal-check", 0.7071067811865476, 2), ("oracle-compare", 0.0, 1)],
+)
+def test_cli_forms_the_operator_matrix_only_where_it_is_read(tmp_path, monkeypatch, command,
+                                                            theta, built):
+    """The d x d matrix M(nu^-1) K is formed by operator_matrix (scattered by
+    _scatter when the box splits into classes): spectrum and weyl, which
+    solve the pencil, form none; conformal-check forms those of g (flat,
+    so scattered from one-mode classes) and ghat, and oracle-compare the
+    one it compares with the oracle's."""
+    from nctorus import laplacian as lap
+
+    calls = []
+    for name in ("operator_matrix", "_scatter"):
+        def spy(*args, _name=name, _original=getattr(lap, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(lap, name, spy)
+    cfg = _write_cfg(tmp_path, geometry={"n": 2, "theta_upper": [theta]})
+    argv = [command, "--config", cfg] + (["--window", "10:60"] if command == "weyl" else [])
+    assert cli.main(argv) == 0
+    assert calls.count("operator_matrix") == built
+    if not built:
+        assert not calls
+
+
 def test_cli_density_override(tmp_path):
     cfg = _write_cfg(
         tmp_path,

@@ -30,12 +30,20 @@ def _ct_metric(geom, calc_radius=10, a0=0.15, a1=0.1):
     return dk, ct
 
 
+def _apply(mat, box, u):
+    """The matrix M of an operator on the box (lap.operator_matrix) applied
+    to u, resized to the box, as an element."""
+    vec = mat @ alg.resize(u, box.radius).vector()
+    return AlgebraElement(u.geometry, box, vec.reshape(box.shape))
+
+
 def test_operator_and_spectrum_arrays_read_only(geom):
     box = LatticeBox(2, 3)
     op = lap.assemble_riemannian(met.metric_flat(geom), box)
     res = spectrum(op)
-    arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix,
-              op.matrix, res.eigenvalues, res.stable, res.multiplicity_group]
+    tables = [op.prefactor, op.gram] + [a for row in op.multipliers for a in row]
+    arrays = [calc.compress(AlgebraElement.identity(geom), box).matrix, op.h_inv.coeffs,
+              res.eigenvalues, res.stable, res.multiplicity_group] + [e.table for e in tables]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -44,11 +52,11 @@ def test_operator_and_spectrum_arrays_read_only(geom):
 def test_flat_operator_diagonal(geom, geom0):
     for g in (geom0, geom):
         box = LatticeBox(2, 4)
-        op = lap.assemble_riemannian(met.metric_flat(g), box)
-        off = op.matrix - np.diag(np.diag(op.matrix))
+        mat, asym = lap.operator_matrix(lap.assemble_riemannian(met.metric_flat(g), box))
+        off = mat - np.diag(np.diag(mat))
         assert np.max(np.abs(off)) == 0.0
-        assert op.asymmetry == 0.0
-        diag = np.sort(np.real(np.diag(op.matrix)))
+        assert asym == 0.0
+        diag = np.sort(np.real(np.diag(mat)))
         assert np.array_equal(diag, lap.lattice_eigenvalues(box))
 
 
@@ -66,10 +74,10 @@ def test_flat_assemble_raw_path(geom):
     """assemble() with an identity matrix and unit density stays diagonal."""
     box = LatticeBox(2, 6)
     h_inv = calc.matrix_inverse(TorusMatrix.identity(geom, 2), box)
-    op = lap.assemble(h_inv, met.density_one(geom), box)
-    off = op.matrix - np.diag(np.diag(op.matrix))
+    mat = lap.operator_matrix(lap.assemble(h_inv, met.density_one(geom), box))[0]
+    off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-12
-    assert np.max(np.abs(np.sort(np.real(np.diag(op.matrix))) -
+    assert np.max(np.abs(np.sort(np.real(np.diag(mat))) -
                          lap.lattice_eigenvalues(box))) < 1e-12
 
 
@@ -78,7 +86,7 @@ def test_constants_killed_exactly(geom, rng):
     op = lap.assemble_riemannian(ct, LatticeBox(2, 8))
     delta0 = np.zeros(op.box.size)
     delta0[op.box.index_of((0, 0))] = 1.0
-    assert np.max(np.abs(op.matrix @ delta0)) == 0.0
+    assert np.max(np.abs(lap.operator_matrix(op)[0] @ delta0)) == 0.0
 
 
 def test_box_too_small(geom):
@@ -127,19 +135,20 @@ def test_self_compatible_commuted_form(geom):
     box = LatticeBox(2, 10)
     op = lap.assemble_riemannian(ct, box)
     b = TorusMatrix.scalar(op.nu.nu, 2).matmul(ct.inverse)
-    commuted, _ = lap._build_matrices(op.prefactor, op.gram, b.entries, box)
+    commuted, _ = lap.operator_matrix(dataclasses.replace(op, multipliers=b.entries))
     rows = lap.interior_indices(box, box.radius // 2)
-    assert np.max(np.abs((op.matrix - commuted)[rows])) < 1e-9
+    assert np.max(np.abs((lap.operator_matrix(op)[0] - commuted)[rows])) < 1e-9
 
 
 def test_green_identity(geom, rng):
     """<L u, v>_nu^o = <du, dv>_h,nu^o through the assembled matrix."""
     dk, ct = _ct_metric(geom)
     op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
+    mat = lap.operator_matrix(op)[0]
     for _ in range(5):
         u = random_element(geom, 3, rng)
         v = random_element(geom, 3, rng)
-        lhs = alg.weighted_inner_product_opp(op.apply(u), v, op.nu.nu)
+        lhs = alg.weighted_inner_product_opp(_apply(mat, op.box, u), v, op.nu.nu)
         rhs = forms.form_inner_product(
             forms.differential(u), forms.differential(v), op.h_inv, op.nu
         )
@@ -150,7 +159,7 @@ def test_matrix_application_matches_exact_path(geom, rng):
     dk, ct = _ct_metric(geom)
     op = lap.assemble_riemannian(ct, LatticeBox(2, 10))
     u = random_element(geom, 3, rng)
-    via_matrix = op.apply(u)
+    via_matrix = _apply(lap.operator_matrix(op)[0], op.box, u)
     via_elements = op.apply_exact(u)
     assert coeff_diff(alg.resize(via_matrix, 5), alg.resize(via_elements, 5)) < 1e-11
 
@@ -183,10 +192,10 @@ def test_asymmetry_of_a_non_selfadjoint_inverse_metric(geom, rng):
     entries[0][1] = alg.add(entries[0][1], alg.scale(AlgebraElement.basis(geom, (1, 0)), 1e-6))
     skewed = TorusMatrix(geom, 2, entries)
     dens = random_density(geom, rng, amplitude=0.15)
-    assert lap.assemble(h_inv, dens, box).asymmetry <= 1e-13
+    assert lap.operator_matrix(lap.assemble(h_inv, dens, box))[1] <= 1e-13
     op = lap.assemble(skewed, dens, box)
     res = lap.spectrum(op)
-    assert res.asymmetry == op.asymmetry
+    assert res.asymmetry == lap.operator_matrix(op)[1]
     assert min(res.asymmetry, res.stability_asymmetry) > 1e-8
 
 
@@ -284,13 +293,13 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     assert abs(res.stability_asymmetry - asym2) <= 1e-12 * asym2
     assert np.array_equal(res.stable, lap._stable_prefix(lam, lam2, 1e-3))
     assert np.array_equal(res.multiplicity_group, lap._group_multiplicities(lam, 1e-6))
-    # the dense matrix the operator keeps is exactly zero between classes
+    # the operator's matrix M is exactly zero between classes
     label = np.empty(box.size, dtype=int)
     plan, _ = lap._stiffness(op.prefactor, op.gram, op.multipliers, box)
     for c, idx in enumerate(plan.classes):
         label[idx] = c
     apart = label[:, None] != label[None, :]
-    assert not op.matrix[apart].any()
+    assert not lap.operator_matrix(op)[0][apart].any()
 
 
 def test_mode_classes_of_the_readme_and_flat_metrics(geom, geom3):
@@ -350,14 +359,14 @@ def test_witness_spectrum_makes_no_dense_compression(witness_operator):
     assert peak <= 0.5 * 16 * d * d
 
 
-def test_witness_operator_keeps_one_dense_matrix(geom3):
-    """Beyond its coefficient tables, the assembled witness operator keeps the
-    dense d x d matrix M alone, d = |B_4|: no stiffness or Gram blocks
-    beside it."""
+def test_witness_operator_keeps_its_tables_alone(geom3):
+    """The assembled witness operator keeps its multipliers' coefficient
+    tables and nothing else of size: no matrix, no stiffness or Gram
+    blocks, on a box of d = |B_4| modes.  nu^{-1} and nu are the density's
+    own elements."""
     g = witness_metric(geom3, 3)
     dens = met.riemannian_density(g)
     box = LatticeBox(3, 4)
-    d = box.size
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -365,9 +374,23 @@ def test_witness_operator_keeps_one_dense_matrix(geom3):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    tables = [op.prefactor, op.gram] + [a for row in op.multipliers for a in row]
-    kept -= sum(e.table.nbytes for e in tables)
-    assert op.matrix.shape == (d, d)
+    assert op.prefactor is dens.inv_nu and op.gram is dens.nu
+    kept -= sum(a.table.nbytes for row in op.multipliers for a in row)
+    assert kept <= 16 * 1024  # the operator's Python objects
+
+
+def test_witness_operator_matrix_is_held_alone(witness_operator):
+    """operator_matrix of the witness operator holds its d x d matrix M
+    alone, d = |B_4|: no stiffness or Gram blocks beside it."""
+    d = witness_operator.box.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mat, _ = lap.operator_matrix(witness_operator)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (d, d)
     assert kept <= 1.1 * 16 * d * d
 
 
@@ -456,7 +479,7 @@ def test_product_metric_expanded_operator(geom, rng):
     g = met.validate_metric(gmat, LatticeBox(2, 10))
     op = lap.assemble_riemannian(g, LatticeBox(2, 10))
     u = random_element(geom, 3, rng)
-    lhs = alg.scale(op.apply(u), -1.0)
+    lhs = alg.scale(_apply(lap.operator_matrix(op)[0], op.box, u), -1.0)
     k1i, k2i = alg.exp_series(alg.scale(w, -1.0)), alg.exp_series(alg.scale(w, -0.7))
     term = lambda ki, axis: alg.multiply(
         alg.multiply(ki, ki),

@@ -121,7 +121,7 @@ def test_laplacian_apply_and_matrix_match(geom0, rng):
     assert coeff_diff(alg.resize(a_main, 7), alg.resize(a_orc, 7)) < 1e-12
     m_orc = orc.oracle_laplacian_matrix(op.prefactor, op.multipliers, box)
     rows = lap.interior_indices(box, 4)
-    assert np.max(np.abs((op.matrix - m_orc)[rows])) < 1e-12
+    assert np.max(np.abs((lap.operator_matrix(op)[0] - m_orc)[rows])) < 1e-12
 
 
 def test_oracle_flat_spectrum(geom0):
