@@ -111,9 +111,15 @@ from .errors import (
 # functions singular at 0 refuse a compressed spectrum below this floor, and
 # every test of positive invertibility in the package compares against it
 SPECTRAL_FLOOR = 1e-8
-# a commutation or orthogonality hypothesis of an identity check holds when
-# its residual is at most this
+# [a, b] = 0 holds when max|[a, b]| is at most this times max|a| max|b|
+# (_require_commuting); an identity check's orthogonality hypothesis holds
+# when max|u^t u - 1| is at most this
 COMPAT_TOL = 1e-9
+# compatibility_residual takes no product when every entry is within this
+# share of max|x|, in l1 norm, of a multiple of one table.  max|uv| <=
+# |u|_1 max|v| bounds each commutator so skipped by 4 delta (1 + delta)
+# max|x| max|y|, under 1e-3 of COMPAT_TOL's bound: no verdict moves
+_MULTIPLE_TOL = COMPAT_TOL / 4000
 # an element or matrix x is selfadjoint when max|x - x*| is at most this times
 # max|x|; the metric's entry checks (metrics.validate_metric) read it too
 SELFADJOINT_TOL = 1e-12
@@ -261,29 +267,43 @@ def _like(x, h):
 
 
 def _nonzero_entries(h):
-    """The distinct coefficient tables of the entries that are not
-    identically zero: k I_m gives one table, not m."""
+    """The coefficient tables of the entries that are not identically zero."""
     flat = h.coeffs.reshape((-1,) + h.coeffs.shape[2:])
-    return np.unique(flat[flat.any(axis=tuple(range(1, flat.ndim)))], axis=0)
+    return flat[flat.any(axis=tuple(range(1, flat.ndim)))]
+
+
+def _multiples_of_one_table(*stacks):
+    """Whether every table x of the stacks (k, *box) is within _MULTIPLE_TOL
+    max|x|, in l1 norm, of c_x t: t the table of largest max|.|, c_x =
+    <t, x>/<t, t>."""
+    r = max(s.shape[-1] for s in stacks) // 2
+    flat = np.concatenate([_resize_table(s, r, s.ndim - 1).reshape(len(s), -1) for s in stacks])
+    peaks = np.max(np.abs(flat), axis=1)
+    t = flat[np.argmax(peaks)]
+    rest = flat - np.outer(flat @ t.conj() / np.vdot(t, t), t)
+    return bool(np.all(np.sum(np.abs(rest), axis=1) <= _MULTIPLE_TOL * peaks))
 
 
 def compatibility_residual(a, b):
-    """Max commutator coefficient over all entry pairs of two matrices.
+    """Max commutator coefficient over all entry pairs of two elements or
+    matrices: the one commutation residual of the package.
 
-    The column of a's distinct nonzero entries times the row of b's holds
-    every x y, and the transpose of the reverse product every y x.
+    It is 0, and no product is taken, when an operand is zero or when every
+    entry of both is a multiple of one table to _MULTIPLE_TOL.  Otherwise
+    the column of a's distinct nonzero entries times the row of b's holds
+    every x y, and the transpose of the reverse product every y x: k I_m
+    gives one table, not m.
     """
+    a, b = _as_matrix(a), _as_matrix(b)
     _check_same_geometry(a, b)
-    col = _nonzero_entries(a)[:, None]
-    row = _nonzero_entries(b)[None, :]
+    col, row = _nonzero_entries(a), _nonzero_entries(b)
+    if not (len(col) and len(row)) or _multiples_of_one_table(col, row):
+        return 0.0
+    col, row = np.unique(col, axis=0)[:, None], np.unique(row, axis=0)[None, :]
     theta = a.geometry.theta
     xy = _twisted_matmul(theta, col, row)
     yx = _twisted_matmul(theta, row.swapaxes(0, 1), col.swapaxes(0, 1)).swapaxes(0, 1)
     return float(np.max(np.abs(xy - yx), initial=0.0))
-
-
-def self_compatibility_residual(a):
-    return compatibility_residual(a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +804,13 @@ def _require_selfadjoint(x, what):
         )
 
 
-def _require_commuting(k, g):
-    """max|[k, g]| of an element k and a matrix g; HypothesisViolated above
-    COMPAT_TOL max|k| max|g|."""
-    comm = compatibility_residual(TorusMatrix.scalar(k, 1), g)
-    if comm > COMPAT_TOL * k.max_abs() * g.max_abs():
-        raise HypothesisViolated(f"[k, g] != 0 (residual {comm:.3e})", {"[k,g]": comm})
+def _require_commuting(a, b, what):
+    """max|[a, b]| of two elements or matrices; HypothesisViolated, its
+    residuals {what: max|[a, b]|}, above COMPAT_TOL max|a| max|b|."""
+    comm = compatibility_residual(a, b)
+    bound = COMPAT_TOL * a.max_abs() * b.max_abs()
+    if comm > bound:
+        raise HypothesisViolated(f"{what}: max|[a, b]| {comm:.3e} > {bound:.3e}", {what: comm})
     return comm
 
 
@@ -1261,16 +1282,11 @@ def determinant_identities(metric, k, box):
 
 
 def block_determinant_residual(blocks, box):
-    """Residual of det(blockdiag) = product of block determinants; the blocks
-    must be pairwise compatible to COMPAT_TOL."""
+    """Residual of det(blockdiag) = product of block determinants; each pair
+    of blocks must pass _require_commuting, else HypothesisViolated."""
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            r = compatibility_residual(blocks[i], blocks[j])
-            if r > COMPAT_TOL:
-                raise HypothesisViolated(
-                    f"blocks {i},{j} not compatible (residual {r:.3e})",
-                    {"compatibility": r},
-                )
+            _require_commuting(blocks[i], blocks[j], "compatibility")
     full = determinant(TorusMatrix.block_diag(blocks), box)
     prod = None
     for b in blocks:

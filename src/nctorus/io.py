@@ -9,8 +9,8 @@ other key is refused.  Literals are only read; the one file written here is
 the spectrum CSV.
 
 Positive elements in metric/density specs may be given three ways:
-a bare literal (positivity checked by the floor test of its compression,
-a Cholesky factorization),
+a bare literal (taken as it is: the metric or density built from it tests
+its selfadjointness, then its compression against the spectral floor),
 {"exp_of": literal} for exp of a selfadjoint element, or
 {"witness": literal, "constant": c} for w* w + c.
 
@@ -19,8 +19,8 @@ _positive_spec for a positive element.  Each checks every key and value and
 returns the spec's size with a build(box) that makes the object.
 load_config calls the walkers for their checks alone, so a malformed spec
 is refused before any numerical work; metric_from_spec and
-density_from_spec call them and build.  What needs the box (a bare
-literal's floor test, an exp series, a compression) runs only at build.
+density_from_spec call them and build.  What needs the box (an exp
+series, a compression) runs only at build.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algebra import AlgebraElement, LatticeBox, TorusGeometry, selfadjoint_part
-from .calculus import TorusMatrix, _require_floor, compress, make_positive
+from .calculus import TorusMatrix, make_positive
 from .errors import BoxTooLarge, NCTorusError
 from .metrics import (
     density_exp,
@@ -133,14 +133,7 @@ def _positive_spec(geometry, spec):
     exponent of an exp_of spec, else None, and build(box) the element."""
     if not isinstance(spec, dict):
         x = element_from_literal(geometry, spec)
-
-        def floor_tested(box):
-            # the floor test of the compression's Cholesky factor: a
-            # SpectralFloorViolation, which is a PositivityViolation, when it fails
-            _require_floor([compress(selfadjoint_part(x), box).matrix], "element spec")
-            return x
-
-        return None, floor_tested
+        return None, lambda box: x
     if set(spec) not in _POSITIVE_SPEC_KEYS:
         raise ValueError(f"positive element spec has keys {sorted(spec)}, not exp_of or witness")
     if "exp_of" in spec:

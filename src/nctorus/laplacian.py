@@ -440,7 +440,7 @@ def conformal_covariance_check(g, k_density, box, calc_box):
     """
     n = g.n
     k = k_density.nu
-    comm = calc._require_commuting(k, g.matrix)
+    comm = calc._require_commuting(k, g.matrix, "[k,g]")
     ghat = metric_conformal(g, k, calc_box)
 
     op_g = assemble_riemannian(g, box)

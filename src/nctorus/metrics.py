@@ -4,8 +4,12 @@ A metric is a positive invertible n x n matrix over the algebra whose
 entries, and those of its inverse, are selfadjoint.  Truncation breaks the
 exact identities, so validation is tolerance-based, and a metric that
 fails it is refused with its measured residuals.  Every x = x* test reads
-calculus.SELFADJOINT_TOL relative to max|x| alone, and every [k, g] = 0
-test is calculus._require_commuting, so rescaling moves no verdict.
+calculus.SELFADJOINT_TOL relative to max|x| alone, and every [a, b] = 0
+test reads calculus.compatibility_residual against COMPAT_TOL max|a|
+max|b|: the hypotheses of orthogonal_invariance_check and
+conformal_density_residual refuse through calculus._require_commuting, and
+RiemannianMetric.is_self_compatible is the same test of [g, g].  So
+rescaling an input moves no verdict.
 
 A density is a positive invertible element nu together with an internally
 consistent family of powers (nu^{1/2}, nu^{-1/2}, nu^{-1}).  The family is
@@ -42,7 +46,6 @@ from .calculus import (
     compatibility_residual,
     functional_calculus,
     matrix_trace,
-    self_compatibility_residual,
     spectral_bounds,
 )
 from .errors import (
@@ -158,8 +161,11 @@ class RiemannianMetric:
         return (self.matrix - eye).max_abs() == 0.0
 
     def is_self_compatible(self):
-        """Whether the entries commute to 1e-10 (relative); computed per call."""
-        return self_compatibility_residual(self.matrix) <= 1e-10 * (1.0 + self.matrix.max_abs())
+        """Whether the entries commute: compatibility_residual(g, g) <=
+        calculus.COMPAT_TOL max|g|^2, the bound of every [a, b] = 0 test;
+        computed per call."""
+        g = self.matrix
+        return compatibility_residual(g, g) <= calc.COMPAT_TOL * g.max_abs() ** 2
 
 
 # validation tolerance of the interior residual of g g^{-1} = 1
@@ -356,23 +362,21 @@ def orthogonal_invariance_check(g, u, box):
     """Residuals of nu(u^t g u) = nu(g) and the matching volume identity.
 
     g is a RiemannianMetric; u^t g u is validated on box, and each density is
-    computed on its metric's box.  u must have selfadjoint entries, be
-    self-compatible and compatible with g, and be orthogonal (u^t u = 1), each
-    to calculus.COMPAT_TOL; otherwise the identity has no reason to hold and
-    HypothesisViolated is raised.
+    computed on its metric's box.  The identity needs u with selfadjoint
+    entries (max|u_ij - u_ij*| <= calculus.SELFADJOINT_TOL max|u|) and
+    orthogonal (max|u^t u - 1| <= calculus.COMPAT_TOL, already relative to
+    the identity), then [u, u] = 0 and [u, g] = 0 (calculus._require_commuting,
+    relative to max|u| max|g|); each failure raises HypothesisViolated.
     """
     mat = g.matrix
-    hyp = {
-        "u_selfadjoint_entries": _entry_selfadjoint_residual(u),
-        "self_compatible(u)": self_compatibility_residual(u),
-        "compatible(u,g)": compatibility_residual(u, mat),
-    }
     ut = u.transpose()
-    utu = ut.matmul(u)
-    hyp["orthogonality"] = (utu - TorusMatrix.identity(u.geometry, u.m)).max_abs()
-    bad = {k: v for k, v in hyp.items() if v > calc.COMPAT_TOL}
-    if bad:
-        raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {bad}", hyp)
+    sa = _entry_selfadjoint_residual(u)
+    orth = (ut.matmul(u) - TorusMatrix.identity(u.geometry, u.m)).max_abs()
+    hyp = {"u_selfadjoint_entries": sa, "orthogonality": orth}
+    if sa > calc.SELFADJOINT_TOL * u.max_abs() or orth > calc.COMPAT_TOL:
+        raise HypothesisViolated(f"orthogonal invariance hypotheses failed: {hyp}", hyp)
+    hyp["self_compatible(u)"] = calc._require_commuting(u, u, "self_compatible(u)")
+    hyp["compatible(u,g)"] = calc._require_commuting(u, mat, "compatible(u,g)")
     nu_g = riemannian_density(g)
     nu_c = riemannian_density(validate_metric(ut.matmul(mat).matmul(u), box))
     dens_resid = (nu_c.nu - nu_g.nu).max_abs()
@@ -388,7 +392,7 @@ def conformal_density_residual(g, k, box):
     calculus.COMPAT_TOL max|k| max|g|."""
     mat = g.matrix
     n = mat.geometry.n
-    calc._require_commuting(k, mat)
+    calc._require_commuting(k, mat, "[k,g]")
     scaled = TorusMatrix.from_coeffs(k.geometry, _sandwich(k, mat.coeffs, k))
     nu_scaled = riemannian_density(validate_metric(scaled, box))
     nu_g = riemannian_density(g)

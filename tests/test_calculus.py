@@ -806,11 +806,46 @@ def test_compatibility_residual_over_distinct_entries(geom, rng):
     # commutator over every pair of entries
     x, y = random_element(geom, 2, rng), random_element(geom, 1, rng)
     zero = AlgebraElement.zeros(geom, 0)
+    x2 = alg.scale(x, 2.0)
     a = TorusMatrix(geom, 2, [[x, zero], [zero, x]])
-    b = TorusMatrix(geom, 2, [[y, x], [y, zero]])
-    want = max(coeff_diff(alg.multiply(u, v), alg.multiply(v, u)) for u in (x,) for v in (x, y))
+    b = TorusMatrix(geom, 2, [[y, x], [y, x2]])
+    want = max(coeff_diff(alg.multiply(u, v), alg.multiply(v, u)) for u in (x,) for v in (x, y, x2))
     assert want > 0.1
     assert abs(calc.compatibility_residual(a, b) - want) <= 1e-14 * want
+
+
+def _pairwise_commutator(h):
+    """max|[x, y]| over every pair of h's entries, product by product."""
+    entries = [e for row in h.entries for e in row]
+    return max(coeff_diff(alg.multiply(x, y), alg.multiply(y, x)) for x in entries for y in entries)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compatibility_residual_takes_no_product_on_multiples_of_one_table(geom, geom3, n):
+    """README's k^2 I_2 and the n = 3 witness metric k^2 (x) g0, g0 off
+    diagonal: every entry is a multiple of one table, so the residual is 0
+    and no product is taken; so is an operand that is zero.  A copy with one
+    coefficient moved by 1e-6 takes the products, and its residual is the
+    max commutator over the entry pairs."""
+    if n == 2:
+        k = met.density_exp(alg.add(trig_pair(geom, 0, 0.15), trig_pair(geom, 1, 0.10))).nu
+        g = met.metric_conformal(met.metric_flat(geom), k, LatticeBox(2, 4)).matrix
+    else:
+        g = witness_metric(geom3, 2).matrix
+    r = g.box.radius
+    coeffs = g.coeffs.copy()
+    coeffs[(0, 0, r + 1) + (r,) * (n - 1)] += 1e-6
+    moved = TorusMatrix.from_coeffs(g.geometry, coeffs)
+    zero = TorusMatrix.from_coeffs(g.geometry, np.zeros_like(coeffs))
+    with mock.patch.object(calc, "_twisted_matmul", wraps=calc._twisted_matmul) as spy:
+        assert calc.compatibility_residual(g, g) == 0.0
+        assert calc.compatibility_residual(zero, moved) == 0.0
+        assert spy.call_count == 0
+        got = calc.compatibility_residual(moved, moved)
+        assert spy.call_count == 2
+    want = _pairwise_commutator(moved)
+    assert want > 1e-8
+    assert abs(got - want) <= 1e-14 * g.max_abs() ** 2
 
 
 def test_self_compatible_leibniz(geom):
@@ -819,7 +854,7 @@ def test_self_compatible_leibniz(geom):
     k2 = alg.multiply(k, k)
     zero = AlgebraElement.zeros(geom, 0)
     h = TorusMatrix(geom, 2, [[k2, zero], [zero, k2]])
-    assert calc.self_compatibility_residual(h) < 1e-14
+    assert calc.compatibility_residual(h, h) < 1e-14
     d = calc.determinant(h, box)
     expansion = calc.leibniz_determinant(h)
     assert coeff_diff(d, expansion) < 1e-8

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import nctorus
-from nctorus import calculus as calc, cli, io as nio, metrics as met
+from nctorus import algebra as alg, calculus as calc, cli, io as nio, metrics as met
 from nctorus.algebra import LatticeBox
-from nctorus.errors import BoxTooLarge, NCTorusError, PositivityViolation
+from nctorus.errors import BoxTooLarge, NCTorusError, NonSelfadjointInput, PositivityViolation
 from nctorus.forms import OneForm
 
 from conftest import coeff_diff, spectrum
@@ -103,25 +103,37 @@ def _positive(geom, spec, box):
     return build(box)
 
 
+def _built(geom, spec, box):
+    """The density's nu and the conformal metric's factor that a positive
+    element spec builds on box, each through its consumer."""
+    nu = nio.density_from_spec(geom, spec, box).nu
+    g = nio.metric_from_spec(geom, {"type": "conformal", "k": spec}, box)
+    assert coeff_diff(g.matrix.entries[0][0], alg.multiply(nu, nu)) < 1e-14
+    return nu
+
+
 def test_positive_element_specs(geom):
     box = LatticeBox(2, 6)
     exp_spec = {"exp_of": [{"k": [1, 0], "re": 0.1, "im": 0.0},
                            {"k": [-1, 0], "re": 0.1, "im": 0.0}]}
-    k = _positive(geom, exp_spec, box)
+    k = _built(geom, exp_spec, box)
     lo, _ = calc.spectral_bounds(k, box)
     assert lo > 0.5
     wit_spec = {"witness": [{"k": [0, 1], "re": 0.3, "im": 0.0}], "constant": 1.0}
-    k2 = _positive(geom, wit_spec, box)
+    k2 = _built(geom, wit_spec, box)
     lo2, _ = calc.spectral_bounds(k2, box)
     assert lo2 >= 1.0 - 1e-10
+    wave = [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": [-1, 0], "re": 1.0, "im": 0.0}]
     with pytest.raises(PositivityViolation):
-        _positive(geom, [{"k": [1, 0], "re": 1.0, "im": 0.0},
-                         {"k": [-1, 0], "re": 1.0, "im": 0.0}], box)
+        nio.density_from_spec(geom, wave, box)
+    with pytest.raises(PositivityViolation):
+        nio.metric_from_spec(geom, {"type": "conformal", "k": wave}, box)
 
 
 def test_positive_element_spec_floor(geom):
     """A bare literal passes just above the spectral floor and is refused, as a
-    PositivityViolation, just below it."""
+    PositivityViolation, just below it: by the density's inverse square root
+    and by the conformal metric's bounds, each testing it once."""
     box = LatticeBox(2, 6)
     wave = [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": [-1, 0], "re": 1.0, "im": 0.0}]
     lam_min = np.linalg.eigvalsh(calc.compress(nio.element_from_literal(geom, wave), box).matrix)[0]
@@ -130,9 +142,18 @@ def test_positive_element_spec_floor(geom):
     def shifted(margin):
         return wave + [{"k": [0, 0], "re": floor + margin - lam_min, "im": 0.0}]
 
-    _positive(geom, shifted(1e-9), box)
+    _built(geom, shifted(1e-9), box)
     with pytest.raises(PositivityViolation):
-        _positive(geom, shifted(-1e-9), box)
+        nio.density_from_spec(geom, shifted(-1e-9), box)
+    with pytest.raises(PositivityViolation):
+        nio.metric_from_spec(geom, {"type": "conformal", "k": shifted(-1e-9)}, box)
+    # each consumer tests selfadjointness first: a literal that also fails it
+    # is refused as not selfadjoint
+    odd = shifted(-1e-9) + [{"k": [0, 1], "re": 0.0, "im": 1e-3}]
+    with pytest.raises(NonSelfadjointInput):
+        nio.density_from_spec(geom, odd, box)
+    with pytest.raises(NonSelfadjointInput):
+        nio.metric_from_spec(geom, {"type": "conformal", "k": odd}, box)
 
 
 def test_metric_specs(geom):

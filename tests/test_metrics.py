@@ -97,7 +97,7 @@ def test_conformally_flat_entries(geom):
     k2 = alg.multiply(dk.nu, dk.nu)
     assert coeff_diff(g.matrix.entries[0][0], k2) < 1e-14
     assert coeff_diff(g.matrix.entries[1][1], k2) < 1e-14
-    assert calc.self_compatibility_residual(g.matrix) < 1e-13
+    assert calc.compatibility_residual(g.matrix, g.matrix) < 1e-13
 
 
 def test_validation_leaves_self_compatibility_to_the_metric(geom, monkeypatch):
@@ -105,8 +105,8 @@ def test_validation_leaves_self_compatibility_to_the_metric(geom, monkeypatch):
     # is_self_compatible computes it on each call
     from nctorus import io as nio
 
-    def refuse(a):
-        raise AssertionError("self_compatibility_residual called")
+    def refuse(a, b):
+        raise AssertionError("compatibility_residual called")
 
     box = LatticeBox(2, 6)
     k = {"exp_of": [{"k": [1, 0], "re": 0.1, "im": 0}, {"k": [-1, 0], "re": 0.1, "im": 0}]}
@@ -119,10 +119,10 @@ def test_validation_leaves_self_compatibility_to_the_metric(geom, monkeypatch):
                                          [[], [{"k": [0, 0], "re": 3.0}]]]},
     ]
     with monkeypatch.context() as m:
-        m.setattr(calc, "self_compatibility_residual", refuse)
-        m.setattr(met, "self_compatibility_residual", refuse)
+        m.setattr(calc, "compatibility_residual", refuse)
+        m.setattr(met, "compatibility_residual", refuse)
         metrics = [nio.metric_from_spec(geom, spec, box) for spec in specs]
-        with pytest.raises(AssertionError, match="self_compatibility_residual called"):
+        with pytest.raises(AssertionError, match="compatibility_residual called"):
             metrics[1].is_self_compatible()
     assert all(g.is_self_compatible() for g in metrics)
 
@@ -135,7 +135,7 @@ def test_functional_metric(geom):
         return np.array([[1.2 + 0.2 * t, 0.1 * t], [0.1 * t, 0.9 + 0.1 * t]])
 
     g = met.metric_functional(h, profile, box)
-    assert calc.self_compatibility_residual(g.matrix) < 1e-10
+    assert calc.compatibility_residual(g.matrix, g.matrix) < 1e-10
     assert g.is_self_compatible()
 
     const = met.metric_functional(h, lambda t: np.eye(2) * 1.5, box)

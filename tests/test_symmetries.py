@@ -1,8 +1,10 @@
 """Verdicts and spectra that the torus's own symmetries fix exactly, at theta != 0.
 
-Scaling: the selfadjointness and commutation tests bound a residual relative
-to the sizes of their inputs, so a copy scaled by e^a gets the same verdict
-at every a.  The gauge action V_k -> e^{ik.t} V_k is an automorphism at every
+Scaling: the selfadjointness test and every commutation test (the
+conformal checks, the block determinant, orthogonal invariance and
+self-compatibility) bound a residual relative to the sizes of their
+inputs, so a copy scaled by e^a gets the same verdict at every a.  The
+gauge action V_k -> e^{ik.t} V_k is an automorphism at every
 theta and maps each box onto itself: the compression of the gauged operator
 is D C D* with D diagonal unitary, so its spectrum is the same up to roundoff.
 It makes even real coefficients complex and not even, so a gauged copy of
@@ -48,9 +50,17 @@ def test_selfadjointness_verdict_is_scale_free(geom):
             calc.functional_calculus(alg.scale(far, math.exp(a)), "exp", box)
 
 
-def _commutator_ratio(k, g):
-    comm = calc.compatibility_residual(TorusMatrix.scalar(k, 1), g.matrix)
-    return comm / (k.max_abs() * g.matrix.max_abs())
+def _commutator_ratio(a, b):
+    return calc.compatibility_residual(a, b) / (a.max_abs() * b.max_abs())
+
+
+def _with_share(wave, b, share):
+    """1 + s wave for a wave with max|wave| = 1, s set so that its commutator
+    with b is the share of its max|.| max|b|."""
+    s = share / _commutator_ratio(wave, b)
+    k = alg.add(AlgebraElement.identity(wave.geometry), alg.scale(wave, s))
+    assert _commutator_ratio(k, b) == pytest.approx(share, rel=1e-6)
+    return k
 
 
 def test_commutator_verdict_is_scale_free(geom):
@@ -60,14 +70,7 @@ def test_commutator_verdict_is_scale_free(geom):
     box = LatticeBox(2, 4)
     h = alg.add(AlgebraElement.identity(geom), trig_pair(geom, 1, 0.2))
     g = met.metric_conformal(met.metric_flat(geom), h, box)
-    wave = trig_pair(geom, 0)
-
-    def factor(share):
-        k = alg.add(AlgebraElement.identity(geom), alg.scale(wave, share / _commutator_ratio(wave, g)))
-        assert _commutator_ratio(k, g) == pytest.approx(share, rel=1e-6)
-        return k
-
-    near, far = factor(5e-10), factor(5e-9)
+    near, far = (_with_share(trig_pair(geom, 0), g.matrix, share) for share in (5e-10, 5e-9))
     for a in SCALES:
         met.conformal_density_residual(g, alg.scale(near, math.exp(a)), box)
         k = alg.scale(far, math.exp(a))
@@ -75,6 +78,68 @@ def test_commutator_verdict_is_scale_free(geom):
             met.conformal_density_residual(g, k, box)
         with pytest.raises(HypothesisViolated):
             lap.conformal_covariance_check(g, met.density_from_element(k, box), box, box)
+
+
+def _block_pair(geom, share):
+    """h1 = 1 + s (V_e1 + V_-e1) and h2 = 1 + 0.2 (V_e2 + V_-e2), with
+    max|[h1, h2]| the share of max|h1| max|h2|."""
+    h2 = alg.add(AlgebraElement.identity(geom), trig_pair(geom, 1, 0.2))
+    return _with_share(trig_pair(geom, 0), h2, share), h2
+
+
+def test_block_determinant_verdict_is_scale_free(geom):
+    """The blocks e^a h1 and h2 pass the commutation test at a share of
+    5e-10 and are refused at 5e-9, at every a.  Against an absolute bound
+    the first was refused at a = 2 and the second passed at a = -3."""
+    box = LatticeBox(2, 4)
+    for share, passes in ((5e-10, True), (5e-9, False)):
+        h1, h2 = _block_pair(geom, share)
+        for a in SCALES:
+            blocks = [TorusMatrix.scalar(alg.scale(h1, math.exp(a)), 1), TorusMatrix.scalar(h2, 1)]
+            if passes:
+                assert calc.block_determinant_residual(blocks, box) < 1e-8
+            else:
+                with pytest.raises(HypothesisViolated):
+                    calc.block_determinant_residual(blocks, box)
+
+
+def test_self_compatibility_verdict_is_scale_free(geom):
+    """e^a diag(h1, h2) is self-compatible at a share of 5e-10 and not at
+    5e-9, at every a.  Against 1e-10 (1 + max|g|) the first was not at
+    a = 0 and the second was at a = -3."""
+    box = LatticeBox(2, 4)
+    zero = AlgebraElement.zeros(geom, 0)
+    for share, compatible in ((5e-10, True), (5e-9, False)):
+        h1, h2 = _block_pair(geom, share)
+        g = TorusMatrix(geom, 2, [[h1, zero], [zero, h2]])
+        for a in SCALES:
+            assert met.validate_metric(g.scale(math.exp(a)), box).is_self_compatible() is compatible
+
+
+def test_orthogonal_invariance_verdict_is_scale_free(geom):
+    """u = [[1, -s w], [s w, 1]], w = V_e1 + V_-e1, is orthogonal to
+    roundoff with selfadjoint, commuting entries; against e^a g, g = h^2 I
+    with h in the modes of e2, [u, g] is s [w, h^2], a chosen share of
+    max|u| max|g|.  A share of 5e-9 is refused at every a; an absolute
+    bound passed it at a = -3, where validating u^t g u refused it instead.
+    The off-diagonal entries of u^t g u are +-[s w, h^2], not selfadjoint,
+    and that validation refuses a share above about 5e-13, so the accepted
+    case takes 1e-13."""
+    box = LatticeBox(2, 4)
+    h = alg.add(AlgebraElement.identity(geom), trig_pair(geom, 1, 0.2))
+    g = met.metric_conformal(met.metric_flat(geom), h, box).matrix
+    one, w = AlgebraElement.identity(geom), trig_pair(geom, 0)
+    for share, passes in ((1e-13, True), (5e-9, False)):
+        sw = alg.scale(w, share / _commutator_ratio(w, g))
+        u = TorusMatrix(geom, 2, [[one, alg.scale(sw, -1.0)], [sw, one]])
+        assert _commutator_ratio(u, g) == pytest.approx(share, rel=1e-6)
+        for a in SCALES:
+            scaled = met.validate_metric(g.scale(math.exp(a)), box)
+            if passes:
+                assert met.orthogonal_invariance_check(scaled, u, box)["density_residual"] < 1e-8
+            else:
+                with pytest.raises(HypothesisViolated):
+                    met.orthogonal_invariance_check(scaled, u, box)
 
 
 def _gauged(spec, t):
