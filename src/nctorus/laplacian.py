@@ -9,8 +9,9 @@ K = -sum_ij D_i M(a_ij) D_j, D_j the diagonal derivation matrix (i k_j) and
 a_ij the composite multipliers nu^{1/2} h^{ij} nu^{1/2}.  Every term ends in
 a derivation, so constants are killed exactly.  The assembled operator is
 its inputs: nu^{-1}, nu and the multipliers, clipped, with h^{-1} and the
-density.  M is formed (operator_matrix) only where it is read, by the
-conformal check and the oracle comparison.  Since -delta is the adjoint
+density.  M is formed whole (operator_matrix) only where it is read, by
+the oracle comparison; the conformal check forms the blocks of M and of
+the law's other matrices on one class plan.  Since -delta is the adjoint
 of d, L is the selfadjoint operator of the form q(u, v) = <du, dv>_{h,nu}
 on <u, v>_nu = tau(v* nu u).  On span{V_p : p in B_N} that form's
 stiffness matrix is K, K_pq = sum_ij p_i q_j M(a_ij)_pq, and its Gram
@@ -22,7 +23,9 @@ eigensolve runs on its Hermitian part.
 
 Everything is built once per class of lattice modes that the coefficients
 couple: p and q are joined when p - q lies in the support of nu^{-1}, nu or
-a multiplier (calculus._class_plan).  Entry (p, q) of every compression is
+a multiplier (calculus._class_plan), and in the conformal check when it
+lies in the support of a table of either operator, of k^{-2} or of the
+gradient correction's coefficients.  Entry (p, q) of every compression is
 the coefficient at p - q times a phase, so every matrix here is block
 diagonal over the classes with exact zeros between blocks, and the
 spectrum is the union of the blocks' spectra.  A metric fixed by a
@@ -73,12 +76,7 @@ from .algebra import (
     selfadjoint_part,
     trace,
 )
-from .calculus import (
-    TorusMatrix,
-    compress,
-    functional_calculus,
-    unit_ball_volume,
-)
+from .calculus import TorusMatrix, functional_calculus, unit_ball_volume
 from .errors import BoxTooSmall, PositivityViolation, WindowOutOfRange
 from .forms import _divergence, _multipliers, _product, _stack, differential
 from .metrics import (
@@ -130,30 +128,25 @@ class LaplaceBeltramiOperator:
 _STRIP = 64
 
 
-def _scatter(blocks):
-    """The d x d matrix with the diagonal blocks of the (idx, block) pairs
-    and exact zeros between them, in a buffer of its own."""
-    d = sum(idx.size for idx, _ in blocks)
-    mat = np.zeros((d, d), dtype=complex)
-    for idx, blk in blocks:
-        mat[idx[:, None], idx] = blk
-    return mat
+def _tables(op):
+    """The coefficient tables of the operator's elements, nu^{-1}, nu and the
+    multipliers: the supports that couple the modes of its class plan."""
+    return [op.prefactor.table, op.gram.table] + [a.table for row in op.multipliers for a in row]
 
 
-def _stiffness(prefactor, gram, multipliers, box):
-    """The class plan of the box and the class blocks of the stiffness matrix
-    K = -sum_ij D_i M(a_ij) D_j, K_pq = sum_ij p_i q_j M(a_ij)_pq.
+def _stiffness(multipliers, plan):
+    """The class blocks of the stiffness matrix K = -sum_ij D_i M(a_ij) D_j,
+    K_pq = sum_ij p_i q_j M(a_ij)_pq, over the classes of the plan.
 
-    The classes are those of modes that nu^{-1}, nu and the multipliers
-    couple (calculus._class_plan), one plan for all 2 + n^2 elements.  Each
-    multiplier's block is built directly (calculus._class_blocks), scaled by
-    D_i and D_j in place and subtracted from K's, so at most two blocks of
-    each class are live at a time.
+    The plan is the caller's: one for all of the elements whose blocks meet
+    K's (calculus._class_plan over their tables, the multipliers' among
+    them), or the whole box's (calculus._whole_plan).  Each multiplier's
+    block is built directly (calculus._class_blocks), scaled by D_i and D_j
+    in place and subtracted from K's, so at most two blocks of each class
+    are live at a time.
     """
-    n = prefactor.geometry.n
-    modes = box.modes()
-    tables = [prefactor.table, gram.table] + [a.table for row in multipliers for a in row]
-    plan = calc._class_plan(prefactor.geometry, box, tables)
+    n = len(multipliers)
+    modes = plan.box.modes()
     core = [np.zeros((idx.size, idx.size), dtype=complex) for idx in plan.classes]
     for i in range(n):
         di = 1j * modes[:, i].astype(float)
@@ -164,7 +157,7 @@ def _stiffness(prefactor, gram, multipliers, box):
                 term *= dj[None, idx]
                 blk -= term
             del term  # freed before the next element's blocks are built
-    return plan, core
+    return core
 
 
 def _squared_norm(x):
@@ -200,22 +193,26 @@ def _hermitian_part(blocks):
     return math.sqrt(skew2) / (math.sqrt(norm2) or 1.0)
 
 
+def _class_products(op, plan):
+    """The class blocks of M = M(nu^{-1}) K over the plan, K as built
+    (_stiffness), not its Hermitian part, and the asymmetry of K
+    (_hermitian_part)."""
+    k = _stiffness(op.multipliers, plan)
+    mat = [p_mat @ blk for p_mat, blk in zip(calc._class_blocks(op.prefactor, plan), k)]
+    return mat, _hermitian_part(k)
+
+
 def operator_matrix(op):
     """M = M(nu^{-1}) K on op.box, a new d x d array, and the asymmetry
     ||K - K*|| / ||K|| of the stiffness matrix K (_hermitian_part).
 
-    Each class's block of M is that of M(nu^{-1}) times K's, K as built
-    (_stiffness), not its Hermitian part: every compression's entry (p, q)
-    is a coefficient at p - q times a phase, so both are block diagonal
-    over the classes with exact zeros between blocks, and so is M.  With
-    one class its block is M, formed by one product; with several, M is
-    scattered from the blocks into a buffer of its own, and no d x d
-    compression is built.
+    M is formed on the plan of the whole box (calculus._whole_plan) as one
+    block, by one product of the compression of nu^{-1} with K as built,
+    not its Hermitian part.  Its one reader is the oracle comparison; the
+    spectrum and the conformal check work on class blocks.
     """
-    plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, op.box)
-    mat = [p_mat @ blk for p_mat, blk in zip(calc._class_blocks(op.prefactor, plan), k)]
-    mat = mat[0] if len(mat) == 1 else _scatter(list(zip(plan.classes, mat)))
-    return mat, _hermitian_part(k)
+    mat, asym = _class_products(op, calc._whole_plan(op.geometry, op.box, _tables(op)))
+    return mat[0], asym
 
 
 def assemble(h_inv, dens, box, mult_radius=None):
@@ -333,7 +330,8 @@ def _pencil(op, box):
     hegvd), whose eigenvalues numpy's eigvalsh finds.  A Gram block that is
     not positive definite (a clipped nu that is not positive) is refused.
     """
-    plan, k = _stiffness(op.prefactor, op.gram, op.multipliers, box)
+    plan = calc._class_plan(op.geometry, box, _tables(op))
+    k = _stiffness(op.multipliers, plan)
     asym = _hermitian_part(k)
     # K's blocks are split and dropped before the Gram blocks are built, so
     # that the working set stays that of two blocks
@@ -433,6 +431,17 @@ def conformal_covariance_check(g, k_density, box, calc_box):
     HypothesisViolated when max|[k, g]| exceeds calculus.COMPAT_TOL
     max|k| max|g|.
 
+    Every matrix of the law is built class by class on one plan
+    (calculus._class_plan) over the tables of both operators, of k^{-2}
+    and of the correction's coefficients: M_g and M_ghat (_class_products),
+    C(k^{-2}) M_g and the correction sum_j M(c_j) D_j, each block formed in
+    the order of the dense formula M_ghat - (C(k^{-2}) M_g - correction).
+    Every compression's entry (p, q) is a coefficient at p - q times a
+    phase, so each matrix is block diagonal over the plan's classes with
+    exact zeros between blocks, and the residual, the max over interior
+    rows, is the max over each class's interior rows; no d x d matrix is
+    built when the plan splits.
+
     k_density is the Density of k, whose nu is k and whose inv_nu gives
     k^{-2}; ghat is validated on calc_box, and each volume element is the
     Riemannian density of its metric, on that metric's box.  Returns the
@@ -445,34 +454,35 @@ def conformal_covariance_check(g, k_density, box, calc_box):
 
     op_g = assemble_riemannian(g, box)
     op_hat = assemble_riemannian(ghat, box)
-    m_g, asym_g = operator_matrix(op_g)
-    m_hat, asym_hat = operator_matrix(op_hat)
-
     k_inv_2 = multiply(k_density.inv_nu, k_density.inv_nu)
-    rhs = compress(k_inv_2, box).matrix @ m_g
+    # gradient correction: sum_j M(c_j) D_j with
+    # c_j = nu^{-1} k^{-n} sum_i d_i(k^{n-2}) a_ij, none at n = 2
+    coeffs = []
+    if n != 2:
+        pref = multiply(op_g.nu.inv_nu, _integer_power(k_density.inv_nu, n))
+        grad = _stack(differential(_integer_power(k, n - 2)).components)[None]
+        a = TorusMatrix(op_g.geometry, n, op_g.multipliers).coeffs
+        coeffs = [multiply(pref, c) for c in _product(op_g.geometry, grad, a)]
+    tables = _tables(op_g) + _tables(op_hat) + [x.table for x in [k_inv_2] + coeffs]
+    plan = calc._class_plan(g.geometry, box, tables)
+
+    m_g, asym_g = _class_products(op_g, plan)
+    m_hat, asym_hat = _class_products(op_hat, plan)
+    k2 = calc._class_blocks(k_inv_2, plan)
+    corr = [calc._class_blocks(c, plan) for c in coeffs]
+    modes = box.modes()
+    inner = np.max(np.abs(modes), axis=1) <= box.radius // 2
+    deriv = 1j * modes.astype(float)
+    resid = 0.0
+    for c, idx in enumerate(plan.classes):
+        diff = k2[c] @ m_g[c]
+        diff -= sum(blocks[c] * deriv[idx, j] for j, blocks in enumerate(corr))
+        np.subtract(m_hat[c], diff, out=diff)
+        k2[c] = m_g[c] = m_hat[c] = None  # each class's blocks freed once read
+        resid = max(resid, float(np.max(np.abs(diff[inner[idx]]), initial=0.0)))
 
     report = {"commutator": comm, "asymmetry_g": asym_g, "asymmetry_ghat": asym_hat}
-    margin = box.radius // 2
-    rows = interior_indices(box, margin)
-    if n == 2:
-        report["two_dim_residual"] = float(
-            np.max(np.abs((m_hat - rhs)[rows]))
-        )
-        return report, op_hat
-
-    # gradient correction: sum_j M(c_j) D_j with
-    # c_j = nu^{-1} k^{-n} sum_i d_i(k^{n-2}) a_ij
-    pref = multiply(op_g.nu.inv_nu, _integer_power(k_density.inv_nu, n))
-    grad = _stack(differential(_integer_power(k, n - 2)).components)[None]
-    a = TorusMatrix(op_g.geometry, n, op_g.multipliers).coeffs
-    modes = box.modes()
-    corr = np.zeros((box.size, box.size), dtype=complex)
-    for j, c in enumerate(_product(op_g.geometry, grad, a)):
-        dj = 1j * modes[:, j].astype(float)
-        corr += compress(multiply(pref, c), box).matrix * dj[None, :]
-    report["full_law_residual"] = float(
-        np.max(np.abs((m_hat - (rhs - corr))[rows]))
-    )
+    report["two_dim_residual" if n == 2 else "full_law_residual"] = resid
     return report, op_hat
 
 

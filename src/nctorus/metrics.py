@@ -361,12 +361,15 @@ def weight_trace_sandwich(density, x, box):
 def orthogonal_invariance_check(g, u, box):
     """Residuals of nu(u^t g u) = nu(g) and the matching volume identity.
 
-    g is a RiemannianMetric; u^t g u is validated on box, and each density is
-    computed on its metric's box.  The identity needs u with selfadjoint
-    entries (max|u_ij - u_ij*| <= calculus.SELFADJOINT_TOL max|u|) and
-    orthogonal (max|u^t u - 1| <= calculus.COMPAT_TOL, already relative to
-    the identity), then [u, u] = 0 and [u, g] = 0 (calculus._require_commuting,
-    relative to max|u| max|g|); each failure raises HypothesisViolated.
+    g is a RiemannianMetric; each density is computed on its metric's box.
+    The identity needs u with selfadjoint entries (max|u_ij - u_ij*| <=
+    calculus.SELFADJOINT_TOL max|u|) and orthogonal (max|u^t u - 1| <=
+    calculus.COMPAT_TOL, already relative to the identity), then [u, u] = 0
+    and [u, g] = 0 (calculus._require_commuting, relative to max|u| max|g|);
+    each failure raises HypothesisViolated.  The entries of u^t g u are
+    selfadjoint only up to the commutators that hypothesis bounds, so the
+    metric validated on box is its entrywise selfadjoint part, as
+    conformal_density_residual builds k g k.
     """
     mat = g.matrix
     ut = u.transpose()
@@ -378,7 +381,9 @@ def orthogonal_invariance_check(g, u, box):
     hyp["self_compatible(u)"] = calc._require_commuting(u, u, "self_compatible(u)")
     hyp["compatible(u,g)"] = calc._require_commuting(u, mat, "compatible(u,g)")
     nu_g = riemannian_density(g)
-    nu_c = riemannian_density(validate_metric(ut.matmul(mat).matmul(u), box))
+    conj = ut.matmul(mat).matmul(u)
+    conj = (conj + conj.adjoint().transpose()).scale(0.5)
+    nu_c = riemannian_density(validate_metric(conj, box))
     dens_resid = (nu_c.nu - nu_g.nu).max_abs()
     vol_resid = abs(volume(nu_c) - volume(nu_g))
     return {"density_residual": dens_resid, "volume_residual": vol_resid, **hyp}

@@ -74,13 +74,21 @@ def generalized_spectrum(op):
     return scipy.linalg.eigh(a, g_mat, eigvals_only=True)
 
 
-def witness_metric(geom3, calc_radius):
-    """The metric of the n = 3 spectrum benchmark: k g0 k with k = w* w + 1
-    for a witness w in the modes e_i, so that every coefficient of the
-    operator lies in the plane sum(k) = 0."""
+WITNESS_BASE = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+
+
+def witness_factor(geom3):
+    """The conformal factor of the n = 3 spectrum benchmark's metric:
+    k = w* w + 1 for a witness w in the modes e_i."""
     w = AlgebraElement.from_modes(geom3, {(1, 0, 0): 0.15, (0, 1, 0): 0.10, (0, 0, 1): 0.08})
-    g0 = np.array([[1.3, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+    return calc.make_positive(w, 1.0)
+
+
+def witness_metric(geom3, calc_radius):
+    """The metric of the n = 3 spectrum benchmark: k g0 k with g0 =
+    WITNESS_BASE and k = witness_factor(geom3), so that every coefficient
+    of the operator lies in the plane sum(k) = 0."""
     box = LatticeBox(3, calc_radius)
     return met.metric_conformal(
-        met.metric_constant(geom3, g0, box=box), calc.make_positive(w, 1.0), box
+        met.metric_constant(geom3, WITNESS_BASE, box=box), witness_factor(geom3), box
     )

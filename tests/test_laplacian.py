@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 import threading
 import tracemalloc
@@ -19,7 +20,15 @@ from nctorus.errors import (
 )
 from nctorus.sampling import random_density, random_element, random_hermitian_matrix
 
-from conftest import coeff_diff, generalized_spectrum, spectrum, trig_pair, witness_metric
+from conftest import (
+    WITNESS_BASE,
+    coeff_diff,
+    generalized_spectrum,
+    spectrum,
+    trig_pair,
+    witness_factor,
+    witness_metric,
+)
 
 
 def _ct_metric(geom, calc_radius=10, a0=0.15, a1=0.1):
@@ -125,6 +134,78 @@ def test_conformal_constant_base(geom):
     base = met.metric_constant(geom, [[1.4, 0.3], [0.3, 0.9]], box=LatticeBox(2, 4))
     rep, _ = lap.conformal_covariance_check(base, dk, LatticeBox(2, 10), LatticeBox(2, 10))
     assert rep["two_dim_residual"] < 1e-8
+
+
+def _dense_conformal_residual(g, dk, box, calc_box):
+    """The conformal law's residual for ghat = k g k from whole d x d
+    matrices: the max over interior rows of
+    |M_ghat - (C(k^-2) M_g - sum_j C(c_j) D_j)|, M = lap.operator_matrix,
+    with c_j = nu(g)^-1 k^-3 sum_i d_i(k) a_ij at n = 3 and no correction
+    at n = 2."""
+    op_g = lap.assemble_riemannian(g, box)
+    op_hat = lap.assemble_riemannian(met.metric_conformal(g, dk.nu, calc_box), box)
+    k_inv_2 = alg.multiply(dk.inv_nu, dk.inv_nu)
+    diff = calc.compress(k_inv_2, box).matrix @ lap.operator_matrix(op_g)[0]
+    if g.n == 3:
+        pref = functools.reduce(alg.multiply, [op_g.nu.inv_nu] + [dk.inv_nu] * 3)
+        deriv = 1j * box.modes().astype(float)
+        for j in range(3):
+            c = functools.reduce(alg.add, [
+                alg.multiply(alg.derivation(dk.nu, i), op_g.multipliers[i][j]) for i in range(3)
+            ])
+            diff -= calc.compress(alg.multiply(pref, c), box).matrix * deriv[:, j]
+    diff = lap.operator_matrix(op_hat)[0] - diff
+    return float(np.max(np.abs(diff[lap.interior_indices(box, box.radius // 2)])))
+
+
+def _witness_conformal_inputs(geom3):
+    """The n = 3 spectrum benchmark's metric as a conformal pair: the
+    constant base g0 and the Density of k, on the calc box B_3."""
+    calc_box = LatticeBox(3, 3)
+    base = met.metric_constant(geom3, WITNESS_BASE, box=calc_box)
+    return base, met.density_from_element(witness_factor(geom3), calc_box), calc_box
+
+
+@pytest.mark.parametrize("case", ["readme", "axis1", "witness-n3"])
+def test_conformal_check_matches_the_dense_formula(geom, geom3, case):
+    """The check's residual, formed class by class on one plan, is the
+    dense formula's: bit for bit on the README-like metric (one class) and
+    on k = exp(a (V_e1 + V_-e1)) (21 classes of 21 modes), and within
+    1e-12 relative on the n = 3 witness metric (25 classes), whose
+    correction's coefficients the formula forms in another order."""
+    if case == "witness-n3":
+        g, dk, calc_box = _witness_conformal_inputs(geom3)
+        box = LatticeBox(3, 4)
+    else:
+        w = trig_pair(geom, 0, 0.15)
+        dk = met.density_exp(w + trig_pair(geom, 1, 0.1) if case == "readme" else w)
+        g, box = met.metric_flat(geom), LatticeBox(2, 10)
+        calc_box = box
+    rep, _ = lap.conformal_covariance_check(g, dk, box, calc_box)
+    got = rep["full_law_residual" if case == "witness-n3" else "two_dim_residual"]
+    want = _dense_conformal_residual(g, dk, box, calc_box)
+    if case == "witness-n3":
+        assert abs(got - want) <= 1e-12 * want
+    else:
+        assert got == want
+
+
+def test_conformal_check_makes_no_dense_matrix(geom3):
+    """On the n = 3 witness metric, whose plan splits B_4 into 25 classes,
+    the check builds class blocks alone.  Its traced peak, 3.8 d x d
+    complex arrays (d = |B_4|), is that of assembling ghat's operator, its
+    density on the calc box; with whole d x d matrices it was 7.8."""
+    g, dk, calc_box = _witness_conformal_inputs(geom3)
+    box = LatticeBox(3, 4)
+    d = box.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lap.conformal_covariance_check(g, dk, box, calc_box)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * d * d
 
 
 def test_self_compatible_commuted_form(geom):
@@ -295,8 +376,10 @@ def test_block_spectrum_matches_dense_solve(geom, geom3, case):
     assert np.array_equal(res.multiplicity_group, lap._group_multiplicities(lam, 1e-6))
     # the operator's matrix M is exactly zero between classes
     label = np.empty(box.size, dtype=int)
-    plan, _ = lap._stiffness(op.prefactor, op.gram, op.multipliers, box)
+    plan = calc._class_plan(op.geometry, box, lap._tables(op))
+    stiff = lap._stiffness(op.multipliers, plan)
     for c, idx in enumerate(plan.classes):
+        assert stiff[c].shape == (idx.size, idx.size)
         label[idx] = c
     apart = label[:, None] != label[None, :]
     assert not lap.operator_matrix(op)[0][apart].any()
